@@ -72,23 +72,29 @@ class TruncatedBeliefMDP:
         return (k - 1) * L + n
 
     def state_labels(self) -> list[tuple[int, int]]:
-        N, L = self.bandit.chain.n_states, self.truncation_L
-        return [(0, 0)] + [(k, n) for k in range(1, N + 1) for n in range(1, L + 1)]
+        return state_labels(self.bandit.chain.n_states, self.truncation_L)
 
     def nearest_state(self, belief) -> int:
-        """Id of the state closest to `belief` in max norm (initial-state mapping)."""
-        belief = np.asarray(belief, dtype=float)
-        gaps = np.max(np.abs(self.states - belief[None, :]), axis=1)
-        return int(np.argmin(gaps))
+        return nearest_state(self.states, belief)
 
 
-def build_truncated(bandit: BanditSpec, L: int, discount: float) -> TruncatedBeliefMDP:
-    """Construct the L-truncated belief MDP of a bandit."""
+def state_labels(N: int, L: int) -> list[tuple[int, int]]:
+    """Symbolic (k, n) label of each state id, in id order."""
+    return [(0, 0)] + [(k, n) for k in range(1, N + 1) for n in range(1, L + 1)]
+
+
+def nearest_state(states: np.ndarray, belief) -> int:
+    """Id of the state closest to `belief` in max norm (initial-state mapping)."""
+    belief = np.asarray(belief, dtype=float)
+    gaps = np.max(np.abs(states - belief[None, :]), axis=1)
+    return int(np.argmin(gaps))
+
+
+def truncated_grid(bandit: BanditSpec, L: int):
+    """Read-only (states, costs, passive_next, reset_states) of the L-truncation."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    if not 0.0 <= discount <= 1.0:
-        raise ValueError("discount must be in [0, 1]")
-    chain, rho = bandit.chain, bandit.success_prob
+    chain = bandit.chain
     N = chain.n_states
     n = N * L + 1
 
@@ -99,17 +105,24 @@ def build_truncated(bandit: BanditSpec, L: int, discount: float) -> TruncatedBel
         for age in range(1, L + 1):
             states[(k - 1) * L + age] = x
             x = chain.transition @ x
-
     costs = np.array([entropy(states[s]) for s in range(n)])
+    # age L (id divisible by L) and omega (id 0) age into omega
+    ids = np.arange(n, dtype=np.int64)
+    passive_next = np.where(ids % L == 0, 0, ids + 1)
+    reset_states = np.arange(N, dtype=np.int64) * L + 1
 
-    passive_next = np.zeros(n, dtype=np.int64)
-    for k in range(1, N + 1):
-        for age in range(1, L):
-            passive_next[(k - 1) * L + age] = (k - 1) * L + age + 1
-        passive_next[(k - 1) * L + L] = 0
-    # omega -> omega is already 0
+    for arr in (states, costs, passive_next, reset_states):
+        arr.setflags(write=False)
+    return states, costs, passive_next, reset_states
 
-    reset_states = np.array([(k - 1) * L + 1 for k in range(1, N + 1)], dtype=np.int64)
+
+def build_truncated(bandit: BanditSpec, L: int, discount: float) -> TruncatedBeliefMDP:
+    """Construct the L-truncated belief MDP of a bandit."""
+    if not 0.0 <= discount <= 1.0:
+        raise ValueError("discount must be in [0, 1]")
+    states, costs, passive_next, reset_states = truncated_grid(bandit, L)
+    rho = bandit.success_prob
+    n, N = states.shape
 
     p_passive = sp.csr_matrix(
         (np.ones(n), (np.arange(n), passive_next)), shape=(n, n)
@@ -131,10 +144,6 @@ def build_truncated(bandit: BanditSpec, L: int, discount: float) -> TruncatedBel
         if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
             raise AssertionError(f"{name} transition rows do not sum to 1")
 
-    states.setflags(write=False)
-    costs.setflags(write=False)
-    passive_next.setflags(write=False)
-    reset_states.setflags(write=False)
     return TruncatedBeliefMDP(
         bandit=bandit,
         truncation_L=L,

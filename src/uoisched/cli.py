@@ -104,7 +104,7 @@ def cmd_simulate(args) -> int:
     prep = prepare(config)
 
     tables = None
-    if args.policy in ("gain_index", "or_rounded"):
+    if args.policy == "gain_index":
         if not args.tables:
             raise ConfigError(f"policy {args.policy!r} requires --tables with one file per bandit")
         try:
@@ -249,8 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a scheduling policy")
     add_common(p)
-    p.add_argument("--policy", required=True, choices=["gain_index", "myopic", "round_robin", "or_rounded"])
-    p.add_argument("--tables", nargs="*", default=[], help="index table files (gain_index / or_rounded)")
+    p.add_argument("--policy", required=True, choices=["gain_index", "myopic", "round_robin"])
+    p.add_argument(
+        "--tables", nargs="*", default=[],
+        help="index table files from `indices` on this config, one per bandit (gain_index)",
+    )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle", help="exact joint solve (small M)")

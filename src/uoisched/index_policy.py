@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief_mdp import TruncatedBeliefMDP
+from .belief_mdp import TruncatedBeliefMDP, state_labels
 from .errors import ConfigError
 from .solvers import (
     ACTIVE_TIE_TOL,
@@ -41,11 +41,6 @@ class GainIndexTable:
     values: np.ndarray | None      # value function the indices came from
     beliefs: np.ndarray            # (n, N) belief vector per state
     truncation_L: int
-
-    def state_index(self, k: int, n: int) -> int:
-        if k == 0 and n == 0:
-            return 0
-        return (k - 1) * self.truncation_L + n
 
 
 def _indices_from_values(mdp: TruncatedBeliefMDP, values: np.ndarray) -> np.ndarray:
@@ -114,10 +109,7 @@ def or_decision(mdp: TruncatedBeliefMDP, values, state: int, lambda_star: float)
 
 def table_to_doc(table: GainIndexTable, config_hash: str | None = None) -> dict:
     """Versioned JSON document: omega is encoded as k = 0, n = 0."""
-    n_chain = table.beliefs.shape[1]
-    labels = [(0, 0)] + [
-        (k, n) for k in range(1, n_chain + 1) for n in range(1, table.truncation_L + 1)
-    ]
+    labels = state_labels(table.beliefs.shape[1], table.truncation_L)
     doc = {
         "schema_version": TABLE_SCHEMA_VERSION,
         "bandit_label": table.bandit_label,
@@ -146,18 +138,19 @@ def table_from_doc(doc: dict) -> GainIndexTable:
     if doc.get("schema_version") != TABLE_SCHEMA_VERSION:
         raise ConfigError(f"unsupported index table schema_version: {doc.get('schema_version')!r}")
     states = doc["states"]
-    l_max = max(s["n"] for s in states)
-    n_chain = max(s["k"] for s in states)
-    count = n_chain * l_max + 1
-    if len(states) != count:
-        raise ConfigError(f"index table has {len(states)} states, expected {count}")
-    indices = np.empty(count)
-    beliefs = np.empty((count, n_chain))
-    for s in states:
-        k, n = int(s["k"]), int(s["n"])
-        i = 0 if k == 0 else (k - 1) * l_max + n
-        indices[i] = float(s["index"])
-        beliefs[i] = np.asarray(s["belief"], dtype=float)
+    labels = [(int(s["k"]), int(s["n"])) for s in states]
+    n_chain = max((k for k, _ in labels), default=0)
+    l_max = max((n for _, n in labels), default=0)
+    if n_chain < 1 or labels != state_labels(n_chain, l_max):
+        raise ConfigError(
+            f"index table states are not the (k, n) grid of N={n_chain}, L={l_max} in id order"
+        )
+    if any(len(s["belief"]) != n_chain for s in states):
+        raise ConfigError(f"index table beliefs must each have length N={n_chain}")
+    indices = np.array([float(s["index"]) for s in states])
+    beliefs = np.array([s["belief"] for s in states], dtype=float)
+    if not (np.all(np.isfinite(indices)) and np.all(np.isfinite(beliefs))):
+        raise ConfigError("index table holds a non-finite index or belief")
     return GainIndexTable(
         bandit_label=doc["bandit_label"],
         criterion=doc["criterion"],

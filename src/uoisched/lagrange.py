@@ -14,7 +14,7 @@ consecutive derivatives bracket a sign change within epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,17 +115,7 @@ def _derivative_average_fallback(mdp, actions, initial_state) -> float:
     # Multichain chain at rho = 1: approximate the activation rate by the
     # (1-beta)-scaled discounted activation value near beta = 1.
     beta = 0.9999
-    proxy = TruncatedBeliefMDP(
-        bandit=mdp.bandit,
-        truncation_L=mdp.truncation_L,
-        discount=beta,
-        states=mdp.states,
-        costs_passive=mdp.costs_passive,
-        passive_next=mdp.passive_next,
-        reset_states=mdp.reset_states,
-        passive_transitions=mdp.passive_transitions,
-        active_transitions=mdp.active_transitions,
-    )
+    proxy = replace(mdp, discount=beta)
     h = policy_evaluation_discounted(proxy, actions, np.asarray(actions, dtype=float))
     return float((1.0 - beta) * h[initial_state])
 

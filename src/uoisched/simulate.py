@@ -1,32 +1,33 @@
 """Slot-level Monte-Carlo simulation of the M-source, m-channel system.
 
-Beliefs are tracked symbolically as truncated-state ids (0 = equilibrium,
-(k-1)*L + n = belief of age n after observing state k), so the simulator
-follows the truncated dynamics: ages beyond L are pinned to the equilibrium
-belief.  All runs advance in lockstep as vectorized numpy operations, each
-run drawing from its own xoshiro256** substream.  Every slot consumes one
-success draw and one transition draw per bandit regardless of the policy's
-selections, so different policies under the same seed see identical source
-paths (common random numbers).
+Beliefs are tracked symbolically as truncated-state ids in the layout of
+`belief_mdp`, so the simulator follows the truncated dynamics: ages beyond L
+are pinned to the equilibrium belief.  Every bandit's tables are concatenated
+into flat arrays, and each slot advances all bandits of all runs with a
+fixed number of vectorized numpy operations, each run drawing from its own
+xoshiro256** substream.  Every slot consumes one success draw and one
+transition draw per bandit regardless of the policy's selections, so
+different policies under the same seed see identical source paths (common
+random numbers).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .belief_mdp import BanditSpec, build_truncated
+from .belief_mdp import BanditSpec, build_truncated, nearest_state, truncated_grid
 from .errors import InfeasiblePolicy
-from .index_policy import GainIndexTable, gain_indices_average, gain_indices_discounted
+from .index_policy import gain_indices_average, gain_indices_discounted
 from .lagrange import gradient_search, make_problem
 from .rng import Xoshiro256StarStar
 from .solvers import AVERAGE, DISCOUNTED, policy_iteration_discounted, solve_average
 
 RESULT_SCHEMA_VERSION = 1
 
-POLICIES = ("gain_index", "myopic", "round_robin", "or_rounded")
+POLICIES = ("gain_index", "myopic", "round_robin")
 
 
 @dataclass
@@ -123,42 +124,33 @@ def evaluate_average(cost_trace, burn_in: int = 0) -> float:
     return float(c[..., burn_in:].mean())
 
 
-class _BanditSim:
-    """Per-bandit lookup arrays used inside the slot loop."""
-
-    def __init__(self, bandit: BanditSpec, L: int, table: GainIndexTable | None):
-        mdp = build_truncated(bandit, L, discount=0.0)  # structure only
-        self.n_chain = bandit.chain.n_states
-        self.L = L
-        self.rho = bandit.success_prob
-        self.entropy = mdp.costs_passive
-        self.passive_next = mdp.passive_next
-        self.states = mdp.states
-        self.cum_transition = np.cumsum(bandit.chain.transition, axis=0)
-        self.indices = table.indices if table is not None else None
-
-
-def _sample_from_rows(prob_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sample per run; prob_rows is (R, N) of probabilities."""
-    cum = np.cumsum(prob_rows, axis=1)
-    draws = (u[:, None] > cum).sum(axis=1)
-    return np.minimum(draws, prob_rows.shape[1] - 1)
-
-
-def _check_tables(instance: RMABInstance, tables) -> list[GainIndexTable]:
-    if tables is None:
-        raise ValueError("this policy requires one index table per bandit")
-    if len(tables) != instance.n_bandits:
-        raise ValueError(f"expected {instance.n_bandits} tables, got {len(tables)}")
+def _check_tables(instance: RMABInstance, tables, grids) -> None:
     lam = tables[0].lambda_star
-    for bandit, table in zip(instance.bandits, tables):
+    for bandit, table, (states, _, _, _) in zip(instance.bandits, tables, grids):
         if table.bandit_label != bandit.label:
             raise ValueError(f"table label {table.bandit_label!r} does not match bandit {bandit.label!r}")
         if table.criterion != instance.criterion:
             raise ValueError(f"table criterion {table.criterion!r} does not match instance")
         if abs(table.lambda_star - lam) > 1e-9:
             raise ValueError("index tables were computed at different multipliers")
-    return list(tables)
+        if (
+            table.beliefs.shape != states.shape
+            or table.indices.shape != states.shape[:1]
+            or np.max(np.abs(table.beliefs - states)) > 1e-12
+        ):
+            raise ValueError(f"index table for {bandit.label!r} was not computed for this bandit's chain")
+
+
+def _padded_cdf(rows: list[np.ndarray], width: int) -> np.ndarray:
+    """Row-wise cumulative sums, padded on the right with 1.0 to `width`."""
+    return np.vstack([
+        np.pad(np.cumsum(r, axis=1), ((0, 0), (0, width - r.shape[1])), constant_values=1.0) for r in rows
+    ])
+
+
+def _inverse_cdf(cdf_rows: np.ndarray, u: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Local index drawn from each padded cdf row, capped at `last` = N_i - 1."""
+    return np.minimum((u[..., None] > cdf_rows).sum(axis=-1), last)
 
 
 def simulate(
@@ -176,13 +168,15 @@ def simulate(
 
     `policy` is one of POLICIES, or a callable (t, belief_ids, instance) ->
     (runs, m) array of selected bandit columns (InfeasiblePolicy if it picks
-    a wrong number of distinct bandits).  `tables` are required for
-    gain_index / or_rounded; `truncation_L` (int or per-bandit list) sets the
-    belief truncation when no tables are given.  Cost H(X_i(t)) accrues at
-    the start of slot t with weight beta^(t-1) (discounted) or enters the
-    post-burn-in time average.  `record_y` logs the first run's per-slot
-    OR-activation count (how many bandits the unconstrained relaxed-optimal
-    rule would transmit).  Identical seeds yield identical traces.
+    a wrong number of distinct bandits); `belief_ids` is (runs, M) of
+    per-bandit state ids in the layout of `belief_mdp`.  `tables` are
+    required for gain_index and must match each bandit's chain; otherwise
+    `truncation_L` (int or per-bandit list) sets the belief truncation.  Cost
+    H(X_i(t)) accrues at the start of slot t with weight beta^(t-1)
+    (discounted) or enters the post-burn-in time average.  `record_y` (with
+    tables) logs the first run's OR decisions beta*W >= lambda* per slot,
+    their count and the selected bandits.  Identical seeds yield identical
+    traces.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -196,24 +190,23 @@ def simulate(
     if named and policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
-    if named and policy in ("gain_index", "or_rounded"):
-        tables = _check_tables(instance, tables)
-    have_tables = tables is not None and len(tables) == M
-
-    if have_tables:
+    if tables is not None:
+        if len(tables) != M:
+            raise ValueError(f"expected {M} tables, got {len(tables)}")
         l_per_bandit = [t.truncation_L for t in tables]
+    elif named and policy == "gain_index":
+        raise ValueError("this policy requires one index table per bandit")
     elif truncation_L is None:
         raise ValueError("truncation_L is required when no index tables are given")
     elif np.isscalar(truncation_L):
         l_per_bandit = [int(truncation_L)] * M
     else:
         l_per_bandit = [int(l) for l in truncation_L]
-
-    sims = [
-        _BanditSim(b, l_per_bandit[i], tables[i] if have_tables else None)
-        for i, b in enumerate(instance.bandits)
-    ]
-    lam_star = tables[0].lambda_star if have_tables else None
+    if len(l_per_bandit) != M:
+        raise ValueError(f"expected {M} truncation depths, got {len(l_per_bandit)}")
+    grids = [truncated_grid(b, L) for b, L in zip(instance.bandits, l_per_bandit)]
+    if tables is not None:
+        _check_tables(instance, tables, grids)
 
     if instance.criterion == AVERAGE:
         burn = int(0.1 * horizon) if burn_in is None else int(burn_in)
@@ -222,108 +215,96 @@ def simulate(
     else:
         burn = 0
 
+    # one flat table per quantity: bandit i's truncated state s is global id
+    # offset[i] + s, and its source state k is global id chain_offset[i] + k
+    n_chain = np.array([b.chain.n_states for b in instance.bandits])
+    n_states = np.array([g[0].shape[0] for g in grids])
+    offset = (np.cumsum(n_states) - n_states)[:, None]
+    chain_offset = (np.cumsum(n_chain) - n_chain)[:, None]
+    last = n_chain[:, None] - 1
+    entropy = np.concatenate([g[1] for g in grids])
+    passive_next = np.concatenate([g[2] + off for g, off in zip(grids, offset[:, 0])])
+    reset = np.concatenate([g[3] + off for g, off in zip(grids, offset[:, 0])])
+    index = np.concatenate([t.indices for t in tables]) if tables is not None else None
+    belief_cdf = _padded_cdf([g[0] for g in grids], n_chain.max())
+    transition_cdf = _padded_cdf([b.chain.transition.T for b in instance.bandits], n_chain.max())
+    rho = np.array([b.success_prob for b in instance.bandits])[:, None]
+    lam_star = tables[0].lambda_star if tables is not None else None
+    or_scale = beta if instance.criterion == DISCOUNTED else 1.0
+
     # ties: highest score wins, then lowest bandit label (stable sort on the
-    # label-ordered column permutation)
+    # label-ordered bandit permutation)
     label_order = np.argsort(np.array([b.label for b in instance.bandits]))
 
+    # beliefs and true states are (M, runs) global ids; the fixed draw order
+    # is one initial draw per bandit, then per slot success draws for bandits
+    # 0..M-1 followed by transition draws for bandits 0..M-1
     rng = Xoshiro256StarStar(seed, runs)
-    belief = np.zeros((runs, M), dtype=np.int64)
+    start = np.zeros(M, dtype=np.int64)
     if instance.initial_beliefs is not None:
         for i, chi in enumerate(instance.initial_beliefs):
             if chi is not None:
-                gaps = np.max(np.abs(sims[i].states - np.asarray(chi, dtype=float)[None, :]), axis=1)
-                belief[:, i] = int(np.argmin(gaps))
-    true_state = np.zeros((runs, M), dtype=np.int64)
+                start[i] = nearest_state(grids[i][0], chi)
+    belief = np.repeat(offset + start[:, None], runs, axis=1)
+    u = np.empty((2 * M, runs))
     for i in range(M):
-        u = rng.uniform()
-        true_state[:, i] = _sample_from_rows(sims[i].states[belief[:, i]], u)
+        u[i] = rng.uniform()
+    true_state = chain_offset + _inverse_cdf(belief_cdf[belief], u[:M], last)
 
     disc_total = np.zeros(runs)
     avg_total = np.zeros(runs)
-    act_counts = np.zeros((runs, M), dtype=np.int64)
+    act_counts = np.zeros(M, dtype=np.int64)
     beta_pow = 1.0
-    record_traces = record_y and have_tables
+    record_traces = record_y and tables is not None
     y_trace = np.zeros(horizon, dtype=np.int64) if record_traces else None
     or_mask_trace = np.zeros((horizon, M), dtype=bool) if record_traces else None
     selection_trace = np.zeros((horizon, m), dtype=np.int64) if record_traces else None
-    scores = np.empty((runs, M))
-    rows = np.arange(runs)
+    lanes = np.arange(runs)
 
     for t in range(1, horizon + 1):
-        cost_t = np.zeros(runs)
-        for i in range(M):
-            cost_t += sims[i].entropy[belief[:, i]]
+        h = entropy[belief]
+        # cumsum adds bandits 0..M-1 in order; sum(axis=0) would add them
+        # pairwise when runs == 1
+        cost_t = h.cumsum(axis=0)[-1]
         if instance.criterion == DISCOUNTED:
             disc_total += beta_pow * cost_t
             beta_pow *= beta
         elif t > burn:
             avg_total += cost_t
 
-        if named and policy == "round_robin":
-            chosen = (np.arange(m) + (t - 1) * m) % M
-            sel_cols = np.broadcast_to(chosen, (runs, m))
+        if not named:
+            sel_cols = np.asarray(policy(t, (belief - offset).T, instance))
+            if sel_cols.shape != (runs, m):
+                raise InfeasiblePolicy(f"policy returned shape {sel_cols.shape}, expected {(runs, m)}")
+            check = np.zeros((runs, M), dtype=bool)
+            try:
+                check[lanes[:, None], sel_cols] = True
+            except IndexError as exc:
+                raise InfeasiblePolicy(f"policy selected an invalid bandit: {exc}") from exc
+            if not np.all(check.sum(axis=1) == m):
+                raise InfeasiblePolicy("policy selected a repeated or invalid bandit")
+            selected = sel_cols.T
+        elif policy == "round_robin":
+            selected = np.broadcast_to(((np.arange(m) + (t - 1) * m) % M)[:, None], (m, runs))
         else:
-            if named and policy == "myopic":
-                for i in range(M):
-                    scores[:, i] = sims[i].entropy[belief[:, i]]
-            elif named and policy == "gain_index":
-                for i in range(M):
-                    scores[:, i] = sims[i].indices[belief[:, i]]
-            elif named and policy == "or_rounded":
-                # gain of active over passive: d = beta*W - lambda* (discounted),
-                # W - lambda^a (average); same selections as gain_index by ranking
-                scale = beta if instance.criterion == DISCOUNTED else 1.0
-                for i in range(M):
-                    scores[:, i] = scale * sims[i].indices[belief[:, i]] - lam_star
-            if named:
-                ordered = np.argsort(-scores[:, label_order], axis=1, kind="stable")
-                sel_cols = label_order[ordered[:, :m]]
-            else:
-                sel_cols = np.asarray(policy(t, belief.copy(), instance))
-                if sel_cols.shape != (runs, m):
-                    raise InfeasiblePolicy(
-                        f"policy returned shape {sel_cols.shape}, expected {(runs, m)}"
-                    )
-                check = np.zeros((runs, M), dtype=bool)
-                try:
-                    check[rows[:, None], sel_cols] = True
-                except IndexError as exc:
-                    raise InfeasiblePolicy(f"policy selected an invalid bandit: {exc}") from exc
-                if not np.all(check.sum(axis=1) == m):
-                    raise InfeasiblePolicy("policy selected a repeated or invalid bandit")
+            scores = (index[belief] if policy == "gain_index" else h)[label_order]
+            selected = label_order[(-scores).argsort(axis=0, kind="stable")[:m]]
 
-        sel_mask = np.zeros((runs, M), dtype=bool)
-        sel_mask[rows[:, None], sel_cols] = True
-        act_counts += sel_mask
+        sel_mask = np.zeros((M, runs), dtype=bool)
+        sel_mask[selected, lanes] = True
+        act_counts += sel_mask.sum(axis=1)
 
-        if y_trace is not None:
-            # OR-policy decisions along the first run's trajectory: a bandit is
-            # OR-active when its activation gain clears the charge,
-            # beta*W >= lambda* (W >= lambda^a for the average criterion)
-            scale = beta if instance.criterion == DISCOUNTED else 1.0
-            for i in range(M):
-                or_mask_trace[t - 1, i] = (
-                    scale * sims[i].indices[belief[0, i]] >= lam_star - 1e-12
-                )
+        if record_traces:
+            or_mask_trace[t - 1] = or_scale * index[belief[:, 0]] >= lam_star - 1e-12
             y_trace[t - 1] = int(or_mask_trace[t - 1].sum())
-            selection_trace[t - 1] = np.sort(sel_cols[0])
+            selection_trace[t - 1] = np.sort(selected[:, 0])
 
-        # fixed draw order per slot: success draws for bandits 0..M-1, then
-        # transition draws for bandits 0..M-1
-        success = np.zeros((runs, M), dtype=bool)
-        for i in range(M):
-            u = rng.uniform()
-            success[:, i] = sel_mask[:, i] & (u < sims[i].rho)
-
-        for i in range(M):
-            obs = true_state[:, i].copy()
-            u = rng.uniform()
-            col = sims[i].cum_transition[:, true_state[:, i]]  # (N, runs)
-            nxt = (u[None, :] > col).sum(axis=0)
-            true_state[:, i] = np.minimum(nxt, sims[i].n_chain - 1)
-            belief[:, i] = np.where(
-                success[:, i], obs * sims[i].L + 1, sims[i].passive_next[belief[:, i]]
-            )
+        for j in range(2 * M):
+            u[j] = rng.uniform()
+        success = sel_mask & (u[:M] < rho)
+        observed = true_state
+        true_state = chain_offset + _inverse_cdf(transition_cdf[true_state], u[M:], last)
+        belief = np.where(success, reset[observed], passive_next[belief])
 
     if instance.criterion == DISCOUNTED:
         per_run = disc_total
@@ -348,7 +329,7 @@ def simulate(
         per_run=per_run,
         mean=mean,
         stderr=stderr,
-        activation_freq=act_counts.sum(axis=0) / (runs * horizon),
+        activation_freq=act_counts / (runs * horizon),
         y_trace=y_trace,
         or_mask_trace=or_mask_trace,
         selection_trace=selection_trace,
@@ -482,18 +463,7 @@ def asymptotic_sweep(
             for j in range(c):
                 label = f"{base.label}-{j + 1}"
                 bandits.append(BanditSpec(base.chain, base.success_prob, label))
-                tab = tables[k]
-                rep_tables.append(
-                    GainIndexTable(
-                        bandit_label=label,
-                        criterion=tab.criterion,
-                        lambda_star=tab.lambda_star,
-                        indices=tab.indices,
-                        values=tab.values,
-                        beliefs=tab.beliefs,
-                        truncation_L=tab.truncation_L,
-                    )
-                )
+                rep_tables.append(replace(tables[k], bandit_label=label))
         instance = RMABInstance(bandits, m_chan, criterion, beta, seed=seed)
         res = simulate(instance, "gain_index", horizon, runs, seed=seed, tables=rep_tables, burn_in=burn_in)
         bound = bound_terms(counts, M, m_chan)

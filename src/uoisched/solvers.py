@@ -12,7 +12,7 @@ one-sided derivative choice at breakpoints consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -185,17 +185,7 @@ def _vanishing_discount_fallback(mdp, lam, tol):
     betas = (0.999, 0.9999)
     sols = []
     for b in betas:
-        proxy = TruncatedBeliefMDP(
-            bandit=mdp.bandit,
-            truncation_L=mdp.truncation_L,
-            discount=b,
-            states=mdp.states,
-            costs_passive=mdp.costs_passive,
-            passive_next=mdp.passive_next,
-            reset_states=mdp.reset_states,
-            passive_transitions=mdp.passive_transitions,
-            active_transitions=mdp.active_transitions,
-        )
+        proxy = replace(mdp, discount=b)
         sols.append(policy_iteration_discounted(proxy, lam))
     anchor = _anchor_state(mdp)
     e1, e2 = (1.0 - b for b in betas)

@@ -108,6 +108,18 @@ class TestSimulateCommand:
         row = summary[2].split(",")
         assert row[0] == "gain_index" and row[1] == "2" and row[2] == "1"
 
+    def test_tables_from_another_chain_exit_2(self, tmp_path):
+        # same labels and truncation, different chain for src-b: stale tables
+        _, out = run_indices(tmp_path)
+        other = json.loads(json.dumps(FAST_CONFIG))
+        other["bandits"][1]["transition"] = [[0.9, 0.2], [0.1, 0.8]]
+        cfg = write_config(tmp_path, other, name="other.json")
+        code = main(
+            ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--policy", "gain_index",
+             "--tables", str(out / "indices_src-a.json"), str(out / "indices_src-b.json")]
+        )
+        assert code == 2
+
     def test_seed_override_recorded(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)
         out = tmp_path / "o"

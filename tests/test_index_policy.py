@@ -6,6 +6,7 @@ import pytest
 from uoisched import (
     BanditSpec,
     ChainSpec,
+    ConfigError,
     active_passive_values,
     build_truncated,
     choose_truncation,
@@ -252,6 +253,29 @@ class TestSerialization:
         doc = table_to_doc(gain_indices_discounted(build_truncated(bandit, 3, 0.9), 0.0))
         doc["surprise"] = 1
         with pytest.raises(Exception, match="surprise"):
+            table_from_doc(doc)
+
+    def test_duplicated_and_missing_state_rejected(self):
+        # slot 3 overwritten by a copy of slot 2: the count still matches, but
+        # (k, n) = (1, 3) is missing and (1, 2) appears twice
+        bandit = BanditSpec(validate_chain(FIG1), 1.0, "fig1")
+        doc = table_to_doc(gain_indices_discounted(build_truncated(bandit, 4, 0.9), 0.05))
+        doc["states"][3] = dict(doc["states"][2])
+        with pytest.raises(ConfigError, match="grid"):
+            table_from_doc(doc)
+
+    def test_non_finite_index_rejected(self):
+        bandit = BanditSpec(validate_chain(FIG1), 1.0, "fig1")
+        doc = table_to_doc(gain_indices_discounted(build_truncated(bandit, 4, 0.9), 0.05))
+        doc["states"][5]["index"] = float("nan")
+        with pytest.raises(ConfigError, match="non-finite"):
+            table_from_doc(json.loads(json.dumps(doc)))
+
+    def test_short_belief_rejected(self):
+        bandit = BanditSpec(validate_chain(FIG1), 1.0, "fig1")
+        doc = table_to_doc(gain_indices_discounted(build_truncated(bandit, 4, 0.9), 0.05))
+        doc["states"][1]["belief"] = [1.0]
+        with pytest.raises(ConfigError, match="length"):
             table_from_doc(doc)
 
     def test_json_is_deterministic(self, tmp_path):

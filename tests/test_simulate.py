@@ -12,6 +12,7 @@ from uoisched import (
     build_truncated,
     choose_truncation,
     discounted_horizon,
+    Xoshiro256StarStar,
     evaluate_average,
     evaluate_discounted,
     gain_indices_average,
@@ -121,6 +122,14 @@ class TestSimulateBasics:
         with pytest.raises(ValueError):
             RMABInstance(bandits, 0, "average", 1.0)
 
+    def test_tables_from_another_chain_rejected(self):
+        tables, _, _ = fig1_tables("average", 1.0)
+        other = validate_chain([[0.9, 0.2], [0.1, 0.8]])
+        bandits = [BanditSpec(validate_chain(FIG1), 1.0, "a"), BanditSpec(other, 1.0, "b")]
+        inst = RMABInstance(bandits, 1, "average", 1.0, seed=3)
+        with pytest.raises(ValueError, match="'b'"):
+            simulate(inst, "gain_index", horizon=10, runs=2, tables=tables)
+
     def test_unknown_policy_rejected(self):
         inst = fig1_instance("average", 1.0)
         with pytest.raises(ValueError):
@@ -142,15 +151,102 @@ class TestDeterminism:
         r2 = simulate(inst, "gain_index", horizon=800, runs=6, seed=2, tables=tables)
         assert r1.per_run.tolist() != r2.per_run.tolist()
 
-    def test_or_rounded_matches_gain_index_exactly(self):
-        # same ranking, same common random numbers: identical traces
-        tables, _, _ = fig1_tables("discounted", 0.9)
-        inst = fig1_instance("discounted", 0.9, seed=31)
-        kw = dict(horizon=400, runs=8, tables=tables)
-        r1 = simulate(inst, "gain_index", **kw)
-        r2 = simulate(inst, "or_rounded", **kw)
-        assert np.array_equal(r1.per_run, r2.per_run)
-        assert np.array_equal(r1.activation_freq, r2.activation_freq)
+
+def reference_simulate(inst, policy, tables, horizon, runs, seed, burn_in=0):
+    """Plain-Python simulator: one run and one bandit at a time, beliefs kept
+    as symbolic (k, n) states, drawing from run r's own stream in the
+    documented order (initial draws, then per slot success draws for bandits
+    0..M-1 and transition draws for bandits 0..M-1)."""
+    M, m, beta = inst.n_bandits, inst.m, inst.discount
+    mdps = [build_truncated(b, t.truncation_L, 0.0) for b, t in zip(inst.bandits, tables)]
+    labels = [b.label for b in inst.bandits]
+    lam = tables[0].lambda_star
+    scale = beta if inst.criterion == "discounted" else 1.0
+
+    def draw_from(probs, u):
+        cum, k = 0.0, 0
+        for p in probs:
+            cum += p
+            k += u > cum
+        return min(k, len(probs) - 1)
+
+    per_run, counts = [], [0] * M
+    y_trace, or_trace, sel_trace = [], [], []
+    for r in range(runs):
+        stream = Xoshiro256StarStar(seed ^ r, 1)
+        draw = lambda: float(stream.uniform()[0])  # noqa: E731
+        sym = []
+        for i, mdp in enumerate(mdps):
+            chi = inst.initial_beliefs[i] if inst.initial_beliefs is not None else None
+            sym.append(mdp.state_labels()[0 if chi is None else mdp.nearest_state(chi)])
+        ids = lambda: [mdp.state_index(k, n) for mdp, (k, n) in zip(mdps, sym)]  # noqa: E731
+        x = [draw_from(mdps[i].states[ids()[i]], draw()) for i in range(M)]
+        total, beta_pow = 0.0, 1.0
+        for t in range(1, horizon + 1):
+            sid = ids()
+            cost = 0.0
+            for i in range(M):
+                cost += float(mdps[i].costs_passive[sid[i]])
+            if inst.criterion == "discounted":
+                total += beta_pow * cost
+                beta_pow *= beta
+            elif t > burn_in:
+                total += cost
+            if policy == "round_robin":
+                chosen = [(j + (t - 1) * m) % M for j in range(m)]
+            else:
+                score = [
+                    float(tables[i].indices[sid[i]] if policy == "gain_index" else mdps[i].costs_passive[sid[i]])
+                    for i in range(M)
+                ]
+                chosen = sorted(range(M), key=lambda i: (-score[i], labels[i]))[:m]
+            for i in chosen:
+                counts[i] += 1
+            if r == 0:
+                mask = [scale * float(tables[i].indices[sid[i]]) >= lam - 1e-12 for i in range(M)]
+                or_trace.append(mask)
+                y_trace.append(sum(mask))
+                sel_trace.append(sorted(chosen))
+            success = [draw() < inst.bandits[i].success_prob and i in chosen for i in range(M)]
+            for i in range(M):
+                obs = x[i]
+                x[i] = draw_from(inst.bandits[i].chain.transition[:, obs], draw())
+                k, n = sym[i]
+                if success[i]:
+                    sym[i] = (obs + 1, 1)
+                elif k == 0 or n == mdps[i].truncation_L:
+                    sym[i] = (0, 0)
+                else:
+                    sym[i] = (k, n + 1)
+        per_run.append(total if inst.criterion == "discounted" else total / (horizon - burn_in))
+    freq = [c / (runs * horizon) for c in counts]
+    return per_run, freq, y_trace, or_trace, sel_trace
+
+
+class TestReferenceSimulator:
+    @pytest.mark.parametrize("criterion,beta", [("discounted", 0.9), ("average", 1.0)])
+    def test_flat_simulator_matches_reference_exactly(self, criterion, beta):
+        # mixed chain sizes and depths, so every per-bandit offset and every
+        # padded cdf row is exercised; labels are not in bandit order
+        rng = np.random.default_rng(21)
+        sizes, depths = [2, 4, 3, 2, 3], [3, 2, 5, 6, 4]
+        bandits = [random_bandit(rng, n, f"s{(3 * i) % 5}") for i, n in enumerate(sizes)]
+        mdps = [build_truncated(b, L, beta) for b, L in zip(bandits, depths)]
+        lam = gradient_search(make_problem(mdps, 2, criterion)).lambda_star
+        maker = gain_indices_discounted if criterion == "discounted" else gain_indices_average
+        tables = [maker(mdp, lam) for mdp in mdps]
+        initial = [None, None, [0.1, 0.2, 0.7], None, None]
+        inst = RMABInstance(bandits, 2, criterion, beta, initial_beliefs=initial, seed=0)
+        horizon, runs, seed = 120, 3, 2024
+        burn = 0 if criterion == "discounted" else 12
+        for policy in ("gain_index", "myopic", "round_robin"):
+            res = simulate(inst, policy, horizon, runs, seed=seed, tables=tables, burn_in=burn, record_y=True)
+            per_run, freq, y, or_mask, sel = reference_simulate(inst, policy, tables, horizon, runs, seed, burn)
+            assert res.per_run.tolist() == per_run, policy
+            assert res.activation_freq.tolist() == freq, policy
+            assert res.y_trace.tolist() == y, policy
+            assert res.or_mask_trace.tolist() == or_mask, policy
+            assert res.selection_trace.tolist() == sel, policy
 
 
 class TestPolicyQuality:
@@ -200,7 +296,7 @@ class TestYTrace:
     def test_or_activation_counts_recorded(self):
         tables, _, _ = fig1_tables("average", 1.0)
         inst = fig1_instance("average", 1.0, seed=12)
-        res = simulate(inst, "or_rounded", horizon=600, runs=3, tables=tables, record_y=True)
+        res = simulate(inst, "gain_index", horizon=600, runs=3, tables=tables, record_y=True)
         assert res.y_trace is not None and len(res.y_trace) == 600
         assert res.y_trace.min() >= 0 and res.y_trace.max() <= 2
         assert np.array_equal(res.or_mask_trace.sum(axis=1), res.y_trace)
@@ -235,7 +331,7 @@ class TestYTrace:
                 type(t)(lbl, t.criterion, t.lambda_star, t.indices, t.values, t.beliefs, t.truncation_L)
             )
         inst = RMABInstance(bandits, m, "average", 1.0, seed=55)
-        res = simulate(inst, "or_rounded", horizon=3000, runs=2, tables=tables, record_y=True)
+        res = simulate(inst, "gain_index", horizon=3000, runs=2, tables=tables, record_y=True)
         y = res.y_trace[300:] / M
         assert y.std() <= 1.1 / np.sqrt(4 * M)
 
