@@ -87,6 +87,8 @@ def cmd_indices(args) -> int:
             "stop_reason": result.trace.stop_reason,
             "bracket": list(result.trace.bracket),
             "iterations": len(result.trace.iterates),
+            "policy_evaluations": result.trace.policy_evaluations,
+            "fallbacks": result.trace.fallbacks,
         },
         h,
     )
@@ -104,6 +106,8 @@ def cmd_simulate(args) -> int:
     prep = prepare(config)
 
     tables = None
+    if args.tables and args.policy != "gain_index":
+        raise ConfigError(f"--tables applies to policy 'gain_index' only, not {args.policy!r}")
     if args.policy == "gain_index":
         if not args.tables:
             raise ConfigError(f"policy {args.policy!r} requires --tables with one file per bandit")
@@ -129,8 +133,33 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _policy_result_mean(path, config) -> float:
+    """Mean of a `simulate` result file, after checking it was simulated on
+    the same problem as the config (criterion, discount, M and m)."""
+    try:
+        with open(path) as fh:
+            result = json.load(fh)["result"]
+        mean = float(result["mean"])
+    except FileNotFoundError as exc:
+        raise ConfigError(f"policy result file not found: {exc.filename}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a simulation result document") from exc
+    expected = {
+        "criterion": config.criterion,
+        "discount": config.discount,
+        "n_bandits": len(config.bandits),
+        "m": config.m,
+    }
+    mismatched = {k: (result.get(k), v) for k, v in expected.items() if result.get(k) != v}
+    if mismatched:
+        detail = ", ".join(f"{k} {got!r} != {want!r}" for k, (got, want) in mismatched.items())
+        raise ConfigError(f"{path} was not simulated on this config: {detail}")
+    return mean
+
+
 def cmd_oracle(args) -> int:
     config = load_config(args.config)
+    policy_mean = _policy_result_mean(args.policy_result, config) if args.policy_result else None
     out = _out_dir(args, config)
     h = _echo_config(config, out)
     prep = prepare(config)
@@ -141,10 +170,7 @@ def cmd_oracle(args) -> int:
         "n_joint_states": res.joint.n_joint,
         "initial_states": prep.initial_states,
     }
-    if args.policy_result:
-        with open(args.policy_result) as fh:
-            sim_doc = json.load(fh)
-        policy_mean = sim_doc["result"]["mean"]
+    if policy_mean is not None:
         doc["gap"] = {
             "oracle": res.value,
             "policy": policy_mean,

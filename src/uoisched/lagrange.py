@@ -14,20 +14,22 @@ consecutive derivatives bracket a sign change within epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .belief_mdp import TruncatedBeliefMDP
-from .errors import MaxItersExceeded, MultichainPolicy
+from .errors import MaxItersExceeded
 from .solvers import (
     AVERAGE,
     DISCOUNTED,
+    BanditBatch,
     PolicyAndValues,
+    SolveCounts,
     average_policy_evaluation,
     policy_evaluation_discounted,
-    policy_iteration_discounted,
-    solve_average,
+    policy_iteration_batch,
+    solve_average_batch,
 )
 
 
@@ -56,6 +58,17 @@ class LagrangeProblem:
             raise ValueError("discounted problems need discount < 1")
         if self.criterion == AVERAGE and self.beta != 1.0:
             raise ValueError("average problems need MDPs built with discount = 1")
+        # identical (mdp, initial state) pairs are solved once and shared
+        # (duplicated bandits are common in sweeps)
+        index, unique = {}, []
+        self.members = []  # batch position of each bandit
+        for mdp, s in zip(self.mdps, self.initial_states):
+            key = (id(mdp), s)
+            if key not in index:
+                index[key] = len(unique)
+                unique.append((mdp, s))
+            self.members.append(index[key])
+        self.batch = BanditBatch([mdp for mdp, _ in unique], [s for _, s in unique])
 
 
 def make_problem(
@@ -94,6 +107,8 @@ class GradientTrace:
     lambda_star: float | None
     stop_reason: str                             # 'converged' | 'max_iters'
     bracket: tuple[float, float] | None = field(default=None)
+    policy_evaluations: int = 0                  # exact single-bandit policy evaluations
+    fallbacks: int = 0                           # solver fallbacks (see SolveCounts)
 
 
 def derivative_discounted(mdp: TruncatedBeliefMDP, optimal_policy, initial_state: int) -> float:
@@ -111,54 +126,27 @@ def derivative_average(mdp: TruncatedBeliefMDP, optimal_policy) -> float:
     return float(rate)
 
 
-def _derivative_average_fallback(mdp, actions, initial_state) -> float:
-    # Multichain chain at rho = 1: approximate the activation rate by the
-    # (1-beta)-scaled discounted activation value near beta = 1.
-    beta = 0.9999
-    proxy = replace(mdp, discount=beta)
-    h = policy_evaluation_discounted(proxy, actions, np.asarray(actions, dtype=float))
-    return float((1.0 - beta) * h[initial_state])
-
-
-def _solve_bandit(problem, i, lam, warm):
-    mdp = problem.mdps[i]
+def _solve_all(problem, lam, warm, counts=None):
+    """Solve every distinct bandit of the problem at lam in one batch;
+    `warm` carries the last flat policy (discounted) or Z (average)."""
+    init = warm.get(problem.criterion) if warm is not None else None
     if problem.criterion == DISCOUNTED:
-        init = warm.get(i) if warm is not None else None
-        pol = policy_iteration_discounted(mdp, lam, init=init)
-        if warm is not None:
-            warm[i] = pol.actions
-        deriv = derivative_discounted(mdp, pol, problem.initial_states[i])
+        sol = policy_iteration_batch(problem.batch, lam, init=init, counts=counts)
+        state = sol.actions
     else:
-        init_z = warm.get(i) if warm is not None else None
-        pol = solve_average(mdp, lam, init_z=init_z)
-        if warm is not None:
-            warm[i] = pol.values
-        try:
-            deriv = derivative_average(mdp, pol)
-        except MultichainPolicy:
-            deriv = _derivative_average_fallback(mdp, pol.actions, problem.initial_states[i])
-    return pol, deriv
+        sol = solve_average_batch(problem.batch, lam, init_z=init, counts=counts)
+        state = sol.values
+    if warm is not None:
+        warm[problem.criterion] = state
+    return sol
 
 
-def _solve_all(problem, lam, warm):
-    """Solve every bandit at lam; identical (mdp, initial state) pairs are
-    solved once and shared (duplicated bandits are common in sweeps)."""
-    cache = {}
-    out = []
-    for i in range(len(problem.mdps)):
-        key = (id(problem.mdps[i]), problem.initial_states[i])
-        if key not in cache:
-            cache[key] = _solve_bandit(problem, i, lam, warm)
-        out.append(cache[key])
-    return out
-
-
-def objective_derivative(problem: LagrangeProblem, lam: float, warm=None) -> float:
+def objective_derivative(problem: LagrangeProblem, lam: float, warm=None, counts=None) -> float:
     """f'(lam) = sum_i dV_i/dlam - m/(1-beta), or l'(lam) = sum_i g_i' - m."""
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    solved = _solve_all(problem, lam, warm)
-    total = sum(d for _, d in solved)
+    usage = _solve_all(problem, lam, warm, counts).usage
+    total = sum(float(usage[j]) for j in problem.members)
     if problem.criterion == DISCOUNTED:
         return float(total - problem.m / (1.0 - problem.beta))
     return float(total - problem.m)
@@ -166,11 +154,12 @@ def objective_derivative(problem: LagrangeProblem, lam: float, warm=None) -> flo
 
 def objective_value(problem: LagrangeProblem, lam: float, warm=None) -> float:
     """f(lam) or l(lam); a lower bound on the original problem's optimum."""
-    solved = _solve_all(problem, lam, warm)
+    sol = _solve_all(problem, lam, warm)
     if problem.criterion == DISCOUNTED:
-        total = sum(pol.values[problem.initial_states[i]] for i, (pol, _) in enumerate(solved))
+        start = sol.values[problem.batch.initial_ids]
+        total = sum(float(start[j]) for j in problem.members)
         return float(total - problem.m * lam / (1.0 - problem.beta))
-    total = sum(pol.gain for pol, _ in solved)
+    total = sum(float(sol.gains[j]) for j in problem.members)
     return float(total - problem.m * lam)
 
 
@@ -202,13 +191,14 @@ def gradient_search(
         return 0.0 if abs(d) <= deriv_tol else d
 
     warm = {} if warm_start else None
+    counts = SolveCounts()
     lam = 0.0
-    deriv = objective_derivative(problem, lam, warm)
+    deriv = objective_derivative(problem, lam, warm, counts)
     iterates = [(lam, deriv)]
     for k in range(problem.max_iters):
         step = problem.stepsize_c / (k + 1) * deriv
         lam_next = max(lam + step, 0.0)
-        deriv_next = objective_derivative(problem, lam_next, warm)
+        deriv_next = objective_derivative(problem, lam_next, warm, counts)
         iterates.append((lam_next, deriv_next))
         if snap(deriv) * snap(deriv_next) <= 0.0 and abs(lam_next - lam) < problem.epsilon:
             bracket = (min(lam, lam_next), max(lam, lam_next))
@@ -217,9 +207,17 @@ def gradient_search(
                 lambda_star=min(lam, lam_next),
                 stop_reason="converged",
                 bracket=bracket,
+                policy_evaluations=counts.policy_evaluations,
+                fallbacks=counts.fallbacks,
             )
         lam, deriv = lam_next, deriv_next
-    trace = GradientTrace(iterates=iterates, lambda_star=None, stop_reason="max_iters")
+    trace = GradientTrace(
+        iterates=iterates,
+        lambda_star=None,
+        stop_reason="max_iters",
+        policy_evaluations=counts.policy_evaluations,
+        fallbacks=counts.fallbacks,
+    )
     raise MaxItersExceeded(
         f"gradient search did not meet the stopping criterion in {problem.max_iters} iterations",
         trace=trace,

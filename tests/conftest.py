@@ -1,12 +1,16 @@
-"""Shared generators for randomized instances.
+"""Shared generators for randomized instances, and dense reference helpers.
 
 Chains are sampled with Dirichlet(1) columns and rejected until they pass
 validation with a second-eigenvalue bound, so auto-truncation depths stay
-small and mixing is fast enough for the certificate suites.
+small and mixing is fast enough for the certificate suites.  The reference
+helpers build the induced chain of a policy from the MDP's sparse matrices,
+independently of the structured solvers.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from uoisched import BanditSpec, ChainError, ChainSpec, validate_chain
 
@@ -34,3 +38,24 @@ def random_bandit(rng: np.random.Generator, n: int, label: str, rho=None, max_ei
 @pytest.fixture
 def fig1_chain() -> ChainSpec:
     return validate_chain(FIG1)
+
+
+def induced_transition(mdp, actions) -> sp.csr_matrix:
+    """Transition matrix of the chain induced by a binary policy."""
+    actions = np.asarray(actions)
+    d_act = sp.diags(actions.astype(float))
+    d_pas = sp.diags(1.0 - actions.astype(float))
+    p = (d_act @ mdp.active_transitions + d_pas @ mdp.passive_transitions).tocsr()
+    p.eliminate_zeros()
+    return p
+
+
+def recurrent_class_count(p: sp.csr_matrix) -> int:
+    """Closed strongly connected components of the chain's graph."""
+    n_comp, labels = csgraph.connected_components(p > 0, directed=True, connection="strong")
+    has_exit = np.zeros(n_comp, dtype=bool)
+    coo = p.tocoo()
+    for i, j in zip(coo.row, coo.col):
+        if labels[i] != labels[j]:
+            has_exit[labels[i]] = True
+    return int(np.sum(~has_exit))

@@ -47,6 +47,13 @@ class TestIndicesCommand:
         assert report["stop_reason"] == "converged"
         assert report["lambda_star"] >= 0
 
+    def test_lambda_report_counts_solver_work(self, tmp_path):
+        _, out = run_indices(tmp_path)
+        report = json.loads((out / "lambda_report.json").read_text())
+        # two distinct bandits, at least one policy evaluation each per step
+        assert report["policy_evaluations"] >= 2 * report["iterations"]
+        assert report["fallbacks"] == 0
+
     def test_repo_sample_config_smoke(self, tmp_path):
         code = main(
             ["indices", "--config", "configs/two_sources_discounted.json", "--out", str(tmp_path / "o")]
@@ -95,6 +102,16 @@ class TestSimulateCommand:
              "--policy", "gain_index", "--tables", str(tmp_path / "nope.json")]
         )
         assert code == 2
+
+    def test_tables_with_a_baseline_policy_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        for policy in ("myopic", "round_robin"):
+            code = main(
+                ["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--policy", policy, "--tables", str(tmp_path / "nonexistent.json")]
+            )
+            assert code == 2
+            assert "gain_index" in capsys.readouterr().err
 
     def test_full_pipeline_with_tables(self, tmp_path):
         cfg, out = run_indices(tmp_path)
@@ -166,6 +183,23 @@ class TestOracleCommand:
         doc = json.loads((out / "oracle.json").read_text())
         assert {"oracle", "policy", "relative_gap"} <= set(doc["gap"])
         assert doc["gap"]["oracle"] == doc["value"]
+
+    def test_policy_result_of_another_config_exits_2(self, tmp_path, capsys):
+        # an average-cost result checked against the discounted sample config
+        avg_out = tmp_path / "avg"
+        code = main(
+            ["simulate", "--config", "configs/two_sources_average.json", "--out", str(avg_out),
+             "--policy", "round_robin"]
+        )
+        assert code == 0
+        code = main(
+            ["oracle", "--config", "configs/two_sources_discounted.json", "--out", str(tmp_path / "o"),
+             "--policy-result", str(avg_out / "sim_round_robin.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "criterion" in err and "discount" in err
+        assert not (tmp_path / "o").exists()
 
     def test_state_space_cap_exits_4(self, tmp_path):
         doc = dict(FAST_CONFIG, truncation={"mode": "fixed", "L": 600})

@@ -11,12 +11,14 @@ from uoisched import (
     gradient_search,
     make_problem,
     objective_derivative,
+    objective_value,
+    policy_iteration_discounted,
+    solve_average,
     validate_chain,
 )
 from uoisched.lagrange import derivative_zero_tol
-from uoisched.solvers import induced_transition
-
-from conftest import FIG1, random_bandit
+from uoisched.solvers import BanditBatch
+from conftest import FIG1, induced_transition, random_bandit
 
 
 def fig1_mdps(beta, count=2, rho=1.0, eta=1e-6):
@@ -93,7 +95,7 @@ class TestDerivativeAverage:
 
 class TestDerivativeFallback:
     def test_multichain_policy_rate_via_near_one_discount(self):
-        from uoisched.lagrange import _derivative_average_fallback
+        from uoisched.solvers import _derivative_average_fallback
 
         # rho = 1, active only on reset states, passive at omega: multichain
         (mdp,) = fig1_mdps(1.0, count=1)
@@ -104,6 +106,62 @@ class TestDerivativeFallback:
             derivative_average(mdp, actions)
         rate = _derivative_average_fallback(mdp, actions, 0)
         assert 0.0 <= rate <= 1.0
+
+
+class TestFallbackReporting:
+    def test_search_counts_fallbacks_on_multichain_fixture(self, monkeypatch):
+        # A multichain greedy policy needs an exact gain tie, so no search
+        # meets one on its own; declaring every policy multichain sends each
+        # solve down the vanishing-discount and activation-rate fallbacks.
+        monkeypatch.setattr(BanditBatch, "unichain", lambda self, actions: np.zeros(self.size, dtype=bool))
+        problem = make_problem(fig1_mdps(1.0, rho=1.0), 1, "average")
+        trace = gradient_search(problem)
+        assert trace.stop_reason == "converged"
+        assert trace.fallbacks > 0
+
+    def test_search_without_fallbacks_reports_work(self):
+        (mdp,) = fig1_mdps(1.0, count=1)
+        problem = make_problem([mdp, mdp], 1, "average")
+        trace = gradient_search(problem)
+        assert trace.fallbacks == 0
+        # one MDP used twice is solved once per gradient step
+        assert problem.batch.size == 1
+        assert trace.policy_evaluations == len(trace.iterates)
+
+
+def mixed_problem(criterion, beta):
+    """Bandits with N in {2, 3, 4}, mixed rho and L from 1 to 37, one duplicated."""
+    rng = np.random.default_rng(77)
+    shapes = [(2, 1, 0.7), (4, 6, 1.0), (3, 13, 0.8), (2, 22, 1.0), (4, 37, 0.7), (3, 9, 1.0)]
+    mdps = [build_truncated(random_bandit(rng, n, f"x{i}", rho=rho), L, beta) for i, (n, L, rho) in enumerate(shapes)]
+    mdps.append(mdps[2])
+    initial = [0, 3, 5, 0, 11, 2, 5] if criterion == "discounted" else None
+    return make_problem(mdps, 3, criterion, initial_states=initial)
+
+
+class TestBatchedDerivative:
+    @pytest.mark.parametrize("lam", [0.0, 0.15, 0.4, 1.5])
+    def test_discounted_matches_loop_of_single_solves(self, lam):
+        problem = mixed_problem("discounted", 0.9)
+        assert problem.batch.size == 6
+        derivs, values = [], []
+        for mdp, s in zip(problem.mdps, problem.initial_states):
+            pol = policy_iteration_discounted(mdp, lam)
+            derivs.append(derivative_discounted(mdp, pol, s))
+            values.append(pol.values[s])
+        expect = sum(derivs) - problem.m / (1 - 0.9)
+        assert objective_derivative(problem, lam) == pytest.approx(expect, rel=1e-12, abs=1e-11)
+        expect_value = sum(values) - problem.m * lam / (1 - 0.9)
+        assert objective_value(problem, lam) == pytest.approx(expect_value, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.15, 0.4, 1.5])
+    def test_average_matches_loop_of_single_solves(self, lam):
+        problem = mixed_problem("average", 1.0)
+        pols = [solve_average(mdp, lam) for mdp in problem.mdps]
+        expect = sum(derivative_average(mdp, pol) for mdp, pol in zip(problem.mdps, pols)) - problem.m
+        assert objective_derivative(problem, lam) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+        expect_value = sum(pol.gain for pol in pols) - problem.m * lam
+        assert objective_value(problem, lam) == pytest.approx(expect_value, rel=1e-12)
 
 
 class TestObjectiveDerivative:

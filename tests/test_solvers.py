@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uoisched import (
     BanditSpec,
     MultichainPolicy,
+    NoConvergence,
     active_passive_values,
     average_policy_evaluation,
     build_truncated,
@@ -15,9 +18,15 @@ from uoisched import (
     validate_chain,
     value_iteration_discounted,
 )
-from uoisched.solvers import induced_transition
+from uoisched.solvers import (
+    BanditBatch,
+    SolveCounts,
+    _evaluate,
+    _relative_value_iteration,
+    solve_average_batch,
+)
 
-from conftest import FIG1, random_bandit
+from conftest import FIG1, induced_transition, random_bandit, recurrent_class_count
 
 
 def fig1_mdp(beta=0.9, rho=1.0, L=None):
@@ -269,3 +278,131 @@ class TestLambdaMonotonicity:
         slopes = diffs / np.diff(grid)
         assert slopes.max() <= 1.0 + 1e-6
         assert np.all(np.diff(slopes) <= 1e-6)
+
+
+def random_policy_case(seed, n, L, rho, discount):
+    """A random bandit's L-truncation, a random policy and a random cost."""
+    rng = np.random.default_rng(seed)
+    mdp = build_truncated(random_bandit(rng, n, "h", rho=rho), L, discount)
+    density = rng.choice([0.1, 0.5, 0.9])
+    actions = (rng.uniform(size=mdp.n_states) < density).astype(np.int8)
+    return mdp, actions, rng.uniform(size=mdp.n_states)
+
+
+def dense_average_evaluation(mdp, actions, cost):
+    """The anchored (g, Z) system solved densely over all states."""
+    n = mdp.n_states
+    anchor = int(mdp.reset_states[0])
+    a = np.eye(n) - induced_transition(mdp, actions).toarray()
+    a = np.hstack([np.delete(a, anchor, axis=1), np.ones((n, 1))])
+    x = np.linalg.solve(a, cost)
+    return float(x[-1]), np.insert(x[:-1], anchor, 0.0)
+
+
+CASES = dict(
+    seed=st.integers(0, 2 ** 32 - 1),
+    n=st.integers(2, 4),
+    L=st.integers(1, 12),
+    rho=st.sampled_from([0.7, 1.0]),
+)
+
+
+class TestStructuredEvaluation:
+    """The structured backward pass against dense solves over all states."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**CASES)
+    def test_discounted_values_match_dense_solve(self, seed, n, L, rho):
+        mdp, actions, cost = random_policy_case(seed, n, L, rho, 0.9)
+        p = induced_transition(mdp, actions).toarray()
+        ref = np.linalg.solve(np.eye(mdp.n_states) - 0.9 * p, cost)
+        v = policy_evaluation_discounted(mdp, actions, cost)
+        assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**CASES)
+    def test_average_gain_and_values_match_dense_solve(self, seed, n, L, rho):
+        mdp, actions, cost = random_policy_case(seed, n, L, rho, 1.0)
+        if recurrent_class_count(induced_transition(mdp, actions)) != 1:
+            return
+        g_ref, z_ref = dense_average_evaluation(mdp, actions, cost)
+        g, z = average_policy_evaluation(mdp, actions, cost)
+        scale = np.max(np.abs(z_ref))
+        assert abs(g - g_ref) <= 1e-9 * scale
+        assert np.max(np.abs(z - z_ref)) <= 1e-9 * scale
+        assert z[mdp.reset_states[0]] == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(**CASES)
+    def test_unichain_decision_matches_recurrent_class_count(self, seed, n, L, rho):
+        mdp, actions, cost = random_policy_case(seed, n, L, rho, 1.0)
+        multichain = recurrent_class_count(induced_transition(mdp, actions)) != 1
+        batch = BanditBatch([mdp])
+        assert bool(batch.unichain(actions)[0]) is not multichain
+        if multichain:
+            with pytest.raises(MultichainPolicy):
+                average_policy_evaluation(mdp, actions, cost)
+
+    def test_batch_matches_batch_of_one_values(self):
+        rng = np.random.default_rng(8)
+        mdps = [
+            build_truncated(random_bandit(rng, n, f"b{i}"), L, 0.9)
+            for i, (n, L) in enumerate([(2, 1), (4, 9), (3, 37), (2, 5)])
+        ]
+        actions = [rng.integers(0, 2, mdp.n_states).astype(np.int8) for mdp in mdps]
+        costs = [rng.uniform(size=mdp.n_states) for mdp in mdps]
+        batch = BanditBatch(mdps)
+        values, _, _ = _evaluate(batch, np.concatenate(actions), np.concatenate(costs)[:, None], False)
+        for b, mdp in enumerate(mdps):
+            alone = policy_evaluation_discounted(mdp, actions[b], costs[b])
+            assert np.max(np.abs(batch.split(values[:, 0], b) - alone)) <= 1e-13 * np.max(np.abs(alone))
+
+
+class TestUnichainCheck:
+    def test_states_after_a_cut_add_no_edges(self):
+        # sparse chain 1 -> 2 -> 3 -> {1, 2}; at rho = 1 an active state is
+        # never left by ageing.  Chains 2 and 3 reset only into {2, 3}, chain
+        # 1 ages into the passive omega: two recurrent classes.  The active
+        # state at age 3 of chain 3 (support {1, 2, 3}) is never reached.
+        chain = validate_chain([[0.0, 0.0, 0.5], [1.0, 0.0, 0.5], [0.0, 1.0, 0.0]])
+        mdp = build_truncated(BanditSpec(chain, 1.0, "sparse"), 4, 1.0)
+        actions = np.zeros(mdp.n_states, dtype=np.int8)
+        for k, n in ((2, 1), (3, 2), (3, 3)):
+            actions[mdp.state_index(k, n)] = 1
+        assert recurrent_class_count(induced_transition(mdp, actions)) == 2
+        assert not BanditBatch([mdp]).unichain(actions)[0]
+        # once omega is active, everything drains into the reset classes
+        actions[0] = 1
+        assert recurrent_class_count(induced_transition(mdp, actions)) == 1
+        assert BanditBatch([mdp]).unichain(actions)[0]
+
+
+class TestBatchedAverageSolve:
+    def test_unconverged_sweep_falls_back_and_is_counted(self):
+        mdp = fig1_mdp(beta=1.0)
+        counts = SolveCounts()
+        sol = solve_average_batch(BanditBatch([mdp]), 0.05, max_sweeps=1, counts=counts)
+        assert sol.degraded.tolist() == [True]
+        assert counts.fallbacks >= 1
+        assert sol.gains[0] == pytest.approx(solve_average(mdp, 0.05).gain, abs=1e-3)
+
+    def test_unconverged_sweep_without_fallback_raises(self):
+        with pytest.raises(NoConvergence):
+            solve_average(fig1_mdp(beta=1.0), 0.05, max_sweeps=1, allow_fallback=False)
+
+    def test_batched_bandits_sweep_as_alone(self):
+        # every bit of each bandit's iterate is as in a batch of one, so each
+        # stops at the sweep it would stop at alone
+        rng = np.random.default_rng(12)
+        mdps = [build_truncated(random_bandit(rng, n, f"a{n}", rho=0.8), L, 1.0) for n, L in ((2, 3), (4, 20), (3, 8))]
+        batch = BanditBatch(mdps)
+        w = np.zeros(batch.n_states)
+        _relative_value_iteration(batch, 0.2, w, 1e-9, 200_000)
+        sol = solve_average_batch(batch, 0.2)
+        for b, mdp in enumerate(mdps):
+            w_alone = np.zeros(mdp.n_states)
+            _relative_value_iteration(BanditBatch([mdp]), 0.2, w_alone, 1e-9, 200_000)
+            assert np.array_equal(batch.split(w, b), w_alone)
+            alone = solve_average(mdp, 0.2)
+            assert np.array_equal(sol.policy(b).actions, alone.actions)
+            assert sol.gains[b] == pytest.approx(alone.gain, abs=1e-13)
