@@ -97,6 +97,13 @@ def cmd_indices(args) -> int:
     return EXIT_OK
 
 
+def _simulated_sources(config) -> dict:
+    """The resolved config sections a simulation result was computed from and
+    must match when it is compared with an oracle (the config hash also
+    covers the seed and the simulation fields, which may differ)."""
+    return {key: config.resolved[key] for key in ("bandits", "truncation")}
+
+
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
@@ -122,7 +129,7 @@ def cmd_simulate(args) -> int:
         tables = [by_label[b.label] for b in config.bandits]
 
     res = run_simulation(prep, args.policy, tables=tables)
-    _write_json(out / f"sim_{args.policy}.json", {"result": res.to_json_dict()}, h)
+    _write_json(out / f"sim_{args.policy}.json", {"result": res.to_json_dict(), **_simulated_sources(config)}, h)
     _write_csv(
         out / "sim_summary.csv",
         ["policy", "M", "m", "criterion", "mean", "stderr", "runs", "horizon", "seed"],
@@ -135,10 +142,12 @@ def cmd_simulate(args) -> int:
 
 def _policy_result_mean(path, config) -> float:
     """Mean of a `simulate` result file, after checking it was simulated on
-    the same problem as the config (criterion, discount, M and m)."""
+    the same problem as the config (criterion, discount, M, m, and the
+    sources and truncation it recorded)."""
     try:
         with open(path) as fh:
-            result = json.load(fh)["result"]
+            doc = json.load(fh)
+        result = doc["result"]
         mean = float(result["mean"])
     except FileNotFoundError as exc:
         raise ConfigError(f"policy result file not found: {exc.filename}") from exc
@@ -150,10 +159,14 @@ def _policy_result_mean(path, config) -> float:
         "n_bandits": len(config.bandits),
         "m": config.m,
     }
-    mismatched = {k: (result.get(k), v) for k, v in expected.items() if result.get(k) != v}
+    mismatched = [f"{k} {result.get(k)!r} != {v!r}" for k, v in expected.items() if result.get(k) != v]
+    mismatched += [
+        f"{k} {'missing' if k not in doc else 'differ from the config'}"
+        for k, v in _simulated_sources(config).items()
+        if doc.get(k) != v
+    ]
     if mismatched:
-        detail = ", ".join(f"{k} {got!r} != {want!r}" for k, (got, want) in mismatched.items())
-        raise ConfigError(f"{path} was not simulated on this config: {detail}")
+        raise ConfigError(f"{path} was not simulated on this config: {', '.join(mismatched)}")
     return mean
 
 

@@ -1,10 +1,17 @@
-"""Counter-seeded xoshiro256** streams for reproducible simulation.
+"""Per-run random streams for reproducible simulation.
 
-One xoshiro256** state per simulation run, seeded by expanding
-(seed XOR run_index) through SplitMix64.  Every run consumes its own stream
-in a fixed order, so results are bit-identical no matter how runs are
-batched or parallelized.  The generator is implemented from the published
-algorithm (not a library binding) on uint64 numpy arrays.
+`RunStreams` gives simulation run r its own numpy Philox stream, spawned as
+child r of `SeedSequence(seed)`.  A child depends only on (seed, r), so run r
+draws the same values however many runs are simulated with it, and different
+seeds give unrelated streams.  Each double comes from one 64-bit output by
+the 53-bit construction (raw >> 11) * 2**-53 of numpy's `Generator.random`.
+Runs fill whole blocks of their upcoming draws with one call each; every
+stream is consumed in order, so results do not depend on the block size.
+
+`Xoshiro256StarStar` is a standalone vectorized xoshiro256** generator,
+implemented from the published algorithm on uint64 numpy arrays and seeded
+per substream by expanding (seed XOR stream_index) through SplitMix64.  The
+simulator does not use it.
 """
 
 from __future__ import annotations
@@ -18,6 +25,27 @@ _SPLITMIX_M2 = _U64(0x94D049BB133111EB)
 _FIVE = _U64(5)
 _NINE = _U64(9)
 _INV_2_53 = float(2.0 ** -53)
+
+
+def _check_seed(seed: int) -> int:
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    return int(seed)
+
+
+class RunStreams:
+    """One Philox stream per simulation run, spawned from SeedSequence(seed)."""
+
+    def __init__(self, seed: int, runs: int):
+        children = np.random.SeedSequence(_check_seed(seed)).spawn(runs)
+        self._generators = [np.random.Generator(np.random.Philox(child)) for child in children]
+
+    def draw(self, k: int) -> np.ndarray:
+        """The next k uniforms in [0, 1) of every run's stream, as (runs, k)."""
+        out = np.empty((len(self._generators), k))
+        for generator, row in zip(self._generators, out):
+            generator.random(out=row)
+        return out
 
 
 def _rotl(x: np.ndarray, k: int) -> np.ndarray:
@@ -38,9 +66,7 @@ class Xoshiro256StarStar:
     """Vectorized xoshiro256** over n_streams independent substreams."""
 
     def __init__(self, seed: int, n_streams: int):
-        if not 0 <= int(seed) < 2 ** 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        base = np.full(n_streams, _U64(int(seed)))
+        base = np.full(n_streams, _U64(_check_seed(seed)))
         counters = base ^ np.arange(n_streams, dtype=np.uint64)
         state = []
         for _ in range(4):

@@ -4,11 +4,13 @@ Beliefs are tracked symbolically as truncated-state ids in the layout of
 `belief_mdp`, so the simulator follows the truncated dynamics: ages beyond L
 are pinned to the equilibrium belief.  Every bandit's tables are concatenated
 into flat arrays, and each slot advances all bandits of all runs with a
-fixed number of vectorized numpy operations, each run drawing from its own
-xoshiro256** substream.  Every slot consumes one success draw and one
-transition draw per bandit regardless of the policy's selections, so
-different policies under the same seed see identical source paths (common
-random numbers).
+fixed number of vectorized numpy operations.  Each run draws from its own
+Philox stream (`rng.RunStreams`), a block of slots at a time, so no
+random-number call is left inside the slot loop; work that does not depend
+on the slot's beliefs, such as comparing the success draws with rho, is done
+once per block.  Every slot consumes one success draw and one transition
+draw per bandit regardless of the policy's selections, so different policies
+under the same seed see identical source paths (common random numbers).
 """
 
 from __future__ import annotations
@@ -22,12 +24,16 @@ from .belief_mdp import BanditSpec, build_truncated, nearest_state, truncated_gr
 from .errors import InfeasiblePolicy
 from .index_policy import gain_indices_average, gain_indices_discounted
 from .lagrange import gradient_search, make_problem
-from .rng import Xoshiro256StarStar
+from .rng import RunStreams
 from .solvers import AVERAGE, DISCOUNTED, policy_iteration_discounted, solve_average
 
 RESULT_SCHEMA_VERSION = 1
 
 POLICIES = ("gain_index", "myopic", "round_robin")
+
+# uniforms drawn per block over all runs (2 MB); a block holds at least one
+# slot and at most the horizon
+_BLOCK_DOUBLES = 1 << 18
 
 
 @dataclass
@@ -142,15 +148,31 @@ def _check_tables(instance: RMABInstance, tables, grids) -> None:
 
 
 def _padded_cdf(rows: list[np.ndarray], width: int) -> np.ndarray:
-    """Row-wise cumulative sums, padded on the right with 1.0 to `width`."""
+    """Cumulative sums of each row without its last entry, padded with 1.0 to
+    `width` - 1 entries and stored column-major, (width - 1, total rows).
+
+    Uniforms are below 1, so counting the entries a draw exceeds gives the
+    inverse-cdf index capped at N_i - 1, the same as the full cumulative row.
+    """
     return np.vstack([
-        np.pad(np.cumsum(r, axis=1), ((0, 0), (0, width - r.shape[1])), constant_values=1.0) for r in rows
-    ])
+        np.pad(np.cumsum(r[:, :-1], axis=1), ((0, 0), (0, width - r.shape[1])), constant_values=1.0)
+        for r in rows
+    ]).T.copy()
 
 
-def _inverse_cdf(cdf_rows: np.ndarray, u: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Local index drawn from each padded cdf row, capped at `last` = N_i - 1."""
-    return np.minimum((u[..., None] > cdf_rows).sum(axis=-1), last)
+def _inverse_cdf(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Local index drawn with uniform u from each given row of a padded cdf."""
+    return (u > cdf.take(rows, axis=1)).sum(axis=0)
+
+
+def _selection_keys(scores: np.ndarray, bandit_of_state: np.ndarray, label_rank: np.ndarray) -> np.ndarray:
+    """Rank of every global state in the top-m order: highest score first,
+    then lowest bandit label.  Keys of different bandits never tie, so the m
+    smallest keys of a slot are exactly the bandits top-m selects."""
+    order = np.lexsort((label_rank[bandit_of_state], -scores))
+    keys = np.empty(order.size, dtype=np.int64)
+    keys[order] = np.arange(order.size)
+    return keys
 
 
 def simulate(
@@ -221,7 +243,6 @@ def simulate(
     n_states = np.array([g[0].shape[0] for g in grids])
     offset = (np.cumsum(n_states) - n_states)[:, None]
     chain_offset = (np.cumsum(n_chain) - n_chain)[:, None]
-    last = n_chain[:, None] - 1
     entropy = np.concatenate([g[1] for g in grids])
     passive_next = np.concatenate([g[2] + off for g, off in zip(grids, offset[:, 0])])
     reset = np.concatenate([g[3] + off for g, off in zip(grids, offset[:, 0])])
@@ -231,80 +252,93 @@ def simulate(
     rho = np.array([b.success_prob for b in instance.bandits])[:, None]
     lam_star = tables[0].lambda_star if tables is not None else None
     or_scale = beta if instance.criterion == DISCOUNTED else 1.0
-
-    # ties: highest score wins, then lowest bandit label (stable sort on the
-    # label-ordered bandit permutation)
-    label_order = np.argsort(np.array([b.label for b in instance.bandits]))
+    if policy == "round_robin":
+        # slot t serves bandits (t-1)m .. tm-1 mod M, a cycle of M/gcd(M, m)
+        cycle = M // math.gcd(M, m)
+        rr_masks = np.zeros((cycle, M, 1), dtype=bool)
+        for c in range(cycle):
+            rr_masks[c, (np.arange(m) + c * m) % M] = True
+    elif named:
+        label_rank = np.argsort(np.argsort(np.array([b.label for b in instance.bandits])))
+        keys = _selection_keys(
+            index if policy == "gain_index" else entropy, np.repeat(np.arange(M), n_states), label_rank
+        )
 
     # beliefs and true states are (M, runs) global ids; the fixed draw order
-    # is one initial draw per bandit, then per slot success draws for bandits
-    # 0..M-1 followed by transition draws for bandits 0..M-1
-    rng = Xoshiro256StarStar(seed, runs)
+    # of every run is one initial draw per bandit, then per slot success
+    # draws for bandits 0..M-1 followed by transition draws for bandits 0..M-1
+    streams = RunStreams(seed, runs)
     start = np.zeros(M, dtype=np.int64)
     if instance.initial_beliefs is not None:
         for i, chi in enumerate(instance.initial_beliefs):
             if chi is not None:
                 start[i] = nearest_state(grids[i][0], chi)
     belief = np.repeat(offset + start[:, None], runs, axis=1)
-    u = np.empty((2 * M, runs))
-    for i in range(M):
-        u[i] = rng.uniform()
-    true_state = chain_offset + _inverse_cdf(belief_cdf[belief], u[:M], last)
+    true_state = chain_offset + _inverse_cdf(belief_cdf, belief, streams.draw(M).T)
 
     disc_total = np.zeros(runs)
     avg_total = np.zeros(runs)
-    act_counts = np.zeros(M, dtype=np.int64)
+    served = np.zeros((M, runs), dtype=np.int64)
     beta_pow = 1.0
     record_traces = record_y and tables is not None
     y_trace = np.zeros(horizon, dtype=np.int64) if record_traces else None
     or_mask_trace = np.zeros((horizon, M), dtype=bool) if record_traces else None
     selection_trace = np.zeros((horizon, m), dtype=np.int64) if record_traces else None
     lanes = np.arange(runs)
+    block = max(1, min(horizon, _BLOCK_DOUBLES // (2 * M * runs)))
 
-    for t in range(1, horizon + 1):
-        h = entropy[belief]
-        # cumsum adds bandits 0..M-1 in order; sum(axis=0) would add them
-        # pairwise when runs == 1
-        cost_t = h.cumsum(axis=0)[-1]
+    for first in range(0, horizon, block):
+        n = min(block, horizon - first)
+        # (n, 2M, runs): slot j's success draws are u[j, :M], its transition
+        # draws u[j, M:]
+        u = np.ascontiguousarray(streams.draw(n * 2 * M).reshape(runs, n, 2 * M).transpose(1, 2, 0))
+        succeeds = u[:, :M] < rho
+        h = np.empty((n, M, runs))
+        chosen = np.empty((n, M, runs), dtype=bool)
+        for j in range(n):
+            t = first + j + 1
+            entropy.take(belief, out=h[j])
+            if not named:
+                sel_cols = np.asarray(policy(t, (belief - offset).T, instance))
+                if sel_cols.shape != (runs, m):
+                    raise InfeasiblePolicy(f"policy returned shape {sel_cols.shape}, expected {(runs, m)}")
+                check = np.zeros((runs, M), dtype=bool)
+                try:
+                    check[lanes[:, None], sel_cols] = True
+                except IndexError as exc:
+                    raise InfeasiblePolicy(f"policy selected an invalid bandit: {exc}") from exc
+                if not np.all(check.sum(axis=1) == m):
+                    raise InfeasiblePolicy("policy selected a repeated or invalid bandit")
+                chosen[j] = check.T
+            elif policy == "round_robin":
+                chosen[j] = rr_masks[(t - 1) % cycle]
+            else:
+                k = keys.take(belief)
+                np.less_equal(k, np.partition(k, m - 1, axis=0)[m - 1], out=chosen[j])
+            sel_mask = chosen[j]
+
+            if record_traces:
+                or_mask_trace[t - 1] = or_scale * index[belief[:, 0]] >= lam_star - 1e-12
+                y_trace[t - 1] = int(or_mask_trace[t - 1].sum())
+                selection_trace[t - 1] = np.flatnonzero(sel_mask[:, 0])
+
+            observed = true_state
+            true_state = chain_offset + _inverse_cdf(transition_cdf, true_state, u[j, M:])
+            belief = np.where(sel_mask & succeeds[j], reset.take(observed), passive_next.take(belief))
+
+        served += chosen.sum(axis=0)
+        # each slot's cost adds bandits 0..M-1 in order and the totals add
+        # slots in order, as a slot-by-slot loop would (cumsum is sequential
+        # where sum may add pairwise)
+        cost = h[:, 0].copy()
+        for i in range(1, M):
+            cost += h[:, i]
         if instance.criterion == DISCOUNTED:
-            disc_total += beta_pow * cost_t
-            beta_pow *= beta
-        elif t > burn:
-            avg_total += cost_t
-
-        if not named:
-            sel_cols = np.asarray(policy(t, (belief - offset).T, instance))
-            if sel_cols.shape != (runs, m):
-                raise InfeasiblePolicy(f"policy returned shape {sel_cols.shape}, expected {(runs, m)}")
-            check = np.zeros((runs, M), dtype=bool)
-            try:
-                check[lanes[:, None], sel_cols] = True
-            except IndexError as exc:
-                raise InfeasiblePolicy(f"policy selected an invalid bandit: {exc}") from exc
-            if not np.all(check.sum(axis=1) == m):
-                raise InfeasiblePolicy("policy selected a repeated or invalid bandit")
-            selected = sel_cols.T
-        elif policy == "round_robin":
-            selected = np.broadcast_to(((np.arange(m) + (t - 1) * m) % M)[:, None], (m, runs))
+            weights = np.multiply.accumulate(np.r_[beta_pow, np.full(n - 1, beta)])
+            beta_pow = weights[-1] * beta
+            disc_total = np.vstack([disc_total, weights[:, None] * cost]).cumsum(axis=0)[-1]
         else:
-            scores = (index[belief] if policy == "gain_index" else h)[label_order]
-            selected = label_order[(-scores).argsort(axis=0, kind="stable")[:m]]
-
-        sel_mask = np.zeros((M, runs), dtype=bool)
-        sel_mask[selected, lanes] = True
-        act_counts += sel_mask.sum(axis=1)
-
-        if record_traces:
-            or_mask_trace[t - 1] = or_scale * index[belief[:, 0]] >= lam_star - 1e-12
-            y_trace[t - 1] = int(or_mask_trace[t - 1].sum())
-            selection_trace[t - 1] = np.sort(selected[:, 0])
-
-        for j in range(2 * M):
-            u[j] = rng.uniform()
-        success = sel_mask & (u[:M] < rho)
-        observed = true_state
-        true_state = chain_offset + _inverse_cdf(transition_cdf[true_state], u[M:], last)
-        belief = np.where(success, reset[observed], passive_next[belief])
+            avg_total = np.vstack([avg_total, cost[max(0, burn - first):]]).cumsum(axis=0)[-1]
 
     if instance.criterion == DISCOUNTED:
         per_run = disc_total
@@ -329,7 +363,7 @@ def simulate(
         per_run=per_run,
         mean=mean,
         stderr=stderr,
-        activation_freq=act_counts / (runs * horizon),
+        activation_freq=served.sum(axis=1) / (runs * horizon),
         y_trace=y_trace,
         or_mask_trace=or_mask_trace,
         selection_trace=selection_trace,

@@ -201,6 +201,50 @@ class TestOracleCommand:
         assert "criterion" in err and "discount" in err
         assert not (tmp_path / "o").exists()
 
+    def test_policy_result_of_other_sources_exits_2(self, tmp_path, capsys):
+        # same criterion, discount, M, m, labels and truncation as FAST_CONFIG:
+        # only the sources differ
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        other = write_config(
+            tmp_path,
+            dict(FAST_CONFIG, bandits=[
+                {"label": "src-a", "transition": [[0.5, 0.5], [0.5, 0.5]], "rho": 0.3},
+                {"label": "src-b", "transition": [[0.6, 0.5], [0.4, 0.5]], "rho": 0.3},
+            ]),
+            name="other.json",
+        )
+        for config, out in ((cfg, "same"), (other, "other")):
+            code = main(
+                ["simulate", "--config", config, "--out", str(tmp_path / out), "--policy", "round_robin",
+                 "--seed", "99"]
+            )
+            assert code == 0
+        # another seed changes the config hash but not the simulated problem
+        code = main(
+            ["oracle", "--config", cfg, "--out", str(tmp_path / "o1"),
+             "--policy-result", str(tmp_path / "same" / "sim_round_robin.json")]
+        )
+        assert code == 0
+        code = main(
+            ["oracle", "--config", cfg, "--out", str(tmp_path / "o2"),
+             "--policy-result", str(tmp_path / "other" / "sim_round_robin.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bandits differ from the config" in err and "truncation" not in err
+        assert not (tmp_path / "o2").exists()
+
+    def test_policy_result_without_sources_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"), "--policy", "round_robin"]) == 0
+        path = tmp_path / "s" / "sim_round_robin.json"
+        doc = json.loads(path.read_text())
+        del doc["truncation"]
+        path.write_text(json.dumps(doc))
+        code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "o"), "--policy-result", str(path)])
+        assert code == 2
+        assert "truncation missing" in capsys.readouterr().err
+
     def test_state_space_cap_exits_4(self, tmp_path):
         doc = dict(FAST_CONFIG, truncation={"mode": "fixed", "L": 600})
         doc["bandits"] = [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uoisched import Xoshiro256StarStar
+from uoisched.rng import RunStreams
 
 MASK = (1 << 64) - 1
 
@@ -75,3 +76,20 @@ def test_rejects_out_of_range_seed():
         Xoshiro256StarStar(-1, 2)
     with pytest.raises(ValueError):
         Xoshiro256StarStar(2 ** 64, 2)
+
+
+def test_run_streams_read_each_run_in_order():
+    # run r reads child r of SeedSequence(seed) on Philox, one raw output per
+    # double, continuing across calls
+    streams = RunStreams(31, 3)
+    drawn = np.hstack([streams.draw(2), streams.draw(5)])
+    for r in range(3):
+        bits = np.random.Philox(np.random.SeedSequence(31).spawn(3)[r])
+        assert drawn[r].tolist() == [(int(bits.random_raw()) >> 11) * 2.0 ** -53 for _ in range(7)]
+
+
+def test_run_streams_reject_out_of_range_seed():
+    with pytest.raises(ValueError):
+        RunStreams(-1, 2)
+    with pytest.raises(ValueError):
+        RunStreams(2 ** 64, 2)

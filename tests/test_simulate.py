@@ -1,7 +1,11 @@
+import functools
+import importlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uoisched import (
     BanditSpec,
@@ -12,7 +16,6 @@ from uoisched import (
     build_truncated,
     choose_truncation,
     discounted_horizon,
-    Xoshiro256StarStar,
     evaluate_average,
     evaluate_discounted,
     gain_indices_average,
@@ -23,6 +26,8 @@ from uoisched import (
     simulate,
     validate_chain,
 )
+
+from uoisched.simulate import POLICIES
 
 from conftest import FIG1, random_bandit
 
@@ -156,7 +161,9 @@ def reference_simulate(inst, policy, tables, horizon, runs, seed, burn_in=0):
     """Plain-Python simulator: one run and one bandit at a time, beliefs kept
     as symbolic (k, n) states, drawing from run r's own stream in the
     documented order (initial draws, then per slot success draws for bandits
-    0..M-1 and transition draws for bandits 0..M-1)."""
+    0..M-1 and transition draws for bandits 0..M-1).  Run r's stream is child
+    r of SeedSequence(seed) on a Philox bit generator, read one raw 64-bit
+    output at a time and turned into a double by (raw >> 11) * 2**-53."""
     M, m, beta = inst.n_bandits, inst.m, inst.discount
     mdps = [build_truncated(b, t.truncation_L, 0.0) for b, t in zip(inst.bandits, tables)]
     labels = [b.label for b in inst.bandits]
@@ -173,8 +180,8 @@ def reference_simulate(inst, policy, tables, horizon, runs, seed, burn_in=0):
     per_run, counts = [], [0] * M
     y_trace, or_trace, sel_trace = [], [], []
     for r in range(runs):
-        stream = Xoshiro256StarStar(seed ^ r, 1)
-        draw = lambda: float(stream.uniform()[0])  # noqa: E731
+        bits = np.random.Philox(np.random.SeedSequence(seed).spawn(runs)[r])
+        draw = lambda: (int(bits.random_raw()) >> 11) * 2.0 ** -53  # noqa: E731
         sym = []
         for i, mdp in enumerate(mdps):
             chi = inst.initial_beliefs[i] if inst.initial_beliefs is not None else None
@@ -223,23 +230,33 @@ def reference_simulate(inst, policy, tables, horizon, runs, seed, burn_in=0):
     return per_run, freq, y_trace, or_trace, sel_trace
 
 
+@functools.cache
+def mixed_instance(criterion, beta):
+    """Mixed chain sizes and depths, so every per-bandit offset and every
+    padded cdf row is exercised; labels are not in bandit order.  Cached:
+    the average-cost gradient search takes a second, and simulate does not
+    modify the instance or its tables."""
+    rng = np.random.default_rng(21)
+    sizes, depths = [2, 4, 3, 2, 3], [3, 2, 5, 6, 4]
+    bandits = [random_bandit(rng, n, f"s{(3 * i) % 5}") for i, n in enumerate(sizes)]
+    mdps = [build_truncated(b, L, beta) for b, L in zip(bandits, depths)]
+    lam = gradient_search(make_problem(mdps, 2, criterion)).lambda_star
+    maker = gain_indices_discounted if criterion == "discounted" else gain_indices_average
+    tables = [maker(mdp, lam) for mdp in mdps]
+    initial = [None, None, [0.1, 0.2, 0.7], None, None]
+    return RMABInstance(bandits, 2, criterion, beta, initial_beliefs=initial, seed=0), tables
+
+
+CRITERIA = [("discounted", 0.9), ("average", 1.0)]
+
+
 class TestReferenceSimulator:
-    @pytest.mark.parametrize("criterion,beta", [("discounted", 0.9), ("average", 1.0)])
+    @pytest.mark.parametrize("criterion,beta", CRITERIA)
     def test_flat_simulator_matches_reference_exactly(self, criterion, beta):
-        # mixed chain sizes and depths, so every per-bandit offset and every
-        # padded cdf row is exercised; labels are not in bandit order
-        rng = np.random.default_rng(21)
-        sizes, depths = [2, 4, 3, 2, 3], [3, 2, 5, 6, 4]
-        bandits = [random_bandit(rng, n, f"s{(3 * i) % 5}") for i, n in enumerate(sizes)]
-        mdps = [build_truncated(b, L, beta) for b, L in zip(bandits, depths)]
-        lam = gradient_search(make_problem(mdps, 2, criterion)).lambda_star
-        maker = gain_indices_discounted if criterion == "discounted" else gain_indices_average
-        tables = [maker(mdp, lam) for mdp in mdps]
-        initial = [None, None, [0.1, 0.2, 0.7], None, None]
-        inst = RMABInstance(bandits, 2, criterion, beta, initial_beliefs=initial, seed=0)
+        inst, tables = mixed_instance(criterion, beta)
         horizon, runs, seed = 120, 3, 2024
         burn = 0 if criterion == "discounted" else 12
-        for policy in ("gain_index", "myopic", "round_robin"):
+        for policy in POLICIES:
             res = simulate(inst, policy, horizon, runs, seed=seed, tables=tables, burn_in=burn, record_y=True)
             per_run, freq, y, or_mask, sel = reference_simulate(inst, policy, tables, horizon, runs, seed, burn)
             assert res.per_run.tolist() == per_run, policy
@@ -247,6 +264,99 @@ class TestReferenceSimulator:
             assert res.y_trace.tolist() == y, policy
             assert res.or_mask_trace.tolist() == or_mask, policy
             assert res.selection_trace.tolist() == sel, policy
+
+
+def outputs(res):
+    return (
+        res.per_run.tolist(),
+        res.activation_freq.tolist(),
+        res.y_trace.tolist(),
+        res.or_mask_trace.tolist(),
+        res.selection_trace.tolist(),
+    )
+
+
+class TestStreams:
+    """Run r reads child r of SeedSequence(seed) in order, so results depend
+    neither on how its draws are blocked nor on the other runs."""
+
+    @pytest.mark.parametrize("criterion,beta", CRITERIA)
+    def test_block_size_does_not_change_results(self, criterion, beta, monkeypatch):
+        inst, tables = mixed_instance(criterion, beta)
+        module = importlib.import_module("uoisched.simulate")
+        horizon, runs = 60, 4
+        slot_draws = 2 * inst.n_bandits * runs
+        kw = dict(seed=5, tables=tables, burn_in=0 if criterion == "discounted" else 9, record_y=True)
+        for policy in POLICIES:
+            default = outputs(simulate(inst, policy, horizon, runs, **kw))
+            for slots in (1, 7):
+                monkeypatch.setattr(module, "_BLOCK_DOUBLES", slots * slot_draws)
+                assert outputs(simulate(inst, policy, horizon, runs, **kw)) == default, (policy, slots)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("criterion,beta", CRITERIA)
+    def test_run_results_do_not_depend_on_the_number_of_runs(self, criterion, beta):
+        inst, tables = mixed_instance(criterion, beta)
+        for policy in POLICIES:
+            few = simulate(inst, policy, 80, 3, seed=9, tables=tables, record_y=True)
+            many = simulate(inst, policy, 80, 8, seed=9, tables=tables, record_y=True)
+            assert many.per_run[:3].tolist() == few.per_run.tolist(), policy
+            assert many.selection_trace.tolist() == few.selection_trace.tolist(), policy
+
+    @pytest.mark.parametrize("criterion,beta", CRITERIA)
+    def test_neighbouring_seeds_share_no_run(self, criterion, beta):
+        inst, tables = mixed_instance(criterion, beta)
+        for policy in POLICIES:
+            a = simulate(inst, policy, 80, 8, seed=2, tables=tables)
+            b = simulate(inst, policy, 80, 8, seed=3, tables=tables)
+            assert not set(a.per_run.tolist()) & set(b.per_run.tolist()), policy
+
+
+def small_case(seed, n_bandits, criterion):
+    """A random instance with N in {2, 3}, L in 1..6, labels out of bandit
+    order, and index tables at a random charge."""
+    rng = np.random.default_rng(seed)
+    beta = 0.9 if criterion == "discounted" else 1.0
+    labels = rng.permutation(n_bandits)
+    bandits = [random_bandit(rng, int(rng.integers(2, 4)), f"s{labels[i]}") for i in range(n_bandits)]
+    mdps = [build_truncated(b, int(rng.integers(1, 7)), beta) for b in bandits]
+    lam = float(rng.uniform(0.0, 1.0))
+    maker = gain_indices_discounted if criterion == "discounted" else gain_indices_average
+    tables = [maker(mdp, lam) for mdp in mdps]
+    m = int(rng.integers(1, n_bandits))
+    return RMABInstance(bandits, m, criterion, beta, seed=seed), tables
+
+
+class TestSlotProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n_bandits=st.integers(2, 5),
+        criterion=st.sampled_from(["discounted", "average"]),
+    )
+    def test_every_slot_serves_exactly_m(self, seed, n_bandits, criterion):
+        inst, tables = small_case(seed, n_bandits, criterion)
+        horizon, runs = 40, 3
+        for policy in POLICIES:
+            res = simulate(inst, policy, horizon, runs, tables=tables, record_y=True)
+            # run 0 slot by slot, then every run in aggregate
+            assert res.selection_trace.shape == (horizon, inst.m)
+            for row in res.selection_trace.tolist():
+                assert len(set(row)) == inst.m and 0 <= min(row) and max(row) < n_bandits
+            served = np.rint(res.activation_freq * runs * horizon)
+            assert served.sum() == inst.m * runs * horizon, policy
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_bandits=st.integers(2, 5))
+    def test_every_slot_uoi_within_range(self, seed, n_bandits):
+        # an average-cost horizon-t run with t - 1 slots of burn-in returns
+        # each run's UoI in slot t
+        inst, tables = small_case(seed, n_bandits, "average")
+        cap = sum(np.log2(b.chain.n_states) for b in inst.bandits)
+        for policy in POLICIES:
+            for t in range(1, 13):
+                res = simulate(inst, policy, t, 3, tables=tables, burn_in=t - 1)
+                assert res.per_run.min() >= 0.0 and res.per_run.max() <= cap + 1e-12, (policy, t)
 
 
 class TestPolicyQuality:
