@@ -181,6 +181,7 @@ def cmd_oracle(args) -> int:
         "criterion": config.criterion,
         "value": res.value,
         "n_joint_states": res.joint.n_joint,
+        "sweeps": res.sweeps,
         "initial_states": prep.initial_states,
     }
     if policy_mean is not None:

@@ -1,9 +1,24 @@
 """Exact solution of the joint RMAB on the product of truncated state spaces.
 
 Feasible for small M only: the joint state space is the mixed-radix product
-of the per-bandit truncated spaces and the action set enumerates the m-subsets
-of bandits in lexicographic order.  Per-action joint transition matrices are
-sparse Kronecker products of the per-bandit active/passive matrices.
+of the per-bandit truncated spaces (bandit 0 most significant, so a value
+vector is an (n_1, ..., n_M) tensor in C order) and the action set enumerates
+the m-subsets of bandits in lexicographic order.
+
+A Bellman sweep never forms a joint transition matrix.  Under action S every
+bandit outside S moves to its passive successor; a bandit i in S does too
+with probability 1 - rho_i and otherwise jumps to its reset state T_k^1 with
+probability rho_i * x_k.  Hence
+
+    P_S v = sum over T subset of S of  prod_{i in S \\ T} (1 - rho_i) * H_T,
+
+where H_T reads v at the reset states along the axes in T and at the passive
+successors along every other axis (one flat gather), then contracts each
+axis i in T with the bandit's scaled belief matrix rho_i * states_i
+(n_i x N_i).  H_T depends on T alone, so one sweep computes each H_T once and
+every action that contains T shares it.  The per-action Kronecker products of
+the per-bandit matrices (`JointMDP.transitions`) are built only on request,
+as a reference.
 """
 
 from __future__ import annotations
@@ -11,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,10 +42,11 @@ class JointMDP:
     mdps: list[TruncatedBeliefMDP]
     m: int
     actions: list[tuple[int, ...]]        # m-subsets, lexicographic
-    transitions: list[sp.csr_matrix]      # one per action
     cost: np.ndarray                      # (n_joint,) summed entropies
     state_counts: list[int]
     strides: list[int]
+    gathers: dict[tuple[int, ...], np.ndarray]          # T -> flat ids of v that H_T reads
+    terms: list[list[tuple[tuple[int, ...], float]]]    # per action: (T, prod of 1 - rho over S \ T), nonzero only
 
     @property
     def n_joint(self) -> int:
@@ -38,13 +55,46 @@ class JointMDP:
     def joint_index(self, per_bandit_states) -> int:
         return int(sum(s * w for s, w in zip(per_bandit_states, self.strides)))
 
+    @cached_property
+    def transitions(self) -> list[sp.csr_matrix]:
+        """Joint transition matrix of each action, as a sparse Kronecker product
+        of the per-bandit active/passive matrices; built on first use."""
+        transitions = []
+        for subset in self.actions:
+            mat = None
+            for i, mdp in enumerate(self.mdps):
+                factor = mdp.active_transitions if i in subset else mdp.passive_transitions
+                mat = factor if mat is None else sp.kron(mat, factor, format="csr")
+            transitions.append(mat.tocsr())
+        return transitions
+
+
+def _action_terms(mdps, subset) -> list[tuple[tuple[int, ...], float]]:
+    """(T, prod_{i in S \\ T} (1 - rho_i)) for every T subset of S whose weight is nonzero."""
+    terms = []
+    for size in range(len(subset) + 1):
+        for t in itertools.combinations(subset, size):
+            weight = math.prod((1.0 - mdps[i].bandit.success_prob for i in subset if i not in t), start=1.0)
+            if weight != 0.0:
+                terms.append((t, weight))
+    return terms
+
+
+def _gather_ids(mdps, strides, t) -> np.ndarray:
+    """Flat joint ids read by H_T: reset states on the axes in T, passive successors elsewhere."""
+    ids = np.zeros((), dtype=np.intp)
+    for i, (mdp, stride) in enumerate(zip(mdps, strides)):
+        axis = mdp.reset_states if i in t else mdp.passive_next
+        ids = np.add.outer(ids, axis.astype(np.intp) * stride)
+    return ids
+
 
 def build_joint(mdps: list[TruncatedBeliefMDP], m: int, cap: int = DEFAULT_CAP) -> JointMDP:
     M = len(mdps)
     if not 1 <= m < M:
         raise ValueError(f"need 1 <= m < M, got m={m}, M={M}")
     counts = [mdp.n_states for mdp in mdps]
-    n_joint = int(np.prod(counts))
+    n_joint = math.prod(counts)
     n_actions = math.comb(M, m)
     if n_joint * n_actions > cap:
         raise StateSpaceTooLarge(
@@ -52,28 +102,24 @@ def build_joint(mdps: list[TruncatedBeliefMDP], m: int, cap: int = DEFAULT_CAP) 
             f"= {n_joint * n_actions} state-action pairs (cap {cap})",
             size=n_joint * n_actions,
         )
-    strides = [int(np.prod(counts[i + 1:])) for i in range(M)]
+    strides = [math.prod(counts[i + 1:]) for i in range(M)]
 
     cost = np.zeros(1)
     for mdp in mdps:
         cost = np.add.outer(cost, mdp.costs_passive).ravel()
 
     actions = list(itertools.combinations(range(M), m))
-    transitions = []
-    for subset in actions:
-        mat = None
-        for i, mdp in enumerate(mdps):
-            factor = mdp.active_transitions if i in subset else mdp.passive_transitions
-            mat = factor if mat is None else sp.kron(mat, factor, format="csr")
-        transitions.append(mat.tocsr())
+    terms = [_action_terms(mdps, subset) for subset in actions]
+    needed = sorted({t for action in terms for t, _ in action}, key=lambda t: (len(t), t))
     return JointMDP(
         mdps=list(mdps),
         m=m,
         actions=actions,
-        transitions=transitions,
         cost=cost,
         state_counts=counts,
         strides=strides,
+        gathers={t: _gather_ids(mdps, strides, t) for t in needed},
+        terms=terms,
     )
 
 
@@ -84,13 +130,96 @@ class OracleResult:
     policy: np.ndarray           # argmin action index per joint state
     gain: float                  # average cost (average criterion only)
     joint: JointMDP
+    sweeps: int                  # Bellman sweeps of the value iteration
 
 
-def _sweep(joint: JointMDP, v: np.ndarray, beta: float):
-    q = np.empty((len(joint.actions), joint.n_joint))
-    for a, p in enumerate(joint.transitions):
-        q[a] = joint.cost + beta * (p @ v)
-    return q.min(axis=0), q.argmin(axis=0)
+def _contract(x: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply `mat` (n x N) along `axis` of x, where x has length N: the result
+    has length n there.  `out`, if given, is a flat buffer of the result's size."""
+    n, N = mat.shape
+    a, b = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
+    shape = x.shape[:axis] + (n,) + x.shape[axis + 1:]
+    if out is None:
+        out = np.empty(shape)
+    if b == 1:
+        np.matmul(x.reshape(a, N), mat.T, out=out.reshape(a, n))
+    else:
+        np.matmul(mat, x.reshape(a, N, b), out=out.reshape(a, n, b))
+    return out.reshape(shape)
+
+
+class _FactoredSweep:
+    """Bellman operator of a joint MDP at discount beta, with its buffers."""
+
+    def __init__(self, joint: JointMDP, beta: float):
+        n = joint.n_joint
+        self.joint = joint
+        self.beta = beta
+        self.scaled = [mdp.bandit.success_prob * mdp.states for mdp in joint.mdps]
+        # every buffer is allocated once: fresh n_joint arrays in every sweep
+        # cost about a third of its time
+        self.read = {t: np.empty(ids.shape) for t, ids in joint.gathers.items()}
+        self.h = {t: np.empty(n) if t else x.ravel() for t, x in self.read.items()}  # H_{} is the gather itself
+        self.acc = np.empty(n)
+        self.tmp = np.empty(n)
+
+    def _gather(self, v: np.ndarray) -> None:
+        """Fill H_T for every T the actions use."""
+        for t, ids in self.joint.gathers.items():
+            x = self.read[t]
+            np.take(v, ids, out=x, mode="clip")  # ids are in range: no bounds check
+            for j, i in enumerate(t):
+                x = _contract(x, i, self.scaled[i], out=self.h[t] if j == len(t) - 1 else None)
+
+    def _product(self, a: int, out: np.ndarray) -> np.ndarray:
+        """P_a v from the gathered H_T: into `out`, or H_T itself when that is all of it."""
+        terms = self.joint.terms[a]
+        if len(terms) == 1:  # only T = S, of weight 1
+            return self.h[terms[0][0]]
+        (t, weight), *rest = terms
+        np.multiply(self.h[t], weight, out=out)
+        for t, weight in rest:
+            if weight == 1.0:
+                out += self.h[t]
+            else:
+                np.multiply(self.h[t], weight, out=self.tmp)
+                out += self.tmp
+        return out
+
+    def values(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """min over actions of cost + beta * P_a v, written into `out`.
+
+        The minimum is taken over P_a v and cost and beta are applied once:
+        rounding is monotone, so every bit equals the minimum of the q-values."""
+        self._gather(v)
+        out.fill(np.inf)
+        for a in range(len(self.joint.actions)):
+            np.minimum(out, self._product(a, self.acc), out=out)
+        out *= self.beta
+        out += self.joint.cost
+        return out
+
+    def policy(self, v: np.ndarray) -> np.ndarray:
+        """Index of the action with the least q-value at each state; the lowest
+        index wins ties, as in argmin."""
+        self._gather(v)
+        best = np.full(self.joint.n_joint, np.inf)
+        q = np.empty(self.joint.n_joint)
+        policy = np.zeros(self.joint.n_joint, dtype=np.intp)
+        for a in range(len(self.joint.actions)):
+            np.multiply(self._product(a, self.acc), self.beta, out=q)
+            q += self.joint.cost
+            better = q < best
+            policy[better] = a
+            np.minimum(best, q, out=best)
+        return policy
+
+
+def _check_stopping(tol: float, max_iters: int) -> None:
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
 
 def joint_solve_discounted(
@@ -102,6 +231,7 @@ def joint_solve_discounted(
     max_iters: int = 2_000_000,
 ) -> OracleResult:
     """tol-accurate optimal discounted value of the joint truncated problem."""
+    _check_stopping(tol, max_iters)
     betas = {mdp.discount for mdp in mdps}
     if len(betas) != 1:
         raise ValueError("bandits must share one discount factor")
@@ -109,17 +239,21 @@ def joint_solve_discounted(
     if not beta < 1.0:
         raise ValueError("discounted oracle requires discount < 1")
     joint = build_joint(mdps, m, cap)
-    v = np.zeros(joint.n_joint)
+    sweep = _FactoredSweep(joint, beta)
+    v, v_new, diff = np.zeros(joint.n_joint), np.empty(joint.n_joint), np.empty(joint.n_joint)
     stop = tol * (1.0 - beta) / (2.0 * beta) if beta > 0 else np.inf
-    for _ in range(max_iters):
-        v_new, policy = _sweep(joint, v, beta)
-        if np.max(np.abs(v_new - v)) <= stop:
+    for sweeps in range(1, max_iters + 1):
+        sweep.values(v, out=v_new)
+        np.subtract(v_new, v, out=diff)
+        if np.abs(diff, out=diff).max() <= stop:
             break
-        v = v_new
+        v, v_new = v_new, v
     else:
         raise NoConvergence("joint value iteration did not converge")
     start = joint.joint_index(initial_states or [0] * len(mdps))
-    return OracleResult(value=float(v_new[start]), values=v_new, policy=policy, gain=0.0, joint=joint)
+    return OracleResult(
+        value=float(v_new[start]), values=v_new, policy=sweep.policy(v), gain=0.0, joint=joint, sweeps=sweeps
+    )
 
 
 def joint_solve_average(
@@ -131,16 +265,21 @@ def joint_solve_average(
 ) -> OracleResult:
     """Optimal average cost of the joint truncated problem by damped relative
     value iteration with span-seminorm stopping."""
+    _check_stopping(tol, max_iters)
     joint = build_joint(mdps, m, cap)
-    w = np.zeros(joint.n_joint)
-    for _ in range(max_iters):
-        tw, policy = _sweep(joint, w, 1.0)
-        d = tw - w
+    sweep = _FactoredSweep(joint, 1.0)
+    w, tw, d = np.zeros(joint.n_joint), np.empty(joint.n_joint), np.empty(joint.n_joint)
+    for sweeps in range(1, max_iters + 1):
+        sweep.values(w, out=tw)
+        np.subtract(tw, w, out=d)
         span = d.max() - d.min()
         if span <= tol:
             gain = 0.5 * (d.max() + d.min())
             z = w - w[0]
-            return OracleResult(value=float(gain), values=z, policy=policy, gain=float(gain), joint=joint)
-        w = 0.5 * (w + tw)
+            return OracleResult(
+                value=float(gain), values=z, policy=sweep.policy(w), gain=float(gain), joint=joint, sweeps=sweeps
+            )
+        w += tw
+        w *= 0.5
         w -= w[0]
     raise NoConvergence(f"joint relative value iteration span not below {tol}")

@@ -4,8 +4,10 @@ import shutil
 import numpy as np
 import pytest
 
+from uoisched import joint_solve_discounted
 from uoisched.cli import main
-from uoisched.config import parse_config
+from uoisched.config import load_config, parse_config
+from uoisched.workflows import prepare
 
 FAST_CONFIG = {
     "schema_version": 1,
@@ -183,6 +185,15 @@ class TestOracleCommand:
         doc = json.loads((out / "oracle.json").read_text())
         assert {"oracle", "policy", "relative_gap"} <= set(doc["gap"])
         assert doc["gap"]["oracle"] == doc["value"]
+
+    def test_oracle_reports_its_sweeps(self, tmp_path):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o" / "oracle.json").read_text())
+        prep = prepare(load_config(cfg))
+        res = joint_solve_discounted(prep.mdps, 1, initial_states=prep.initial_states)
+        assert doc["sweeps"] == res.sweeps > 1
+        assert doc["n_joint_states"] == res.joint.n_joint
 
     def test_policy_result_of_another_config_exits_2(self, tmp_path, capsys):
         # an average-cost result checked against the discounted sample config

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from uoisched import oracle
 from uoisched import (
     BanditSpec,
     ChainSpec,
+    NoConvergence,
     RMABInstance,
     StateSpaceTooLarge,
     build_joint,
@@ -36,6 +38,42 @@ def fig1_pair(beta, L=12, rho=1.0):
     return bandits, [build_truncated(b, L, beta) for b in bandits]
 
 
+def mixed_triple(beta, rhos, seed=11):
+    """Three bandits with N = 2, 3, 4, different depths and the given success probabilities."""
+    rng = np.random.default_rng(seed)
+    return [
+        build_truncated(random_bandit(rng, n, f"b{n}", rho=rho), L, beta)
+        for n, L, rho in zip((2, 3, 4), (5, 3, 4), rhos)
+    ]
+
+
+def csr_q_values(joint, v, beta):
+    """(actions, n_joint) q-values from the per-action CSR matrices."""
+    return np.array([joint.cost + beta * (p @ v) for p in joint.transitions])
+
+
+def csr_value_iteration(mdps, m, beta, tol):
+    """Plain CSR value iteration (discounted) or damped relative value
+    iteration (beta = 1): (sweeps, values, policy, q-values of the last sweep)."""
+    joint = build_joint(mdps, m)
+    v = np.zeros(joint.n_joint)
+    stop = tol * (1.0 - beta) / (2.0 * beta) if beta < 1.0 else None
+    for sweeps in range(1, 100_000):
+        q = csr_q_values(joint, v, beta)
+        tv = q.min(axis=0)
+        if stop is not None:
+            if np.max(np.abs(tv - v)) <= stop:
+                return sweeps, tv, q.argmin(axis=0), q
+            v = tv
+        else:
+            d = tv - v
+            if d.max() - d.min() <= tol:
+                return sweeps, v - v[0], q.argmin(axis=0), q
+            v = 0.5 * (v + tv)
+            v -= v[0]
+    raise AssertionError("reference iteration did not converge")
+
+
 class TestBuildJoint:
     def test_single_bandit_rejected(self):
         _, mdps = fig1_pair(0.9)
@@ -63,6 +101,104 @@ class TestBuildJoint:
         with pytest.raises(StateSpaceTooLarge) as err:
             build_joint(mdps, 1, cap=1000)
         assert err.value.size == 81 * 81 * 2
+
+    def test_size_past_int64_is_rejected_before_any_array_work(self, monkeypatch):
+        # 65**11 overflows int64; the size check must use exact integers
+        chain = validate_chain(FIG1)
+        mdps = [build_truncated(BanditSpec(chain, 1.0, f"b{i}"), 32, 0.9) for i in range(11)]
+
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} used before the size check")
+
+        monkeypatch.setattr(oracle, "np", NoArrays())
+        with pytest.raises(StateSpaceTooLarge) as err:
+            build_joint(mdps, 1)
+        assert err.value.size == 65**11 * 11
+
+    def test_transitions_are_built_on_request(self):
+        _, mdps = fig1_pair(0.9, L=4)
+        joint = build_joint(mdps, 1)
+        assert "transitions" not in vars(joint)
+        assert joint.transitions is joint.transitions
+
+
+class TestFactoredSweep:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("rhos", [(0.7, 0.7, 0.7), (1.0, 1.0, 1.0), (0.7, 1.0, 0.7), (1.0, 0.7, 1.0)])
+    def test_action_products_match_csr(self, m, rhos):
+        mdps = mixed_triple(0.9, rhos)
+        joint = build_joint(mdps, m)
+        sweep = oracle._FactoredSweep(joint, 0.9)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            v = rng.standard_normal(joint.n_joint)
+            sweep._gather(v)
+            for a, p in enumerate(joint.transitions):
+                got = sweep._product(a, np.empty(joint.n_joint))
+                np.testing.assert_allclose(got, p @ v, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_sweep_and_policy_match_csr(self, m):
+        mdps = mixed_triple(0.9, (0.7, 1.0, 0.8))
+        joint = build_joint(mdps, m)
+        sweep = oracle._FactoredSweep(joint, 0.9)
+        v = np.random.default_rng(4).random(joint.n_joint) * 10
+        q = csr_q_values(joint, v, 0.9)
+        np.testing.assert_allclose(sweep.values(v, np.empty(joint.n_joint)), q.min(axis=0), rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(sweep.policy(v), q.argmin(axis=0))
+
+    def test_policy_ties_go_to_the_lowest_action(self):
+        _, mdps = fig1_pair(0.9, L=4)
+        joint = build_joint(mdps, 1)
+        v = np.zeros(joint.n_joint)  # every q-value ties at the cost
+        np.testing.assert_array_equal(oracle._FactoredSweep(joint, 0.9).policy(v), 0)
+
+
+class TestOracleAgainstCsrReference:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_discounted(self, m):
+        mdps = mixed_triple(0.8, (0.7, 1.0, 0.85))
+        res = joint_solve_discounted(mdps, m, tol=1e-8)
+        sweeps, values, policy, _ = csr_value_iteration(mdps, m, 0.8, 1e-8)
+        assert res.sweeps == sweeps
+        np.testing.assert_allclose(res.values, values, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(res.policy, policy)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_average(self, m):
+        mdps = mixed_triple(1.0, (0.7, 1.0, 0.85))
+        res = joint_solve_average(mdps, m, tol=1e-8)
+        sweeps, values, policy, _ = csr_value_iteration(mdps, m, 1.0, 1e-8)
+        assert res.sweeps == sweeps
+        np.testing.assert_allclose(res.values, values, rtol=0, atol=1e-12 * np.max(np.abs(values)))
+        np.testing.assert_array_equal(res.policy, policy)
+
+    @pytest.mark.parametrize("beta", [0.9, 1.0])
+    def test_identical_bandits_tie_as_the_reference(self, beta):
+        _, mdps = fig1_pair(beta, L=6, rho=0.9)
+        solve = joint_solve_discounted if beta < 1.0 else joint_solve_average
+        res = solve(mdps, 1, tol=1e-8)
+        sweeps, _, policy, q = csr_value_iteration(mdps, 1, beta, 1e-8)
+        assert np.sum(q[0] == q[1]) >= 13  # at least the diagonal states tie
+        assert res.sweeps == sweeps
+        np.testing.assert_array_equal(res.policy, policy)
+
+
+class TestStoppingArguments:
+    @pytest.mark.parametrize("solve", [joint_solve_discounted, joint_solve_average])
+    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")}, {"max_iters": 0}])
+    def test_unusable_arguments_rejected(self, solve, kwargs):
+        beta = 0.9 if solve is joint_solve_discounted else 1.0
+        _, mdps = fig1_pair(beta, L=4)
+        with pytest.raises(ValueError):
+            solve(mdps, 1, **kwargs)
+
+    def test_max_iters_bounds_the_sweeps(self):
+        _, mdps = fig1_pair(0.9, L=4)
+        assert joint_solve_discounted(mdps, 1, max_iters=1, tol=1e3).sweeps == 1
+        with pytest.raises(NoConvergence):
+            joint_solve_discounted(mdps, 1, max_iters=1)
 
 
 class TestDiscountedOracle:
