@@ -13,7 +13,7 @@ from uoisched import (
     BanditSpec,
     build_truncated,
     choose_truncation,
-    gain_indices_discounted,
+    gain_index_tables,
     gradient_search,
     make_problem,
     objective_derivative,
@@ -37,8 +37,8 @@ print(f"\ngradient search: {len(trace.iterates)} evaluations, "
       f"stopped with bracket ({trace.bracket[0]:.6f}, {trace.bracket[1]:.6f})")
 print(f"optimal charge lambda* = {trace.lambda_star:.6f}\n")
 
-for mdp in mdps:
-    table = gain_indices_discounted(mdp, trace.lambda_star)
+# the tables are read off the search's own solve at lambda*
+for mdp, table in zip(mdps, gain_index_tables(problem, trace)):
     print(f"gain indices for source {table.bandit_label!r} (first ages):")
     print(f"{'state':>10} {'belief':>18} {'index':>10} {'transmit?':>10}")
     for k in (1, 2):

@@ -12,7 +12,7 @@ from uoisched import (
     RMABInstance,
     build_truncated,
     choose_truncation,
-    gain_indices_average,
+    gain_index_tables,
     gradient_search,
     make_problem,
     objective_value,
@@ -34,7 +34,7 @@ m = 2
 mdps = [build_truncated(b, choose_truncation(b, 1e-6)[0], 1.0) for b in bandits]
 problem = make_problem(mdps, m, "average")
 trace = gradient_search(problem)
-tables = [gain_indices_average(mdp, trace.lambda_star) for mdp in mdps]
+tables = gain_index_tables(problem, trace)
 bound = objective_value(problem, trace.lambda_star)
 print(f"\noptimal charge lambda = {trace.lambda_star:.5f}; "
       f"relaxed lower bound on the average UoI: {bound:.4f}\n")

@@ -13,8 +13,7 @@ from uoisched import (
     build_truncated,
     choose_truncation,
     discounted_horizon,
-    gain_indices_average,
-    gain_indices_discounted,
+    gain_index_tables,
     gradient_search,
     joint_solve_average,
     joint_solve_discounted,
@@ -33,8 +32,8 @@ print(f"truncation depths: {ls}")
 # discounted criterion
 beta = 0.9
 mdps = [build_truncated(b, L, beta) for b, L in zip(specs, ls)]
-lam = gradient_search(make_problem(mdps, 1, "discounted")).lambda_star
-tables = [gain_indices_discounted(m, lam) for m in mdps]
+problem = make_problem(mdps, 1, "discounted")
+tables = gain_index_tables(problem, gradient_search(problem))
 inst = RMABInstance(specs, 1, "discounted", beta, seed=505)
 horizon = discounted_horizon(beta, sum(np.log2(b.chain.n_states) for b in specs))
 sim = simulate(inst, "gain_index", horizon=horizon, runs=3000, tables=tables)
@@ -46,8 +45,8 @@ print(f"  relative gap:             {(sim.mean - oracle.value) / oracle.value:+.
 
 # average criterion
 mdps_a = [build_truncated(b, L, 1.0) for b, L in zip(specs, ls)]
-lam_a = gradient_search(make_problem(mdps_a, 1, "average")).lambda_star
-tables_a = [gain_indices_average(m, lam_a) for m in mdps_a]
+problem_a = make_problem(mdps_a, 1, "average")
+tables_a = gain_index_tables(problem_a, gradient_search(problem_a))
 inst_a = RMABInstance(specs, 1, "average", 1.0, seed=506)
 sim_a = simulate(inst_a, "gain_index", horizon=30_000, runs=30, tables=tables_a)
 oracle_a = joint_solve_average(mdps_a, 1, tol=1e-8)

@@ -35,6 +35,7 @@ from .errors import (
 from .index_policy import (
     GainIndexTable,
     gain_index_general,
+    gain_index_tables,
     gain_indices_average,
     gain_indices_discounted,
     load_table,

@@ -77,13 +77,13 @@ def cmd_indices(args) -> int:
     )
     _write_json(
         out / "truncation_report.json",
-        {"bandits": bound_report(prep, lam=result.lambda_star)},
+        {"bandits": bound_report(prep, lam=result.trace.lambda_star)},
         h,
     )
     _write_json(
         out / "lambda_report.json",
         {
-            "lambda_star": result.lambda_star,
+            "lambda_star": result.trace.lambda_star,
             "stop_reason": result.trace.stop_reason,
             "bracket": list(result.trace.bracket),
             "iterations": len(result.trace.iterates),
@@ -92,7 +92,7 @@ def cmd_indices(args) -> int:
         },
         h,
     )
-    print(f"lambda_star = {result.lambda_star:.6g} ({len(result.trace.iterates)} gradient evaluations)")
+    print(f"lambda_star = {result.trace.lambda_star:.6g} ({len(result.trace.iterates)} gradient evaluations)")
     print(f"wrote {len(result.tables)} index tables to {out}")
     return EXIT_OK
 

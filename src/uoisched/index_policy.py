@@ -20,10 +20,9 @@ import numpy as np
 
 from .belief_mdp import TruncatedBeliefMDP, state_labels
 from .errors import ConfigError
+from .lagrange import GradientTrace, LagrangeProblem
 from .solvers import (
     ACTIVE_TIE_TOL,
-    AVERAGE,
-    DISCOUNTED,
     active_passive_values,
     policy_iteration_discounted,
     solve_average,
@@ -50,41 +49,40 @@ def _indices_from_values(mdp: TruncatedBeliefMDP, values: np.ndarray) -> np.ndar
     return rho * (v_tx - v_reset)
 
 
-def gain_indices_discounted(
-    mdp: TruncatedBeliefMDP, lambda_star: float, policy=None
-) -> GainIndexTable:
-    """Index table from the policy-evaluated optimal value at lambda_star."""
-    if lambda_star < 0:
+def _gain_indices(mdp: TruncatedBeliefMDP, lam: float, policy, solve) -> GainIndexTable:
+    if lam < 0:
         raise ValueError("lambda_star must be >= 0")
     if policy is None:
-        policy = policy_iteration_discounted(mdp, lambda_star)
-    values = policy.values
+        policy = solve(mdp, lam)
     return GainIndexTable(
         bandit_label=mdp.bandit.label,
-        criterion=DISCOUNTED,
-        lambda_star=float(lambda_star),
-        indices=_indices_from_values(mdp, values),
-        values=values,
-        beliefs=mdp.states,
-        truncation_L=mdp.truncation_L,
-    )
-
-
-def gain_indices_average(mdp: TruncatedBeliefMDP, lambda_a: float, policy=None) -> GainIndexTable:
-    """Index table from the differential value function at lambda_a."""
-    if lambda_a < 0:
-        raise ValueError("lambda_a must be >= 0")
-    if policy is None:
-        policy = solve_average(mdp, lambda_a)
-    return GainIndexTable(
-        bandit_label=mdp.bandit.label,
-        criterion=AVERAGE,
-        lambda_star=float(lambda_a),
+        criterion=policy.criterion,
+        lambda_star=float(lam),
         indices=_indices_from_values(mdp, policy.values),
         values=policy.values,
         beliefs=mdp.states,
         truncation_L=mdp.truncation_L,
     )
+
+
+def gain_indices_discounted(mdp: TruncatedBeliefMDP, lambda_star: float, policy=None) -> GainIndexTable:
+    """Index table from the policy-evaluated optimal value at lambda_star."""
+    return _gain_indices(mdp, lambda_star, policy, policy_iteration_discounted)
+
+
+def gain_indices_average(mdp: TruncatedBeliefMDP, lambda_a: float, policy=None) -> GainIndexTable:
+    """Index table from the differential value function at lambda_a."""
+    return _gain_indices(mdp, lambda_a, policy, solve_average)
+
+
+def gain_index_tables(problem: LagrangeProblem, trace: GradientTrace) -> list[GainIndexTable]:
+    """One table per bandit of the problem, read off the gradient search's
+    own solve at lambda* (no further solve); duplicated bandits share one."""
+    sol = trace.solution
+    if sol is None:
+        raise ValueError("the gradient trace carries no solution at lambda*")
+    tables = [_gain_indices(mdp, sol.lam, sol.policy(b), None) for b, mdp in enumerate(sol.batch.mdps)]
+    return [tables[j] for j in problem.members]
 
 
 def gain_index_general(transitions_active, transitions_passive, values, state: int) -> float:

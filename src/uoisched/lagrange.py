@@ -24,6 +24,7 @@ from .solvers import (
     AVERAGE,
     DISCOUNTED,
     BanditBatch,
+    BatchSolution,
     PolicyAndValues,
     SolveCounts,
     average_policy_evaluation,
@@ -46,8 +47,8 @@ class LagrangeProblem:
     def __post_init__(self):
         if not 1 <= self.m < len(self.mdps):
             raise ValueError(f"need 1 <= m < M, got m={self.m}, M={len(self.mdps)}")
-        if self.epsilon <= 0 or self.stepsize_c <= 0:
-            raise ValueError("stepsize_c and epsilon must be > 0")
+        if self.epsilon <= 0 or self.stepsize_c <= 0 or self.max_iters < 1:
+            raise ValueError("stepsize_c and epsilon must be > 0, max_iters >= 1")
         if len(self.initial_states) != len(self.mdps):
             raise ValueError("one initial state per bandit required")
         betas = {mdp.discount for mdp in self.mdps}
@@ -109,6 +110,8 @@ class GradientTrace:
     bracket: tuple[float, float] | None = field(default=None)
     policy_evaluations: int = 0                  # exact single-bandit policy evaluations
     fallbacks: int = 0                           # solver fallbacks (see SolveCounts)
+    # the search's own solve of every distinct bandit at lambda_star
+    solution: BatchSolution | None = field(default=None, repr=False, compare=False)
 
 
 def derivative_discounted(mdp: TruncatedBeliefMDP, optimal_policy, initial_state: int) -> float:
@@ -141,15 +144,18 @@ def _solve_all(problem, lam, warm, counts=None):
     return sol
 
 
+def _derivative(problem: LagrangeProblem, sol: BatchSolution) -> float:
+    total = sum(float(sol.usage[j]) for j in problem.members)
+    if problem.criterion == DISCOUNTED:
+        return float(total - problem.m / (1.0 - problem.beta))
+    return float(total - problem.m)
+
+
 def objective_derivative(problem: LagrangeProblem, lam: float, warm=None, counts=None) -> float:
     """f'(lam) = sum_i dV_i/dlam - m/(1-beta), or l'(lam) = sum_i g_i' - m."""
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    usage = _solve_all(problem, lam, warm, counts).usage
-    total = sum(float(usage[j]) for j in problem.members)
-    if problem.criterion == DISCOUNTED:
-        return float(total - problem.m / (1.0 - problem.beta))
-    return float(total - problem.m)
+    return _derivative(problem, _solve_all(problem, lam, warm, counts))
 
 
 def objective_value(problem: LagrangeProblem, lam: float, warm=None) -> float:
@@ -180,9 +186,10 @@ def gradient_search(
     """Run lam_{k+1} = max(lam_k + c/(k+1) * f'(lam_k), 0) from lam_0 = 0.
 
     Stops when f'(lam_k) * f'(lam_{k+1}) <= 0 and |lam_{k+1} - lam_k| <
-    epsilon, returning lambda_star = min of the bracketing pair; derivatives
-    within deriv_tol of zero count as zero in the sign test.  Each bandit's
-    solve is warm-started with the previous iterate's policy.
+    epsilon, returning lambda_star = min of the bracketing pair and, as
+    `solution`, the batch solve made at that iterate; derivatives within
+    deriv_tol of zero count as zero in the sign test.  Each bandit's solve is
+    warm-started with the previous iterate's policy.
     """
     if deriv_tol is None:
         deriv_tol = derivative_zero_tol(problem)
@@ -193,24 +200,27 @@ def gradient_search(
     warm = {} if warm_start else None
     counts = SolveCounts()
     lam = 0.0
-    deriv = objective_derivative(problem, lam, warm, counts)
+    sol = _solve_all(problem, lam, warm, counts)
+    deriv = _derivative(problem, sol)
     iterates = [(lam, deriv)]
     for k in range(problem.max_iters):
         step = problem.stepsize_c / (k + 1) * deriv
         lam_next = max(lam + step, 0.0)
-        deriv_next = objective_derivative(problem, lam_next, warm, counts)
+        sol_next = _solve_all(problem, lam_next, warm, counts)
+        deriv_next = _derivative(problem, sol_next)
         iterates.append((lam_next, deriv_next))
         if snap(deriv) * snap(deriv_next) <= 0.0 and abs(lam_next - lam) < problem.epsilon:
-            bracket = (min(lam, lam_next), max(lam, lam_next))
+            lam_star, solution = (lam, sol) if lam <= lam_next else (lam_next, sol_next)
             return GradientTrace(
                 iterates=iterates,
-                lambda_star=min(lam, lam_next),
+                lambda_star=lam_star,
                 stop_reason="converged",
-                bracket=bracket,
+                bracket=(min(lam, lam_next), max(lam, lam_next)),
                 policy_evaluations=counts.policy_evaluations,
                 fallbacks=counts.fallbacks,
+                solution=solution,
             )
-        lam, deriv = lam_next, deriv_next
+        lam, deriv, sol = lam_next, deriv_next, sol_next
     trace = GradientTrace(
         iterates=iterates,
         lambda_star=None,
@@ -219,6 +229,7 @@ def gradient_search(
         fallbacks=counts.fallbacks,
     )
     raise MaxItersExceeded(
-        f"gradient search did not meet the stopping criterion in {problem.max_iters} iterations",
+        f"gradient search did not meet the stopping criterion in {problem.max_iters} iterations; "
+        f"last lambda = {lam:.9g}, f'(lambda) = {deriv:.3g}, last step = {step:.3g}",
         trace=trace,
     )

@@ -43,7 +43,6 @@ class JointMDP:
     m: int
     actions: list[tuple[int, ...]]        # m-subsets, lexicographic
     cost: np.ndarray                      # (n_joint,) summed entropies
-    state_counts: list[int]
     strides: list[int]
     gathers: dict[tuple[int, ...], np.ndarray]          # T -> flat ids of v that H_T reads
     terms: list[list[tuple[tuple[int, ...], float]]]    # per action: (T, prod of 1 - rho over S \ T), nonzero only
@@ -116,7 +115,6 @@ def build_joint(mdps: list[TruncatedBeliefMDP], m: int, cap: int = DEFAULT_CAP) 
         m=m,
         actions=actions,
         cost=cost,
-        state_counts=counts,
         strides=strides,
         gathers={t: _gather_ids(mdps, strides, t) for t in needed},
         terms=terms,

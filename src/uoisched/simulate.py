@@ -22,10 +22,10 @@ import numpy as np
 
 from .belief_mdp import BanditSpec, build_truncated, nearest_state, truncated_grid
 from .errors import InfeasiblePolicy
-from .index_policy import gain_indices_average, gain_indices_discounted
+from .index_policy import gain_index_tables
 from .lagrange import gradient_search, make_problem
 from .rng import RunStreams
-from .solvers import AVERAGE, DISCOUNTED, policy_iteration_discounted, solve_average
+from .solvers import AVERAGE, DISCOUNTED
 
 RESULT_SCHEMA_VERSION = 1
 
@@ -454,6 +454,10 @@ def asymptotic_sweep(
         raise ValueError("alpha must be in (0, 1)")
     m_list = sorted(int(v) for v in m_list)
     plans = {M: _class_counts(proportions, M, alpha) for M in m_list}
+    for M, (_, counts, _) in plans.items():
+        for (bandit, _), c in zip(classes, counts):
+            if c == 0:
+                raise ValueError(f"class {bandit.label!r} has no bandit at M = {M}; each class needs one at every M")
 
     beta = 1.0 if criterion == AVERAGE else discount
     class_mdps = [
@@ -461,28 +465,22 @@ def asymptotic_sweep(
         for k, (b, _) in enumerate(classes)
     ]
 
-    # lambda* is mix-invariant: compute it on the smallest population
+    # lambda* is mix-invariant: compute it on the smallest population, whose
+    # batch holds one entry per class, in class order
     m0 = m_list[0]
     m_chan0, counts0, _ = plans[m0]
     mdps0 = [class_mdps[k] for k, c in enumerate(counts0) for _ in range(c)]
     problem = make_problem(mdps0, m_chan0, criterion, **(gradient_opts or {}))
     trace = gradient_search(problem)
     lam_star = trace.lambda_star
+    sol = trace.solution
+    per_bandit = gain_index_tables(problem, trace)
+    tables = [per_bandit[problem.members.index(k)] for k in range(len(classes))]
 
-    if criterion == DISCOUNTED:
-        sols = [policy_iteration_discounted(mdp, lam_star) for mdp in class_mdps]
-        tables = [gain_indices_discounted(mdp, lam_star, policy=s) for mdp, s in zip(class_mdps, sols)]
-        class_values = [float(s.values[0]) for s in sols]  # initial state omega
-        bound_terms = lambda counts, M, m_chan: (
-            sum(c * v for c, v in zip(counts, class_values)) - m_chan * lam_star / (1.0 - beta)
-        ) / M
-    else:
-        sols = [solve_average(mdp, lam_star) for mdp in class_mdps]
-        tables = [gain_indices_average(mdp, lam_star, policy=s) for mdp, s in zip(class_mdps, sols)]
-        class_gains = [float(s.gain) for s in sols]
-        bound_terms = lambda counts, M, m_chan: (
-            sum(c * g for c, g in zip(counts, class_gains)) - m_chan * lam_star
-        ) / M
+    # each class's V(omega) (discounted) or g (average) at lambda*
+    discounted = criterion == DISCOUNTED
+    class_values = (sol.values[sol.batch.initial_ids] if discounted else sol.gains).tolist()
+    charge_scale = 1.0 - beta if discounted else 1.0
 
     if horizon is None:
         total_bh = max(m_list) * max(np.log2(b.chain.n_states) for b, _ in classes)
@@ -500,7 +498,7 @@ def asymptotic_sweep(
                 rep_tables.append(replace(tables[k], bandit_label=label))
         instance = RMABInstance(bandits, m_chan, criterion, beta, seed=seed)
         res = simulate(instance, "gain_index", horizon, runs, seed=seed, tables=rep_tables, burn_in=burn_in)
-        bound = bound_terms(counts, M, m_chan)
+        bound = (sum(c * v for c, v in zip(counts, class_values)) - m_chan * lam_star / charge_scale) / M
         cost = res.mean / M
         rows.append(
             SweepRow(

@@ -52,10 +52,6 @@ class PolicyAndValues:
     criterion: str
     degraded: bool = field(default=False)
 
-    @property
-    def active_set(self) -> np.ndarray:
-        return np.flatnonzero(self.actions == 1)
-
 
 @dataclass
 class SolveCounts:

@@ -14,7 +14,7 @@ from .belief_mdp import (
     truncation_diagnostics,
 )
 from .config import ExperimentConfig
-from .index_policy import GainIndexTable, gain_indices_average, gain_indices_discounted
+from .index_policy import GainIndexTable, gain_index_tables
 from .lagrange import GradientTrace, gradient_search, make_problem
 from .oracle import OracleResult, joint_solve_average, joint_solve_discounted
 from .simulate import SimResult, simulate
@@ -53,11 +53,11 @@ def prepare(config: ExperimentConfig) -> PreparedInstance:
 class IndexComputation:
     tables: list[GainIndexTable]
     trace: GradientTrace
-    lambda_star: float
 
 
 def compute_index_tables(prep: PreparedInstance) -> IndexComputation:
-    """Gradient search for the optimal multiplier, then one table per bandit."""
+    """Gradient search for the optimal multiplier; the tables come from its
+    final solve."""
     cfg = prep.config
     problem = make_problem(
         prep.mdps,
@@ -69,12 +69,7 @@ def compute_index_tables(prep: PreparedInstance) -> IndexComputation:
         max_iters=cfg.gradient_max_iters,
     )
     trace = gradient_search(problem)
-    lam = trace.lambda_star
-    if cfg.criterion == DISCOUNTED:
-        tables = [gain_indices_discounted(mdp, lam) for mdp in prep.mdps]
-    else:
-        tables = [gain_indices_average(mdp, lam) for mdp in prep.mdps]
-    return IndexComputation(tables=tables, trace=trace, lambda_star=lam)
+    return IndexComputation(tables=gain_index_tables(problem, trace), trace=trace)
 
 
 def bound_report(prep: PreparedInstance, lam: float = 0.0) -> list[dict]:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,18 +12,25 @@ from uoisched import (
     build_truncated,
     choose_truncation,
     gain_index_general,
+    gain_index_tables,
     gain_indices_average,
     gain_indices_discounted,
+    gradient_search,
     load_table,
+    make_problem,
     or_decision,
     policy_iteration_discounted,
     save_table,
     solve_average,
     validate_chain,
 )
+from uoisched.config import load_config
 from uoisched.index_policy import table_from_doc, table_to_doc
+from uoisched.workflows import compute_index_tables, prepare
 
 from conftest import FIG1, random_bandit
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def resolved_mdp(bandit, beta, eta=1e-6):
@@ -287,3 +295,62 @@ class TestSerialization:
         save_table(table, p2)
         assert p1.read_bytes() == p2.read_bytes()
         json.loads(p1.read_text())
+
+
+class TestTablesFromTheSearch:
+    """`gain_index_tables` reads the tables off the search's solve at lambda*."""
+
+    @staticmethod
+    def _per_bandit(mdp, criterion, lam):
+        make = gain_indices_discounted if criterion == "discounted" else gain_indices_average
+        return make(mdp, lam)
+
+    @pytest.mark.parametrize("name", ["two_sources_discounted", "two_sources_average"])
+    def test_bit_identical_to_per_bandit_solves_on_sample_configs(self, name):
+        prep = prepare(load_config(CONFIGS / f"{name}.json"))
+        result = compute_index_tables(prep)
+        lam = result.trace.lambda_star
+        for mdp, table in zip(prep.mdps, result.tables):
+            alone = self._per_bandit(mdp, prep.config.criterion, lam)
+            assert table.bandit_label == alone.bandit_label
+            assert table.criterion == alone.criterion == prep.config.criterion
+            assert table.lambda_star == alone.lambda_star == lam
+            assert np.array_equal(table.indices, alone.indices)
+            assert np.array_equal(table.values, alone.values)
+
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    def test_mixed_sizes_within_batch_drift_of_per_bandit_solves(self, criterion):
+        rng = np.random.default_rng(31)
+        beta = 0.9 if criterion == "discounted" else 1.0
+        mdps = [
+            build_truncated(random_bandit(rng, n, f"b{i}"), L, beta)
+            for i, (n, L) in enumerate([(2, 5), (4, 9), (3, 23), (2, 12), (5, 7)])
+        ]
+        problem = make_problem(mdps, 2, criterion)
+        trace = gradient_search(problem)
+        tables = gain_index_tables(problem, trace)
+        for mdp, table in zip(mdps, tables):
+            alone = self._per_bandit(mdp, criterion, trace.lambda_star)
+            # the batched-evaluation drift of the values; an index is rho
+            # times a difference of values, so it may drift twice as far
+            scale = np.max(np.abs(alone.values))
+            assert np.max(np.abs(table.values - alone.values)) <= 1e-13 * scale
+            assert np.max(np.abs(table.indices - alone.indices)) <= 2e-13 * scale
+
+    def test_duplicated_bandits_share_their_table(self):
+        rng = np.random.default_rng(4)
+        shared = build_truncated(random_bandit(rng, 3, "dup"), 10, 0.9)
+        other = build_truncated(random_bandit(rng, 2, "other"), 8, 0.9)
+        problem = make_problem([shared, other, shared, shared], 2, "discounted")
+        tables = gain_index_tables(problem, gradient_search(problem))
+        assert tables[0] is tables[2] is tables[3]
+        assert tables[1] is not tables[0]
+        assert [t.bandit_label for t in tables] == ["dup", "other", "dup", "dup"]
+
+    def test_trace_without_solution_rejected(self):
+        mdps = [resolved_mdp(BanditSpec(validate_chain(FIG1), 1.0, f"f{i}"), 0.9) for i in range(2)]
+        problem = make_problem(mdps, 1, "discounted")
+        trace = gradient_search(problem)
+        trace.solution = None
+        with pytest.raises(ValueError, match="no solution"):
+            gain_index_tables(problem, trace)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from uoisched import (
     solve_average,
     validate_chain,
 )
-from uoisched.lagrange import derivative_zero_tol
+from uoisched.lagrange import _solve_all, derivative_zero_tol
 from uoisched.solvers import BanditBatch
 from conftest import FIG1, induced_transition, random_bandit
 
@@ -253,8 +255,76 @@ class TestGradientSearch:
         assert err.value.trace.stop_reason == "max_iters"
         assert len(err.value.trace.iterates) == 4
 
+    def test_max_iters_message_names_where_the_search_stalled(self):
+        problem = make_problem(fig1_mdps(0.9), 1, "discounted", max_iters=3)
+        with pytest.raises(MaxItersExceeded) as err:
+            gradient_search(problem)
+        (lam_prev, d_prev), (lam, d) = err.value.trace.iterates[-2:]
+        step = problem.stepsize_c / 3 * d_prev
+        assert lam == max(lam_prev + step, 0.0)
+        message = str(err.value)
+        assert f"last lambda = {lam:.9g}" in message
+        assert f"f'(lambda) = {d:.3g}" in message
+        assert f"last step = {step:.3g}" in message
+        assert err.value.trace.solution is None
+
+    def test_max_iters_must_allow_one_step(self):
+        with pytest.raises(ValueError, match="max_iters >= 1"):
+            make_problem(fig1_mdps(0.9), 1, "discounted", max_iters=0)
+
     def test_average_criterion_converges(self):
         problem = make_problem(fig1_mdps(1.0), 1, "average")
         trace = gradient_search(problem)
         assert trace.stop_reason == "converged"
         assert trace.lambda_star > 0
+
+
+class TestSearchSolution:
+    """`GradientTrace.solution` is the search's own batch solve at lambda*."""
+
+    @staticmethod
+    def _problem(criterion, seed=77):
+        rng = np.random.default_rng(seed)
+        beta = 0.9 if criterion == "discounted" else 1.0
+        mdps = [
+            build_truncated(random_bandit(rng, n, f"b{i}"), L, beta)
+            for i, (n, L) in enumerate([(2, 6), (3, 11), (4, 8), (2, 14)])
+        ]
+        return make_problem(mdps, 2, criterion)
+
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    def test_solution_is_the_solve_at_lambda_star(self, criterion):
+        problem = self._problem(criterion)
+        trace = gradient_search(problem)
+        sol = trace.solution
+        assert sol.lam == trace.lambda_star and sol.criterion == criterion
+        assert sol.batch is problem.batch
+        usage = sum(float(sol.usage[j]) for j in problem.members)
+        budget = problem.m / (1.0 - problem.beta) if criterion == "discounted" else problem.m
+        at_star = [d for lam, d in trace.iterates[-2:] if lam == trace.lambda_star]
+        assert float(usage - budget) in at_star
+
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    def test_solution_matches_a_cold_solve(self, criterion):
+        problem = self._problem(criterion)
+        trace = gradient_search(problem)
+        cold = _solve_all(problem, trace.lambda_star, None)
+        assert np.array_equal(trace.solution.actions, cold.actions)
+        assert np.allclose(trace.solution.values, cold.values, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    def test_later_warm_started_solves_leave_it_unchanged(self, criterion):
+        problem = self._problem(criterion)
+        trace = gradient_search(problem)
+        sol = trace.solution
+        before = {k: getattr(sol, k).copy() for k in ("actions", "values", "gains", "usage", "degraded")}
+        warm = {criterion: sol.actions if criterion == "discounted" else sol.values}
+        for lam in (0.0, 2.0 * trace.lambda_star + 0.1, trace.lambda_star):
+            objective_derivative(problem, lam, warm)
+        for key, array in before.items():
+            assert np.array_equal(getattr(sol, key), array), key
+
+    def test_not_in_repr_or_equality(self):
+        trace = gradient_search(self._problem("discounted"))
+        assert "solution" not in repr(trace)
+        assert trace == replace(trace, solution=None)

@@ -499,6 +499,43 @@ class TestAsymptoticSweep:
                 horizon=500,
             )
 
+    @pytest.mark.parametrize("criterion, beta", [("discounted", 0.9), ("average", 1.0)])
+    def test_bound_is_the_dual_value_at_lambda_star(self, criterion, beta):
+        # unequal counts, so a class read off the wrong batch entry shows
+        classes = [(b, q) for (b, _), q in zip(self._classes(), (0.25, 0.75))]
+        sweep = asymptotic_sweep(
+            classes,
+            alpha=0.5,
+            m_list=[4],
+            runs=2,
+            seed=3,
+            criterion=criterion,
+            discount=beta,
+            truncation_L=10,
+            horizon=200,
+        )
+        row = sweep.rows[0]
+        mdps = [build_truncated(b, 10, beta) for (b, _), c in zip(classes, row.class_counts) for _ in range(c)]
+        dual = objective_value(make_problem(mdps, row.m, criterion), sweep.lambda_star)
+        assert row.per_bandit_bound == pytest.approx(dual / 4, rel=1e-12, abs=1e-14)
+
+    def test_class_absent_from_a_population_rejected(self):
+        # at M = 4 the mix [0.9, 0.1] rounds to [4, 0], so a lambda* solved
+        # there would leave class cb out of the bound at M = 40
+        (a, _), (b, _) = self._classes()
+        with pytest.raises(ValueError, match=r"class 'cb' has no bandit at M = 4\b"):
+            asymptotic_sweep(
+                [(a, 0.9), (b, 0.1)],
+                alpha=0.5,
+                m_list=[40, 4],
+                runs=2,
+                seed=1,
+                criterion="average",
+                discount=1.0,
+                truncation_L=8,
+                horizon=500,
+            )
+
     def test_discounted_variant_runs(self):
         sweep = asymptotic_sweep(
             self._classes(),
