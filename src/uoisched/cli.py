@@ -140,15 +140,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _policy_result_mean(path, config) -> float:
-    """Mean of a `simulate` result file, after checking it was simulated on
-    the same problem as the config (criterion, discount, M, m, and the
-    sources and truncation it recorded)."""
+def _policy_result(path, config) -> tuple[float, float]:
+    """Mean and its standard error from a `simulate` result file, after
+    checking it was simulated on the same problem as the config (criterion,
+    discount, M, m, and the sources and truncation it recorded)."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
         result = doc["result"]
-        mean = float(result["mean"])
+        mean, stderr = float(result["mean"]), float(result["stderr"])
     except FileNotFoundError as exc:
         raise ConfigError(f"policy result file not found: {exc.filename}") from exc
     except (KeyError, TypeError, ValueError) as exc:
@@ -167,12 +167,12 @@ def _policy_result_mean(path, config) -> float:
     ]
     if mismatched:
         raise ConfigError(f"{path} was not simulated on this config: {', '.join(mismatched)}")
-    return mean
+    return mean, stderr
 
 
 def cmd_oracle(args) -> int:
     config = load_config(args.config)
-    policy_mean = _policy_result_mean(args.policy_result, config) if args.policy_result else None
+    policy = _policy_result(args.policy_result, config) if args.policy_result else None
     out = _out_dir(args, config)
     h = _echo_config(config, out)
     prep = prepare(config)
@@ -182,18 +182,26 @@ def cmd_oracle(args) -> int:
         "value": res.value,
         "n_joint_states": res.joint.n_joint,
         "sweeps": res.sweeps,
+        "value_bounds": list(res.bounds),
         "initial_states": prep.initial_states,
     }
-    if policy_mean is not None:
+    if policy is not None:
+        policy_mean, policy_stderr = policy
         doc["gap"] = {
             "oracle": res.value,
             "policy": policy_mean,
+            "policy_stderr": policy_stderr,
             "relative_gap": (policy_mean - res.value) / res.value if res.value != 0 else 0.0,
+            "relative_gap_stderr": policy_stderr / abs(res.value) if res.value != 0 else 0.0,
         }
     _write_json(out / "oracle.json", doc, h)
     print(f"oracle {config.criterion} value = {res.value:.8g}")
     if "gap" in doc:
-        print(f"relative gap of referenced policy = {doc['gap']['relative_gap']:.4%}")
+        gap = doc["gap"]
+        print(
+            f"relative gap of referenced policy = {gap['relative_gap']:.4%} "
+            f"± {gap['relative_gap_stderr']:.4%} (s.e.)"
+        )
     return EXIT_OK
 
 

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatch,
@@ -46,6 +44,29 @@ class ChainSpec:
     def __post_init__(self):
         object.__setattr__(self, "transition", _readonly(self.transition))
         object.__setattr__(self, "equilibrium", _readonly(self.equilibrium))
+
+
+def _strong_components(edges: np.ndarray) -> list[list[int]]:
+    """Strongly connected components of the digraph with boolean adjacency
+    `edges` (edges[u, v]: an edge u -> v), as sorted 1-based state lists in
+    order of their smallest state.
+
+    The reachability closure doubles the path length it covers per squaring,
+    so about log2(N) boolean products of N x N matrices find it."""
+    n = edges.shape[0]
+    reach = edges | np.eye(n, dtype=bool)
+    while True:
+        wider = reach @ reach  # boolean matmul: or over k of reach[u, k] and reach[k, v]
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    mutual = reach & reach.T
+    groups, seen = [], np.zeros(n, dtype=bool)
+    for u in range(n):
+        if not seen[u]:
+            seen |= mutual[u]
+            groups.append([int(v) + 1 for v in np.flatnonzero(mutual[u])])
+    return groups
 
 
 def _chain_period(adj: list[list[int]]) -> int:
@@ -96,10 +117,8 @@ def validate_chain(raw_matrix) -> ChainSpec:
         raise NotStochastic(f"column {k + 1} sums to {sums[k]:.12g}, off by more than 1e-9")
     t = np.clip(t, 0.0, 1.0) / sums  # renormalize the <=1e-9 dust away
 
-    adj_mat = sp.csr_matrix(t.T > 0.0)  # edge k -> j iff t[j, k] > 0
-    n_comp, labels = connected_components(adj_mat, directed=True, connection="strong")
-    if n_comp != 1:
-        groups = [sorted(np.flatnonzero(labels == c) + 1) for c in range(n_comp)]
+    groups = _strong_components(t.T > 0.0)  # edge k -> j iff t[j, k] > 0
+    if len(groups) != 1:
         raise Reducible(f"chain is not irreducible; strongly connected components: {groups}")
 
     adj = [list(np.flatnonzero(t[:, k] > 0.0)) for k in range(n)]

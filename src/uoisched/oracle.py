@@ -19,6 +19,21 @@ axis i in T with the bandit's scaled belief matrix rho_i * states_i
 every action that contains T shares it.  The per-action Kronecker products of
 the per-bandit matrices (`JointMDP.transitions`) are built only on request,
 as a reference.
+
+Both solvers stop on bounds, not on the size of the last step.  The Bellman
+operator T is monotone (v <= w implies Tv <= Tw) and shifts constants by its
+discount (T(v + c) = Tv + beta c), so with d = Tv - v every further step
+T^(k+1) v - T^k v lies in beta^k [min d, max d] and
+
+    Tv + beta/(1-beta) min d  <=  V*  <=  Tv + beta/(1-beta) max d
+
+at every state (MacQueen 1966; Porteus 1971).  Value iteration stops once
+this bracket is at most tol wide and returns its midpoint, so every value is
+within tol/2 of V*.  The common drift of the iterate, which decays only at
+rate beta, does not widen the bracket, so it is not waited out.  For the
+average criterion the same argument with beta = 1 gives Odoni's bracket
+min d <= g* <= max d on the optimal gain; relative value iteration stops once
+its span is at most tol.
 """
 
 from __future__ import annotations
@@ -129,6 +144,7 @@ class OracleResult:
     gain: float                  # average cost (average criterion only)
     joint: JointMDP
     sweeps: int                  # Bellman sweeps of the value iteration
+    bounds: tuple[float, float]  # certified bracket on `value`
 
 
 def _contract(x: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -228,7 +244,8 @@ def joint_solve_discounted(
     initial_states=None,
     max_iters: int = 2_000_000,
 ) -> OracleResult:
-    """tol-accurate optimal discounted value of the joint truncated problem."""
+    """Optimal discounted values of the joint truncated problem, each within
+    tol/2: the midpoint of the first MacQueen bracket at most tol wide."""
     _check_stopping(tol, max_iters)
     betas = {mdp.discount for mdp in mdps}
     if len(betas) != 1:
@@ -238,19 +255,26 @@ def joint_solve_discounted(
         raise ValueError("discounted oracle requires discount < 1")
     joint = build_joint(mdps, m, cap)
     sweep = _FactoredSweep(joint, beta)
-    v, v_new, diff = np.zeros(joint.n_joint), np.empty(joint.n_joint), np.empty(joint.n_joint)
-    stop = tol * (1.0 - beta) / (2.0 * beta) if beta > 0 else np.inf
+    v, tv, d = np.zeros(joint.n_joint), np.empty(joint.n_joint), np.empty(joint.n_joint)
+    scale = beta / (1.0 - beta)
     for sweeps in range(1, max_iters + 1):
-        sweep.values(v, out=v_new)
-        np.subtract(v_new, v, out=diff)
-        if np.abs(diff, out=diff).max() <= stop:
+        sweep.values(v, out=tv)
+        np.subtract(tv, v, out=d)
+        low, high = scale * d.min(), scale * d.max()
+        if high - low <= tol:
             break
-        v, v_new = v_new, v
+        v, tv = tv, v
     else:
-        raise NoConvergence("joint value iteration did not converge")
+        raise NoConvergence(
+            f"joint value iteration did not converge in {max_iters} sweeps: "
+            f"last bracket width {high - low:.3g} > tol {tol:g}"
+        )
+    policy = sweep.policy(v)
     start = joint.joint_index(initial_states or [0] * len(mdps))
+    bounds = (float(tv[start] + low), float(tv[start] + high))
+    tv += 0.5 * (low + high)
     return OracleResult(
-        value=float(v_new[start]), values=v_new, policy=sweep.policy(v), gain=0.0, joint=joint, sweeps=sweeps
+        value=float(tv[start]), values=tv, policy=policy, gain=0.0, joint=joint, sweeps=sweeps, bounds=bounds
     )
 
 
@@ -270,14 +294,18 @@ def joint_solve_average(
     for sweeps in range(1, max_iters + 1):
         sweep.values(w, out=tw)
         np.subtract(tw, w, out=d)
-        span = d.max() - d.min()
-        if span <= tol:
-            gain = 0.5 * (d.max() + d.min())
+        low, high = d.min(), d.max()
+        if high - low <= tol:
+            gain = 0.5 * (high + low)
             z = w - w[0]
             return OracleResult(
-                value=float(gain), values=z, policy=sweep.policy(w), gain=float(gain), joint=joint, sweeps=sweeps
+                value=float(gain), values=z, policy=sweep.policy(w), gain=float(gain), joint=joint, sweeps=sweeps,
+                bounds=(float(low), float(high)),
             )
         w += tw
         w *= 0.5
         w -= w[0]
-    raise NoConvergence(f"joint relative value iteration span not below {tol}")
+    raise NoConvergence(
+        f"joint relative value iteration did not converge in {max_iters} sweeps: "
+        f"last span {high - low:.3g} > tol {tol:g}"
+    )

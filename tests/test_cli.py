@@ -194,6 +194,23 @@ class TestOracleCommand:
         res = joint_solve_discounted(prep.mdps, 1, initial_states=prep.initial_states)
         assert doc["sweeps"] == res.sweeps > 1
         assert doc["n_joint_states"] == res.joint.n_joint
+        assert doc["value_bounds"] == list(res.bounds)
+        low, high = doc["value_bounds"]
+        assert low <= doc["value"] <= high and high - low <= 1e-8
+
+    def test_gap_reports_its_standard_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--policy", "round_robin"]) == 0
+        assert main(["oracle", "--config", cfg, "--out", str(out),
+                     "--policy-result", str(out / "sim_round_robin.json")]) == 0
+        gap = json.loads((out / "oracle.json").read_text())["gap"]
+        sim = json.loads((out / "sim_round_robin.json").read_text())["result"]
+        assert gap["policy"] == sim["mean"]
+        assert gap["policy_stderr"] == sim["stderr"] > 0.0
+        assert gap["relative_gap_stderr"] == sim["stderr"] / abs(gap["oracle"])
+        printed = capsys.readouterr().out
+        assert f"= {gap['relative_gap']:.4%} ± {gap['relative_gap_stderr']:.4%} (s.e.)" in printed
 
     def test_policy_result_of_another_config_exits_2(self, tmp_path, capsys):
         # an average-cost result checked against the discounted sample config
@@ -255,6 +272,17 @@ class TestOracleCommand:
         code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "o"), "--policy-result", str(path)])
         assert code == 2
         assert "truncation missing" in capsys.readouterr().err
+
+    def test_policy_result_without_stderr_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"), "--policy", "round_robin"]) == 0
+        path = tmp_path / "s" / "sim_round_robin.json"
+        doc = json.loads(path.read_text())
+        del doc["result"]["stderr"]
+        path.write_text(json.dumps(doc))
+        code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "o"), "--policy-result", str(path)])
+        assert code == 2
+        assert "not a simulation result document" in capsys.readouterr().err
 
     def test_state_space_cap_exits_4(self, tmp_path):
         doc = dict(FAST_CONFIG, truncation={"mode": "fixed", "L": 600})

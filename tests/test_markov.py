@@ -1,9 +1,11 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uoisched import markov
 from uoisched import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -45,6 +47,27 @@ class TestValidateChain:
     def test_identity_is_reducible(self):
         with pytest.raises(Reducible):
             validate_chain(np.eye(2))
+
+    def test_reducible_message_names_the_components(self):
+        # states 1 and 4 form one closed class, 2 and 3 another
+        t = [[0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0], [0.5, 0.0, 0.0, 0.5]]
+        with pytest.raises(Reducible, match=r"strongly connected components: \[\[1, 4\], \[2, 3\]\]$"):
+            validate_chain(t)
+
+    def test_transient_states_are_their_own_components(self):
+        # 1 -> 2 -> 3 with 3 absorbing: three singleton groups, by smallest state
+        t = [[0.5, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 1.0]]
+        with pytest.raises(Reducible, match=r"components: \[\[1\], \[2\], \[3\]\]$"):
+            validate_chain(t)
+
+    def test_components_match_csgraph_on_random_digraphs(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            edges = rng.random((n, n)) < rng.uniform(0.05, 0.5)
+            _, labels = csgraph.connected_components(edges, directed=True, connection="strong")
+            expected = sorted([list(np.flatnonzero(labels == c) + 1) for c in np.unique(labels)])
+            assert markov._strong_components(edges) == expected
 
     def test_bad_column_sum(self):
         with pytest.raises(NotStochastic, match="column 1"):

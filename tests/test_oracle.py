@@ -53,20 +53,23 @@ def csr_q_values(joint, v, beta):
 
 
 def csr_value_iteration(mdps, m, beta, tol):
-    """Plain CSR value iteration (discounted) or damped relative value
-    iteration (beta = 1): (sweeps, values, policy, q-values of the last sweep)."""
+    """Plain CSR value iteration (discounted: stopped once MacQueen's bracket
+    beta/(1-beta) [min d, max d] is at most tol wide, then shifted to its
+    midpoint) or damped relative value iteration (beta = 1):
+    (sweeps, values, policy, q-values of the last sweep)."""
     joint = build_joint(mdps, m)
     v = np.zeros(joint.n_joint)
-    stop = tol * (1.0 - beta) / (2.0 * beta) if beta < 1.0 else None
     for sweeps in range(1, 100_000):
         q = csr_q_values(joint, v, beta)
         tv = q.min(axis=0)
-        if stop is not None:
-            if np.max(np.abs(tv - v)) <= stop:
-                return sweeps, tv, q.argmin(axis=0), q
+        d = tv - v
+        if beta < 1.0:
+            scale = beta / (1.0 - beta)
+            low, high = scale * d.min(), scale * d.max()
+            if high - low <= tol:
+                return sweeps, tv + 0.5 * (low + high), q.argmin(axis=0), q
             v = tv
         else:
-            d = tv - v
             if d.max() - d.min() <= tol:
                 return sweeps, v - v[0], q.argmin(axis=0), q
             v = 0.5 * (v + tv)
@@ -199,6 +202,64 @@ class TestStoppingArguments:
         assert joint_solve_discounted(mdps, 1, max_iters=1, tol=1e3).sweeps == 1
         with pytest.raises(NoConvergence):
             joint_solve_discounted(mdps, 1, max_iters=1)
+
+    def test_no_convergence_names_sweeps_and_bracket(self):
+        _, mdps = fig1_pair(0.9, L=4)
+        with pytest.raises(NoConvergence, match=r"in 2 sweeps: last bracket width \S+ > tol 1e-14"):
+            joint_solve_discounted(mdps, 1, max_iters=2, tol=1e-14)
+
+    def test_no_convergence_names_sweeps_and_span(self):
+        _, mdps = fig1_pair(1.0, L=4)
+        with pytest.raises(NoConvergence, match=r"in 2 sweeps: last span \S+ > tol 1e-14"):
+            joint_solve_average(mdps, 1, max_iters=2, tol=1e-14)
+
+
+CERTIFIED_INSTANCES = [
+    pytest.param(lambda beta: fig1_pair(beta, L=8, rho=0.9)[1], 1, id="fig1_pair-m1"),
+    pytest.param(lambda beta: mixed_triple(beta, (0.7, 1.0, 0.85)), 1, id="mixed-m1"),
+    pytest.param(lambda beta: mixed_triple(beta, (0.7, 1.0, 0.85)), 2, id="mixed-m2"),
+]
+
+
+class TestCertifiedStop:
+    """MacQueen's bracket (discounted) and Odoni's (average) against tight solves."""
+
+    TOL, TIGHT = 1e-8, 1e-13
+
+    @pytest.mark.parametrize("make, m", CERTIFIED_INSTANCES)
+    def test_every_value_within_half_tol(self, make, m):
+        mdps = make(0.9)
+        res = joint_solve_discounted(mdps, m, tol=self.TOL)
+        tight = joint_solve_discounted(mdps, m, tol=self.TIGHT)
+        assert np.max(np.abs(res.values - tight.values)) <= 0.5 * (self.TOL + self.TIGHT)
+
+    @pytest.mark.parametrize("make, m", CERTIFIED_INSTANCES)
+    def test_bounds_contain_the_start_value(self, make, m):
+        mdps = make(0.9)
+        res = joint_solve_discounted(mdps, m, tol=self.TOL)
+        tight = joint_solve_discounted(mdps, m, tol=self.TIGHT)
+        low, high = res.bounds
+        assert 0.0 <= high - low <= self.TOL
+        assert low <= res.value <= high
+        assert low - 0.5 * self.TIGHT <= tight.value <= high + 0.5 * self.TIGHT
+
+    @pytest.mark.parametrize("make, m", CERTIFIED_INSTANCES)
+    def test_zero_discount_stops_after_one_sweep(self, make, m):
+        res = joint_solve_discounted(make(0.0), m)
+        assert res.sweeps == 1
+        np.testing.assert_array_equal(res.values, res.joint.cost)
+        assert res.bounds == (res.value, res.value)
+
+    @pytest.mark.parametrize("make, m", CERTIFIED_INSTANCES)
+    def test_average_bracket_contains_the_gain(self, make, m):
+        mdps = make(1.0)
+        res = joint_solve_average(mdps, m, tol=1e-6)
+        tight = joint_solve_average(mdps, m, tol=1e-12)
+        low, high = res.bounds
+        assert 0.0 <= high - low <= 1e-6
+        assert low <= res.gain <= high
+        assert low <= tight.gain <= high
+        assert tight.bounds[0] <= tight.gain <= tight.bounds[1]
 
 
 class TestDiscountedOracle:
