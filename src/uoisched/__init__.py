@@ -56,6 +56,7 @@ from .markov import (
     ChainSpec,
     belief_propagate,
     belief_reset,
+    entropies,
     entropy,
     n_step_column,
     uoi,

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import TruncationTooDeep
-from .markov import ChainSpec, entropy
+from .markov import ChainSpec, entropies, entropy
 
 ROW_SUM_TOL = 1e-12
 
@@ -105,7 +105,7 @@ def truncated_grid(bandit: BanditSpec, L: int):
         for age in range(1, L + 1):
             states[(k - 1) * L + age] = x
             x = chain.transition @ x
-    costs = np.array([entropy(states[s]) for s in range(n)])
+    costs = entropies(states)
     # age L (id divisible by L) and omega (id 0) age into omega
     ids = np.arange(n, dtype=np.int64)
     passive_next = np.where(ids % L == 0, 0, ids + 1)
@@ -188,12 +188,12 @@ def truncation_diagnostics(chain: ChainSpec, L: int, probe_depth: int | None = N
     powers = np.linalg.matrix_power(chain.transition, L)
     eta_l = _max_gap_to_omega(powers, omega)
 
-    sigma = 0.0
+    probes = np.empty((probe_depth + 1, n, n))  # probe j's rows: the beliefs T_k^{L+j}
     cur = powers
-    for _ in range(probe_depth + 1):
-        gaps = [abs(entropy(cur[:, k]) - h_omega) for k in range(n)]
-        sigma = max(sigma, max(gaps))
+    for j in range(probe_depth + 1):
+        probes[j] = cur.T
         cur = chain.transition @ cur
+    sigma = float(np.abs(entropies(probes) - h_omega).max())
     tail_tv = 0.5 * float(np.max(np.abs(cur - omega[:, None]).sum(axis=0)))
     sigma = max(sigma, _fannes_gap(tail_tv, n))
 

@@ -89,6 +89,8 @@ def cmd_indices(args) -> int:
             "iterations": len(result.trace.iterates),
             "policy_evaluations": result.trace.policy_evaluations,
             "fallbacks": result.trace.fallbacks,
+            "pi_rounds": result.trace.pi_rounds,
+            "rvi_sweeps": result.trace.rvi_sweeps,
         },
         h,
     )

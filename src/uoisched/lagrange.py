@@ -14,7 +14,7 @@ consecutive derivatives bracket a sign change within epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -110,6 +110,8 @@ class GradientTrace:
     bracket: tuple[float, float] | None = field(default=None)
     policy_evaluations: int = 0                  # exact single-bandit policy evaluations
     fallbacks: int = 0                           # solver fallbacks (see SolveCounts)
+    pi_rounds: int = 0                           # batched policy-iteration rounds
+    rvi_sweeps: int = 0                          # batched relative value iteration sweeps
     # the search's own solve of every distinct bandit at lambda_star
     solution: BatchSolution | None = field(default=None, repr=False, compare=False)
 
@@ -216,17 +218,15 @@ def gradient_search(
                 lambda_star=lam_star,
                 stop_reason="converged",
                 bracket=(min(lam, lam_next), max(lam, lam_next)),
-                policy_evaluations=counts.policy_evaluations,
-                fallbacks=counts.fallbacks,
                 solution=solution,
+                **asdict(counts),
             )
         lam, deriv, sol = lam_next, deriv_next, sol_next
     trace = GradientTrace(
         iterates=iterates,
         lambda_star=None,
         stop_reason="max_iters",
-        policy_evaluations=counts.policy_evaluations,
-        fallbacks=counts.fallbacks,
+        **asdict(counts),
     )
     raise MaxItersExceeded(
         f"gradient search did not meet the stopping criterion in {problem.max_iters} iterations; "

@@ -159,6 +159,19 @@ def entropy(x) -> float:
     return float(max(-(pos * np.log2(pos)).sum(), 0.0))
 
 
+def entropies(rows) -> np.ndarray:
+    """Shannon entropy in bits of every row (last axis) of an array of beliefs.
+
+    Bit for bit as `entropy` row by row for rows of up to 7 entries; longer
+    rows holding zeros may differ in the last bit, because numpy's pairwise
+    summation groups the terms by position and the zeros shift them."""
+    x = np.asarray(rows, dtype=float)
+    pos = x > 0.0
+    terms = np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0)
+    h = -terms.sum(axis=-1)
+    return np.where(h < 0.0, 0.0, h)  # as max(h, 0.0), which keeps -0.0
+
+
 def belief_propagate(chain: ChainSpec, x) -> np.ndarray:
     """One passive step: returns T @ x."""
     x = as_belief(x, chain.n_states)

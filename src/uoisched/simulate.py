@@ -314,7 +314,8 @@ def simulate(
                 chosen[j] = rr_masks[(t - 1) % cycle]
             else:
                 k = keys.take(belief)
-                np.less_equal(k, np.partition(k, m - 1, axis=0)[m - 1], out=chosen[j])
+                kth = k.min(axis=0) if m == 1 else np.partition(k, m - 1, axis=0)[m - 1]
+                np.less_equal(k, kth, out=chosen[j])
             sel_mask = chosen[j]
 
             if record_traces:

@@ -1,8 +1,22 @@
 """Exact solvers for truncated belief MDPs, one bandit or a batch at a time.
 
 Discounted: value iteration, policy iteration (Howard), and linear policy
-evaluation.  Average cost: relative value iteration with span stopping,
-followed by an exact anchored policy evaluation for (g, Z).
+evaluation.  Average cost: Howard policy iteration with exact anchored
+evaluations of (g, Z), started from the policy that is greedy with respect to
+a warm start (the previous solve's Z, or zeros).  It stops at a certified
+fixed point: when the policy is unichain and greedy with respect to its own
+exact Z, then (g, Z) solves the average-cost optimality equation
+
+    Z(s) + g = min(qa(s), qp(s))   (within ACTIVE_TIE_TOL)
+
+so g is the optimal gain (Puterman 1994, sections 8.4 and 8.6).  The
+evaluation is singular on a multichain policy, which at rho = 1 a PI iterate
+can be (omega passive and absorbing).  A bandit with a multichain iterate, or
+one still changing its policy after _PI_ROUNDS rounds, goes to damped
+relative value iteration with span stopping from the untouched warm start
+instead, then to an exact evaluation of its greedy policy; if that policy is
+multichain too, or the span does not settle, the bandit takes the
+vanishing-discount fallback.
 
 Policy evaluation uses the structure of the belief MDP instead of a generic
 linear solve.  Under a fixed policy a, walking each of the N age chains
@@ -31,6 +45,7 @@ from .belief_mdp import TruncatedBeliefMDP
 from .errors import MultichainPolicy, NoConvergence, SolverError
 
 ACTIVE_TIE_TOL = 1e-9
+_PI_ROUNDS = 50  # average-cost PI rounds before a still-changing bandit goes to RVI
 
 DISCOUNTED = "discounted"
 AVERAGE = "average"
@@ -59,6 +74,8 @@ class SolveCounts:
 
     policy_evaluations: int = 0   # exact single-bandit evaluations (a batch of B counts B)
     fallbacks: int = 0            # vanishing-discount solves and activation-rate fallbacks
+    pi_rounds: int = 0            # batched policy-iteration rounds, either criterion
+    rvi_sweeps: int = 0           # batched relative value iteration sweeps
 
 
 class BanditBatch:
@@ -341,6 +358,8 @@ def policy_iteration_batch(
         if actions.shape[0] != n:
             raise ValueError("init policy length does not match state count")
     for _ in range(max_iters):
+        if counts is not None:
+            counts.pi_rounds += 1
         costs = np.stack([batch.costs + lam * actions, actions], axis=1)
         values, _, _ = _evaluate(batch, actions, costs, average=False, counts=counts)
         qa, qp = _q_values(batch, lam, values[:, 0], batch.discount)
@@ -392,10 +411,11 @@ def _derivative_average_fallback(mdp, actions, initial_state, counts=None) -> fl
     return float((1.0 - beta) * h[initial_state, 0])
 
 
-def _relative_value_iteration(batch: BanditBatch, lam, w, tol, max_sweeps):
-    """Damped relative value iteration on every bandit of a batch, in place
-    on the flat iterate w.  Returns the last (qa, qp) and the (B,) mask of
-    bandits whose span is still above tol.
+def _relative_value_iteration(batch: BanditBatch, lam, w, tol, max_sweeps, todo=None, counts=None):
+    """Damped relative value iteration on the bandits of a batch marked in
+    the (B,) mask `todo` (default all), in place on the flat iterate w.
+    Returns the last (qa, qp) and the (B,) mask of bandits whose span is
+    still above tol.
 
     A bandit whose span is below tol is frozen, so each stops at the sweep
     it would stop at alone.  The damping (aperiodicity transform, factor
@@ -403,17 +423,48 @@ def _relative_value_iteration(batch: BanditBatch, lam, w, tol, max_sweeps):
     converge on unichain models.
     """
     starts = batch.offsets[:-1]
+    if todo is None:
+        todo = np.ones(batch.size, dtype=bool)
     for _ in range(max_sweeps):
+        if counts is not None:
+            counts.rvi_sweeps += 1
         qa, qp = _q_values(batch, lam, w, 1.0)
         tw = np.minimum(qa, qp)
         d = tw - w
-        sweeping = np.maximum.reduceat(d, starts) - np.minimum.reduceat(d, starts) > tol
+        sweeping = todo & (np.maximum.reduceat(d, starts) - np.minimum.reduceat(d, starts) > tol)
         if not sweeping.any():
             break
         w_next = 0.5 * (w + tw)
         w_next -= w_next[batch.anchor_of]
         np.copyto(w, w_next, where=sweeping[batch.bandit_of])
     return qa, qp, sweeping
+
+
+def _average_policy_iteration(batch: BanditBatch, lam, z, counts=None):
+    """Howard policy iteration on every bandit of an average-cost batch,
+    from the policy greedy with respect to z.
+
+    Returns the last evaluated actions with their exact (values, gains) and
+    the (B,) mask of certified bandits: unichain at every round and greedy
+    with respect to their own values.  A bandit leaves PI at its first
+    multichain iterate; the others go on until each is certified or
+    _PI_ROUNDS rounds have run.
+    """
+    starts = batch.offsets[:-1]
+    actions = _greedy(*_q_values(batch, lam, z, 1.0))
+    live = np.ones(batch.size, dtype=bool)
+    for _ in range(_PI_ROUNDS):
+        if counts is not None:
+            counts.pi_rounds += 1
+        costs = np.stack([batch.costs + lam * actions, actions], axis=1)
+        values, gains, unichain = _evaluate(batch, actions, costs, average=True, counts=counts)
+        live &= unichain
+        improved = _greedy(*_q_values(batch, lam, values[:, 0], 1.0))
+        certified = live & ~np.logical_or.reduceat(improved != actions, starts)
+        if np.array_equal(certified, live):
+            break
+        actions = improved  # a certified bandit's actions are unchanged
+    return actions, values, gains, certified
 
 
 def solve_average_batch(
@@ -425,9 +476,12 @@ def solve_average_batch(
     allow_fallback: bool = True,
     counts=None,
 ) -> BatchSolution:
-    """Average-cost solve of every bandit of a batch: relative value
-    iteration with span stopping, then exact anchored evaluation of the
-    greedy policies (with their activation rates)."""
+    """Average-cost solve of every bandit of a batch: policy iteration from
+    the policy greedy with respect to init_z (default zeros), certified at
+    its fixed point.  A bandit PI cannot certify gets relative value
+    iteration from init_z with span stopping (tol, max_sweeps), then exact
+    anchored evaluation of its greedy policy.  All values come with their
+    activation rates."""
     if batch.discount != 1.0:
         raise ValueError("solve_average expects an MDP built with discount = 1")
     if lam < 0:
@@ -435,10 +489,14 @@ def solve_average_batch(
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     w = np.zeros(batch.n_states) if init_z is None else np.asarray(init_z, dtype=float).copy()
-    qa, qp, sweeping = _relative_value_iteration(batch, lam, w, tol, max_sweeps)
-    actions = _greedy(qa, qp)
-    costs = np.stack([batch.costs + lam * actions, actions], axis=1)
-    values, gains, unichain = _evaluate(batch, actions, costs, average=True, counts=counts)
+    actions, values, gains, certified = _average_policy_iteration(batch, lam, w, counts)
+    sweeping = np.zeros(batch.size, dtype=bool)
+    unichain = np.ones(batch.size, dtype=bool)
+    if not certified.all():
+        qa, qp, sweeping = _relative_value_iteration(batch, lam, w, tol, max_sweeps, ~certified, counts)
+        actions = np.where(certified[batch.bandit_of], actions, _greedy(qa, qp))
+        costs = np.stack([batch.costs + lam * actions, actions], axis=1)
+        values, gains, unichain = _evaluate(batch, actions, costs, average=True, counts=counts)
     sol = BatchSolution(
         batch, lam, AVERAGE, actions, values[:, 0], gains[:, 0], gains[:, 1].copy(),
         np.zeros(batch.size, dtype=bool),
@@ -479,8 +537,9 @@ def solve_average(
     init_z=None,
     allow_fallback: bool = True,
 ) -> PolicyAndValues:
-    """Average-cost solve: damped relative value iteration with span stopping,
-    then exact anchored evaluation of the greedy policy."""
+    """Average-cost solve of one bandit: policy iteration certified at its
+    fixed point, with relative value iteration as the guard (see
+    solve_average_batch)."""
     batch = BanditBatch([mdp])
     return solve_average_batch(batch, lam, tol, max_sweeps, init_z, allow_fallback).policy(0)
 

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from uoisched import BanditSpec, ChainError, ChainSpec, validate_chain
+from uoisched import BanditSpec, ChainError, ChainSpec, build_truncated, validate_chain
 
 FIG1 = [[0.99, 0.3], [0.01, 0.7]]
 
@@ -33,6 +33,14 @@ def random_bandit(rng: np.random.Generator, n: int, label: str, rho=None, max_ei
     if rho is None:
         rho = float(rng.choice([0.7, 0.8, 1.0]))
     return BanditSpec(chain=random_chain(rng, n, max_eig2), success_prob=rho, label=label)
+
+
+def mixed_mdps(beta: float) -> list:
+    """Six truncated bandits with N in {2, 3, 4}, rho in {0.7, 0.8, 1.0} and
+    L from 1 to 37, for batched-solver tests."""
+    rng = np.random.default_rng(77)
+    shapes = [(2, 1, 0.7), (4, 6, 1.0), (3, 13, 0.8), (2, 22, 1.0), (4, 37, 0.7), (3, 9, 1.0)]
+    return [build_truncated(random_bandit(rng, n, f"x{i}", rho=rho), L, beta) for i, (n, L, rho) in enumerate(shapes)]
 
 
 @pytest.fixture

@@ -55,6 +55,16 @@ class TestIndicesCommand:
         # two distinct bandits, at least one policy evaluation each per step
         assert report["policy_evaluations"] >= 2 * report["iterations"]
         assert report["fallbacks"] == 0
+        # each round of batched policy iteration evaluates both bandits once
+        assert report["policy_evaluations"] == 2 * report["pi_rounds"]
+        assert report["rvi_sweeps"] == 0
+
+    def test_average_sample_config_is_solved_by_policy_iteration(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["indices", "--config", "configs/two_sources_average.json", "--out", str(out)]) == 0
+        report = json.loads((out / "lambda_report.json").read_text())
+        assert (report["iterations"], report["pi_rounds"], report["rvi_sweeps"]) == (27, 45, 0)
+        assert report["policy_evaluations"] == 2 * report["pi_rounds"]
 
     def test_repo_sample_config_smoke(self, tmp_path):
         code = main(

@@ -20,7 +20,7 @@ from uoisched import (
 )
 from uoisched.lagrange import _solve_all, derivative_zero_tol
 from uoisched.solvers import BanditBatch
-from conftest import FIG1, induced_transition, random_bandit
+from conftest import FIG1, induced_transition, mixed_mdps, random_bandit
 
 
 def fig1_mdps(beta, count=2, rho=1.0, eta=1e-6):
@@ -114,28 +114,32 @@ class TestFallbackReporting:
     def test_search_counts_fallbacks_on_multichain_fixture(self, monkeypatch):
         # A multichain greedy policy needs an exact gain tie, so no search
         # meets one on its own; declaring every policy multichain sends each
-        # solve down the vanishing-discount and activation-rate fallbacks.
+        # solve from policy iteration's first round to relative value
+        # iteration, then down the vanishing-discount and activation-rate
+        # fallbacks.
         monkeypatch.setattr(BanditBatch, "unichain", lambda self, actions: np.zeros(self.size, dtype=bool))
         problem = make_problem(fig1_mdps(1.0, rho=1.0), 1, "average")
         trace = gradient_search(problem)
         assert trace.stop_reason == "converged"
         assert trace.fallbacks > 0
+        assert trace.rvi_sweeps >= len(trace.iterates)
 
     def test_search_without_fallbacks_reports_work(self):
         (mdp,) = fig1_mdps(1.0, count=1)
         problem = make_problem([mdp, mdp], 1, "average")
         trace = gradient_search(problem)
         assert trace.fallbacks == 0
-        # one MDP used twice is solved once per gradient step
+        # one MDP used twice is solved once per gradient step, by policy
+        # iteration alone: one exact evaluation per round, no RVI sweep
         assert problem.batch.size == 1
-        assert trace.policy_evaluations == len(trace.iterates)
+        assert len(trace.iterates) == 33
+        assert (trace.pi_rounds, trace.rvi_sweeps) == (48, 0)
+        assert trace.policy_evaluations == trace.pi_rounds
 
 
 def mixed_problem(criterion, beta):
     """Bandits with N in {2, 3, 4}, mixed rho and L from 1 to 37, one duplicated."""
-    rng = np.random.default_rng(77)
-    shapes = [(2, 1, 0.7), (4, 6, 1.0), (3, 13, 0.8), (2, 22, 1.0), (4, 37, 0.7), (3, 9, 1.0)]
-    mdps = [build_truncated(random_bandit(rng, n, f"x{i}", rho=rho), L, beta) for i, (n, L, rho) in enumerate(shapes)]
+    mdps = mixed_mdps(beta)
     mdps.append(mdps[2])
     initial = [0, 3, 5, 0, 11, 2, 5] if criterion == "discounted" else None
     return make_problem(mdps, 3, criterion, initial_states=initial)

@@ -14,6 +14,7 @@ from uoisched import (
     Reducible,
     belief_propagate,
     belief_reset,
+    entropies,
     entropy,
     n_step_column,
     uoi,
@@ -97,6 +98,38 @@ class TestEntropy:
         expected = entropy_bits_highprec([0.3, 0.7])
         assert entropy([0.3, 0.7]) == pytest.approx(expected, abs=1e-12)
         assert entropy([0.3, 0.7]) == pytest.approx(0.881290899, abs=1e-9)
+
+
+def beliefs_with_zeros(rng, n, count=300):
+    """Random beliefs with zero entries, and some one-hot rows (entropy -0.0)."""
+    rows = rng.dirichlet(np.full(n, 0.5), size=count)
+    rows[rng.uniform(size=rows.shape) < 0.3] = 0.0
+    sums = rows.sum(axis=1, keepdims=True)
+    rows = np.where(sums > 0.0, rows / np.where(sums > 0.0, sums, 1.0), 0.0)
+    rows[:10] = np.eye(n)[rng.integers(n, size=10)]
+    return rows
+
+
+class TestEntropies:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rows_match_entropy_bit_for_bit(self, n):
+        rows = beliefs_with_zeros(np.random.default_rng(n), n)
+        want = np.array([entropy(row) for row in rows])
+        assert np.array_equal(entropies(rows).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [8, 11, 16])
+    def test_long_rows_with_zeros_agree_to_rounding(self, n):
+        # pairwise summation groups long rows' terms by position, so the
+        # zeros may move the last bit (documented in `entropies`)
+        rows = beliefs_with_zeros(np.random.default_rng(n), n)
+        want = np.array([entropy(row) for row in rows])
+        assert np.max(np.abs(entropies(rows) - want)) <= 8 * np.finfo(float).eps * np.log2(n)
+
+    def test_stacked_rows(self):
+        rng = np.random.default_rng(4)
+        stack = beliefs_with_zeros(rng, 5, count=60).reshape(4, 3, 5, 5)
+        want = np.array([entropy(row) for row in stack.reshape(-1, 5)]).reshape(4, 3, 5)
+        assert np.array_equal(entropies(stack), want)
 
 
 class TestBeliefOps:

@@ -1,6 +1,7 @@
 import functools
 import importlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,7 +254,17 @@ CRITERIA = [("discounted", 0.9), ("average", 1.0)]
 class TestReferenceSimulator:
     @pytest.mark.parametrize("criterion,beta", CRITERIA)
     def test_flat_simulator_matches_reference_exactly(self, criterion, beta):
+        self.check_against_reference(*mixed_instance(criterion, beta))
+
+    @pytest.mark.parametrize("criterion,beta", CRITERIA)
+    def test_single_channel_matches_reference_exactly(self, criterion, beta):
+        # m = 1 selects with a minimum instead of a partition
         inst, tables = mixed_instance(criterion, beta)
+        self.check_against_reference(replace(inst, m=1), tables)
+
+    @staticmethod
+    def check_against_reference(inst, tables):
+        criterion = inst.criterion
         horizon, runs, seed = 120, 3, 2024
         burn = 0 if criterion == "discounted" else 12
         for policy in POLICIES:

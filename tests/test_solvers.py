@@ -18,15 +18,18 @@ from uoisched import (
     validate_chain,
     value_iteration_discounted,
 )
+import uoisched.solvers as solvers_module
 from uoisched.solvers import (
     BanditBatch,
     SolveCounts,
     _evaluate,
+    _greedy,
+    _q_values,
     _relative_value_iteration,
     solve_average_batch,
 )
 
-from conftest import FIG1, induced_transition, random_bandit, recurrent_class_count
+from conftest import FIG1, induced_transition, mixed_mdps, random_bandit, recurrent_class_count
 
 
 def fig1_mdp(beta=0.9, rho=1.0, L=None):
@@ -377,18 +380,41 @@ class TestUnichainCheck:
         assert BanditBatch([mdp]).unichain(actions)[0]
 
 
+def multichain_warm_start(mdp):
+    """A Z whose greedy policy at rho = 1 and a small charge is active only
+    at age 1: the reset states then only reach each other and omega, passive,
+    is absorbing, so policy iteration's first iterate is multichain."""
+    z = np.zeros(mdp.n_states)
+    z[mdp.reset_states + 1] = 1.0  # age 2 of every chain
+    return z
+
+
 class TestBatchedAverageSolve:
+    # Policy iteration certifies fig1 at lam = 0.05 before any sweep; a
+    # multichain first iterate sends the solve down the RVI path, where one
+    # sweep leaves the span above tol.
+    def test_multichain_warm_start_is_multichain(self):
+        mdp = fig1_mdp(beta=1.0)
+        batch = BanditBatch([mdp])
+        first = _greedy(*_q_values(batch, 0.05, multichain_warm_start(mdp), 1.0))
+        assert np.array_equal(np.flatnonzero(first), mdp.reset_states)
+        assert not batch.unichain(first)[0]
+
     def test_unconverged_sweep_falls_back_and_is_counted(self):
         mdp = fig1_mdp(beta=1.0)
         counts = SolveCounts()
-        sol = solve_average_batch(BanditBatch([mdp]), 0.05, max_sweeps=1, counts=counts)
+        init = multichain_warm_start(mdp)
+        sol = solve_average_batch(BanditBatch([mdp]), 0.05, max_sweeps=1, init_z=init, counts=counts)
         assert sol.degraded.tolist() == [True]
         assert counts.fallbacks >= 1
+        assert counts.rvi_sweeps == 1
         assert sol.gains[0] == pytest.approx(solve_average(mdp, 0.05).gain, abs=1e-3)
 
     def test_unconverged_sweep_without_fallback_raises(self):
+        mdp = fig1_mdp(beta=1.0)
+        init = multichain_warm_start(mdp)
         with pytest.raises(NoConvergence):
-            solve_average(fig1_mdp(beta=1.0), 0.05, max_sweeps=1, allow_fallback=False)
+            solve_average(mdp, 0.05, max_sweeps=1, init_z=init, allow_fallback=False)
 
     def test_batched_bandits_sweep_as_alone(self):
         # every bit of each bandit's iterate is as in a batch of one, so each
@@ -406,3 +432,109 @@ class TestBatchedAverageSolve:
             alone = solve_average(mdp, 0.2)
             assert np.array_equal(sol.policy(b).actions, alone.actions)
             assert sol.gains[b] == pytest.approx(alone.gain, abs=1e-13)
+
+
+def rvi_reference(batch, lam, init_z=None):
+    """The average solve without policy iteration: relative value iteration
+    from init_z, then the greedy policy, then its exact evaluation."""
+    w = np.zeros(batch.n_states) if init_z is None else np.array(init_z, dtype=float)
+    qa, qp, sweeping = _relative_value_iteration(batch, lam, w, 1e-9, 200_000)
+    assert not sweeping.any()
+    actions = _greedy(qa, qp)
+    costs = np.stack([batch.costs + lam * actions, actions], axis=1)
+    values, gains, unichain = _evaluate(batch, actions, costs, average=True)
+    assert unichain.all()
+    return actions, values[:, 0], gains[:, 0], gains[:, 1]
+
+
+def rho_one_pair(seed):
+    """Two random bandits at rho = 1, truncated at eta = 1e-6; seed 4's
+    warm-started sweep below meets a multichain iterate."""
+    rng = np.random.default_rng(seed)
+    bandits = [random_bandit(rng, int(rng.integers(2, 5)), f"r{i}", rho=1.0) for i in range(2)]
+    return [build_truncated(b, choose_truncation(b, 1e-6)[0], 1.0) for b in bandits]
+
+
+LAMBDA_GRID = np.linspace(0.0, 1.2, 13)
+
+
+def warm_sweep(batch, counts=None):
+    """Solve along LAMBDA_GRID, each solve warm-started from the last Z as
+    the gradient search does; yields (lam, warm start, solution)."""
+    z = None
+    for lam in LAMBDA_GRID:
+        sol = solve_average_batch(batch, lam, init_z=z, counts=counts)
+        yield lam, z, sol
+        z = sol.values
+
+
+class TestAveragePolicyIteration:
+    """Policy iteration against the RVI solve it replaced."""
+
+    @pytest.mark.parametrize("mdps", [mixed_mdps(1.0), rho_one_pair(4), rho_one_pair(9)], ids=["mixed", "rho1-4", "rho1-9"])
+    def test_matches_rvi_reference_and_is_greedy_in_its_own_values(self, mdps):
+        batch = BanditBatch(mdps)
+        for lam, z, sol in warm_sweep(batch):
+            actions, values, gains, usage = rvi_reference(batch, lam, z)
+            assert np.array_equal(sol.actions, actions)
+            assert np.array_equal(sol.values, values)
+            assert np.array_equal(sol.gains, gains)
+            assert np.array_equal(sol.usage, usage)
+            assert not sol.degraded.any()
+            assert np.array_equal(_greedy(*_q_values(batch, lam, sol.values, 1.0)), sol.actions)
+
+    def test_cold_solves_match_rvi_reference(self):
+        batch = BanditBatch(mixed_mdps(1.0))
+        for lam in LAMBDA_GRID:
+            counts = SolveCounts()
+            sol = solve_average_batch(batch, lam, counts=counts)
+            actions, values, _, _ = rvi_reference(batch, lam)
+            assert np.array_equal(sol.actions, actions)
+            assert np.array_equal(sol.values, values)
+            assert counts.rvi_sweeps == 0
+            assert counts.policy_evaluations == counts.pi_rounds * batch.size
+
+    def test_multichain_iterates_go_to_rvi(self, monkeypatch):
+        # naturally, on the warm-started rho = 1 pair
+        counts = SolveCounts()
+        for _ in warm_sweep(BanditBatch(rho_one_pair(4)), counts):
+            pass
+        assert counts.rvi_sweeps > 0 and counts.fallbacks == 0
+        # forced: one bandit of a batch starts multichain and alone goes to
+        # RVI, the other is certified by policy iteration; both match the
+        # reference
+        handed = []
+
+        def spy(batch, lam, w, tol, max_sweeps, todo=None, counts=None):
+            handed.append(todo.tolist())
+            return _relative_value_iteration(batch, lam, w, tol, max_sweeps, todo, counts)
+
+        monkeypatch.setattr(solvers_module, "_relative_value_iteration", spy)
+        fig1 = fig1_mdp(beta=1.0)
+        other = mixed_mdps(1.0)[2]
+        batch = BanditBatch([fig1, other])
+        init = np.concatenate([multichain_warm_start(fig1), np.zeros(other.n_states)])
+        sol = solve_average_batch(batch, 0.05, init_z=init)
+        assert handed == [[True, False]]
+        actions, values, gains, usage = rvi_reference(batch, 0.05, init)
+        assert np.array_equal(sol.actions, actions)
+        assert np.array_equal(sol.values, values)
+        assert np.array_equal(sol.gains, gains)
+        assert np.array_equal(sol.usage, usage)
+        alone = solve_average(other, 0.05)
+        assert np.array_equal(batch.split(sol.actions, 1), alone.actions)
+
+    @pytest.mark.parametrize("mdps", [mixed_mdps(1.0), rho_one_pair(4)], ids=["mixed", "rho1-4"])
+    def test_each_bandit_as_in_a_batch_of_one(self, mdps):
+        batch = BanditBatch(mdps)
+        alone = [BanditBatch([mdp]) for mdp in mdps]
+        warm = [None] * len(mdps)
+        for lam, _, sol in warm_sweep(batch):
+            for b, one in enumerate(alone):
+                own = solve_average_batch(one, lam, init_z=warm[b])
+                warm[b] = own.values
+                assert np.array_equal(batch.split(sol.actions, b), own.actions)
+                scale = max(1.0, np.max(np.abs(own.values)))
+                assert np.max(np.abs(batch.split(sol.values, b) - own.values)) <= 1e-13 * scale
+                assert sol.gains[b] == pytest.approx(own.gains[0], abs=1e-13)
+                assert sol.usage[b] == pytest.approx(own.usage[0], abs=1e-13)
