@@ -12,6 +12,7 @@ from uoisched import (
     build_truncated,
     choose_truncation,
     discounted_error_bound,
+    transition_matrices,
     validate_chain,
 )
 
@@ -41,7 +42,8 @@ for lam in (0.0, 0.1, 0.5):
 print(f"average-cost certificate: |g - g_truncated| <= {average_error_bound(diag):.3e}")
 
 sid = mdp.state_index(2, 1)
-row = mdp.active_transitions.getrow(sid)
+_, active = transition_matrices(mdp)
+row = active.getrow(sid)
 print(f"\ntransmitting from belief {mdp.states[sid].round(3)} (success prob 0.8):")
 for j, p in zip(row.indices, row.data):
     print(f"  -> state {j} {mdp.states[j].round(3)} with probability {p:.3f}")

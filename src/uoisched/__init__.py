@@ -15,6 +15,7 @@ from .belief_mdp import (
     build_truncated,
     choose_truncation,
     discounted_error_bound,
+    transition_matrices,
     truncation_diagnostics,
 )
 from .errors import (

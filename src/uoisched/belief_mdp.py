@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import TruncationTooDeep
 from .markov import ChainSpec, entropies, entropy
@@ -55,8 +54,6 @@ class TruncatedBeliefMDP:
     costs_passive: np.ndarray             # (n,) entropy of each state
     passive_next: np.ndarray              # (n,) deterministic passive successor
     reset_states: np.ndarray              # (N,) ids of T_k^1 for k = 1..N
-    passive_transitions: sp.csr_matrix    # (n, n)
-    active_transitions: sp.csr_matrix     # (n, n)
 
     @property
     def n_states(self) -> int:
@@ -70,12 +67,6 @@ class TruncatedBeliefMDP:
         if not (1 <= k <= N and 1 <= n <= L):
             raise IndexError(f"no state (k={k}, n={n}) with N={N}, L={L}")
         return (k - 1) * L + n
-
-    def state_labels(self) -> list[tuple[int, int]]:
-        return state_labels(self.bandit.chain.n_states, self.truncation_L)
-
-    def nearest_state(self, belief) -> int:
-        return nearest_state(self.states, belief)
 
 
 def state_labels(N: int, L: int) -> list[tuple[int, int]]:
@@ -121,28 +112,10 @@ def build_truncated(bandit: BanditSpec, L: int, discount: float) -> TruncatedBel
     if not 0.0 <= discount <= 1.0:
         raise ValueError("discount must be in [0, 1]")
     states, costs, passive_next, reset_states = truncated_grid(bandit, L)
+    # an active row sums to rho * sum(x) + 1 - rho; a passive row is a single 1
     rho = bandit.success_prob
-    n, N = states.shape
-
-    p_passive = sp.csr_matrix(
-        (np.ones(n), (np.arange(n), passive_next)), shape=(n, n)
-    )
-
-    rows = np.repeat(np.arange(n), N + 1)
-    cols = np.empty((n, N + 1), dtype=np.int64)
-    vals = np.empty((n, N + 1))
-    cols[:, :N] = reset_states[None, :]
-    cols[:, N] = passive_next
-    vals[:, :N] = rho * states
-    vals[:, N] = 1.0 - rho
-    p_active = sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(n, n))
-    p_active.sum_duplicates()
-    p_active.eliminate_zeros()
-
-    for name, mat in (("passive", p_passive), ("active", p_active)):
-        row_sums = np.asarray(mat.sum(axis=1)).ravel()
-        if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
-            raise AssertionError(f"{name} transition rows do not sum to 1")
+    if np.max(np.abs(rho * states.sum(axis=1) + (1.0 - rho) - 1.0)) > ROW_SUM_TOL:
+        raise AssertionError("active transition rows do not sum to 1")
 
     return TruncatedBeliefMDP(
         bandit=bandit,
@@ -152,9 +125,29 @@ def build_truncated(bandit: BanditSpec, L: int, discount: float) -> TruncatedBel
         costs_passive=costs,
         passive_next=passive_next,
         reset_states=reset_states,
-        passive_transitions=p_passive,
-        active_transitions=p_active,
     )
+
+
+def transition_matrices(mdp: TruncatedBeliefMDP):
+    """(passive, active) n x n CSR transition matrices, built on request as a
+    reference; the solvers use passive_next, reset_states and states."""
+    import scipy.sparse as sp
+
+    n, N = mdp.states.shape
+    rho = mdp.bandit.success_prob
+    p_passive = sp.csr_matrix((np.ones(n), (np.arange(n), mdp.passive_next)), shape=(n, n))
+
+    rows = np.repeat(np.arange(n), N + 1)
+    cols = np.empty((n, N + 1), dtype=np.int64)
+    vals = np.empty((n, N + 1))
+    cols[:, :N] = mdp.reset_states[None, :]
+    cols[:, N] = mdp.passive_next
+    vals[:, :N] = rho * mdp.states
+    vals[:, N] = 1.0 - rho
+    p_active = sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(n, n))
+    p_active.sum_duplicates()
+    p_active.eliminate_zeros()
+    return p_passive, p_active
 
 
 def _max_gap_to_omega(powers: np.ndarray, omega: np.ndarray) -> float:

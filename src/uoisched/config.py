@@ -35,6 +35,8 @@ def _require_keys(section: dict, path: str, required: set, optional: set):
 def _as_number(value, path, lo=None, hi=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):  # json reads NaN and Infinity
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     if integer and int(value) != value:
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if lo is not None and value < lo:
@@ -141,6 +143,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             chi = np.asarray(b["initial_belief"], dtype=float)
             if chi.shape != (chain.n_states,):
                 raise ConfigError(f"{path}.initial_belief: expected {chain.n_states} entries")
+            if not np.all(np.isfinite(chi)):
+                raise ConfigError(f"{path}.initial_belief: entries must be finite")
             if np.any(chi < 0) or abs(chi.sum() - 1.0) > 1e-9:
                 raise ConfigError(f"{path}.initial_belief: not a probability vector")
             chi = chi / chi.sum()

@@ -90,13 +90,7 @@ def gain_index_general(transitions_active, transitions_passive, values, state: i
     expected active value.  Reduces to the belief-MDP formula on Eq.-style
     reset/propagate transitions."""
     values = np.asarray(values, dtype=float)
-
-    def _row(mat):
-        if hasattr(mat, "getrow"):
-            return np.asarray(mat.getrow(state).todense()).ravel()
-        return np.asarray(mat, dtype=float)[state]
-
-    return float(_row(transitions_passive) @ values - _row(transitions_active) @ values)
+    return float((transitions_passive @ values)[state] - (transitions_active @ values)[state])
 
 
 def or_decision(mdp: TruncatedBeliefMDP, values, state: int, lambda_star: float) -> bool:
@@ -129,35 +123,42 @@ def table_to_doc(table: GainIndexTable, config_hash: str | None = None) -> dict:
 
 
 def table_from_doc(doc: dict) -> GainIndexTable:
+    if not isinstance(doc, dict):
+        raise ConfigError("index table document must be a JSON object")
     allowed = {"schema_version", "bandit_label", "criterion", "lambda_star", "states", "config_hash"}
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown fields in index table document: {sorted(unknown)}")
     if doc.get("schema_version") != TABLE_SCHEMA_VERSION:
         raise ConfigError(f"unsupported index table schema_version: {doc.get('schema_version')!r}")
-    states = doc["states"]
-    labels = [(int(s["k"]), int(s["n"])) for s in states]
-    n_chain = max((k for k, _ in labels), default=0)
-    l_max = max((n for _, n in labels), default=0)
-    if n_chain < 1 or labels != state_labels(n_chain, l_max):
-        raise ConfigError(
-            f"index table states are not the (k, n) grid of N={n_chain}, L={l_max} in id order"
+    try:
+        states = doc["states"]
+        labels = [(int(s["k"]), int(s["n"])) for s in states]
+        n_chain = max((k for k, _ in labels), default=0)
+        l_max = max((n for _, n in labels), default=0)
+        if n_chain < 1 or labels != state_labels(n_chain, l_max):
+            raise ConfigError(
+                f"index table states are not the (k, n) grid of N={n_chain}, L={l_max} in id order"
+            )
+        if any(len(s["belief"]) != n_chain for s in states):
+            raise ConfigError(f"index table beliefs must each have length N={n_chain}")
+        indices = np.array([float(s["index"]) for s in states])
+        beliefs = np.array([s["belief"] for s in states], dtype=float)
+        if not (np.all(np.isfinite(indices)) and np.all(np.isfinite(beliefs))):
+            raise ConfigError("index table holds a non-finite index or belief")
+        return GainIndexTable(
+            bandit_label=doc["bandit_label"],
+            criterion=doc["criterion"],
+            lambda_star=float(doc["lambda_star"]),
+            indices=indices,
+            values=None,
+            beliefs=beliefs,
+            truncation_L=l_max,
         )
-    if any(len(s["belief"]) != n_chain for s in states):
-        raise ConfigError(f"index table beliefs must each have length N={n_chain}")
-    indices = np.array([float(s["index"]) for s in states])
-    beliefs = np.array([s["belief"] for s in states], dtype=float)
-    if not (np.all(np.isfinite(indices)) and np.all(np.isfinite(beliefs))):
-        raise ConfigError("index table holds a non-finite index or belief")
-    return GainIndexTable(
-        bandit_label=doc["bandit_label"],
-        criterion=doc["criterion"],
-        lambda_star=float(doc["lambda_star"]),
-        indices=indices,
-        values=None,
-        beliefs=beliefs,
-        truncation_L=l_max,
-    )
+    except KeyError as exc:
+        raise ConfigError(f"index table document lacks field {exc}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"index table document has a malformed field: {exc}") from exc
 
 
 def save_table(table: GainIndexTable, path, config_hash: str | None = None) -> None:
@@ -167,5 +168,9 @@ def save_table(table: GainIndexTable, path, config_hash: str | None = None) -> N
 
 
 def load_table(path) -> GainIndexTable:
+    """Read an index table file; a malformed one raises ConfigError naming the file."""
     with open(path) as fh:
-        return table_from_doc(json.load(fh))
+        try:
+            return table_from_doc(json.load(fh))
+        except ValueError as exc:  # ConfigError and json.JSONDecodeError among them
+            raise ConfigError(f"{path}: {exc}") from exc

@@ -182,19 +182,16 @@ def derivative_zero_tol(problem: LagrangeProblem) -> float:
     return 1e-9 * max(1.0, budget)
 
 
-def gradient_search(
-    problem: LagrangeProblem, warm_start: bool = True, deriv_tol: float | None = None
-) -> GradientTrace:
+def gradient_search(problem: LagrangeProblem, warm_start: bool = True) -> GradientTrace:
     """Run lam_{k+1} = max(lam_k + c/(k+1) * f'(lam_k), 0) from lam_0 = 0.
 
     Stops when f'(lam_k) * f'(lam_{k+1}) <= 0 and |lam_{k+1} - lam_k| <
     epsilon, returning lambda_star = min of the bracketing pair and, as
     `solution`, the batch solve made at that iterate; derivatives within
-    deriv_tol of zero count as zero in the sign test.  Each bandit's solve is
-    warm-started with the previous iterate's policy.
+    `derivative_zero_tol` of zero count as zero in the sign test.  Each
+    bandit's solve is warm-started with the previous iterate's policy.
     """
-    if deriv_tol is None:
-        deriv_tol = derivative_zero_tol(problem)
+    deriv_tol = derivative_zero_tol(problem)
 
     def snap(d):
         return 0.0 if abs(d) <= deriv_tol else d

@@ -107,9 +107,10 @@ def validate_chain(raw_matrix) -> ChainSpec:
     n = t.shape[0]
     if n < 2:
         raise NotStochastic("need at least 2 states")
-    if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
-        bad = np.argwhere((t < -1e-12) | (t > 1.0 + 1e-12))[0]
-        raise NotStochastic(f"entry {tuple(bad)} outside [0, 1]")
+    outside = ~((t >= -1e-12) & (t <= 1.0 + 1e-12))  # NaN fails both comparisons
+    if np.any(outside):
+        i, j = (int(v) for v in np.argwhere(outside)[0])
+        raise NotStochastic(f"entry ({i}, {j}) = {float(t[i, j])} outside [0, 1]")
     sums = t.sum(axis=0)
     off = np.abs(sums - 1.0)
     if np.any(off > COLUMN_SUM_SLACK):

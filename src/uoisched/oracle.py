@@ -44,9 +44,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
-from .belief_mdp import TruncatedBeliefMDP
+from .belief_mdp import TruncatedBeliefMDP, transition_matrices
 from .errors import NoConvergence, StateSpaceTooLarge
 
 DEFAULT_CAP = 2_000_000
@@ -70,14 +69,17 @@ class JointMDP:
         return int(sum(s * w for s, w in zip(per_bandit_states, self.strides)))
 
     @cached_property
-    def transitions(self) -> list[sp.csr_matrix]:
-        """Joint transition matrix of each action, as a sparse Kronecker product
-        of the per-bandit active/passive matrices; built on first use."""
+    def transitions(self) -> list:
+        """Joint CSR transition matrix of each action, as a sparse Kronecker
+        product of the per-bandit active/passive matrices; built on first use."""
+        import scipy.sparse as sp
+
+        per_bandit = [transition_matrices(mdp) for mdp in self.mdps]
         transitions = []
         for subset in self.actions:
             mat = None
-            for i, mdp in enumerate(self.mdps):
-                factor = mdp.active_transitions if i in subset else mdp.passive_transitions
+            for i, (passive, active) in enumerate(per_bandit):
+                factor = active if i in subset else passive
                 mat = factor if mat is None else sp.kron(mat, factor, format="csr")
             transitions.append(mat.tocsr())
         return transitions

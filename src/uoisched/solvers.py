@@ -338,6 +338,39 @@ def value_iteration_discounted(
     raise SolverError("value iteration failed to converge (should be impossible)")
 
 
+def _evaluate_charged(batch: BanditBatch, lam, actions, average: bool, counts=None):
+    """`_evaluate` under the costs (c + lam * a, a): values, then activations."""
+    costs = np.stack([batch.costs + lam * actions, actions], axis=1)
+    return _evaluate(batch, actions, costs, average, counts)
+
+
+def _policy_iteration(batch: BanditBatch, lam, actions, average: bool, max_rounds: int, counts=None):
+    """Howard policy iteration on every bandit of a batch at once, from the
+    flat policy `actions`.
+
+    Returns the last evaluated actions with their exact (values, gains) and
+    the (B,) mask of certified bandits: unichain at every round (always, when
+    discounted) and greedy with respect to their own values.  A bandit leaves
+    PI at its first multichain iterate; the others go on until each is
+    certified or max_rounds rounds have run.
+    """
+    starts = batch.offsets[:-1]
+    live = np.ones(batch.size, dtype=bool)
+    certified = np.zeros(batch.size, dtype=bool)
+    values = gains = None
+    for _ in range(max_rounds):
+        if counts is not None:
+            counts.pi_rounds += 1
+        values, gains, unichain = _evaluate_charged(batch, lam, actions, average, counts)
+        live &= unichain
+        improved = _greedy(*_q_values(batch, lam, values[:, 0], batch.discount))
+        certified = live & ~np.logical_or.reduceat(improved != actions, starts)
+        if np.array_equal(certified, live):
+            break
+        actions = improved  # a certified bandit's actions are unchanged
+    return actions, values, gains, certified
+
+
 def policy_iteration_batch(
     batch: BanditBatch, lam: float, init=None, max_iters: int = 1000, counts=None
 ) -> BatchSolution:
@@ -357,21 +390,14 @@ def policy_iteration_batch(
         actions = np.asarray(init, dtype=np.int8)
         if actions.shape[0] != n:
             raise ValueError("init policy length does not match state count")
-    for _ in range(max_iters):
-        if counts is not None:
-            counts.pi_rounds += 1
-        costs = np.stack([batch.costs + lam * actions, actions], axis=1)
-        values, _, _ = _evaluate(batch, actions, costs, average=False, counts=counts)
-        qa, qp = _q_values(batch, lam, values[:, 0], batch.discount)
-        new_actions = _greedy(qa, qp)
-        if np.array_equal(new_actions, actions):
-            B = batch.size
-            return BatchSolution(
-                batch, lam, DISCOUNTED, actions, values[:, 0], np.zeros(B),
-                values[batch.initial_ids, 1], np.zeros(B, dtype=bool),
-            )
-        actions = new_actions
-    raise NoConvergence("policy iteration cycled beyond max_iters")
+    actions, values, _, certified = _policy_iteration(batch, lam, actions, False, max_iters, counts)
+    if not certified.all():
+        raise NoConvergence("policy iteration cycled beyond max_iters")
+    B = batch.size
+    return BatchSolution(
+        batch, lam, DISCOUNTED, actions, values[:, 0], np.zeros(B),
+        values[batch.initial_ids, 1], np.zeros(B, dtype=bool),
+    )
 
 
 def policy_iteration_discounted(
@@ -440,33 +466,6 @@ def _relative_value_iteration(batch: BanditBatch, lam, w, tol, max_sweeps, todo=
     return qa, qp, sweeping
 
 
-def _average_policy_iteration(batch: BanditBatch, lam, z, counts=None):
-    """Howard policy iteration on every bandit of an average-cost batch,
-    from the policy greedy with respect to z.
-
-    Returns the last evaluated actions with their exact (values, gains) and
-    the (B,) mask of certified bandits: unichain at every round and greedy
-    with respect to their own values.  A bandit leaves PI at its first
-    multichain iterate; the others go on until each is certified or
-    _PI_ROUNDS rounds have run.
-    """
-    starts = batch.offsets[:-1]
-    actions = _greedy(*_q_values(batch, lam, z, 1.0))
-    live = np.ones(batch.size, dtype=bool)
-    for _ in range(_PI_ROUNDS):
-        if counts is not None:
-            counts.pi_rounds += 1
-        costs = np.stack([batch.costs + lam * actions, actions], axis=1)
-        values, gains, unichain = _evaluate(batch, actions, costs, average=True, counts=counts)
-        live &= unichain
-        improved = _greedy(*_q_values(batch, lam, values[:, 0], 1.0))
-        certified = live & ~np.logical_or.reduceat(improved != actions, starts)
-        if np.array_equal(certified, live):
-            break
-        actions = improved  # a certified bandit's actions are unchanged
-    return actions, values, gains, certified
-
-
 def solve_average_batch(
     batch: BanditBatch,
     lam: float,
@@ -489,14 +488,14 @@ def solve_average_batch(
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     w = np.zeros(batch.n_states) if init_z is None else np.asarray(init_z, dtype=float).copy()
-    actions, values, gains, certified = _average_policy_iteration(batch, lam, w, counts)
+    actions = _greedy(*_q_values(batch, lam, w, 1.0))
+    actions, values, gains, certified = _policy_iteration(batch, lam, actions, True, _PI_ROUNDS, counts)
     sweeping = np.zeros(batch.size, dtype=bool)
     unichain = np.ones(batch.size, dtype=bool)
     if not certified.all():
         qa, qp, sweeping = _relative_value_iteration(batch, lam, w, tol, max_sweeps, ~certified, counts)
         actions = np.where(certified[batch.bandit_of], actions, _greedy(qa, qp))
-        costs = np.stack([batch.costs + lam * actions, actions], axis=1)
-        values, gains, unichain = _evaluate(batch, actions, costs, average=True, counts=counts)
+        values, gains, unichain = _evaluate_charged(batch, lam, actions, True, counts)
     sol = BatchSolution(
         batch, lam, AVERAGE, actions, values[:, 0], gains[:, 0], gains[:, 1].copy(),
         np.zeros(batch.size, dtype=bool),

@@ -11,6 +11,7 @@ from .belief_mdp import (
     build_truncated,
     choose_truncation,
     discounted_error_bound,
+    nearest_state,
     truncation_diagnostics,
 )
 from .config import ExperimentConfig
@@ -45,7 +46,7 @@ def prepare(config: ExperimentConfig) -> PreparedInstance:
         mdp = build_truncated(bandit, L, config.discount)
         mdps.append(mdp)
         diags.append(diag)
-        init_ids.append(0 if chi is None else mdp.nearest_state(chi))
+        init_ids.append(0 if chi is None else nearest_state(mdp.states, chi))
     return PreparedInstance(config=config, mdps=mdps, diagnostics=diags, initial_states=init_ids)
 
 
@@ -94,9 +95,7 @@ def bound_report(prep: PreparedInstance, lam: float = 0.0) -> list[dict]:
     return rows
 
 
-def run_simulation(
-    prep: PreparedInstance, policy: str, tables=None, record_y: bool = False
-) -> SimResult:
+def run_simulation(prep: PreparedInstance, policy: str, tables=None) -> SimResult:
     cfg = prep.config
     return simulate(
         cfg.build_instance(),
@@ -107,14 +106,12 @@ def run_simulation(
         tables=tables,
         truncation_L=prep.l_per_bandit,
         burn_in=cfg.burn_in,
-        record_y=record_y,
     )
 
 
-def run_oracle(prep: PreparedInstance, tol: float = 1e-8, cap: int | None = None) -> OracleResult:
-    kwargs = {} if cap is None else {"cap": cap}
-    if prep.config.criterion == DISCOUNTED:
-        return joint_solve_discounted(
-            prep.mdps, prep.config.m, tol=tol, initial_states=prep.initial_states, **kwargs
-        )
-    return joint_solve_average(prep.mdps, prep.config.m, tol=max(tol, 1e-8), **kwargs)
+def run_oracle(prep: PreparedInstance) -> OracleResult:
+    """Exact joint optimum, solved to 1e-8 under either criterion."""
+    cfg = prep.config
+    if cfg.criterion == DISCOUNTED:
+        return joint_solve_discounted(prep.mdps, cfg.m, tol=1e-8, initial_states=prep.initial_states)
+    return joint_solve_average(prep.mdps, cfg.m, tol=1e-8)

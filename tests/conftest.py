@@ -3,8 +3,8 @@
 Chains are sampled with Dirichlet(1) columns and rejected until they pass
 validation with a second-eigenvalue bound, so auto-truncation depths stay
 small and mixing is fast enough for the certificate suites.  The reference
-helpers build the induced chain of a policy from the MDP's sparse matrices,
-independently of the structured solvers.
+helpers build the induced chain of a policy from the MDP's sparse matrices
+(`transition_matrices`), independently of the structured solvers.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from uoisched import BanditSpec, ChainError, ChainSpec, build_truncated, validate_chain
+from uoisched import BanditSpec, ChainError, ChainSpec, build_truncated, transition_matrices, validate_chain
 
 FIG1 = [[0.99, 0.3], [0.01, 0.7]]
 
@@ -53,7 +53,8 @@ def induced_transition(mdp, actions) -> sp.csr_matrix:
     actions = np.asarray(actions)
     d_act = sp.diags(actions.astype(float))
     d_pas = sp.diags(1.0 - actions.astype(float))
-    p = (d_act @ mdp.active_transitions + d_pas @ mdp.passive_transitions).tocsr()
+    passive, active = transition_matrices(mdp)
+    p = (d_act @ active + d_pas @ passive).tocsr()
     p.eliminate_zeros()
     return p
 

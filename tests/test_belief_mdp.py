@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +18,12 @@ from uoisched import (
     entropy,
     policy_iteration_discounted,
     solve_average,
+    transition_matrices,
     truncation_diagnostics,
     validate_chain,
 )
+import uoisched
+from uoisched.belief_mdp import nearest_state
 from uoisched.lagrange import gradient_search, make_problem
 
 from conftest import FIG1, random_bandit, random_chain
@@ -34,7 +42,7 @@ class TestBuildTruncated:
 
     def test_omega_passive_self_loop(self):
         mdp = build_truncated(fig1_bandit(), 6, 0.9)
-        row = mdp.passive_transitions.getrow(0).toarray().ravel()
+        row = transition_matrices(mdp)[0].getrow(0).toarray().ravel()
         assert row[0] == 1.0 and row.sum() == 1.0
 
     def test_active_from_reset_state_splits_by_belief(self):
@@ -42,7 +50,7 @@ class TestBuildTruncated:
         mdp = build_truncated(fig1_bandit(rho=1.0), 6, 0.9)
         sid = mdp.state_index(2, 1)
         assert np.allclose(mdp.states[sid], [0.3, 0.7])
-        row = mdp.active_transitions.getrow(sid).toarray().ravel()
+        row = transition_matrices(mdp)[1].getrow(sid).toarray().ravel()
         assert row[mdp.state_index(1, 1)] == pytest.approx(0.3, abs=1e-15)
         assert row[mdp.state_index(2, 1)] == pytest.approx(0.7, abs=1e-15)
         assert row.sum() == pytest.approx(1.0, abs=1e-15)
@@ -62,8 +70,9 @@ class TestBuildTruncated:
         rng = np.random.default_rng(11)
         bandit = random_bandit(rng, 3, "x", rho=1.0)
         mdp = build_truncated(bandit, 8, 0.9)
+        active = transition_matrices(mdp)[1]
         for s in range(mdp.n_states):
-            row = mdp.active_transitions.getrow(s)
+            row = active.getrow(s)
             support = set(row.indices)
             expected = {
                 int(mdp.reset_states[k])
@@ -74,9 +83,9 @@ class TestBuildTruncated:
 
     def test_nearest_state_mapping(self):
         mdp = build_truncated(fig1_bandit(), 6, 0.9)
-        assert mdp.nearest_state(mdp.states[0]) == 0
+        assert nearest_state(mdp.states, mdp.states[0]) == 0
         # the point mass on state 2 is closest to the age-1 belief T_2^1
-        assert mdp.nearest_state([0.0, 1.0]) == mdp.state_index(2, 1)
+        assert nearest_state(mdp.states, [0.0, 1.0]) == mdp.state_index(2, 1)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -91,9 +100,17 @@ def test_transition_rows_sum_to_one(seed, n, rho):
     rng = np.random.default_rng(seed)
     bandit = BanditSpec(random_chain(rng, n, max_eig2=1.0), rho, "h")
     mdp = build_truncated(bandit, int(rng.integers(1, 9)), 0.9)
-    for mat in (mdp.active_transitions, mdp.passive_transitions):
+    for mat in transition_matrices(mdp):
         sums = np.asarray(mat.sum(axis=1)).ravel()
         assert np.max(np.abs(sums - 1.0)) < 1e-12
+
+
+def test_import_loads_no_scipy():
+    # in a fresh interpreter: this test process has scipy loaded already
+    code = "import sys, uoisched; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(uoisched.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestChooseTruncation:

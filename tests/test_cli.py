@@ -84,6 +84,32 @@ class TestIndicesCommand:
         assert main(["indices", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "surprise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("simulation", "runs", float("inf")),
+            ("truncation", "L", float("inf")),
+            ("gradient", "c", float("nan")),
+            ("truncation", "eta_target", float("inf")),
+        ],
+    )
+    def test_non_finite_number_exits_2_and_names_it(self, tmp_path, capsys, section, field, value):
+        doc = dict(FAST_CONFIG)
+        doc[section] = dict(doc.get(section, {}), **{field: value})
+        if field == "eta_target":
+            doc[section]["mode"] = "auto"
+            del doc[section]["L"]
+        cfg = write_config(tmp_path, doc)  # json writes the literals NaN and Infinity
+        assert main(["indices", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"{section}.{field}" in capsys.readouterr().err
+
+    def test_non_finite_initial_belief_exits_2(self, tmp_path, capsys):
+        doc = dict(FAST_CONFIG)
+        doc["bandits"] = [dict(doc["bandits"][0], initial_belief=[float("nan")] * 2), doc["bandits"][1]]
+        cfg = write_config(tmp_path, doc)
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "bandits[0].initial_belief" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg, out = run_indices(tmp_path)
         snapshot = {p.name: p.read_bytes() for p in out.iterdir()}

@@ -22,6 +22,7 @@ from uoisched import (
     policy_iteration_discounted,
     save_table,
     solve_average,
+    transition_matrices,
     validate_chain,
 )
 from uoisched.config import load_config
@@ -134,10 +135,9 @@ class TestGeneralIndex:
         bandit = BanditSpec(validate_chain(FIG1), 0.7, "f")
         mdp = resolved_mdp(bandit, 0.9)
         table = gain_indices_discounted(mdp, 0.04)
+        passive, active = transition_matrices(mdp)
         for s in (0, 1, mdp.n_states - 1):
-            w = gain_index_general(
-                mdp.active_transitions, mdp.passive_transitions, table.values, s
-            )
+            w = gain_index_general(active, passive, table.values, s)
             assert w == pytest.approx(table.indices[s], abs=1e-12)
 
     def test_age_of_information_bandit_with_square_cost(self):
@@ -285,6 +285,27 @@ class TestSerialization:
         doc["states"][1]["belief"] = [1.0]
         with pytest.raises(ConfigError, match="length"):
             table_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "break_doc, message",
+        [
+            (lambda d: d.pop("states"), "lacks field 'states'"),
+            (lambda d: d.pop("bandit_label"), "lacks field 'bandit_label'"),
+            (lambda d: d.update(lambda_star=None), "malformed field"),
+            (lambda d: d["states"][2].pop("index"), "lacks field 'index'"),
+            (lambda d: d["states"][1].update(belief=0.5), "malformed field"),
+        ],
+        ids=["no_states", "no_label", "null_lambda", "no_index", "scalar_belief"],
+    )
+    def test_malformed_file_rejected_naming_it(self, tmp_path, break_doc, message):
+        bandit = BanditSpec(validate_chain(FIG1), 1.0, "fig1")
+        doc = table_to_doc(gain_indices_discounted(build_truncated(bandit, 4, 0.9), 0.05))
+        break_doc(doc)
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message) as info:
+            load_table(path)
+        assert str(path) in str(info.value)
 
     def test_json_is_deterministic(self, tmp_path):
         bandit = BanditSpec(validate_chain(FIG1), 1.0, "fig1")

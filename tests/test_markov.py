@@ -74,6 +74,10 @@ class TestValidateChain:
         with pytest.raises(NotStochastic, match="column 1"):
             validate_chain([[0.5, 0.3], [0.6, 0.7]])
 
+    def test_non_finite_entry_names_it(self):
+        with pytest.raises(NotStochastic, match=r"^entry \(0, 1\) = nan outside \[0, 1\]$"):
+            validate_chain([[0.5, float("nan")], [0.5, 0.5]])
+
     def test_two_cycle_is_periodic(self):
         with pytest.raises(Periodic, match="period 2"):
             validate_chain([[0.0, 1.0], [1.0, 0.0]])

@@ -28,6 +28,7 @@ from uoisched import (
     validate_chain,
 )
 
+from uoisched.belief_mdp import nearest_state, state_labels
 from uoisched.simulate import POLICIES
 
 from conftest import FIG1, random_bandit
@@ -186,7 +187,8 @@ def reference_simulate(inst, policy, tables, horizon, runs, seed, burn_in=0):
         sym = []
         for i, mdp in enumerate(mdps):
             chi = inst.initial_beliefs[i] if inst.initial_beliefs is not None else None
-            sym.append(mdp.state_labels()[0 if chi is None else mdp.nearest_state(chi)])
+            labels = state_labels(mdp.bandit.chain.n_states, mdp.truncation_L)
+            sym.append(labels[0 if chi is None else nearest_state(mdp.states, chi)])
         ids = lambda: [mdp.state_index(k, n) for mdp, (k, n) in zip(mdps, sym)]  # noqa: E731
         x = [draw_from(mdps[i].states[ids()[i]], draw()) for i in range(M)]
         total, beta_pow = 0.0, 1.0

@@ -15,6 +15,7 @@ from uoisched import (
     policy_evaluation_discounted,
     policy_iteration_discounted,
     solve_average,
+    transition_matrices,
     validate_chain,
     value_iteration_discounted,
 )
@@ -80,8 +81,9 @@ class TestValueIteration:
         tol = 1e-7
         pol = value_iteration_discounted(mdp, 0.05, tol=tol)
         beta = mdp.discount
-        qa = mdp.costs_passive + 0.05 + beta * (mdp.active_transitions @ pol.values)
-        qp = mdp.costs_passive + beta * (mdp.passive_transitions @ pol.values)
+        passive, active = transition_matrices(mdp)
+        qa = mdp.costs_passive + 0.05 + beta * (active @ pol.values)
+        qp = mdp.costs_passive + beta * (passive @ pol.values)
         residual = np.max(np.abs(np.minimum(qa, qp) - pol.values))
         assert residual <= tol * (1 - beta) / (2 * beta)
 
@@ -178,8 +180,9 @@ class TestSolveAverage:
     def test_bellman_residual_span(self):
         mdp = fig1_mdp(beta=1.0)
         sol = solve_average(mdp, 0.08, tol=1e-10)
-        qa = mdp.costs_passive + 0.08 + (mdp.active_transitions @ sol.values)
-        qp = mdp.costs_passive + (mdp.passive_transitions @ sol.values)
+        passive, active = transition_matrices(mdp)
+        qa = mdp.costs_passive + 0.08 + (active @ sol.values)
+        qp = mdp.costs_passive + (passive @ sol.values)
         d = np.minimum(qa, qp) - sol.values - sol.gain
         assert d.max() - d.min() <= 1e-8
 
