@@ -23,7 +23,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     IndexOutOfRange,
-    InfeasiblePolicy,
     MaxItersExceeded,
     MultichainPolicy,
     NoConvergence,
@@ -71,8 +70,6 @@ from .simulate import (
     SimResult,
     asymptotic_sweep,
     discounted_horizon,
-    evaluate_average,
-    evaluate_discounted,
     simulate,
 )
 from .solvers import (

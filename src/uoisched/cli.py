@@ -15,14 +15,13 @@ from pathlib import Path
 from .config import CONFIG_SCHEMA_VERSION, load_config
 from .errors import (
     ConfigError,
-    InfeasiblePolicy,
     SolverError,
     StateSpaceTooLarge,
     TruncationTooDeep,
     UoiSchedError,
 )
 from .index_policy import load_table, table_to_doc
-from .simulate import asymptotic_sweep
+from .simulate import POLICIES, asymptotic_sweep
 from .solvers import AVERAGE, DISCOUNTED
 from .workflows import bound_report, compute_index_tables, prepare, run_oracle, run_simulation
 
@@ -223,26 +222,23 @@ def cmd_asymptotic(args) -> int:
     prep = prepare(config)
     q = 1.0 / len(config.bandits)
     classes = [(b, q) for b in config.bandits]
-    try:
-        sweep = asymptotic_sweep(
-            classes,
-            alpha=args.alpha,
-            m_list=m_list,
-            runs=config.runs,
-            seed=config.seed,
-            criterion=config.criterion,
-            discount=config.discount,
-            truncation_L=prep.l_per_bandit,
-            horizon=config.horizon if config.criterion == AVERAGE else None,
-            burn_in=config.burn_in,
-            gradient_opts={
-                "stepsize_c": config.gradient_c,
-                "epsilon": config.gradient_epsilon,
-                "max_iters": config.gradient_max_iters,
-            },
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    sweep = asymptotic_sweep(
+        classes,
+        alpha=args.alpha,
+        m_list=m_list,
+        runs=config.runs,
+        seed=config.seed,
+        criterion=config.criterion,
+        discount=config.discount,
+        truncation_L=prep.l_per_bandit,
+        horizon=config.horizon if config.criterion == AVERAGE else None,
+        burn_in=config.burn_in,
+        gradient_opts={
+            "stepsize_c": config.gradient_c,
+            "epsilon": config.gradient_epsilon,
+            "max_iters": config.gradient_max_iters,
+        },
+    )
     _write_json(out / "asymptotic.json", {"sweep": sweep.to_json_dict()}, h)
     _write_csv(
         out / "asymptotic.csv",
@@ -299,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a scheduling policy")
     add_common(p)
-    p.add_argument("--policy", required=True, choices=["gain_index", "myopic", "round_robin"])
+    p.add_argument("--policy", required=True, choices=POLICIES)
     p.add_argument(
         "--tables", nargs="*", default=[],
         help="index table files from `indices` on this config, one per bandit (gain_index)",
@@ -332,7 +328,7 @@ def main(argv=None) -> int:
     except (StateSpaceTooLarge, TruncationTooDeep) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (SolverError, InfeasiblePolicy) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ConfigError, ValueError) as exc:

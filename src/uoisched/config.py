@@ -23,7 +23,9 @@ from .solvers import AVERAGE, DISCOUNTED
 CONFIG_SCHEMA_VERSION = 1
 
 
-def _require_keys(section: dict, path: str, required: set, optional: set):
+def _require_keys(section, path: str, required: set, optional: set):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected an object")
     unknown = set(section) - required - optional
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
@@ -86,8 +88,6 @@ class ExperimentConfig:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
     _require_keys(
         doc,
         "config",
@@ -98,8 +98,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"schema_version: unsupported value {doc['schema_version']!r}")
 
     crit = doc["criterion"]
-    if not isinstance(crit, dict):
-        raise ConfigError("criterion: expected an object")
     _require_keys(crit, "criterion", required={"type"}, optional={"beta"})
     ctype = crit["type"]
     if ctype == DISCOUNTED:
@@ -122,8 +120,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     labels = set()
     for i, b in enumerate(raw_bandits):
         path = f"bandits[{i}]"
-        if not isinstance(b, dict):
-            raise ConfigError(f"{path}: expected an object")
         _require_keys(b, path, required={"label", "transition", "rho"}, optional={"initial_belief"})
         label = b["label"]
         if not isinstance(label, str) or not label:

@@ -53,10 +53,6 @@ class MaxItersExceeded(SolverError):
         self.trace = trace
 
 
-class InfeasiblePolicy(UoiSchedError, RuntimeError):
-    """A scheduling policy selected a number of bandits different from m."""
-
-
 class StateSpaceTooLarge(UoiSchedError, RuntimeError):
     """Joint MDP exceeds the configured state-action cap."""
 

@@ -16,12 +16,11 @@ under the same seed see identical source paths (common random numbers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .belief_mdp import BanditSpec, build_truncated, nearest_state, truncated_grid
-from .errors import InfeasiblePolicy
 from .index_policy import gain_index_tables
 from .lagrange import gradient_search, make_problem
 from .rng import RunStreams
@@ -79,12 +78,11 @@ class SimResult:
     mean: float
     stderr: float
     activation_freq: np.ndarray
-    y_trace: np.ndarray | None = field(default=None)
     or_mask_trace: np.ndarray | None = field(default=None)   # run 0, (T, M) OR decisions
     selection_trace: np.ndarray | None = field(default=None)  # run 0, (T, m) selected bandits
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "schema_version": RESULT_SCHEMA_VERSION,
             "policy": self.policy,
             "criterion": self.criterion,
@@ -100,9 +98,6 @@ class SimResult:
             "per_run": [float(v) for v in self.per_run],
             "activation_freq": [float(v) for v in self.activation_freq],
         }
-        if self.y_trace is not None:
-            doc["y_trace"] = [int(v) for v in self.y_trace]
-        return doc
 
 
 def discounted_horizon(beta: float, total_entropy_bound: float, tail: float = 1e-6) -> int:
@@ -115,30 +110,17 @@ def discounted_horizon(beta: float, total_entropy_bound: float, tail: float = 1e
     return max(1, int(math.ceil(t)))
 
 
-def evaluate_discounted(cost_trace, beta: float) -> float:
-    """Sum of beta^(t-1) * c_t over a per-slot cost trace."""
-    c = np.asarray(cost_trace, dtype=float)
-    weights = beta ** np.arange(c.shape[-1])
-    return float(c @ weights)
-
-
-def evaluate_average(cost_trace, burn_in: int = 0) -> float:
-    """Mean per-slot cost after discarding the first burn_in slots."""
-    c = np.asarray(cost_trace, dtype=float)
-    if burn_in >= c.shape[-1]:
-        raise ValueError("burn_in must leave at least one slot")
-    return float(c[..., burn_in:].mean())
-
-
-def _check_tables(instance: RMABInstance, tables, grids) -> None:
+def _check_tables(instance: RMABInstance, tables, l_per_bandit, grids) -> None:
     lam = tables[0].lambda_star
-    for bandit, table, (states, _, _, _) in zip(instance.bandits, tables, grids):
+    for bandit, table, L, (states, _, _, _) in zip(instance.bandits, tables, l_per_bandit, grids):
         if table.bandit_label != bandit.label:
             raise ValueError(f"table label {table.bandit_label!r} does not match bandit {bandit.label!r}")
         if table.criterion != instance.criterion:
             raise ValueError(f"table criterion {table.criterion!r} does not match instance")
         if abs(table.lambda_star - lam) > 1e-9:
             raise ValueError("index tables were computed at different multipliers")
+        if table.truncation_L != L:
+            raise ValueError(f"index table for {bandit.label!r} has truncation depth {table.truncation_L}, not {L}")
         if (
             table.beliefs.shape != states.shape
             or table.indices.shape != states.shape[:1]
@@ -177,7 +159,7 @@ def _selection_keys(scores: np.ndarray, bandit_of_state: np.ndarray, label_rank:
 
 def simulate(
     instance: RMABInstance,
-    policy,
+    policy: str,
     horizon: int,
     runs: int,
     seed: int | None = None,
@@ -188,17 +170,14 @@ def simulate(
 ) -> SimResult:
     """Simulate a scheduling policy and return per-run objective estimates.
 
-    `policy` is one of POLICIES, or a callable (t, belief_ids, instance) ->
-    (runs, m) array of selected bandit columns (InfeasiblePolicy if it picks
-    a wrong number of distinct bandits); `belief_ids` is (runs, M) of
-    per-bandit state ids in the layout of `belief_mdp`.  `tables` are
-    required for gain_index and must match each bandit's chain; otherwise
-    `truncation_L` (int or per-bandit list) sets the belief truncation.  Cost
-    H(X_i(t)) accrues at the start of slot t with weight beta^(t-1)
-    (discounted) or enters the post-burn-in time average.  `record_y` (with
-    tables) logs the first run's OR decisions beta*W >= lambda* per slot,
-    their count and the selected bandits.  Identical seeds yield identical
-    traces.
+    `policy` is one of POLICIES.  `tables` are required for gain_index and
+    must match each bandit's chain, and `truncation_L` (int or per-bandit
+    list) too when both are given; without tables `truncation_L` sets the
+    belief truncation.  Cost H(X_i(t)) accrues at the start of slot t with
+    weight beta^(t-1) (discounted) or enters the post-burn-in time average.
+    `record_y` (with tables) logs the first run's OR decisions
+    beta*W >= lambda* per slot and the selected bandits.  Identical seeds
+    yield identical traces.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -208,18 +187,17 @@ def simulate(
     m = instance.m
     seed = instance.seed if seed is None else int(seed)
     beta = instance.discount
-    named = isinstance(policy, str)
-    if named and policy not in POLICIES:
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
-    if tables is not None:
-        if len(tables) != M:
-            raise ValueError(f"expected {M} tables, got {len(tables)}")
-        l_per_bandit = [t.truncation_L for t in tables]
-    elif named and policy == "gain_index":
+    if tables is not None and len(tables) != M:
+        raise ValueError(f"expected {M} tables, got {len(tables)}")
+    if tables is None and policy == "gain_index":
         raise ValueError("this policy requires one index table per bandit")
-    elif truncation_L is None:
-        raise ValueError("truncation_L is required when no index tables are given")
+    if truncation_L is None:
+        if tables is None:
+            raise ValueError("truncation_L is required when no index tables are given")
+        l_per_bandit = [t.truncation_L for t in tables]
     elif np.isscalar(truncation_L):
         l_per_bandit = [int(truncation_L)] * M
     else:
@@ -228,7 +206,7 @@ def simulate(
         raise ValueError(f"expected {M} truncation depths, got {len(l_per_bandit)}")
     grids = [truncated_grid(b, L) for b, L in zip(instance.bandits, l_per_bandit)]
     if tables is not None:
-        _check_tables(instance, tables, grids)
+        _check_tables(instance, tables, l_per_bandit, grids)
 
     if instance.criterion == AVERAGE:
         burn = int(0.1 * horizon) if burn_in is None else int(burn_in)
@@ -258,7 +236,7 @@ def simulate(
         rr_masks = np.zeros((cycle, M, 1), dtype=bool)
         for c in range(cycle):
             rr_masks[c, (np.arange(m) + c * m) % M] = True
-    elif named:
+    else:
         label_rank = np.argsort(np.argsort(np.array([b.label for b in instance.bandits])))
         keys = _selection_keys(
             index if policy == "gain_index" else entropy, np.repeat(np.arange(M), n_states), label_rank
@@ -281,10 +259,8 @@ def simulate(
     served = np.zeros((M, runs), dtype=np.int64)
     beta_pow = 1.0
     record_traces = record_y and tables is not None
-    y_trace = np.zeros(horizon, dtype=np.int64) if record_traces else None
     or_mask_trace = np.zeros((horizon, M), dtype=bool) if record_traces else None
     selection_trace = np.zeros((horizon, m), dtype=np.int64) if record_traces else None
-    lanes = np.arange(runs)
     block = max(1, min(horizon, _BLOCK_DOUBLES // (2 * M * runs)))
 
     for first in range(0, horizon, block):
@@ -298,19 +274,7 @@ def simulate(
         for j in range(n):
             t = first + j + 1
             entropy.take(belief, out=h[j])
-            if not named:
-                sel_cols = np.asarray(policy(t, (belief - offset).T, instance))
-                if sel_cols.shape != (runs, m):
-                    raise InfeasiblePolicy(f"policy returned shape {sel_cols.shape}, expected {(runs, m)}")
-                check = np.zeros((runs, M), dtype=bool)
-                try:
-                    check[lanes[:, None], sel_cols] = True
-                except IndexError as exc:
-                    raise InfeasiblePolicy(f"policy selected an invalid bandit: {exc}") from exc
-                if not np.all(check.sum(axis=1) == m):
-                    raise InfeasiblePolicy("policy selected a repeated or invalid bandit")
-                chosen[j] = check.T
-            elif policy == "round_robin":
+            if policy == "round_robin":
                 chosen[j] = rr_masks[(t - 1) % cycle]
             else:
                 k = keys.take(belief)
@@ -320,7 +284,6 @@ def simulate(
 
             if record_traces:
                 or_mask_trace[t - 1] = or_scale * index[belief[:, 0]] >= lam_star - 1e-12
-                y_trace[t - 1] = int(or_mask_trace[t - 1].sum())
                 selection_trace[t - 1] = np.flatnonzero(sel_mask[:, 0])
 
             observed = true_state
@@ -352,7 +315,7 @@ def simulate(
     mean = float(per_run.mean())
     stderr = float(per_run.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
     return SimResult(
-        policy=policy if named else getattr(policy, "__name__", "custom"),
+        policy=policy,
         criterion=instance.criterion,
         m=m,
         n_bandits=M,
@@ -365,7 +328,6 @@ def simulate(
         mean=mean,
         stderr=stderr,
         activation_freq=served.sum(axis=1) / (runs * horizon),
-        y_trace=y_trace,
         or_mask_trace=or_mask_trace,
         selection_trace=selection_trace,
     )
@@ -394,28 +356,7 @@ class AsymptoticSweep:
     rows: list[SweepRow]
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "alpha": self.alpha,
-            "proportions": self.proportions,
-            "criterion": self.criterion,
-            "discount": self.discount,
-            "lambda_star": self.lambda_star,
-            "m_list": self.m_list,
-            "rows": [
-                {
-                    "n_bandits": r.n_bandits,
-                    "m": r.m,
-                    "class_counts": r.class_counts,
-                    "rounding_residues": r.rounding_residues,
-                    "per_bandit_cost": r.per_bandit_cost,
-                    "per_bandit_stderr": r.per_bandit_stderr,
-                    "per_bandit_bound": r.per_bandit_bound,
-                    "gap": r.gap,
-                }
-                for r in self.rows
-            ],
-        }
+        return {"schema_version": RESULT_SCHEMA_VERSION, **asdict(self)}
 
 
 def _class_counts(proportions, m_int, alpha) -> tuple[int, list[int], list[float]]:

@@ -103,6 +103,17 @@ class TestIndicesCommand:
         assert main(["indices", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"{section}.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["criterion", "bandits[0]", "truncation", "gradient", "simulation"])
+    def test_section_that_is_not_an_object_exits_2_and_names_it(self, tmp_path, capsys, section):
+        doc = json.loads(json.dumps(FAST_CONFIG))
+        if section == "bandits[0]":
+            doc["bandits"][0] = 5
+        else:
+            doc[section] = 5
+        cfg = write_config(tmp_path, doc)
+        assert main(["bound", "--config", cfg]) == 2
+        assert f"{section}: expected an object" in capsys.readouterr().err
+
     def test_non_finite_initial_belief_exits_2(self, tmp_path, capsys):
         doc = dict(FAST_CONFIG)
         doc["bandits"] = [dict(doc["bandits"][0], initial_belief=[float("nan")] * 2), doc["bandits"][1]]
@@ -174,6 +185,19 @@ class TestSimulateCommand:
              "--tables", str(out / "indices_src-a.json"), str(out / "indices_src-b.json")]
         )
         assert code == 2
+
+    def test_tables_from_another_truncation_depth_exit_2(self, tmp_path, capsys):
+        # same chains, tables computed at L = 5 for a config truncated at L = 12
+        _, out = run_indices(tmp_path, doc=dict(FAST_CONFIG, truncation={"mode": "fixed", "L": 5}))
+        cfg = write_config(tmp_path, FAST_CONFIG, name="deeper.json")
+        code = main(
+            ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--policy", "gain_index",
+             "--tables", str(out / "indices_src-a.json"), str(out / "indices_src-b.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'src-a'" in err and "truncation depth 5" in err
+        assert not (tmp_path / "o" / "sim_gain_index.json").exists()
 
     def test_seed_override_recorded(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)

@@ -11,14 +11,11 @@ from hypothesis import strategies as st
 from uoisched import (
     BanditSpec,
     ChainSpec,
-    InfeasiblePolicy,
     RMABInstance,
     asymptotic_sweep,
     build_truncated,
     choose_truncation,
     discounted_horizon,
-    evaluate_average,
-    evaluate_discounted,
     gain_indices_average,
     gain_indices_discounted,
     gradient_search,
@@ -63,21 +60,7 @@ def fig1_tables(criterion, beta, rho=1.0):
     return [maker(m, lam) for m in mdps], mdps, lam
 
 
-class TestEvaluate:
-    def test_zero_costs(self):
-        assert evaluate_discounted(np.zeros(100), 0.9) == 0.0
-        assert evaluate_average(np.zeros(100)) == 0.0
-
-    def test_constant_cost_geometric_sum(self):
-        c, beta, T = 0.7, 0.9, 300
-        expected = c * (1 - beta ** T) / (1 - beta)
-        assert evaluate_discounted(np.full(T, c), beta) == pytest.approx(expected, rel=1e-12)
-        assert evaluate_average(np.full(T, c), burn_in=30) == pytest.approx(c, rel=1e-12)
-
-    def test_average_requires_post_burn_in_slot(self):
-        with pytest.raises(ValueError):
-            evaluate_average(np.ones(5), burn_in=5)
-
+class TestDiscountedHorizon:
     def test_horizon_tail_rule(self):
         T = discounted_horizon(0.9, 2.0, tail=1e-6)
         assert 0.9 ** T * 2.0 / 0.1 < 1e-6
@@ -107,15 +90,6 @@ class TestSimulateBasics:
         assert np.allclose(res.activation_freq, 2 / 5, atol=1e-12)
         assert res.activation_freq.sum() == pytest.approx(inst.m, abs=1e-12)
 
-    def test_infeasible_policy_rejected(self):
-        inst = fig1_instance("average", 1.0)
-
-        def bad_policy(t, beliefs, instance):
-            return np.zeros((beliefs.shape[0], 2), dtype=int)  # same bandit twice
-
-        with pytest.raises(InfeasiblePolicy):
-            simulate(inst, bad_policy, horizon=10, runs=2, truncation_L=4)
-
     def test_gain_index_requires_tables(self):
         inst = fig1_instance("average", 1.0)
         with pytest.raises(ValueError):
@@ -137,10 +111,20 @@ class TestSimulateBasics:
         with pytest.raises(ValueError, match="'b'"):
             simulate(inst, "gain_index", horizon=10, runs=2, tables=tables)
 
-    def test_unknown_policy_rejected(self):
+    def test_tables_from_another_truncation_depth_rejected(self):
+        tables, mdps, _ = fig1_tables("average", 1.0)
         inst = fig1_instance("average", 1.0)
-        with pytest.raises(ValueError):
-            simulate(inst, "nonsense", horizon=10, runs=2, truncation_L=4)
+        depths = [mdp.truncation_L for mdp in mdps]
+        simulate(inst, "gain_index", horizon=10, runs=2, tables=tables, truncation_L=depths)
+        with pytest.raises(ValueError, match="'b'.*truncation depth"):
+            simulate(inst, "gain_index", horizon=10, runs=2, tables=tables, truncation_L=[depths[0], 5])
+
+    def test_unknown_policy_rejected(self):
+        # a callable is not a policy: the simulator runs the names in POLICIES only
+        inst = fig1_instance("average", 1.0)
+        for policy in ("nonsense", lambda t, beliefs, instance: beliefs[:, :1]):
+            with pytest.raises(ValueError, match="unknown policy"):
+                simulate(inst, policy, horizon=10, runs=2, truncation_L=4)
 
 
 class TestDeterminism:
@@ -180,7 +164,7 @@ def reference_simulate(inst, policy, tables, horizon, runs, seed, burn_in=0):
         return min(k, len(probs) - 1)
 
     per_run, counts = [], [0] * M
-    y_trace, or_trace, sel_trace = [], [], []
+    or_count, or_trace, sel_trace = [], [], []
     for r in range(runs):
         bits = np.random.Philox(np.random.SeedSequence(seed).spawn(runs)[r])
         draw = lambda: (int(bits.random_raw()) >> 11) * 2.0 ** -53  # noqa: E731
@@ -215,7 +199,7 @@ def reference_simulate(inst, policy, tables, horizon, runs, seed, burn_in=0):
             if r == 0:
                 mask = [scale * float(tables[i].indices[sid[i]]) >= lam - 1e-12 for i in range(M)]
                 or_trace.append(mask)
-                y_trace.append(sum(mask))
+                or_count.append(sum(mask))
                 sel_trace.append(sorted(chosen))
             success = [draw() < inst.bandits[i].success_prob and i in chosen for i in range(M)]
             for i in range(M):
@@ -230,7 +214,7 @@ def reference_simulate(inst, policy, tables, horizon, runs, seed, burn_in=0):
                     sym[i] = (k, n + 1)
         per_run.append(total if inst.criterion == "discounted" else total / (horizon - burn_in))
     freq = [c / (runs * horizon) for c in counts]
-    return per_run, freq, y_trace, or_trace, sel_trace
+    return per_run, freq, or_count, or_trace, sel_trace
 
 
 @functools.cache
@@ -274,7 +258,7 @@ class TestReferenceSimulator:
             per_run, freq, y, or_mask, sel = reference_simulate(inst, policy, tables, horizon, runs, seed, burn)
             assert res.per_run.tolist() == per_run, policy
             assert res.activation_freq.tolist() == freq, policy
-            assert res.y_trace.tolist() == y, policy
+            assert res.or_mask_trace.sum(axis=1).tolist() == y, policy
             assert res.or_mask_trace.tolist() == or_mask, policy
             assert res.selection_trace.tolist() == sel, policy
 
@@ -283,7 +267,6 @@ def outputs(res):
     return (
         res.per_run.tolist(),
         res.activation_freq.tolist(),
-        res.y_trace.tolist(),
         res.or_mask_trace.tolist(),
         res.selection_trace.tolist(),
     )
@@ -420,9 +403,9 @@ class TestYTrace:
         tables, _, _ = fig1_tables("average", 1.0)
         inst = fig1_instance("average", 1.0, seed=12)
         res = simulate(inst, "gain_index", horizon=600, runs=3, tables=tables, record_y=True)
-        assert res.y_trace is not None and len(res.y_trace) == 600
-        assert res.y_trace.min() >= 0 and res.y_trace.max() <= 2
-        assert np.array_equal(res.or_mask_trace.sum(axis=1), res.y_trace)
+        assert res.or_mask_trace is not None and res.or_mask_trace.shape == (600, inst.n_bandits)
+        y = res.or_mask_trace.sum(axis=1)
+        assert y.min() >= 0 and y.max() <= 2
 
     def test_top_m_matches_or_set_when_budget_met(self):
         # on every logged slot where the OR rule activates exactly m bandits,
@@ -430,7 +413,7 @@ class TestYTrace:
         tables, _, _ = fig1_tables("average", 1.0)
         inst = fig1_instance("average", 1.0, seed=13)
         res = simulate(inst, "gain_index", horizon=2000, runs=2, tables=tables, record_y=True)
-        hits = np.flatnonzero(res.y_trace == inst.m)
+        hits = np.flatnonzero(res.or_mask_trace.sum(axis=1) == inst.m)
         assert len(hits) > 50  # the instance visits the exact-budget slots often
         for t in hits:
             or_set = set(np.flatnonzero(res.or_mask_trace[t]))
@@ -455,7 +438,7 @@ class TestYTrace:
             )
         inst = RMABInstance(bandits, m, "average", 1.0, seed=55)
         res = simulate(inst, "gain_index", horizon=3000, runs=2, tables=tables, record_y=True)
-        y = res.y_trace[300:] / M
+        y = res.or_mask_trace[300:].sum(axis=1) / M
         assert y.std() <= 1.1 / np.sqrt(4 * M)
 
 
