@@ -90,6 +90,7 @@ def cmd_indices(args) -> int:
             "fallbacks": result.trace.fallbacks,
             "pi_rounds": result.trace.pi_rounds,
             "rvi_sweeps": result.trace.rvi_sweeps,
+            "solves_skipped": result.trace.solves_skipped,
         },
         h,
     )

@@ -28,6 +28,7 @@ from .solvers import (
     PolicyAndValues,
     SolveCounts,
     average_policy_evaluation,
+    greedy_interval,
     policy_evaluation_discounted,
     policy_iteration_batch,
     solve_average_batch,
@@ -106,12 +107,13 @@ def make_problem(
 class GradientTrace:
     iterates: list[tuple[float, float]]          # (lam_k, derivative at lam_k)
     lambda_star: float | None
-    stop_reason: str                             # 'converged' | 'max_iters'
+    stop_reason: str                             # 'converged' | 'bisection' | 'max_iters'
     bracket: tuple[float, float] | None = field(default=None)
     policy_evaluations: int = 0                  # exact single-bandit policy evaluations
     fallbacks: int = 0                           # solver fallbacks (see SolveCounts)
     pi_rounds: int = 0                           # batched policy-iteration rounds
     rvi_sweeps: int = 0                          # batched relative value iteration sweeps
+    solves_skipped: int = 0                      # iterates inside a known greedy interval
     # the search's own solve of every distinct bandit at lambda_star
     solution: BatchSolution | None = field(default=None, repr=False, compare=False)
 
@@ -190,6 +192,14 @@ def gradient_search(problem: LagrangeProblem, warm_start: bool = True) -> Gradie
     `solution`, the batch solve made at that iterate; derivatives within
     `derivative_zero_tol` of zero count as zero in the sign test.  Each
     bandit's solve is warm-started with the previous iterate's policy.
+
+    f' changes only where some bandit's optimal policy does, so each solve
+    also yields the interval of charges on which its policies stay greedy
+    (`greedy_interval`); an iterate inside a known interval reuses that
+    derivative, bit for bit, without a solve.  If max_iters iterations end
+    without the stop but the trace holds f' > 0 below f' < 0, the search
+    bisects between them down to a bracket narrower than epsilon
+    (stop_reason 'bisection').
     """
     deriv_tol = derivative_zero_tol(problem)
 
@@ -198,31 +208,69 @@ def gradient_search(problem: LagrangeProblem, warm_start: bool = True) -> Gradie
 
     warm = {} if warm_start else None
     counts = SolveCounts()
+    known = []  # (lo, hi, actions, derivative) of each solved policy's greedy interval
+    skipped = 0
+
+    def derivative_at(lam):
+        """f'(lam) and the solve at lam, or None in place of a skipped solve."""
+        nonlocal skipped
+        for lo, hi, actions, deriv in known:
+            if lo <= lam <= hi:
+                skipped += 1
+                if warm is not None and problem.criterion == DISCOUNTED:
+                    warm[DISCOUNTED] = actions  # what the solve would have left
+                return deriv, None
+        sol = _solve_all(problem, lam, warm, counts)
+        deriv = _derivative(problem, sol)
+        interval = greedy_interval(sol)
+        if interval is not None:
+            known.append((*interval, sol.actions, deriv))
+        return deriv, sol
+
+    def finish(lam_star, solution, stop_reason, bracket):
+        if solution is None:
+            solution = _solve_all(problem, lam_star, warm, counts)
+        return GradientTrace(
+            iterates=iterates,
+            lambda_star=lam_star,
+            stop_reason=stop_reason,
+            bracket=bracket,
+            solves_skipped=skipped,
+            solution=solution,
+            **asdict(counts),
+        )
+
     lam = 0.0
-    sol = _solve_all(problem, lam, warm, counts)
-    deriv = _derivative(problem, sol)
+    deriv, sol = derivative_at(lam)
     iterates = [(lam, deriv)]
     for k in range(problem.max_iters):
         step = problem.stepsize_c / (k + 1) * deriv
         lam_next = max(lam + step, 0.0)
-        sol_next = _solve_all(problem, lam_next, warm, counts)
-        deriv_next = _derivative(problem, sol_next)
+        deriv_next, sol_next = derivative_at(lam_next)
         iterates.append((lam_next, deriv_next))
         if snap(deriv) * snap(deriv_next) <= 0.0 and abs(lam_next - lam) < problem.epsilon:
             lam_star, solution = (lam, sol) if lam <= lam_next else (lam_next, sol_next)
-            return GradientTrace(
-                iterates=iterates,
-                lambda_star=lam_star,
-                stop_reason="converged",
-                bracket=(min(lam, lam_next), max(lam, lam_next)),
-                solution=solution,
-                **asdict(counts),
-            )
+            return finish(lam_star, solution, "converged", (min(lam, lam_next), max(lam, lam_next)))
         lam, deriv, sol = lam_next, deriv_next, sol_next
+
+    above = [x for x, d in iterates if snap(d) > 0.0]
+    below = [x for x, d in iterates if snap(d) < 0.0]
+    if above and below:
+        lo, hi, sol = max(above), min(below), None
+        while hi - lo >= problem.epsilon:
+            mid = 0.5 * (lo + hi)
+            d, sol_mid = derivative_at(mid)
+            iterates.append((mid, d))
+            if snap(d) > 0.0:
+                lo, sol = mid, sol_mid
+            else:
+                hi = mid
+        return finish(lo, sol, "bisection", (lo, hi))
     trace = GradientTrace(
         iterates=iterates,
         lambda_star=None,
         stop_reason="max_iters",
+        solves_skipped=skipped,
         **asdict(counts),
     )
     raise MaxItersExceeded(

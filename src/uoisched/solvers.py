@@ -27,7 +27,10 @@ unknowns: the N reset values u = V(T_k^1), V(omega) and (average cost) g,
 
 so one (N+2) x (N+2) solve per bandit gives all values.  `BanditBatch`
 stacks several bandits, padded to a common N and L, so a batch of policies
-costs one backward pass over the ages and one batched solve.
+costs one backward pass over the ages and one batched solve.  Each policy
+is evaluated under its charged cost and under the activation indicator;
+the two together make its values affine in the charge, from which
+`greedy_interval` reads the charges at which the policy stays optimal.
 
 Tie-break convention used everywhere: the ACTIVE action is taken whenever
 a(X) <= r(X) (up to ACTIVE_TIE_TOL), where a and r are the active/passive
@@ -46,6 +49,16 @@ from .errors import MultichainPolicy, NoConvergence, SolverError
 
 ACTIVE_TIE_TOL = 1e-9
 _PI_ROUNDS = 50  # average-cost PI rounds before a still-changing bandit goes to RVI
+# Distance from the tie threshold that `greedy_interval` keeps.  qa - qp
+# extrapolated along a policy's affine values and qa - qp of a fresh
+# evaluation at the new charge differed by at most 1.5e-14 over 1,920
+# random M=4 cases (both criteria, shifts up to 0.3), so the margin leaves
+# a factor of about 1e6 for rounding.  The discounted margin also stays
+# above 2 * ACTIVE_TIE_TOL / (1 - beta): a policy certified greedy within
+# the tie tolerance can lose at most ACTIVE_TIE_TOL / (1 - beta) in any
+# state's decision, so where one policy is greedy by the margin policy
+# iteration can certify no other.
+GREEDY_MARGIN = 1e-7
 
 DISCOUNTED = "discounted"
 AVERAGE = "average"
@@ -185,6 +198,10 @@ class BatchSolution:
     Flat per-state arrays follow the batch layout.  `usage` is the dual
     derivative contribution of each bandit: the expected discounted number
     of activations from its initial state, or the long-run activation rate.
+    `activations` holds the values of the same policies under the activation
+    cost alone, so that under these policies the values at lam' are
+    values + (lam' - lam) * activations; it is None when some bandit was
+    not solved by policy iteration alone.
     """
 
     batch: BanditBatch
@@ -195,6 +212,7 @@ class BatchSolution:
     gains: np.ndarray
     usage: np.ndarray
     degraded: np.ndarray
+    activations: np.ndarray | None
 
     def policy(self, b: int) -> PolicyAndValues:
         return PolicyAndValues(
@@ -222,6 +240,35 @@ def _q_values(batch: BanditBatch, lam, values, beta):
 
 def _greedy(qa, qp):
     return (qa <= qp + ACTIVE_TIE_TOL).astype(np.int8)
+
+
+def greedy_interval(sol: BatchSolution):
+    """[lo, hi]: the service charges at which the policies of `sol` stay
+    greedy in their own values, or None.
+
+    Under a fixed policy every value is affine in lam, so each state's
+    qa - qp is too; a ratio test gives the charges at which no state comes
+    within GREEDY_MARGIN of the ACTIVE_TIE_TOL threshold.  None when a
+    state is already within the margin at sol.lam, or when `sol` has no
+    activation values.
+    """
+    if sol.activations is None:
+        return None
+    batch, beta = sol.batch, sol.batch.discount
+    gap = np.subtract(*_q_values(batch, sol.lam, sol.values, beta))
+    slope = np.subtract(*_q_values(batch, 1.0, sol.activations, beta))  # the costs cancel
+    margin = GREEDY_MARGIN if beta == 1.0 else max(GREEDY_MARGIN, 2.0 * ACTIVE_TIE_TOL / (1.0 - beta))
+    # active states need gap + t * slope <= tol - margin, passive ones
+    # gap + t * slope > tol + margin: both read t * rate <= room
+    active = sol.actions == 1
+    room = np.where(active, ACTIVE_TIE_TOL - margin - gap, gap - ACTIVE_TIE_TOL - margin)
+    if (room <= 0.0).any():
+        return None
+    rate = np.where(active, slope, -slope)
+    up, down = rate > 0.0, rate < 0.0
+    hi = sol.lam + np.min(room[up] / rate[up]) if up.any() else np.inf
+    lo = sol.lam + np.max(room[down] / rate[down]) if down.any() else -np.inf
+    return float(lo), float(hi)
 
 
 def _evaluate(batch: BanditBatch, actions, costs, average: bool, counts=None):
@@ -396,7 +443,7 @@ def policy_iteration_batch(
     B = batch.size
     return BatchSolution(
         batch, lam, DISCOUNTED, actions, values[:, 0], np.zeros(B),
-        values[batch.initial_ids, 1], np.zeros(B, dtype=bool),
+        values[batch.initial_ids, 1], np.zeros(B, dtype=bool), values[:, 1],
     )
 
 
@@ -498,7 +545,7 @@ def solve_average_batch(
         values, gains, unichain = _evaluate_charged(batch, lam, actions, True, counts)
     sol = BatchSolution(
         batch, lam, AVERAGE, actions, values[:, 0], gains[:, 0], gains[:, 1].copy(),
-        np.zeros(batch.size, dtype=bool),
+        np.zeros(batch.size, dtype=bool), values[:, 1] if certified.all() else None,
     )
     for b in np.flatnonzero(sweeping | ~unichain):
         if not allow_fallback:

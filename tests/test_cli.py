@@ -52,10 +52,13 @@ class TestIndicesCommand:
     def test_lambda_report_counts_solver_work(self, tmp_path):
         _, out = run_indices(tmp_path)
         report = json.loads((out / "lambda_report.json").read_text())
-        # two distinct bandits, at least one policy evaluation each per step
-        assert report["policy_evaluations"] >= 2 * report["iterations"]
+        counts = ("iterations", "solves_skipped", "pi_rounds", "policy_evaluations")
+        assert tuple(report[key] for key in counts) == (39, 32, 19, 38)
         assert report["fallbacks"] == 0
-        # each round of batched policy iteration evaluates both bandits once
+        # 7 iterates are solved, each by at least one round of batched policy
+        # iteration, which evaluates both bandits once
+        solved = report["iterations"] - report["solves_skipped"]
+        assert report["pi_rounds"] >= solved
         assert report["policy_evaluations"] == 2 * report["pi_rounds"]
         assert report["rvi_sweeps"] == 0
 
@@ -63,7 +66,9 @@ class TestIndicesCommand:
         out = tmp_path / "o"
         assert main(["indices", "--config", "configs/two_sources_average.json", "--out", str(out)]) == 0
         report = json.loads((out / "lambda_report.json").read_text())
-        assert (report["iterations"], report["pi_rounds"], report["rvi_sweeps"]) == (27, 45, 0)
+        counts = ("iterations", "solves_skipped", "pi_rounds", "rvi_sweeps")
+        assert tuple(report[key] for key in counts) == (27, 20, 19, 0)
+        assert report["pi_rounds"] >= report["iterations"] - report["solves_skipped"]
         assert report["policy_evaluations"] == 2 * report["pi_rounds"]
 
     def test_repo_sample_config_smoke(self, tmp_path):

@@ -18,8 +18,9 @@ from uoisched import (
     solve_average,
     validate_chain,
 )
-from uoisched.lagrange import _solve_all, derivative_zero_tol
-from uoisched.solvers import BanditBatch
+import uoisched.lagrange as lagrange_module
+from uoisched.lagrange import _derivative, _solve_all, derivative_zero_tol
+from uoisched.solvers import BanditBatch, greedy_interval
 from conftest import FIG1, induced_transition, mixed_mdps, random_bandit
 
 
@@ -124,17 +125,34 @@ class TestFallbackReporting:
         assert trace.fallbacks > 0
         assert trace.rvi_sweeps >= len(trace.iterates)
 
-    def test_search_without_fallbacks_reports_work(self):
+    def test_search_without_fallbacks_reports_work(self, monkeypatch):
+        solves = count_solves(monkeypatch)
         (mdp,) = fig1_mdps(1.0, count=1)
         problem = make_problem([mdp, mdp], 1, "average")
         trace = gradient_search(problem)
         assert trace.fallbacks == 0
-        # one MDP used twice is solved once per gradient step, by policy
-        # iteration alone: one exact evaluation per round, no RVI sweep
+        # one MDP used twice is solved once per solved gradient step, by
+        # policy iteration alone: one exact evaluation per round, no RVI sweep
         assert problem.batch.size == 1
         assert len(trace.iterates) == 33
-        assert (trace.pi_rounds, trace.rvi_sweeps) == (48, 0)
+        assert (trace.pi_rounds, trace.rvi_sweeps, trace.solves_skipped) == (22, 0, 26)
+        # 7 iterates solved, 26 skipped, and lambda* (skipped) solved once more
+        assert len(solves) == 8 and solves[-1] == trace.lambda_star
+        assert len(solves) + trace.solves_skipped == len(trace.iterates) + 1
         assert trace.policy_evaluations == trace.pi_rounds
+
+
+def count_solves(monkeypatch):
+    """Record the multiplier of every batch solve the search makes."""
+    solves = []
+    real = lagrange_module._solve_all
+
+    def counted(problem, lam, *args, **kwargs):
+        solves.append(lam)
+        return real(problem, lam, *args, **kwargs)
+
+    monkeypatch.setattr(lagrange_module, "_solve_all", counted)
+    return solves
 
 
 def mixed_problem(criterion, beta):
@@ -252,15 +270,18 @@ class TestGradientSearch:
         cold = gradient_search(problem, warm_start=False)
         assert abs(warm.lambda_star - cold.lambda_star) < problem.epsilon
 
+    # a step size so small that three iterates never leave f' > 0: no
+    # bracket to bisect
     def test_max_iters_carries_trace(self):
-        problem = make_problem(fig1_mdps(0.9), 1, "discounted", max_iters=3)
+        problem = make_problem(fig1_mdps(0.9), 1, "discounted", stepsize_c=1e-6, max_iters=3)
         with pytest.raises(MaxItersExceeded) as err:
             gradient_search(problem)
         assert err.value.trace.stop_reason == "max_iters"
         assert len(err.value.trace.iterates) == 4
+        assert all(d > 0 for _, d in err.value.trace.iterates)
 
     def test_max_iters_message_names_where_the_search_stalled(self):
-        problem = make_problem(fig1_mdps(0.9), 1, "discounted", max_iters=3)
+        problem = make_problem(fig1_mdps(0.9), 1, "discounted", stepsize_c=1e-6, max_iters=3)
         with pytest.raises(MaxItersExceeded) as err:
             gradient_search(problem)
         (lam_prev, d_prev), (lam, d) = err.value.trace.iterates[-2:]
@@ -332,3 +353,144 @@ class TestSearchSolution:
         trace = gradient_search(self._problem("discounted"))
         assert "solution" not in repr(trace)
         assert trace == replace(trace, solution=None)
+
+
+def random_m4_problem(seed, criterion, max_iters=5000):
+    """Four random bandits truncated at eta 1e-6, m = 2."""
+    rng = np.random.default_rng(seed)
+    bandits = [random_bandit(rng, rng.integers(2, 5), f"b{i}") for i in range(4)]
+    beta = 0.9 if criterion == "discounted" else 1.0
+    mdps = [build_truncated(b, choose_truncation(b, 1e-6)[0], beta) for b in bandits]
+    return make_problem(mdps, 2, criterion, max_iters=max_iters)
+
+
+def reference_search(problem):
+    """The gradient search with one solve per iterate, sharing one warm dict:
+    (iterates, lambda*, bracket, solution), the last three None when
+    max_iters runs out."""
+    tol = derivative_zero_tol(problem)
+    warm, lam = {}, 0.0
+    sol = _solve_all(problem, lam, warm)
+    iterates = [(lam, _derivative(problem, sol))]
+    for k in range(problem.max_iters):
+        deriv = iterates[-1][1]
+        lam_next = max(lam + problem.stepsize_c / (k + 1) * deriv, 0.0)
+        sol_next = _solve_all(problem, lam_next, warm)
+        iterates.append((lam_next, _derivative(problem, sol_next)))
+        (d0, d1) = (0.0 if abs(d) <= tol else d for d in (deriv, iterates[-1][1]))
+        if d0 * d1 <= 0.0 and abs(lam_next - lam) < problem.epsilon:
+            lam_star, solution = (lam, sol) if lam <= lam_next else (lam_next, sol_next)
+            return iterates, lam_star, (min(lam, lam_next), max(lam, lam_next)), solution
+        lam, sol = lam_next, sol_next
+    return iterates, None, None, None
+
+
+class TestKnownPolicyIntervals:
+    """Iterates inside a solved policy's greedy interval skip their solve and
+    leave the search bit-identical to one solve per iterate."""
+
+    @staticmethod
+    def assert_identical(problem):
+        iterates, lam_star, bracket, solution = reference_search(problem)
+        trace = gradient_search(problem)
+        assert trace.iterates[: len(iterates)] == iterates
+        if lam_star is None:
+            assert trace.stop_reason == "bisection"
+            return trace
+        assert len(trace.iterates) == len(iterates)
+        assert (trace.stop_reason, trace.lambda_star, trace.bracket) == ("converged", lam_star, bracket)
+        assert trace.solution.actions.tobytes() == solution.actions.tobytes()
+        assert trace.solution.values.tobytes() == solution.values.tobytes()
+        return trace
+
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    def test_fig1_bit_identical(self, criterion):
+        trace = self.assert_identical(make_problem(fig1_mdps(0.9 if criterion == "discounted" else 1.0), 1, criterion))
+        assert trace.solves_skipped > 0
+
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    def test_mixed_problem_bit_identical(self, criterion):
+        trace = self.assert_identical(mixed_problem(criterion, 0.9 if criterion == "discounted" else 1.0))
+        assert trace.solves_skipped > 0
+
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    def test_random_searches_bit_identical(self, criterion):
+        # seed 1006 stalls under the average criterion; a max_iters of 500
+        # keeps its reference loop short, and the first 501 iterates must
+        # still agree before the bisection finish
+        skipped = 0
+        for seed in range(1000, 1020):
+            skipped += self.assert_identical(random_m4_problem(seed, criterion, max_iters=500)).solves_skipped
+        assert skipped > 0
+
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    def test_solves_and_skips_account_for_every_iterate(self, criterion, monkeypatch):
+        solves = count_solves(monkeypatch)
+        trace = gradient_search(mixed_problem(criterion, 0.9 if criterion == "discounted" else 1.0))
+        # every iterate is solved or skipped; a skipped lambda* is solved once more
+        extra = len(solves) + trace.solves_skipped - len(trace.iterates)
+        assert extra in (0, 1)
+        if extra:
+            assert solves[-1] == trace.lambda_star
+        assert trace.solution.lam == trace.lambda_star
+        assert trace.pi_rounds >= len(solves)
+
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    def test_interval_is_sound(self, criterion):
+        problem = mixed_problem(criterion, 0.9 if criterion == "discounted" else 1.0)
+        for lam in (0.05, 0.4, 1.5):  # at 0.15 an average-cost bandit leaves PI
+            sol = _solve_all(problem, lam, None)
+            interval = greedy_interval(sol)
+            assert interval is not None
+            lo, hi = interval
+            assert lo < lam < hi
+            ends = [max(lo, 0.0), min(hi, lam + 10.0)]
+            for probe in np.linspace(*ends, 7):
+                for warm in (None, {criterion: sol.actions if criterion == "discounted" else sol.values}):
+                    again = _solve_all(problem, float(probe), warm)
+                    assert np.array_equal(again.actions, sol.actions), (lam, probe)
+                    assert _derivative(problem, again) == _derivative(problem, sol)
+
+    def test_interval_ends_at_a_policy_change(self):
+        problem = make_problem(fig1_mdps(0.9), 1, "discounted")
+        sol = _solve_all(problem, 0.2, None)
+        lo, hi = greedy_interval(sol)
+        assert not np.array_equal(_solve_all(problem, hi + 1e-4, None).actions, sol.actions)
+        assert not np.array_equal(_solve_all(problem, lo - 1e-4, None).actions, sol.actions)
+
+    def test_no_interval_for_a_solve_that_left_policy_iteration(self, monkeypatch):
+        monkeypatch.setattr(BanditBatch, "unichain", lambda self, actions: np.zeros(self.size, dtype=bool))
+        sol = _solve_all(make_problem(fig1_mdps(1.0), 1, "average"), 0.3, None)
+        assert sol.activations is None and greedy_interval(sol) is None
+
+
+class TestBisectionFinish:
+    def test_stalled_average_search_ends_by_bisection(self):
+        # f' jumps across zero at a breakpoint near lambda = 0.1513, and the
+        # c/(k+1) steps shrink faster than the iterates approach it
+        problem = random_m4_problem(1006, "average")
+        trace = gradient_search(problem)
+        assert trace.stop_reason == "bisection"
+        assert len(trace.iterates) > problem.max_iters + 1
+        lo, hi = trace.bracket
+        assert 0.0 < hi - lo < problem.epsilon
+        assert trace.lambda_star == lo and trace.solution.lam == lo
+        tol = derivative_zero_tol(problem)
+        d_lo, d_hi = (objective_derivative(problem, lam) for lam in (lo, hi))
+        assert d_lo > tol and d_hi <= tol
+        grid = np.linspace(lo, hi, 21)
+        derivs = np.array([objective_derivative(problem, lam) for lam in grid])
+        snapped = np.where(np.abs(derivs) <= tol, 0.0, derivs)
+        assert np.all(np.diff(derivs) <= 1e-9)
+        assert np.any(snapped[:-1] * snapped[1:] <= 0.0)
+
+    def test_short_search_with_a_sign_change_bisects(self):
+        # three steps on fig1 reach f' < 0 (lambda = 1) from f' > 0 (lambda = 0)
+        problem = make_problem(fig1_mdps(0.9), 1, "discounted", max_iters=3)
+        trace = gradient_search(problem)
+        assert trace.stop_reason == "bisection"
+        lo, hi = trace.bracket
+        assert hi - lo < problem.epsilon
+        assert trace.lambda_star == lo and trace.solution.lam == lo
+        tol = derivative_zero_tol(problem)
+        assert objective_derivative(problem, lo) > tol and objective_derivative(problem, hi) <= tol
