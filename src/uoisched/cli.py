@@ -87,9 +87,7 @@ def cmd_indices(args) -> int:
             "bracket": list(result.trace.bracket),
             "iterations": len(result.trace.iterates),
             "policy_evaluations": result.trace.policy_evaluations,
-            "fallbacks": result.trace.fallbacks,
             "pi_rounds": result.trace.pi_rounds,
-            "rvi_sweeps": result.trace.rvi_sweeps,
             "solves_skipped": result.trace.solves_skipped,
         },
         h,

@@ -110,9 +110,7 @@ class GradientTrace:
     stop_reason: str                             # 'converged' | 'bisection' | 'max_iters'
     bracket: tuple[float, float] | None = field(default=None)
     policy_evaluations: int = 0                  # exact single-bandit policy evaluations
-    fallbacks: int = 0                           # solver fallbacks (see SolveCounts)
     pi_rounds: int = 0                           # batched policy-iteration rounds
-    rvi_sweeps: int = 0                          # batched relative value iteration sweeps
     solves_skipped: int = 0                      # iterates inside a known greedy interval
     # the search's own solve of every distinct bandit at lambda_star
     solution: BatchSolution | None = field(default=None, repr=False, compare=False)

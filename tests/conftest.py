@@ -12,7 +12,16 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from uoisched import BanditSpec, ChainError, ChainSpec, build_truncated, transition_matrices, validate_chain
+from uoisched import (
+    BanditSpec,
+    ChainError,
+    ChainSpec,
+    build_truncated,
+    choose_truncation,
+    transition_matrices,
+    validate_chain,
+)
+from uoisched.solvers import BanditBatch
 
 FIG1 = [[0.99, 0.3], [0.01, 0.7]]
 
@@ -43,6 +52,15 @@ def mixed_mdps(beta: float) -> list:
     return [build_truncated(random_bandit(rng, n, f"x{i}", rho=rho), L, beta) for i, (n, L, rho) in enumerate(shapes)]
 
 
+def rho_one_pair(seed: int) -> list:
+    """Two random bandits at rho = 1, truncated at eta = 1e-6: the two-bandit
+    rho = 1 searches, where policy iteration meets multichain iterates (seed
+    4's warm-started sweeps do)."""
+    rng = np.random.default_rng(seed)
+    bandits = [random_bandit(rng, int(rng.integers(2, 5)), f"r{i}", rho=1.0) for i in range(2)]
+    return [build_truncated(b, choose_truncation(b, 1e-6)[0], 1.0) for b in bandits]
+
+
 @pytest.fixture
 def fig1_chain() -> ChainSpec:
     return validate_chain(FIG1)
@@ -57,6 +75,15 @@ def induced_transition(mdp, actions) -> sp.csr_matrix:
     p = (d_act @ active + d_pas @ passive).tocsr()
     p.eliminate_zeros()
     return p
+
+
+def force_multichain(monkeypatch) -> None:
+    """Declare every policy multichain, keeping its real reach matrix, so
+    every average-cost evaluation takes the multichain system."""
+    real = BanditBatch.unichain
+    monkeypatch.setattr(
+        BanditBatch, "unichain", lambda self, actions: (np.zeros(self.size, dtype=bool), real(self, actions)[1])
+    )
 
 
 def recurrent_class_count(p: sp.csr_matrix) -> int:

@@ -54,20 +54,19 @@ class TestIndicesCommand:
         report = json.loads((out / "lambda_report.json").read_text())
         counts = ("iterations", "solves_skipped", "pi_rounds", "policy_evaluations")
         assert tuple(report[key] for key in counts) == (39, 32, 19, 38)
-        assert report["fallbacks"] == 0
+        assert "fallbacks" not in report and "rvi_sweeps" not in report
         # 7 iterates are solved, each by at least one round of batched policy
         # iteration, which evaluates both bandits once
         solved = report["iterations"] - report["solves_skipped"]
         assert report["pi_rounds"] >= solved
         assert report["policy_evaluations"] == 2 * report["pi_rounds"]
-        assert report["rvi_sweeps"] == 0
 
     def test_average_sample_config_is_solved_by_policy_iteration(self, tmp_path):
         out = tmp_path / "o"
         assert main(["indices", "--config", "configs/two_sources_average.json", "--out", str(out)]) == 0
         report = json.loads((out / "lambda_report.json").read_text())
-        counts = ("iterations", "solves_skipped", "pi_rounds", "rvi_sweeps")
-        assert tuple(report[key] for key in counts) == (27, 20, 19, 0)
+        counts = ("iterations", "solves_skipped", "pi_rounds")
+        assert tuple(report[key] for key in counts) == (27, 20, 19)
         assert report["pi_rounds"] >= report["iterations"] - report["solves_skipped"]
         assert report["policy_evaluations"] == 2 * report["pi_rounds"]
 

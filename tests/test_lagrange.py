@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +20,11 @@ from uoisched import (
     validate_chain,
 )
 import uoisched.lagrange as lagrange_module
+import uoisched.solvers as solvers_module
+from uoisched.index_policy import gain_index_tables
 from uoisched.lagrange import _derivative, _solve_all, derivative_zero_tol
-from uoisched.solvers import BanditBatch, greedy_interval
-from conftest import FIG1, induced_transition, mixed_mdps, random_bandit
+from uoisched.solvers import greedy_interval
+from conftest import FIG1, force_multichain, induced_transition, mixed_mdps, random_bandit, rho_one_pair
 
 
 def fig1_mdps(beta, count=2, rho=1.0, eta=1e-6):
@@ -96,46 +99,17 @@ class TestDerivativeAverage:
         assert 0.0 < rate < 1.0
 
 
-class TestDerivativeFallback:
-    def test_multichain_policy_rate_via_near_one_discount(self):
-        from uoisched.solvers import _derivative_average_fallback
-
-        # rho = 1, active only on reset states, passive at omega: multichain
-        (mdp,) = fig1_mdps(1.0, count=1)
-        actions = np.zeros(mdp.n_states, dtype=np.int8)
-        for k in (1, 2):
-            actions[mdp.state_index(k, 1)] = 1
-        with pytest.raises(Exception):
-            derivative_average(mdp, actions)
-        rate = _derivative_average_fallback(mdp, actions, 0)
-        assert 0.0 <= rate <= 1.0
-
-
 class TestFallbackReporting:
-    def test_search_counts_fallbacks_on_multichain_fixture(self, monkeypatch):
-        # A multichain greedy policy needs an exact gain tie, so no search
-        # meets one on its own; declaring every policy multichain sends each
-        # solve from policy iteration's first round to relative value
-        # iteration, then down the vanishing-discount and activation-rate
-        # fallbacks.
-        monkeypatch.setattr(BanditBatch, "unichain", lambda self, actions: np.zeros(self.size, dtype=bool))
-        problem = make_problem(fig1_mdps(1.0, rho=1.0), 1, "average")
-        trace = gradient_search(problem)
-        assert trace.stop_reason == "converged"
-        assert trace.fallbacks > 0
-        assert trace.rvi_sweeps >= len(trace.iterates)
-
     def test_search_without_fallbacks_reports_work(self, monkeypatch):
         solves = count_solves(monkeypatch)
         (mdp,) = fig1_mdps(1.0, count=1)
         problem = make_problem([mdp, mdp], 1, "average")
         trace = gradient_search(problem)
-        assert trace.fallbacks == 0
         # one MDP used twice is solved once per solved gradient step, by
-        # policy iteration alone: one exact evaluation per round, no RVI sweep
+        # policy iteration: one exact evaluation per round
         assert problem.batch.size == 1
         assert len(trace.iterates) == 33
-        assert (trace.pi_rounds, trace.rvi_sweeps, trace.solves_skipped) == (22, 0, 26)
+        assert (trace.pi_rounds, trace.solves_skipped) == (22, 26)
         # 7 iterates solved, 26 skipped, and lambda* (skipped) solved once more
         assert len(solves) == 8 and solves[-1] == trace.lambda_star
         assert len(solves) + trace.solves_skipped == len(trace.iterates) + 1
@@ -342,7 +316,7 @@ class TestSearchSolution:
         problem = self._problem(criterion)
         trace = gradient_search(problem)
         sol = trace.solution
-        before = {k: getattr(sol, k).copy() for k in ("actions", "values", "gains", "usage", "degraded")}
+        before = {k: getattr(sol, k).copy() for k in ("actions", "values", "gains", "usage")}
         warm = {criterion: sol.actions if criterion == "discounted" else sol.values}
         for lam in (0.0, 2.0 * trace.lambda_star + 0.1, trace.lambda_star):
             objective_derivative(problem, lam, warm)
@@ -438,7 +412,7 @@ class TestKnownPolicyIntervals:
     @pytest.mark.parametrize("criterion", ["discounted", "average"])
     def test_interval_is_sound(self, criterion):
         problem = mixed_problem(criterion, 0.9 if criterion == "discounted" else 1.0)
-        for lam in (0.05, 0.4, 1.5):  # at 0.15 an average-cost bandit leaves PI
+        for lam in (0.05, 0.15, 0.4, 1.5):  # average: at 0.15 a bandit meets a multichain iterate
             sol = _solve_all(problem, lam, None)
             interval = greedy_interval(sol)
             assert interval is not None
@@ -458,9 +432,14 @@ class TestKnownPolicyIntervals:
         assert not np.array_equal(_solve_all(problem, hi + 1e-4, None).actions, sol.actions)
         assert not np.array_equal(_solve_all(problem, lo - 1e-4, None).actions, sol.actions)
 
-    def test_no_interval_for_a_solve_that_left_policy_iteration(self, monkeypatch):
-        monkeypatch.setattr(BanditBatch, "unichain", lambda self, actions: np.zeros(self.size, dtype=bool))
-        sol = _solve_all(make_problem(fig1_mdps(1.0), 1, "average"), 0.3, None)
+    def test_no_interval_for_a_multichain_final_policy(self, monkeypatch):
+        problem = make_problem(fig1_mdps(1.0), 1, "average")
+        unichain = _solve_all(problem, 0.3, None)
+        # declared multichain, every iterate takes the multichain evaluation
+        # and improvement step, and the solve ends at the same policy
+        force_multichain(monkeypatch)
+        sol = _solve_all(problem, 0.3, None)
+        assert np.array_equal(sol.actions, unichain.actions)
         assert sol.activations is None and greedy_interval(sol) is None
 
 
@@ -494,3 +473,52 @@ class TestBisectionFinish:
         assert trace.lambda_star == lo and trace.solution.lam == lo
         tol = derivative_zero_tol(problem)
         assert objective_derivative(problem, lo) > tol and objective_derivative(problem, hi) <= tol
+
+
+# lambda*.hex(), iteration count and SHA-256 of every table's index and value
+# bytes of the rho = 1 two-bandit searches, as computed when relative value
+# iteration still solved the multichain iterates (seeds 4, 7, 10, 12 and 15
+# meet them)
+RHO_ONE_PINNED = {
+    0: ("0x1.8dedf56c49111p-2", 30, "bcf2d40be3f9cea5048800f040b8968aeef9730af50ce49ff473dc9f1029000e"),
+    1: ("0x1.52234ffec5893p-2", 102, "cd2c925a76bac5981027563ba5837f078c623fa49615f653c2be7dd36f55b61b"),
+    2: ("0x1.1111111111112p-4", 8, "e7eb4e172a46bc0e262c913f9450314cac9fe99af401523b8c66af966f9799e5"),
+    3: ("0x1.1d31ff2d0c96ap-5", 6, "3f43341f32de82fdf768974aeb47e0558abde3a26e39111ead9b0bb06d61fd28"),
+    4: ("0x1.36040237e5a2ap-2", 77, "7dcfbc744b664bdf47f4260cb6505c2f6f5a1118e1498b5f9366d6cd44d93764"),
+    5: ("0x1.32d600999e086p-2", 6, "8fbcbe6f24697ae1ce552edb620ff03ca58364aa95ac3bd4618c3b96d59ccddf"),
+    6: ("0x1.947bcc13c8973p-3", 6, "47b9860c50396faf6559f74a333bec04346e6bd304a84e2f63840ef83ed0d424"),
+    7: ("0x1.6cb39336ed766p-2", 144, "4e3f01fe632f2ea9527577dd8af9da490a67ae0bbd77e735fb98de0e05bca18b"),
+    8: ("0x1.022b30c1005f5p-2", 42, "b97872a7677293453c2acc3f172fd983ac359e57ff0a8c664175a5fc948cf3cf"),
+    9: ("0x1.ef056eb780d7ap-3", 110, "6aac858d36c4e2d2a2cd45f789a17e01da7ac0acb61424281588132317690193"),
+    10: ("0x1.a443dae40f4e7p-3", 191, "1222ed65ae6168105035e9190b197ce1ec53a6613d5de7841fed7513142909ae"),
+    11: ("0x1.2f097a30c335ep-5", 14, "b08b295dba2ebacf87d168c0cf818201ec0613eeecbdcc45c043852e1346f54f"),
+    12: ("0x1.c2b446708e162p-2", 56, "b73e13eaf23cd3791584dc97dfe1387be8784420a955e599fe735fd0be93a7de"),
+    13: ("0x1.69767d86aba3fp-2", 16, "f07869ec051be184d66658c9dd9f26fe66c42f963d390fa9f71c353f327204b6"),
+    14: ("0x1.c71c71c71c6edp-6", 11, "b4feebf97935b074cd4d606ad65c37125f90ea4ba043f3584d2adb02cc167af7"),
+    15: ("0x1.3ce11c91c06f4p-2", 220, "528d5eaedb23a2315e74686c100ee78bf3742e9c6cd5cef6cda78dbe1d791082"),
+    16: ("0x1.db492244e9956p-5", 12, "a99e1ad58f5bd046bef3e3567d7649895d55a484e9d11e335f46b4f6400c2309"),
+    17: ("0x1.5b765c923e877p-2", 29, "aa62b00a4297d2a03726e47278e091f4af8c361cc0453ec5812cc4a99071397c"),
+    18: ("0x1.3d050c8d14579p-3", 42, "5f1c61105ae7368abdc8ce1151d6428c19033b226cb9223cd4f6eaac25b9782c"),
+    19: ("0x1.177ff92c167c3p-2", 45, "fea425ba10cdea3c8d42d3d2e5d7d9e066e07d8dbc788adb2a92dc26294c10fe"),
+}
+
+
+class TestPinnedRhoOneSearches:
+    def test_lambda_star_iterations_and_tables_are_pinned(self, monkeypatch):
+        steps = []
+        real = solvers_module._multichain_step
+
+        def spy(*args):
+            steps.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solvers_module, "_multichain_step", spy)
+        for seed, (lam_hex, iterations, digest) in RHO_ONE_PINNED.items():
+            problem = make_problem(rho_one_pair(seed), 1, "average")
+            trace = gradient_search(problem)
+            sha = hashlib.sha256()
+            for table in gain_index_tables(problem, trace):
+                sha.update(table.indices.tobytes())
+                sha.update(table.values.tobytes())
+            assert (trace.lambda_star.hex(), len(trace.iterates), sha.hexdigest()) == (lam_hex, iterations, digest), seed
+        assert steps

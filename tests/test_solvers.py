@@ -1,7 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse.csgraph as csgraph
 
 from uoisched import (
     BanditSpec,
@@ -26,11 +29,18 @@ from uoisched.solvers import (
     _evaluate,
     _greedy,
     _q_values,
-    _relative_value_iteration,
     solve_average_batch,
 )
 
-from conftest import FIG1, induced_transition, mixed_mdps, random_bandit, recurrent_class_count
+from conftest import (
+    FIG1,
+    force_multichain,
+    induced_transition,
+    mixed_mdps,
+    random_bandit,
+    recurrent_class_count,
+    rho_one_pair,
+)
 
 
 def fig1_mdp(beta=0.9, rho=1.0, L=None):
@@ -179,7 +189,7 @@ class TestSolveAverage:
 
     def test_bellman_residual_span(self):
         mdp = fig1_mdp(beta=1.0)
-        sol = solve_average(mdp, 0.08, tol=1e-10)
+        sol = solve_average(mdp, 0.08)
         passive, active = transition_matrices(mdp)
         qa = mdp.costs_passive + 0.08 + (active @ sol.values)
         qp = mdp.costs_passive + (passive @ sol.values)
@@ -216,18 +226,6 @@ class TestAveragePolicyEvaluation:
             actions[mdp.state_index(k, 1)] = 1
         with pytest.raises(MultichainPolicy):
             average_policy_evaluation(mdp, actions, mdp.costs_passive)
-
-
-class TestVanishingDiscountFallback:
-    def test_degraded_mode_estimates_gain(self):
-        from uoisched.solvers import _vanishing_discount_fallback
-
-        mdp = fig1_mdp(beta=1.0)
-        exact = solve_average(mdp, 0.05)
-        approx = _vanishing_discount_fallback(mdp, 0.05, 1e-9)
-        assert approx.degraded is True
-        assert approx.gain == pytest.approx(exact.gain, abs=1e-3)
-        assert approx.values[mdp.state_index(1, 1)] == 0.0
 
 
 class TestActivePassiveValues:
@@ -343,8 +341,8 @@ class TestStructuredEvaluation:
     def test_unichain_decision_matches_recurrent_class_count(self, seed, n, L, rho):
         mdp, actions, cost = random_policy_case(seed, n, L, rho, 1.0)
         multichain = recurrent_class_count(induced_transition(mdp, actions)) != 1
-        batch = BanditBatch([mdp])
-        assert bool(batch.unichain(actions)[0]) is not multichain
+        unichain, _ = BanditBatch([mdp]).unichain(actions)
+        assert bool(unichain[0]) is not multichain
         if multichain:
             with pytest.raises(MultichainPolicy):
                 average_policy_evaluation(mdp, actions, cost)
@@ -376,11 +374,11 @@ class TestUnichainCheck:
         for k, n in ((2, 1), (3, 2), (3, 3)):
             actions[mdp.state_index(k, n)] = 1
         assert recurrent_class_count(induced_transition(mdp, actions)) == 2
-        assert not BanditBatch([mdp]).unichain(actions)[0]
+        assert not BanditBatch([mdp]).unichain(actions)[0][0]
         # once omega is active, everything drains into the reset classes
         actions[0] = 1
         assert recurrent_class_count(induced_transition(mdp, actions)) == 1
-        assert BanditBatch([mdp]).unichain(actions)[0]
+        assert BanditBatch([mdp]).unichain(actions)[0][0]
 
 
 def multichain_warm_start(mdp):
@@ -393,69 +391,68 @@ def multichain_warm_start(mdp):
 
 
 class TestBatchedAverageSolve:
-    # Policy iteration certifies fig1 at lam = 0.05 before any sweep; a
-    # multichain first iterate sends the solve down the RVI path, where one
-    # sweep leaves the span above tol.
     def test_multichain_warm_start_is_multichain(self):
         mdp = fig1_mdp(beta=1.0)
         batch = BanditBatch([mdp])
         first = _greedy(*_q_values(batch, 0.05, multichain_warm_start(mdp), 1.0))
         assert np.array_equal(np.flatnonzero(first), mdp.reset_states)
-        assert not batch.unichain(first)[0]
+        assert not batch.unichain(first)[0][0]
 
-    def test_unconverged_sweep_falls_back_and_is_counted(self):
-        mdp = fig1_mdp(beta=1.0)
-        counts = SolveCounts()
-        init = multichain_warm_start(mdp)
-        sol = solve_average_batch(BanditBatch([mdp]), 0.05, max_sweeps=1, init_z=init, counts=counts)
-        assert sol.degraded.tolist() == [True]
-        assert counts.fallbacks >= 1
-        assert counts.rvi_sweeps == 1
-        assert sol.gains[0] == pytest.approx(solve_average(mdp, 0.05).gain, abs=1e-3)
+    @pytest.mark.parametrize("length", [-1, 1], ids=["short", "long"])
+    def test_init_z_of_another_length_is_rejected(self, length):
+        mdp = fig1_mdp(beta=1.0, L=10)
+        with pytest.raises(ValueError, match="init_z length does not match state count"):
+            solve_average(mdp, 0.05, init_z=np.zeros(mdp.n_states + length))
 
-    def test_unconverged_sweep_without_fallback_raises(self):
-        mdp = fig1_mdp(beta=1.0)
-        init = multichain_warm_start(mdp)
-        with pytest.raises(NoConvergence):
-            solve_average(mdp, 0.05, max_sweeps=1, init_z=init, allow_fallback=False)
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    def test_still_changing_at_the_round_cap_raises(self, criterion, monkeypatch):
+        # from all passive (discounted) or the multichain warm start
+        # (average), fig1 needs more than one round at these charges
+        mdp = fig1_mdp(beta=0.9 if criterion == "discounted" else 1.0)
+        if criterion == "discounted":
+            solve = partial(policy_iteration_discounted, mdp, 0.0, init=np.zeros(mdp.n_states, dtype=np.int8))
+        else:
+            solve = partial(solve_average, mdp, 0.05, init_z=multichain_warm_start(mdp))
+        solve()
+        monkeypatch.setattr(solvers_module, "_PI_ROUNDS", 1)
+        with pytest.raises(NoConvergence, match=r"after 1 rounds in bandits \[0\]"):
+            solve()
 
-    def test_batched_bandits_sweep_as_alone(self):
-        # every bit of each bandit's iterate is as in a batch of one, so each
-        # stops at the sweep it would stop at alone
-        rng = np.random.default_rng(12)
-        mdps = [build_truncated(random_bandit(rng, n, f"a{n}", rho=0.8), L, 1.0) for n, L in ((2, 3), (4, 20), (3, 8))]
-        batch = BanditBatch(mdps)
-        w = np.zeros(batch.n_states)
-        _relative_value_iteration(batch, 0.2, w, 1e-9, 200_000)
-        sol = solve_average_batch(batch, 0.2)
-        for b, mdp in enumerate(mdps):
-            w_alone = np.zeros(mdp.n_states)
-            _relative_value_iteration(BanditBatch([mdp]), 0.2, w_alone, 1e-9, 200_000)
-            assert np.array_equal(batch.split(w, b), w_alone)
-            alone = solve_average(mdp, 0.2)
-            assert np.array_equal(sol.policy(b).actions, alone.actions)
-            assert sol.gains[b] == pytest.approx(alone.gain, abs=1e-13)
+
+def relative_value_iteration(batch, lam, w, tol=1e-9, max_sweeps=200_000):
+    """Damped relative value iteration in place on the flat iterate w, with
+    span stopping per bandit; returns the last (qa, qp).
+
+    A bandit whose span is below tol is frozen, so each stops at the sweep
+    it would stop at alone.  The damping (aperiodicity transform, factor
+    1/2) leaves the optimal gain and policy unchanged and makes the sweep
+    converge on unichain models.  Z is kept anchored at T_1^1.
+    """
+    starts = batch.offsets[:-1]
+    anchor_of = batch.reset_ids[starts, 0][batch.bandit_of]
+    for _ in range(max_sweeps):
+        qa, qp = _q_values(batch, lam, w, 1.0)
+        tw = np.minimum(qa, qp)
+        d = tw - w
+        sweeping = np.maximum.reduceat(d, starts) - np.minimum.reduceat(d, starts) > tol
+        if not sweeping.any():
+            return qa, qp
+        w_next = 0.5 * (w + tw)
+        w_next -= w_next[anchor_of]
+        np.copyto(w, w_next, where=sweeping[batch.bandit_of])
+    raise AssertionError(f"relative value iteration span not below {tol} in {max_sweeps} sweeps")
 
 
 def rvi_reference(batch, lam, init_z=None):
     """The average solve without policy iteration: relative value iteration
     from init_z, then the greedy policy, then its exact evaluation."""
     w = np.zeros(batch.n_states) if init_z is None else np.array(init_z, dtype=float)
-    qa, qp, sweeping = _relative_value_iteration(batch, lam, w, 1e-9, 200_000)
-    assert not sweeping.any()
-    actions = _greedy(qa, qp)
+    actions = _greedy(*relative_value_iteration(batch, lam, w))
     costs = np.stack([batch.costs + lam * actions, actions], axis=1)
     values, gains, unichain = _evaluate(batch, actions, costs, average=True)
     assert unichain.all()
-    return actions, values[:, 0], gains[:, 0], gains[:, 1]
-
-
-def rho_one_pair(seed):
-    """Two random bandits at rho = 1, truncated at eta = 1e-6; seed 4's
-    warm-started sweep below meets a multichain iterate."""
-    rng = np.random.default_rng(seed)
-    bandits = [random_bandit(rng, int(rng.integers(2, 5)), f"r{i}", rho=1.0) for i in range(2)]
-    return [build_truncated(b, choose_truncation(b, 1e-6)[0], 1.0) for b in bandits]
+    start = gains[batch.initial_ids]
+    return actions, values[:, 0], start[:, 0], start[:, 1]
 
 
 LAMBDA_GRID = np.linspace(0.0, 1.2, 13)
@@ -471,8 +468,21 @@ def warm_sweep(batch, counts=None):
         z = sol.values
 
 
+def spy_on_multichain_steps(monkeypatch):
+    """Record the (B,) multichain mask of every multichain improvement step."""
+    masks = []
+    real = solvers_module._multichain_step
+
+    def spy(batch, actions, greedy, gains, multi):
+        masks.append(multi.tolist())
+        return real(batch, actions, greedy, gains, multi)
+
+    monkeypatch.setattr(solvers_module, "_multichain_step", spy)
+    return masks
+
+
 class TestAveragePolicyIteration:
-    """Policy iteration against the RVI solve it replaced."""
+    """Policy iteration against an RVI solve."""
 
     @pytest.mark.parametrize("mdps", [mixed_mdps(1.0), rho_one_pair(4), rho_one_pair(9)], ids=["mixed", "rho1-4", "rho1-9"])
     def test_matches_rvi_reference_and_is_greedy_in_its_own_values(self, mdps):
@@ -483,7 +493,6 @@ class TestAveragePolicyIteration:
             assert np.array_equal(sol.values, values)
             assert np.array_equal(sol.gains, gains)
             assert np.array_equal(sol.usage, usage)
-            assert not sol.degraded.any()
             assert np.array_equal(_greedy(*_q_values(batch, lam, sol.values, 1.0)), sol.actions)
 
     def test_cold_solves_match_rvi_reference(self):
@@ -494,31 +503,34 @@ class TestAveragePolicyIteration:
             actions, values, _, _ = rvi_reference(batch, lam)
             assert np.array_equal(sol.actions, actions)
             assert np.array_equal(sol.values, values)
-            assert counts.rvi_sweeps == 0
             assert counts.policy_evaluations == counts.pi_rounds * batch.size
 
     def test_multichain_iterates_go_to_rvi(self, monkeypatch):
+        """A multichain iterate takes the multichain step, and the solve
+        still ends where relative value iteration does."""
+        masks = spy_on_multichain_steps(monkeypatch)
         # naturally, on the warm-started rho = 1 pair
-        counts = SolveCounts()
-        for _ in warm_sweep(BanditBatch(rho_one_pair(4)), counts):
+        for _ in warm_sweep(BanditBatch(rho_one_pair(4))):
             pass
-        assert counts.rvi_sweeps > 0 and counts.fallbacks == 0
-        # forced: one bandit of a batch starts multichain and alone goes to
-        # RVI, the other is certified by policy iteration; both match the
-        # reference
-        handed = []
-
-        def spy(batch, lam, w, tol, max_sweeps, todo=None, counts=None):
-            handed.append(todo.tolist())
-            return _relative_value_iteration(batch, lam, w, tol, max_sweeps, todo, counts)
-
-        monkeypatch.setattr(solvers_module, "_relative_value_iteration", spy)
+        assert masks
+        # forced: fig1's first iterate is multichain, and the solve still
+        # ends, bit for bit, at the RVI reference and at the cold solve
         fig1 = fig1_mdp(beta=1.0)
+        masks.clear()
+        sol = solve_average_batch(BanditBatch([fig1]), 0.05, init_z=multichain_warm_start(fig1))
+        assert masks and masks[0] == [True]
+        cold = solve_average_batch(BanditBatch([fig1]), 0.05)
+        reference = rvi_reference(BanditBatch([fig1]), 0.05, multichain_warm_start(fig1))
+        for got in (sol, cold):
+            for array, expected in zip((got.actions, got.values, got.gains, got.usage), reference):
+                assert array.tobytes() == expected.tobytes()
+        # in a batch, only the multichain bandit takes the multichain step
         other = mixed_mdps(1.0)[2]
         batch = BanditBatch([fig1, other])
         init = np.concatenate([multichain_warm_start(fig1), np.zeros(other.n_states)])
+        masks.clear()
         sol = solve_average_batch(batch, 0.05, init_z=init)
-        assert handed == [[True, False]]
+        assert masks[0] == [True, False]
         actions, values, gains, usage = rvi_reference(batch, 0.05, init)
         assert np.array_equal(sol.actions, actions)
         assert np.array_equal(sol.values, values)
@@ -541,3 +553,97 @@ class TestAveragePolicyIteration:
                 assert np.max(np.abs(batch.split(sol.values, b) - own.values)) <= 1e-13 * scale
                 assert sol.gains[b] == pytest.approx(own.gains[0], abs=1e-13)
                 assert sol.usage[b] == pytest.approx(own.usage[0], abs=1e-13)
+
+
+def cesaro_limit(p):
+    """P* = lim (1/n) sum_k P^k of a dense stochastic matrix: the stationary
+    law of each closed class, weighted by the probability of ending in it."""
+    n = len(p)
+    n_comp, labels = csgraph.connected_components(p > 0, directed=True, connection="strong")
+    src, dst = (labels[side] for side in np.nonzero(p > 0))
+    closed = set(range(n_comp)) - set(src[src != dst].tolist())
+    transient = ~np.isin(labels, list(closed))
+    p_star = np.zeros((n, n))
+    for c in closed:
+        members = labels == c
+        k = int(members.sum())
+        a = np.vstack([p[np.ix_(members, members)].T - np.eye(k), np.ones(k)])
+        pi = np.linalg.lstsq(a, np.concatenate([np.zeros(k), [1.0]]), rcond=None)[0]
+        ends = members.astype(float)
+        q = p[np.ix_(transient, transient)]
+        ends[transient] = np.linalg.solve(np.eye(len(q)) - q, p[np.ix_(transient, members)].sum(axis=1))
+        p_star[:, members] = ends[:, None] * pi[None, :]
+    return p_star, labels, closed
+
+
+def class_anchors(mdp, labels, closed):
+    """The lowest node (reset states in chain order, then omega) of each
+    closed class."""
+    nodes = list(mdp.reset_states) + [0]
+    return [next(s for s in nodes if labels[s] == c) for c in closed]
+
+
+class TestMultichainEvaluation:
+    """The multichain evaluation against a dense Cesaro-limit reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(**dict(CASES, rho=st.just(1.0)))
+    def test_gain_is_cesaro_limit_and_evaluation_equations_hold(self, seed, n, L, rho):
+        mdp, actions, cost = random_policy_case(seed, n, L, rho, 1.0)
+        p = induced_transition(mdp, actions).toarray()
+        p_star, labels, closed = cesaro_limit(p)
+        if len(closed) == 1:
+            return
+        h, g, unichain = _evaluate(BanditBatch([mdp]), actions, cost[:, None], average=True)
+        h, g = h[:, 0], g[:, 0]
+        assert not unichain[0]
+        scale = max(1.0, np.max(np.abs(h)))
+        assert np.max(np.abs(g - p_star @ cost)) <= 1e-12 * scale
+        assert np.max(np.abs(g - p @ g)) <= 1e-12 * scale
+        assert np.max(np.abs(g + h - cost - p @ h)) <= 1e-12 * scale
+        for anchor in class_anchors(mdp, labels, closed):
+            assert h[anchor] == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(**CASES)
+    def test_unichain_policy_through_the_multichain_system(self, seed, n, L, rho):
+        mdp, actions, cost = random_policy_case(seed, n, L, rho, 1.0)
+        if recurrent_class_count(induced_transition(mdp, actions)) != 1:
+            return
+        batch = BanditBatch([mdp])
+        z, g, _ = _evaluate(batch, actions, cost[:, None], average=True)
+        with pytest.MonkeyPatch.context() as mp:
+            force_multichain(mp)
+            h, g_forced, unichain = _evaluate(batch, actions, cost[:, None], average=True)
+        assert not unichain[0]
+        scale = max(1.0, np.max(np.abs(z)))
+        anchor = mdp.reset_states[0]
+        assert np.max(np.abs(g_forced - g)) <= 1e-12 * scale
+        # the multichain system solves for a gain per node, so a slow drain
+        # into the class costs accuracy: values grow like the hitting time
+        # and their rounding error like its square
+        assert np.max(np.abs(h - h[anchor] - z)) <= 1e-12 * scale ** 2
+
+
+class TestMultichainStep:
+    def test_gain_step_first_then_bias_only_among_gain_ties(self):
+        mdp = fig1_mdp(beta=1.0, L=4)  # rho = 1: an active state resets
+        batch = BanditBatch([mdp])
+        passive = np.zeros(mdp.n_states, dtype=np.int8)
+        active = 1 - passive
+
+        def step(actions, greedy, gains, multichain=True):
+            return solvers_module._multichain_step(batch, actions, greedy, gains, np.array([multichain]))
+
+        # gain 0 at the reset states and 1 elsewhere: activating lowers P_a g
+        # in every state, whatever the bias step would choose
+        gains = np.ones(mdp.n_states)
+        gains[mdp.reset_states] = 0.0
+        assert np.array_equal(step(passive, passive, gains), active)
+        # no state changes on the gain, and the bias step may not leave the
+        # strictly gain-better action
+        assert np.array_equal(step(active, passive, gains), active)
+        # where P_a g ties, the bias step decides
+        assert np.array_equal(step(active, passive, np.zeros(mdp.n_states)), passive)
+        # a unichain bandit takes the greedy policy
+        assert np.array_equal(step(active, passive, gains, multichain=False), passive)
