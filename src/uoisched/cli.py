@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .config import CONFIG_SCHEMA_VERSION, load_config
@@ -128,7 +129,9 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"missing index tables for bandit(s) {missing}")
         tables = [by_label[b.label] for b in config.bandits]
 
+    t0 = time.perf_counter()
     res = run_simulation(prep, args.policy, tables=tables)
+    seconds = time.perf_counter() - t0
     _write_json(out / f"sim_{args.policy}.json", {"result": res.to_json_dict(), **_simulated_sources(config)}, h)
     _write_csv(
         out / "sim_summary.csv",
@@ -136,7 +139,12 @@ def cmd_simulate(args) -> int:
         [[res.policy, res.n_bandits, res.m, res.criterion, res.mean, res.stderr, res.runs, res.horizon, res.seed]],
         h,
     )
-    print(f"{args.policy}: mean = {res.mean:.6g}, stderr = {res.stderr:.3g} ({res.runs} runs)")
+    # throughput goes to stdout only: a wall-clock rate in out/ would break byte-identical reruns
+    bandit_slots = res.n_bandits * res.runs * res.horizon
+    print(
+        f"{args.policy}: mean = {res.mean:.6g}, stderr = {res.stderr:.3g} ({res.runs} runs, "
+        f"{bandit_slots:,} bandit-slots at {bandit_slots / seconds:.3g} bandit-slots/s)"
+    )
     return EXIT_OK
 
 

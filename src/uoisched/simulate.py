@@ -6,11 +6,19 @@ are pinned to the equilibrium belief.  Every bandit's tables are concatenated
 into flat arrays, and each slot advances all bandits of all runs with a
 fixed number of vectorized numpy operations.  Each run draws from its own
 Philox stream (`rng.RunStreams`), a block of slots at a time, so no
-random-number call is left inside the slot loop; work that does not depend
-on the slot's beliefs, such as comparing the success draws with rho, is done
-once per block.  Every slot consumes one success draw and one transition
-draw per bandit regardless of the policy's selections, so different policies
-under the same seed see identical source paths (common random numbers).
+random-number call is left inside the slot loop.  Every slot consumes one
+success draw and one transition draw per bandit regardless of the policy's
+selections, so different policies under the same seed see identical source
+paths (common random numbers).
+
+A block is simulated in two passes.  The true states depend on the draws
+alone, so they are walked first (three numpy calls per slot) and the reset
+states they lead to are gathered once per block.  The belief pass does only
+what depends on the previous slot's selection.  For gain_index and myopic
+the state ids are ranks in the top-m order (highest score, then lowest
+label), so a slot selects its m smallest belief ids: five calls select,
+mask the successes and step every belief.  Round robin keeps the grid ids
+and a fixed selection: two calls.  Costs and traces are gathered per block.
 """
 
 from __future__ import annotations
@@ -136,25 +144,47 @@ def _padded_cdf(rows: list[np.ndarray], width: int) -> np.ndarray:
     Uniforms are below 1, so counting the entries a draw exceeds gives the
     inverse-cdf index capped at N_i - 1, the same as the full cumulative row.
     """
-    return np.vstack([
-        np.pad(np.cumsum(r[:, :-1], axis=1), ((0, 0), (0, width - r.shape[1])), constant_values=1.0)
-        for r in rows
-    ]).T.copy()
+    cdf = np.ones((width - 1, sum(r.shape[0] for r in rows)))
+    col = 0
+    for r in rows:
+        np.cumsum(r[:, :-1], axis=1, out=cdf[: r.shape[1] - 1, col : col + r.shape[0]].T)
+        col += r.shape[0]
+    return cdf
 
 
-def _inverse_cdf(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Local index drawn with uniform u from each given row of a padded cdf."""
-    return (u > cdf.take(rows, axis=1)).sum(axis=0)
+def _walk_true_states(X: np.ndarray, u: np.ndarray, transition_cdf: np.ndarray, chain_offset: np.ndarray) -> None:
+    """Fill X[1:] with the true states that follow X[0], (n + 1, M, runs)
+    global ids, given slot j's transition draws u[j]: three numpy calls per
+    slot.  A state's next id is the number of its padded cdf entries the
+    draw exceeds plus its chain offset, which the last row of `count` holds
+    throughout."""
+    _, M, runs = X.shape
+    cdf = np.empty((transition_cdf.shape[0], M, runs))
+    count = np.empty((transition_cdf.shape[0] + 1, M, runs), dtype=np.int64)
+    count[-1] = chain_offset
+    for x, x_next, draws in zip(X[:-1], X[1:], u):
+        transition_cdf.take(x, axis=1, out=cdf, mode="clip")
+        np.greater(draws, cdf, out=count[:-1], casting="unsafe")
+        np.add.reduce(count, axis=0, out=x_next)
 
 
-def _selection_keys(scores: np.ndarray, bandit_of_state: np.ndarray, label_rank: np.ndarray) -> np.ndarray:
-    """Rank of every global state in the top-m order: highest score first,
-    then lowest bandit label.  Keys of different bandits never tie, so the m
-    smallest keys of a slot are exactly the bandits top-m selects."""
-    order = np.lexsort((label_rank[bandit_of_state], -scores))
-    keys = np.empty(order.size, dtype=np.int64)
-    keys[order] = np.arange(order.size)
-    return keys
+def _walk_beliefs(B, act, resets, passive_next, m: int | None = None, chosen=None) -> None:
+    """Fill B[1:] with the beliefs that follow B[0]: in slot j a bandit
+    moves to resets[j] where act[j] holds, else to its passive successor.
+    With m, act[j] (the successes) is first restricted to the m bandits
+    holding the smallest belief ids, which are recorded in chosen[j];
+    without it, act already holds a fixed selection."""
+    if m is None:
+        for b, b_next, a, r in zip(B[:-1], B[1:], act, resets):
+            passive_next.take(b, out=b_next, mode="clip")
+            np.copyto(b_next, r, where=a)
+        return
+    for b, b_next, c, a, r in zip(B[:-1], B[1:], chosen, act, resets):
+        kth = b.min(axis=0) if m == 1 else np.partition(b, m - 1, axis=0)[m - 1]
+        np.less_equal(b, kth, out=c)
+        np.logical_and(a, c, out=a)
+        passive_next.take(b, out=b_next, mode="clip")
+        np.copyto(b_next, r, where=a)
 
 
 def simulate(
@@ -219,14 +249,20 @@ def simulate(
     # offset[i] + s, and its source state k is global id chain_offset[i] + k
     n_chain = np.array([b.chain.n_states for b in instance.bandits])
     n_states = np.array([g[0].shape[0] for g in grids])
-    offset = (np.cumsum(n_states) - n_states)[:, None]
+    offset = np.cumsum(n_states) - n_states
     chain_offset = (np.cumsum(n_chain) - n_chain)[:, None]
     entropy = np.concatenate([g[1] for g in grids])
-    passive_next = np.concatenate([g[2] + off for g, off in zip(grids, offset[:, 0])])
-    reset = np.concatenate([g[3] + off for g, off in zip(grids, offset[:, 0])])
+    passive_next = np.concatenate([g[2] + off for g, off in zip(grids, offset)])
+    reset = np.concatenate([g[3] + off for g, off in zip(grids, offset)])
     index = np.concatenate([t.indices for t in tables]) if tables is not None else None
-    belief_cdf = _padded_cdf([g[0] for g in grids], n_chain.max())
+    start = np.zeros(M, dtype=np.int64)
+    if instance.initial_beliefs is not None:
+        for i, chi in enumerate(instance.initial_beliefs):
+            if chi is not None:
+                start[i] = nearest_state(grids[i][0], chi)
+    start_cdf = _padded_cdf([g[0][s : s + 1] for g, s in zip(grids, start)], n_chain.max())
     transition_cdf = _padded_cdf([b.chain.transition.T for b in instance.bandits], n_chain.max())
+    belief = offset + start
     rho = np.array([b.success_prob for b in instance.bandits])[:, None]
     lam_star = tables[0].lambda_star if tables is not None else None
     or_scale = beta if instance.criterion == DISCOUNTED else 1.0
@@ -237,22 +273,14 @@ def simulate(
         for c in range(cycle):
             rr_masks[c, (np.arange(m) + c * m) % M] = True
     else:
+        # relabel the global states by their rank in the top-m order: highest
+        # score first, then lowest bandit label.  States of different bandits
+        # never tie, so a slot selects the m bandits with the smallest ids.
         label_rank = np.argsort(np.argsort(np.array([b.label for b in instance.bandits])))
-        keys = _selection_keys(
-            index if policy == "gain_index" else entropy, np.repeat(np.arange(M), n_states), label_rank
-        )
-
-    # beliefs and true states are (M, runs) global ids; the fixed draw order
-    # of every run is one initial draw per bandit, then per slot success
-    # draws for bandits 0..M-1 followed by transition draws for bandits 0..M-1
-    streams = RunStreams(seed, runs)
-    start = np.zeros(M, dtype=np.int64)
-    if instance.initial_beliefs is not None:
-        for i, chi in enumerate(instance.initial_beliefs):
-            if chi is not None:
-                start[i] = nearest_state(grids[i][0], chi)
-    belief = np.repeat(offset + start[:, None], runs, axis=1)
-    true_state = chain_offset + _inverse_cdf(belief_cdf, belief, streams.draw(M).T)
+        order = np.lexsort((np.repeat(label_rank, n_states), -(index if policy == "gain_index" else entropy)))
+        rank = np.argsort(order)
+        entropy, passive_next, reset, belief = entropy[order], rank[passive_next[order]], rank[reset], rank[belief]
+        index = index[order] if index is not None else None
 
     disc_total = np.zeros(runs)
     avg_total = np.zeros(runs)
@@ -263,40 +291,48 @@ def simulate(
     selection_trace = np.zeros((horizon, m), dtype=np.int64) if record_traces else None
     block = max(1, min(horizon, _BLOCK_DOUBLES // (2 * M * runs)))
 
+    # X[j] and B[j] hold the (M, runs) true-state and belief ids of slot
+    # first + j of a block, and row 0 carries the last slot of the block
+    # before.  The fixed draw order of every run is one initial draw per
+    # bandit, then per slot success draws for bandits 0..M-1 followed by
+    # transition draws for bandits 0..M-1.
+    streams = RunStreams(seed, runs)
+    X = np.empty((block + 1, M, runs), dtype=np.int64)
+    X[0] = chain_offset + (streams.draw(M).T > start_cdf[:, :, None]).sum(axis=0)
     for first in range(0, horizon, block):
         n = min(block, horizon - first)
-        # (n, 2M, runs): slot j's success draws are u[j, :M], its transition
-        # draws u[j, M:]
-        u = np.ascontiguousarray(streams.draw(n * 2 * M).reshape(runs, n, 2 * M).transpose(1, 2, 0))
-        succeeds = u[:, :M] < rho
-        h = np.empty((n, M, runs))
-        chosen = np.empty((n, M, runs), dtype=bool)
-        for j in range(n):
-            t = first + j + 1
-            entropy.take(belief, out=h[j])
-            if policy == "round_robin":
-                chosen[j] = rr_masks[(t - 1) % cycle]
-            else:
-                k = keys.take(belief)
-                kth = k.min(axis=0) if m == 1 else np.partition(k, m - 1, axis=0)[m - 1]
-                np.less_equal(k, kth, out=chosen[j])
-            sel_mask = chosen[j]
+        # (n, 2M, runs) view of the block's draws: slot j's success draws are
+        # u[j, :M], its transition draws u[j, M:].  The true states depend on
+        # the draws alone, so they are walked first, and the buffers of the
+        # beliefs are made only once the first block's draws are freed.
+        u = streams.draw(n * 2 * M).reshape(runs, n, 2 * M).transpose(1, 2, 0)
+        act = u[:, :M] < rho
+        _walk_true_states(X[: n + 1], u[:, M:], transition_cdf, chain_offset)
+        del u
+        if first == 0:
+            B = np.empty_like(X)
+            B[0] = belief[:, None]
+            resets = np.empty((block, M, runs), dtype=np.int64)
+        reset.take(X[:n], out=resets[:n], mode="clip")
+        if policy == "round_robin":
+            chosen = rr_masks[(first + np.arange(n)) % cycle]
+            act &= chosen
+            _walk_beliefs(B[: n + 1], act, resets, passive_next)
+        else:
+            chosen = np.empty((n, M, runs), dtype=bool)
+            _walk_beliefs(B[: n + 1], act, resets, passive_next, m, chosen)
 
-            if record_traces:
-                or_mask_trace[t - 1] = or_scale * index[belief[:, 0]] >= lam_star - 1e-12
-                selection_trace[t - 1] = np.flatnonzero(sel_mask[:, 0])
-
-            observed = true_state
-            true_state = chain_offset + _inverse_cdf(transition_cdf, true_state, u[j, M:])
-            belief = np.where(sel_mask & succeeds[j], reset.take(observed), passive_next.take(belief))
-
+        if record_traces:
+            or_mask_trace[first : first + n] = or_scale * index.take(B[:n, :, 0]) >= lam_star - 1e-12
+            selection_trace[first : first + n] = np.nonzero(chosen[:, :, 0])[1].reshape(n, m)
         served += chosen.sum(axis=0)
         # each slot's cost adds bandits 0..M-1 in order and the totals add
         # slots in order, as a slot-by-slot loop would (cumsum is sequential
         # where sum may add pairwise)
-        cost = h[:, 0].copy()
+        cost = entropy.take(B[:n, 0])
         for i in range(1, M):
-            cost += h[:, i]
+            cost += entropy.take(B[:n, i])
+        X[0], B[0] = X[n], B[n]
         if instance.criterion == DISCOUNTED:
             weights = np.multiply.accumulate(np.r_[beta_pow, np.full(n - 1, beta)])
             beta_pow = weights[-1] * beta

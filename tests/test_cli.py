@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import numpy as np
@@ -143,6 +144,24 @@ class TestSimulateCommand:
         res = doc["result"]
         assert res["policy"] == "round_robin"
         assert res["mean"] == pytest.approx(float(np.mean(res["per_run"])), abs=1e-12)
+
+    def test_prints_mean_stderr_and_throughput(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--policy", "round_robin"]) == 0
+        res = json.loads((out / "sim_round_robin.json").read_text())["result"]
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        match = re.fullmatch(
+            r"round_robin: mean = (\S+), stderr = (\S+) \((\d+) runs, ([\d,]+) bandit-slots at (\S+) bandit-slots/s\)",
+            line,
+        )
+        assert match, line
+        assert float(match[1]) == pytest.approx(res["mean"], rel=1e-5)
+        assert int(match[3]) == res["runs"]
+        assert int(match[4].replace(",", "")) == res["n_bandits"] * res["runs"] * res["horizon"]
+        assert float(match[5]) > 0
+        # the rate is wall-clock, so it stays out of the output files
+        assert "bandit_slots" not in json.dumps(res) and "bandit-slots" not in (out / "sim_summary.csv").read_text()
 
     def test_gain_index_without_tables_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)

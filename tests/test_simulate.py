@@ -1,7 +1,10 @@
 import functools
+import hashlib
 import importlib
 import json
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,9 @@ from uoisched import (
 )
 
 from uoisched.belief_mdp import nearest_state, state_labels
-from uoisched.simulate import POLICIES
+from uoisched.config import load_config
+from uoisched.simulate import _BLOCK_DOUBLES, POLICIES
+from uoisched.workflows import compute_index_tables, prepare
 
 from conftest import FIG1, random_bandit
 
@@ -234,6 +239,22 @@ def mixed_instance(criterion, beta):
     return RMABInstance(bandits, 2, criterion, beta, initial_beliefs=initial, seed=0), tables
 
 
+@functools.cache
+def tied_instance(criterion, beta):
+    """Four copies of one source sharing one table, labelled c-1 .. c-4 as
+    `asymptotic_sweep` labels class duplicates, and one further source
+    labelled "a" and listed last.  At L = 1 a copy has three truncated
+    states, so in every slot at least two copies hold the same state and tie
+    on score, and the label decides between them."""
+    rng = np.random.default_rng(8)
+    base, other = random_bandit(rng, 2, "c"), random_bandit(rng, 3, "a")
+    copies = [BanditSpec(base.chain, base.success_prob, f"c-{j}") for j in range(1, 5)]
+    maker = gain_indices_discounted if criterion == "discounted" else gain_indices_average
+    table, other_table = (maker(build_truncated(b, L, beta), 0.3) for b, L in ((base, 1), (other, 4)))
+    tables = [replace(table, bandit_label=b.label) for b in copies] + [other_table]
+    return RMABInstance(copies + [other], 2, criterion, beta, seed=0), tables
+
+
 CRITERIA = [("discounted", 0.9), ("average", 1.0)]
 
 
@@ -247,6 +268,10 @@ class TestReferenceSimulator:
         # m = 1 selects with a minimum instead of a partition
         inst, tables = mixed_instance(criterion, beta)
         self.check_against_reference(replace(inst, m=1), tables)
+
+    @pytest.mark.parametrize("criterion,beta", CRITERIA)
+    def test_tied_copies_match_reference_exactly(self, criterion, beta):
+        self.check_against_reference(*tied_instance(criterion, beta))
 
     @staticmethod
     def check_against_reference(inst, tables):
@@ -306,6 +331,70 @@ class TestStreams:
             a = simulate(inst, policy, 80, 8, seed=2, tables=tables)
             b = simulate(inst, policy, 80, 8, seed=3, tables=tables)
             assert not set(a.per_run.tolist()) & set(b.per_run.tolist()), policy
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# result_digest of 4,000 slots and 50 runs on each sample config, recorded
+# with the slot-by-slot simulator that walked true states and beliefs
+# together (one numpy gather per quantity per slot).
+PINNED = {
+    ("two_sources_average", "gain_index"): "8be6024bc5e2daf28beca31f1e9bc24c885cbf13262ede02028a287ea1982e49",
+    ("two_sources_average", "myopic"): "2e49afce50b131329ce00170113626f3616bf089caa60a8eb6afe764456ba994",
+    ("two_sources_average", "round_robin"): "46be5a2da4bea633123fb0a9d460dc6255fb09e17e38298ccdb9ac0aa224ab8f",
+    ("two_sources_discounted", "gain_index"): "229b5ca3d625e4311ee29cab0a87edd9ac908993b83b18e6bc562972c953afb1",
+    ("two_sources_discounted", "myopic"): "b1cbfc46e463ae6f6fc46736475a91c52f60e2a44c5cded8e3da6dd853f93895",
+    ("two_sources_discounted", "round_robin"): "3c6a83c0f385f25b0e79c2d6902a77a2032308ef996a270b98972b6a1cdb3aff",
+}
+
+
+def result_digest(res) -> str:
+    """SHA-256 of the result document, then of run 0's traces if recorded."""
+    h = hashlib.sha256(json.dumps(res.to_json_dict(), sort_keys=True).encode())
+    if res.or_mask_trace is not None:
+        h.update(res.or_mask_trace.tobytes())
+        h.update(res.selection_trace.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", ["two_sources_average", "two_sources_discounted"])
+    def test_outputs_across_block_boundaries(self, name):
+        prep = prepare(load_config(CONFIG_DIR / f"{name}.json"))
+        config = prep.config
+        tables = compute_index_tables(prep).tables
+        horizon, runs = 4000, 50
+        block = _BLOCK_DOUBLES // (2 * len(config.bandits) * runs)
+        assert horizon > 3 * block  # three block boundaries at least
+        for policy in POLICIES:
+            gain = policy == "gain_index"
+            res = simulate(
+                config.build_instance(), policy, horizon, runs, seed=config.seed, tables=tables if gain else None,
+                truncation_L=prep.l_per_bandit, burn_in=config.burn_in, record_y=gain,
+            )
+            assert result_digest(res) == PINNED[name, policy], policy
+
+
+class TestMemory:
+    # tracemalloc peak in bytes of the call below (M=10, N in {2, 3, 4}, 50
+    # runs, 200 slots in one block) with the slot-by-slot simulator, whose
+    # largest live set was a block's draws (1.6 MB) and their transposed copy
+    PEAK_BEFORE = 3_316_735
+
+    def test_peak_stays_within_the_draw_buffers(self):
+        rng = np.random.default_rng(10)
+        bandits = [random_bandit(rng, int(rng.integers(2, 5)), f"b{i}") for i in range(10)]
+        mdps = [build_truncated(b, choose_truncation(b, 1e-6)[0], 1.0) for b in bandits]
+        tables = [gain_indices_average(mdp, 0.3) for mdp in mdps]
+        inst = RMABInstance(bandits, 3, "average", 1.0, seed=7)
+        simulate(inst, "gain_index", 200, 50, tables=tables)  # import and cache effects out of the way
+        tracemalloc.start()
+        try:
+            simulate(inst, "gain_index", 200, 50, tables=tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_BEFORE
 
 
 def small_case(seed, n_bandits, criterion):
