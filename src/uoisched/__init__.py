@@ -24,7 +24,6 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     MaxItersExceeded,
-    MultichainPolicy,
     NoConvergence,
     NotStochastic,
     Periodic,

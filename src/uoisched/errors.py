@@ -41,10 +41,6 @@ class NoConvergence(SolverError):
     pass
 
 
-class MultichainPolicy(SolverError):
-    """The induced Markov chain has more than one recurrent class."""
-
-
 class MaxItersExceeded(SolverError):
     """Gradient search hit its iteration cap; carries the trace so far."""
 

@@ -30,8 +30,7 @@ from .solvers import (
     average_policy_evaluation,
     greedy_interval,
     policy_evaluation_discounted,
-    policy_iteration_batch,
-    solve_average_batch,
+    solve_batch,
 )
 
 
@@ -124,26 +123,12 @@ def derivative_discounted(mdp: TruncatedBeliefMDP, optimal_policy, initial_state
     return float(h[initial_state])
 
 
-def derivative_average(mdp: TruncatedBeliefMDP, optimal_policy) -> float:
-    """dg/dlam: long-run activation rate of the policy, in [0, 1]."""
+def derivative_average(mdp: TruncatedBeliefMDP, optimal_policy, initial_state: int) -> float:
+    """dg/dlam: long-run activation rate of the policy from the initial
+    state, in [0, 1]."""
     actions = optimal_policy.actions if isinstance(optimal_policy, PolicyAndValues) else np.asarray(optimal_policy)
-    rate, _ = average_policy_evaluation(mdp, actions, actions.astype(float))
-    return float(rate)
-
-
-def _solve_all(problem, lam, warm, counts=None):
-    """Solve every distinct bandit of the problem at lam in one batch;
-    `warm` carries the last flat policy (discounted) or Z (average)."""
-    init = warm.get(problem.criterion) if warm is not None else None
-    if problem.criterion == DISCOUNTED:
-        sol = policy_iteration_batch(problem.batch, lam, init=init, counts=counts)
-        state = sol.actions
-    else:
-        sol = solve_average_batch(problem.batch, lam, init_z=init, counts=counts)
-        state = sol.values
-    if warm is not None:
-        warm[problem.criterion] = state
-    return sol
+    rates, _ = average_policy_evaluation(mdp, actions, actions.astype(float))
+    return float(rates[initial_state])
 
 
 def _derivative(problem: LagrangeProblem, sol: BatchSolution) -> float:
@@ -154,15 +139,14 @@ def _derivative(problem: LagrangeProblem, sol: BatchSolution) -> float:
 
 
 def objective_derivative(problem: LagrangeProblem, lam: float, warm=None, counts=None) -> float:
-    """f'(lam) = sum_i dV_i/dlam - m/(1-beta), or l'(lam) = sum_i g_i' - m."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    return _derivative(problem, _solve_all(problem, lam, warm, counts))
+    """f'(lam) = sum_i dV_i/dlam - m/(1-beta), or l'(lam) = sum_i g_i' - m;
+    `warm` is optional warm-start values (see solvers.solve_batch)."""
+    return _derivative(problem, solve_batch(problem.batch, lam, warm, counts))
 
 
 def objective_value(problem: LagrangeProblem, lam: float, warm=None) -> float:
     """f(lam) or l(lam); a lower bound on the original problem's optimum."""
-    sol = _solve_all(problem, lam, warm)
+    sol = solve_batch(problem.batch, lam, warm)
     if problem.criterion == DISCOUNTED:
         start = sol.values[problem.batch.initial_ids]
         total = sum(float(start[j]) for j in problem.members)
@@ -182,14 +166,14 @@ def derivative_zero_tol(problem: LagrangeProblem) -> float:
     return 1e-9 * max(1.0, budget)
 
 
-def gradient_search(problem: LagrangeProblem, warm_start: bool = True) -> GradientTrace:
+def gradient_search(problem: LagrangeProblem) -> GradientTrace:
     """Run lam_{k+1} = max(lam_k + c/(k+1) * f'(lam_k), 0) from lam_0 = 0.
 
     Stops when f'(lam_k) * f'(lam_{k+1}) <= 0 and |lam_{k+1} - lam_k| <
     epsilon, returning lambda_star = min of the bracketing pair and, as
     `solution`, the batch solve made at that iterate; derivatives within
     `derivative_zero_tol` of zero count as zero in the sign test.  Each
-    bandit's solve is warm-started with the previous iterate's policy.
+    solve is warm-started from the values of the last solve made.
 
     f' changes only where some bandit's optimal policy does, so each solve
     also yields the interval of charges on which its policies stay greedy
@@ -204,30 +188,29 @@ def gradient_search(problem: LagrangeProblem, warm_start: bool = True) -> Gradie
     def snap(d):
         return 0.0 if abs(d) <= deriv_tol else d
 
-    warm = {} if warm_start else None
+    warm = None  # the values of the last solve
     counts = SolveCounts()
-    known = []  # (lo, hi, actions, derivative) of each solved policy's greedy interval
+    known = []  # (lo, hi, derivative) of each solved policy's greedy interval
     skipped = 0
 
     def derivative_at(lam):
         """f'(lam) and the solve at lam, or None in place of a skipped solve."""
-        nonlocal skipped
-        for lo, hi, actions, deriv in known:
+        nonlocal skipped, warm
+        for lo, hi, deriv in known:
             if lo <= lam <= hi:
                 skipped += 1
-                if warm is not None and problem.criterion == DISCOUNTED:
-                    warm[DISCOUNTED] = actions  # what the solve would have left
                 return deriv, None
-        sol = _solve_all(problem, lam, warm, counts)
+        sol = solve_batch(problem.batch, lam, warm, counts)
+        warm = sol.values
         deriv = _derivative(problem, sol)
         interval = greedy_interval(sol)
         if interval is not None:
-            known.append((*interval, sol.actions, deriv))
+            known.append((*interval, deriv))
         return deriv, sol
 
     def finish(lam_star, solution, stop_reason, bracket):
         if solution is None:
-            solution = _solve_all(problem, lam_star, warm, counts)
+            solution = solve_batch(problem.batch, lam_star, warm, counts)
         return GradientTrace(
             iterates=iterates,
             lambda_star=lam_star,

@@ -1,10 +1,11 @@
 """Exact solvers for truncated belief MDPs, one bandit or a batch at a time.
 
-Discounted: value iteration, policy iteration (Howard), and linear policy
-evaluation.  Average cost: policy iteration with exact evaluations, started
-from the policy that is greedy with respect to a warm start (the previous
-solve's Z, or zeros).  A unichain iterate is evaluated as (g, Z), with Z
-anchored at T_1^1, and improved greedily in Z; at a unichain fixed point
+`solve_batch` solves either criterion by Howard policy iteration with exact
+evaluations, started from the policy that is greedy in warm-start values
+(the previous solve's V or Z, or zeros: all active at a zero charge).
+Value iteration and linear policy evaluation complete the discounted set.
+Under the average criterion a unichain iterate is evaluated as (g, Z), with
+Z anchored at T_1^1, and improved greedily in Z; at a unichain fixed point
 (g, Z) solves the average-cost optimality equation
 
     Z(s) + g = min(qa(s), qp(s))   (within ACTIVE_TIE_TOL)
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief_mdp import TruncatedBeliefMDP
-from .errors import MultichainPolicy, NoConvergence, SolverError
+from .errors import NoConvergence, SolverError
 
 ACTIVE_TIE_TOL = 1e-9
 _PI_ROUNDS = 50  # policy-iteration rounds, either criterion, before NoConvergence
@@ -410,16 +411,16 @@ def policy_evaluation_discounted(mdp: TruncatedBeliefMDP, actions, cost_per_stat
 
 
 def average_policy_evaluation(mdp: TruncatedBeliefMDP, actions, cost_per_state):
-    """Solve Z + g = cost + P_pi Z with Z anchored to 0 at the T_1^1 state.
+    """Gain and bias of a fixed policy under the average criterion.
 
-    Returns (gain, differential values).  Raises MultichainPolicy when the
-    induced chain has more than one recurrent class.
+    Returns (gains, values), one per state.  A unichain policy has one gain
+    g in every state and values Z + g = cost + P_pi Z, anchored to 0 at the
+    T_1^1 state; a multichain one has a gain per recurrent class and the
+    bias of `_evaluate_multichain`.
     """
     cost = _cost_column(mdp, cost_per_state)
-    values, gains, unichain = _evaluate(BanditBatch([mdp]), actions, cost, average=True)
-    if not unichain[0]:
-        raise MultichainPolicy("induced chain has more than one recurrent class")
-    return float(gains[0, 0]), values[:, 0]
+    values, gains, _ = _evaluate(BanditBatch([mdp]), actions, cost, average=True)
+    return gains[:, 0], values[:, 0]
 
 
 def value_iteration_discounted(
@@ -448,12 +449,6 @@ def value_iteration_discounted(
     raise SolverError("value iteration failed to converge (should be impossible)")
 
 
-def _evaluate_charged(batch: BanditBatch, lam, actions, average: bool, counts=None):
-    """`_evaluate` under the costs (c + lam * a, a): values, then activations."""
-    costs = np.stack([batch.costs + lam * actions, actions], axis=1)
-    return _evaluate(batch, actions, costs, average, counts)
-
-
 def _multichain_step(batch: BanditBatch, actions, greedy, gains, multi):
     """Next policy of the bandits marked in the (B,) mask `multi` (Puterman
     1994, section 9.2): where some state's other action has a lower P_a g
@@ -468,21 +463,25 @@ def _multichain_step(batch: BanditBatch, actions, greedy, gains, multi):
     return np.where(multi[batch.bandit_of], step, greedy).astype(np.int8)
 
 
-def _policy_iteration(batch: BanditBatch, lam, actions, average: bool, counts=None):
+def _policy_iteration(batch: BanditBatch, lam, actions, counts=None):
     """Howard policy iteration on every bandit of a batch at once, from the
     flat policy `actions`, until no bandit's policy changes.
 
-    A bandit whose iterate is unichain (always, when discounted) takes the
-    policy greedy in its values; a multichain one takes `_multichain_step`.
-    Returns the last evaluated actions with their exact (values, gains) and
-    the (B,) unichain mask.  Raises NoConvergence when some bandit still
-    changes its policy after _PI_ROUNDS rounds.
+    Each round evaluates the policy under its charged cost c + lam * a and
+    under the activation indicator a.  A bandit whose iterate is unichain
+    (always, when discounted) takes the policy greedy in its values; a
+    multichain one takes `_multichain_step`.  Returns the last evaluated
+    actions with their exact (values, gains), both (n, 2), and the (B,)
+    unichain mask.  Raises NoConvergence when some bandit still changes its
+    policy after _PI_ROUNDS rounds.
     """
+    beta = batch.discount
     for _ in range(_PI_ROUNDS):
         if counts is not None:
             counts.pi_rounds += 1
-        values, gains, unichain = _evaluate_charged(batch, lam, actions, average, counts)
-        improved = _greedy(*_q_values(batch, lam, values[:, 0], batch.discount))
+        costs = np.stack([batch.costs + lam * actions, actions], axis=1)
+        values, gains, unichain = _evaluate(batch, actions, costs, beta == 1.0, counts)
+        improved = _greedy(*_q_values(batch, lam, values[:, 0], beta))
         if not unichain.all():
             improved = _multichain_step(batch, actions, improved, gains[:, 0], ~unichain)
         changed = np.logical_or.reduceat(improved != actions, batch.offsets[:-1])
@@ -494,64 +493,38 @@ def _policy_iteration(batch: BanditBatch, lam, actions, average: bool, counts=No
     )
 
 
-def policy_iteration_batch(batch: BanditBatch, lam: float, init=None, counts=None) -> BatchSolution:
-    """Howard policy iteration on every bandit of a discounted batch at once,
-    until every bandit's policy is stable.
+def solve_batch(batch: BanditBatch, lam: float, warm=None, counts=None) -> BatchSolution:
+    """Optimal policies of every bandit of a batch at charge lam, under the
+    batch's criterion (discount 1 is average cost).
 
-    `init` is an optional flat starting policy; defaults to all-active, the
-    optimal policy at lam = 0.  Each round evaluates the policy under its
-    cost and under the activation indicator, so the derivative comes with it.
+    Policy iteration starts from the policy greedy in the flat values `warm`
+    (the last solve's values, or zeros: all active at lam = 0) and runs to
+    its fixed point.  Gains and usage are those of each initial state, and
+    all values come with their activation values.
     """
-    if batch.discount >= 1.0:
-        raise ValueError("policy iteration requires discount < 1")
-    n = batch.n_states
-    if init is None:
-        actions = np.ones(n, dtype=np.int8)
-    else:
-        actions = np.asarray(init, dtype=np.int8)
-        if actions.shape[0] != n:
-            raise ValueError("init policy length does not match state count")
-    actions, values, _, _ = _policy_iteration(batch, lam, actions, False, counts)
-    return BatchSolution(
-        batch, lam, DISCOUNTED, actions, values[:, 0], np.zeros(batch.size),
-        values[batch.initial_ids, 1], values[:, 1],
-    )
-
-
-def policy_iteration_discounted(mdp: TruncatedBeliefMDP, lam: float, init=None) -> PolicyAndValues:
-    """Howard policy iteration with exact linear evaluation.
-
-    `init` is an optional starting policy (one action per state); defaults to
-    all-active, the optimal policy at lam = 0.
-    """
-    return policy_iteration_batch(BanditBatch([mdp]), lam, init).policy(0)
-
-
-def solve_average_batch(batch: BanditBatch, lam: float, init_z=None, counts=None) -> BatchSolution:
-    """Average-cost solve of every bandit of a batch: policy iteration from
-    the policy greedy with respect to init_z (default zeros), to its fixed
-    point.  Gains and activation rates are those of each initial state;
-    all values come with their activation rates."""
-    if batch.discount != 1.0:
-        raise ValueError("solve_average expects an MDP built with discount = 1")
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    w = np.zeros(batch.n_states) if init_z is None else np.asarray(init_z, dtype=float)
+    w = np.zeros(batch.n_states) if warm is None else np.asarray(warm, dtype=float)
     if w.shape != (batch.n_states,):
-        raise ValueError("init_z length does not match state count")
-    actions = _greedy(*_q_values(batch, lam, w, 1.0))
-    actions, values, gains, unichain = _policy_iteration(batch, lam, actions, True, counts)
-    start = gains[batch.initial_ids]
+        raise ValueError("warm values length does not match state count")
+    average = batch.discount == 1.0
+    actions = _greedy(*_q_values(batch, lam, w, batch.discount))
+    actions, values, gains, unichain = _policy_iteration(batch, lam, actions, counts)
+    start = (gains if average else values)[batch.initial_ids]
     return BatchSolution(
-        batch, lam, AVERAGE, actions, values[:, 0], start[:, 0], start[:, 1],
-        values[:, 1] if unichain.all() else None,
+        batch, lam, AVERAGE if average else DISCOUNTED, actions, values[:, 0],
+        gains[batch.initial_ids, 0], start[:, 1], values[:, 1] if unichain.all() else None,
     )
 
 
-def solve_average(mdp: TruncatedBeliefMDP, lam: float, init_z=None) -> PolicyAndValues:
-    """Average-cost solve of one bandit by policy iteration (see
-    solve_average_batch)."""
-    return solve_average_batch(BanditBatch([mdp]), lam, init_z).policy(0)
+def policy_iteration_discounted(mdp: TruncatedBeliefMDP, lam: float, warm=None) -> PolicyAndValues:
+    """Discounted solve of one bandit, warm-started from values (see solve_batch)."""
+    return solve_batch(BanditBatch([mdp]), lam, warm).policy(0)
+
+
+def solve_average(mdp: TruncatedBeliefMDP, lam: float, warm=None) -> PolicyAndValues:
+    """Average-cost solve of one bandit, warm-started from values (see solve_batch)."""
+    return solve_batch(BanditBatch([mdp]), lam, warm).policy(0)
 
 
 def active_passive_values(mdp: TruncatedBeliefMDP, values, state: int, lam: float):

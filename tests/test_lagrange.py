@@ -22,8 +22,8 @@ from uoisched import (
 import uoisched.lagrange as lagrange_module
 import uoisched.solvers as solvers_module
 from uoisched.index_policy import gain_index_tables
-from uoisched.lagrange import _derivative, _solve_all, derivative_zero_tol
-from uoisched.solvers import greedy_interval
+from uoisched.lagrange import _derivative, derivative_zero_tol
+from uoisched.solvers import greedy_interval, solve_batch
 from conftest import FIG1, force_multichain, induced_transition, mixed_mdps, random_bandit, rho_one_pair
 
 
@@ -80,17 +80,17 @@ class TestDerivativeDiscounted:
 class TestDerivativeAverage:
     def test_all_active_is_one(self):
         (mdp,) = fig1_mdps(1.0, count=1)
-        assert derivative_average(mdp, np.ones(mdp.n_states, dtype=np.int8)) == pytest.approx(1.0, abs=1e-12)
+        assert derivative_average(mdp, np.ones(mdp.n_states, dtype=np.int8), 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_passive_is_zero(self):
         (mdp,) = fig1_mdps(1.0, count=1)
-        assert derivative_average(mdp, np.zeros(mdp.n_states, dtype=np.int8)) == pytest.approx(0.0, abs=1e-12)
+        assert derivative_average(mdp, np.zeros(mdp.n_states, dtype=np.int8), 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_active_only_at_omega_matches_stationary_mass(self):
         (mdp,) = fig1_mdps(1.0, count=1)
         actions = np.zeros(mdp.n_states, dtype=np.int8)
         actions[0] = 1  # transmit only from the equilibrium belief, rho = 1
-        rate = derivative_average(mdp, actions)
+        rate = derivative_average(mdp, actions, 0)
         p = induced_transition(mdp, actions).toarray()
         n = mdp.n_states
         a = np.vstack([p.T - np.eye(n), np.ones(n)])
@@ -119,13 +119,13 @@ class TestFallbackReporting:
 def count_solves(monkeypatch):
     """Record the multiplier of every batch solve the search makes."""
     solves = []
-    real = lagrange_module._solve_all
+    real = lagrange_module.solve_batch
 
-    def counted(problem, lam, *args, **kwargs):
+    def counted(batch, lam, *args, **kwargs):
         solves.append(lam)
-        return real(problem, lam, *args, **kwargs)
+        return real(batch, lam, *args, **kwargs)
 
-    monkeypatch.setattr(lagrange_module, "_solve_all", counted)
+    monkeypatch.setattr(lagrange_module, "solve_batch", counted)
     return solves
 
 
@@ -156,7 +156,8 @@ class TestBatchedDerivative:
     def test_average_matches_loop_of_single_solves(self, lam):
         problem = mixed_problem("average", 1.0)
         pols = [solve_average(mdp, lam) for mdp in problem.mdps]
-        expect = sum(derivative_average(mdp, pol) for mdp, pol in zip(problem.mdps, pols)) - problem.m
+        pairs = zip(problem.mdps, pols, problem.initial_states)
+        expect = sum(derivative_average(mdp, pol, s) for mdp, pol, s in pairs) - problem.m
         assert objective_derivative(problem, lam) == pytest.approx(expect, rel=1e-12, abs=1e-12)
         expect_value = sum(pol.gain for pol in pols) - problem.m * lam
         assert objective_value(problem, lam) == pytest.approx(expect_value, rel=1e-12)
@@ -236,14 +237,6 @@ class TestGradientSearch:
         derivs = [objective_derivative(problem, lam) for lam in grid]
         assert np.all(np.diff(derivs) <= 1e-6)
 
-    def test_warm_and_cold_agree(self):
-        rng = np.random.default_rng(5150)
-        mdps = [build_truncated(random_bandit(rng, 2, f"b{i}"), 12, 0.9) for i in range(2)]
-        problem = make_problem(mdps, 1, "discounted")
-        warm = gradient_search(problem, warm_start=True)
-        cold = gradient_search(problem, warm_start=False)
-        assert abs(warm.lambda_star - cold.lambda_star) < problem.epsilon
-
     # a step size so small that three iterates never leave f' > 0: no
     # bracket to bisect
     def test_max_iters_carries_trace(self):
@@ -307,7 +300,7 @@ class TestSearchSolution:
     def test_solution_matches_a_cold_solve(self, criterion):
         problem = self._problem(criterion)
         trace = gradient_search(problem)
-        cold = _solve_all(problem, trace.lambda_star, None)
+        cold = solve_batch(problem.batch, trace.lambda_star)
         assert np.array_equal(trace.solution.actions, cold.actions)
         assert np.allclose(trace.solution.values, cold.values, rtol=1e-12, atol=1e-12)
 
@@ -317,9 +310,8 @@ class TestSearchSolution:
         trace = gradient_search(problem)
         sol = trace.solution
         before = {k: getattr(sol, k).copy() for k in ("actions", "values", "gains", "usage")}
-        warm = {criterion: sol.actions if criterion == "discounted" else sol.values}
         for lam in (0.0, 2.0 * trace.lambda_star + 0.1, trace.lambda_star):
-            objective_derivative(problem, lam, warm)
+            objective_derivative(problem, lam, sol.values)
         for key, array in before.items():
             assert np.array_equal(getattr(sol, key), array), key
 
@@ -329,27 +321,28 @@ class TestSearchSolution:
         assert trace == replace(trace, solution=None)
 
 
-def random_m4_problem(seed, criterion, max_iters=5000):
-    """Four random bandits truncated at eta 1e-6, m = 2."""
+def random_m4_problem(seed, criterion, max_iters=5000, beta=0.9):
+    """Four random bandits truncated at eta 1e-6, m = 2; `beta` is the
+    discount of the discounted criterion."""
     rng = np.random.default_rng(seed)
     bandits = [random_bandit(rng, rng.integers(2, 5), f"b{i}") for i in range(4)]
-    beta = 0.9 if criterion == "discounted" else 1.0
+    beta = beta if criterion == "discounted" else 1.0
     mdps = [build_truncated(b, choose_truncation(b, 1e-6)[0], beta) for b in bandits]
     return make_problem(mdps, 2, criterion, max_iters=max_iters)
 
 
 def reference_search(problem):
-    """The gradient search with one solve per iterate, sharing one warm dict:
-    (iterates, lambda*, bracket, solution), the last three None when
-    max_iters runs out."""
+    """The gradient search with one solve per iterate, each warm-started
+    from the last one's values: (iterates, lambda*, bracket, solution), the
+    last three None when max_iters runs out."""
     tol = derivative_zero_tol(problem)
-    warm, lam = {}, 0.0
-    sol = _solve_all(problem, lam, warm)
+    lam = 0.0
+    sol = solve_batch(problem.batch, lam)
     iterates = [(lam, _derivative(problem, sol))]
     for k in range(problem.max_iters):
         deriv = iterates[-1][1]
         lam_next = max(lam + problem.stepsize_c / (k + 1) * deriv, 0.0)
-        sol_next = _solve_all(problem, lam_next, warm)
+        sol_next = solve_batch(problem.batch, lam_next, sol.values)
         iterates.append((lam_next, _derivative(problem, sol_next)))
         (d0, d1) = (0.0 if abs(d) <= tol else d for d in (deriv, iterates[-1][1]))
         if d0 * d1 <= 0.0 and abs(lam_next - lam) < problem.epsilon:
@@ -413,32 +406,32 @@ class TestKnownPolicyIntervals:
     def test_interval_is_sound(self, criterion):
         problem = mixed_problem(criterion, 0.9 if criterion == "discounted" else 1.0)
         for lam in (0.05, 0.15, 0.4, 1.5):  # average: at 0.15 a bandit meets a multichain iterate
-            sol = _solve_all(problem, lam, None)
+            sol = solve_batch(problem.batch, lam)
             interval = greedy_interval(sol)
             assert interval is not None
             lo, hi = interval
             assert lo < lam < hi
             ends = [max(lo, 0.0), min(hi, lam + 10.0)]
             for probe in np.linspace(*ends, 7):
-                for warm in (None, {criterion: sol.actions if criterion == "discounted" else sol.values}):
-                    again = _solve_all(problem, float(probe), warm)
+                for warm in (None, sol.values):
+                    again = solve_batch(problem.batch, float(probe), warm)
                     assert np.array_equal(again.actions, sol.actions), (lam, probe)
                     assert _derivative(problem, again) == _derivative(problem, sol)
 
     def test_interval_ends_at_a_policy_change(self):
         problem = make_problem(fig1_mdps(0.9), 1, "discounted")
-        sol = _solve_all(problem, 0.2, None)
+        sol = solve_batch(problem.batch, 0.2)
         lo, hi = greedy_interval(sol)
-        assert not np.array_equal(_solve_all(problem, hi + 1e-4, None).actions, sol.actions)
-        assert not np.array_equal(_solve_all(problem, lo - 1e-4, None).actions, sol.actions)
+        assert not np.array_equal(solve_batch(problem.batch, hi + 1e-4).actions, sol.actions)
+        assert not np.array_equal(solve_batch(problem.batch, lo - 1e-4).actions, sol.actions)
 
     def test_no_interval_for_a_multichain_final_policy(self, monkeypatch):
         problem = make_problem(fig1_mdps(1.0), 1, "average")
-        unichain = _solve_all(problem, 0.3, None)
+        unichain = solve_batch(problem.batch, 0.3)
         # declared multichain, every iterate takes the multichain evaluation
         # and improvement step, and the solve ends at the same policy
         force_multichain(monkeypatch)
-        sol = _solve_all(problem, 0.3, None)
+        sol = solve_batch(problem.batch, 0.3)
         assert np.array_equal(sol.actions, unichain.actions)
         assert sol.activations is None and greedy_interval(sol) is None
 
@@ -522,3 +515,67 @@ class TestPinnedRhoOneSearches:
                 sha.update(table.values.tobytes())
             assert (trace.lambda_star.hex(), len(trace.iterates), sha.hexdigest()) == (lam_hex, iterations, digest), seed
         assert steps
+
+
+# lambda*.hex(), iteration count and SHA-256 of every table's index and value
+# bytes of random M = 4 discounted searches, as computed when each discounted
+# solve was warm-started from the last solve's policy rather than its values
+DISCOUNTED_PINNED = {
+    0.9: {
+        1000: ("0x1.7a8a1413a057cp-6", 279, "f1c6e9c7de2a93b925318e7eedb21ff1f9390502772888b274ec7cd19a5ea896"),
+        1001: ("0x1.1c23e51811771p-2", 26, "c72544937a8ca710419acc84a170d858756ee6c97279409659d93f2c6cb8e768"),
+        1002: ("0x1.7833bceec3657p-4", 55, "d885a7a92e2bc7294c266c89756a33151c415b1edb651a24fadfd1c4b42b62fb"),
+        1003: ("0x1.86aab0f4a28a6p-5", 7, "eb495ad912db4833a552a7bca983c94344b7c8e11123d10b2c43fa5c16b29aca"),
+        1004: ("0x1.7f3180b2b955cp-3", 33, "e9ac6a1500eb3dea98036f6978d19a6f72b0317f592373e196e4f0a7cd604b30"),
+        1005: ("0x1.04d5433077c9ap-3", 30, "1f9392ee718dc25bdf882cc422bebf987188889c50cb86253706ee02bbc98c61"),
+        1006: ("0x1.87d90f772849ap-3", 36, "ab27424b22b36088622745733f74dfc336639468701f73829ddaa8704655f950"),
+        1007: ("0x1.c71c71c71c750p-6", 11, "63595a1f5880bea0fb302da6e3eaf6eb74f73b6567bf7fc7edc42044dd997bab"),
+        1008: ("0x1.4a40bd7bf0b6fp-3", 67, "90720f98e355d26c0f9288114cbddbcf71902917789e5dedaf82df6337a62206"),
+        1009: ("0x1.6c16830afd53ep-3", 56, "e1b1dee4e0afc456e601900cfbd05e4e928fc6a3804352d30611cdd5f6f1c182"),
+        1010: ("0x1.625f53fe2f624p-4", 49, "3a287a608e46995dba70b0c892e5303ccf3fede4d75453939c9b7fc1b95cbb1c"),
+        1011: ("0x1.698747f793979p-3", 26, "12a1af6aff795d732c032127a12e744eb85eae04334ec5beb2d44d37d3663125"),
+        1012: ("0x1.a1c03f9fd12f6p-3", 280, "d43649c4377890b09422d84d6670880e14e513d70b8effc85e1575dc04848398"),
+        1013: ("0x1.42b14ec4255dap-3", 146, "3d7b02938395e22e728fe2c82b91f1ca8424987f157b5132079f2578ad3a1894"),
+        1014: ("0x1.d0d44b74baf33p-4", 157, "0e05a2201861330c9bfa3ab9029dce6cbf5ecc2223a08b09892ca5db6528ca93"),
+        1015: ("0x1.6ee0c5cefba53p-3", 36, "eda28f21a62510ef59807469fd3fa106aa6318aa3f9aca98e92ae44c33e9a03d"),
+        1016: ("0x1.86de7c0f85e29p-4", 50, "52afc5f14ec60ff1400cb89e2a9656c7355c1bb99ad538dd1e71b531795917e8"),
+        1017: ("0x1.6ea9e1e396b28p-3", 360, "60dddc34e78547fdf73276f5118c28736ab175c46b2b89b904a9234e00e37f60"),
+        1018: ("0x1.8c484d1def9e9p-3", 217, "d51108af9899ee9911845fa55fcb630eea2e73cd17e49c7922ab34aabfbad852"),
+        1019: ("0x1.6f5f331622906p-4", 17, "e4c103ff46ce45ad0fcd09dfde4599cba4cde4d5d5aff13d59eb64bc3dd0d86e"),
+    },
+    0.99: {
+        1000: ("0x1.a50cc9d0af11ep-6", 195, "52c7ff58f56d45f47eaf9a4f984f613a73c4af1bf8e17e38200d643ee616832d"),
+        1001: ("0x1.33de714522964p-2", 34, "514d699b0c5cae0303f7e7a9bb9c62725112534bc332879233378cfcee1b5925"),
+        1002: ("0x1.a181507949d74p-4", 48, "679716c4323c087146b5bbfc532ca8ebd5528e0c3c3d4449320ff81e4227af0b"),
+        1003: ("0x1.6be5a3361e104p-4", 6, "a3ac47531bb2d0ff272dc02ecb6c6dc585b38c6979985c02df76600803dafaef"),
+        1004: ("0x1.a54f705e0d49ep-3", 61, "e24226fe688c504e4f16fd240d2dd390a0787b1f25fc5ad73e66820230e26939"),
+        1005: ("0x1.2258543088428p-3", 63, "a33a0c36e352bdd5619c01d1e85ba778b8852810e9fb315ec49953a0b76e6551"),
+        1006: ("0x1.b2debf322aedcp-3", 1013, "18bdb7b5cf33038a491461eaf62f052e2b54ab87c095cd7526c7b7cbd369279c"),
+        1007: ("0x1.c71c71c71c908p-6", 11, "4a4a27699ef286a85d5d07aca0082f59a76884fd576382a0c1af8127b55e4c27"),
+        1008: ("0x1.6d9dd50a47996p-3", 74, "f492c8196353fe9d276e1d50166126eb729b2c20c1c45ecd10b2d26f81d56087"),
+        1009: ("0x1.92b68ca9de709p-3", 72, "6dd48e2ae7bbda3ba404c25ac6ee554920f999494131a4ee359dc9dce6c1166a"),
+        1010: ("0x1.9345c86fff1fcp-4", 50, "aaa8a46d3e3b3e998f8de24323e2a7192e5dc90cb38ab876e4a16ded457bf77e"),
+        1011: ("0x1.5f6765c8f5fb7p-3", 40, "4c67a005cf9e6d528a518106f7591b22a880554db027ad626aab187dd915b6c8"),
+        1012: ("0x1.cff6b63b4451bp-3", 80, "4c102bb3a9335abb39695284f5c48762997ab880d428f60935f3bcc6cc0fc5be"),
+        1013: ("0x1.6a3ba68c70baep-3", 69, "5aee7cd9eb19dfc823c1400465a08a9fefe562839826bc7197c2c878ed417d52"),
+        1014: ("0x1.030d47277e664p-3", 67, "7cae4df7f63083ea471e1981dfa4a366902852f5c8f9bb70625f460793c64b25"),
+        1015: ("0x1.83193139625e5p-3", 36, "a190dca3134a5366d858c368eaa2c1f4ef66897876811141069f1b2bb6a4f3c2"),
+        1016: ("0x1.aca3ae8da9293p-4", 42, "2dd2cbfae19d4d8fd4e512f0f972ad6901878d44d68aeecb5ea1992beb1a9e38"),
+        1017: ("0x1.762010766100ep-3", 38, "aac78d04897b33995da894ca1b2e23441016a45a6e6c1e97f399d05d217c401f"),
+        1018: ("0x1.be3249d0c16b8p-3", 146, "a5d0fa25316dcbad3ad6f802fcd7ca346e07625fabba31a6704e6746122726ad"),
+        1019: ("0x1.8e5ac2480f91ap-4", 20, "864a03c9fb286a6b307b867c0a02f67ef7be0ed14e5b3968dbc989aa50668bfa"),
+    },
+}
+
+
+class TestPinnedDiscountedSearches:
+    @pytest.mark.parametrize("beta", sorted(DISCOUNTED_PINNED))
+    def test_lambda_star_iterations_and_tables_are_pinned(self, beta):
+        for seed, (lam_hex, iterations, digest) in DISCOUNTED_PINNED[beta].items():
+            problem = random_m4_problem(seed, "discounted", beta=beta)
+            trace = gradient_search(problem)
+            sha = hashlib.sha256()
+            for table in gain_index_tables(problem, trace):
+                sha.update(table.indices.tobytes())
+                sha.update(table.values.tobytes())
+            assert (trace.lambda_star.hex(), len(trace.iterates), sha.hexdigest()) == (lam_hex, iterations, digest), seed

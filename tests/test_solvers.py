@@ -8,12 +8,12 @@ import scipy.sparse.csgraph as csgraph
 
 from uoisched import (
     BanditSpec,
-    MultichainPolicy,
     NoConvergence,
     active_passive_values,
     average_policy_evaluation,
     build_truncated,
     choose_truncation,
+    derivative_average,
     entropy,
     policy_evaluation_discounted,
     policy_iteration_discounted,
@@ -29,7 +29,7 @@ from uoisched.solvers import (
     _evaluate,
     _greedy,
     _q_values,
-    solve_average_batch,
+    solve_batch,
 )
 
 from conftest import (
@@ -58,6 +58,14 @@ def degenerate_mdp(beta=0.9, L=2):
     # so the model behaves like a single-state MDP with cost H(omega) = 1
     chain = validate_chain([[0.5, 0.5], [0.5, 0.5]])
     return build_truncated(BanditSpec(chain, 1.0, "flat"), L, beta)
+
+
+def all_passive_warm_start(mdp):
+    """Values whose greedy policy at rho = 1 and a zero charge is all
+    passive: 1 at the reset states, which only the active action reaches."""
+    w = np.zeros(mdp.n_states)
+    w[mdp.reset_states] = 1.0
+    return w
 
 
 def find_all_passive_lambda(mdp, solver, max_doublings=60):
@@ -108,12 +116,16 @@ class TestPolicyIteration:
     def test_warm_start_at_optimum_converges_immediately(self):
         mdp = fig1_mdp()
         opt = policy_iteration_discounted(mdp, 0.07)
-        again = policy_iteration_discounted(mdp, 0.07, init=opt.actions)
+        counts = SolveCounts()
+        again = solve_batch(BanditBatch([mdp]), 0.07, opt.values, counts)
         assert np.array_equal(again.actions, opt.actions)
+        assert counts.pi_rounds == 1
 
     def test_all_passive_init_reaches_all_active_at_zero_charge(self):
         mdp = fig1_mdp()
-        pol = policy_iteration_discounted(mdp, 0.0, init=np.zeros(mdp.n_states, dtype=np.int8))
+        warm = all_passive_warm_start(mdp)
+        assert _greedy(*_q_values(BanditBatch([mdp]), 0.0, warm, mdp.discount)).max() == 0
+        pol = policy_iteration_discounted(mdp, 0.0, warm)
         assert pol.actions.min() == 1
 
     def test_agrees_with_value_iteration(self):
@@ -201,31 +213,43 @@ class TestAveragePolicyEvaluation:
     def test_constant_cost(self):
         mdp = fig1_mdp(beta=1.0)
         actions = np.zeros(mdp.n_states, dtype=np.int8)
-        g, z = average_policy_evaluation(mdp, actions, np.ones(mdp.n_states))
-        assert g == pytest.approx(1.0, abs=1e-12)
+        gains, z = average_policy_evaluation(mdp, actions, np.ones(mdp.n_states))
+        assert np.allclose(gains, 1.0, rtol=0.0, atol=1e-12)
         assert np.allclose(z, 0.0, atol=1e-9)
 
     def test_all_passive_activation_rate_is_zero(self):
         mdp = fig1_mdp(beta=1.0)
         actions = np.zeros(mdp.n_states, dtype=np.int8)
-        g, _ = average_policy_evaluation(mdp, actions, actions.astype(float))
-        assert g == pytest.approx(0.0, abs=1e-12)
+        rates, _ = average_policy_evaluation(mdp, actions, actions.astype(float))
+        assert np.allclose(rates, 0.0, rtol=0.0, atol=1e-12)
 
     def test_all_active_activation_rate_is_one(self):
         mdp = fig1_mdp(beta=1.0)
         actions = np.ones(mdp.n_states, dtype=np.int8)
-        g, _ = average_policy_evaluation(mdp, actions, actions.astype(float))
-        assert g == pytest.approx(1.0, abs=1e-12)
+        rates, _ = average_policy_evaluation(mdp, actions, actions.astype(float))
+        assert np.allclose(rates, 1.0, rtol=0.0, atol=1e-12)
 
     def test_multichain_policy_detected(self):
         # rho=1, active only on the reset states, passive at omega: the reset
-        # block and the omega sink are two recurrent classes
+        # block and the omega sink are two recurrent classes, each with its
+        # own gain; the aging states drain into omega
         mdp = fig1_mdp(beta=1.0, rho=1.0, L=4)
         actions = np.zeros(mdp.n_states, dtype=np.int8)
-        for k in (1, 2):
-            actions[mdp.state_index(k, 1)] = 1
-        with pytest.raises(MultichainPolicy):
-            average_policy_evaluation(mdp, actions, mdp.costs_passive)
+        actions[mdp.reset_states] = 1
+        assert not BanditBatch([mdp]).unichain(actions)[0][0]
+        resets = np.isin(np.arange(mdp.n_states), mdp.reset_states)
+        rates, _ = average_policy_evaluation(mdp, actions, actions.astype(float))
+        assert np.all(rates[~resets] == 0.0)
+        assert np.allclose(rates[resets], 1.0, rtol=0.0, atol=1e-12)
+        assert np.array_equal([derivative_average(mdp, actions, s) for s in range(mdp.n_states)], rates)
+        gains, _ = average_policy_evaluation(mdp, actions, mdp.costs_passive)
+        # the reset class observes the source's own chain, so it spends the
+        # fraction omega_k of its time at T_k^1
+        omega = mdp.states[0]
+        reset_gain = float(omega @ mdp.costs_passive[mdp.reset_states])
+        assert np.allclose(gains[resets], reset_gain, rtol=0.0, atol=1e-12)
+        assert np.allclose(gains[~resets], entropy(omega), rtol=0.0, atol=1e-12)
+        assert reset_gain < entropy(omega)
 
 
 class TestActivePassiveValues:
@@ -330,9 +354,9 @@ class TestStructuredEvaluation:
         if recurrent_class_count(induced_transition(mdp, actions)) != 1:
             return
         g_ref, z_ref = dense_average_evaluation(mdp, actions, cost)
-        g, z = average_policy_evaluation(mdp, actions, cost)
+        gains, z = average_policy_evaluation(mdp, actions, cost)
         scale = np.max(np.abs(z_ref))
-        assert abs(g - g_ref) <= 1e-9 * scale
+        assert np.max(np.abs(gains - g_ref)) <= 1e-9 * scale
         assert np.max(np.abs(z - z_ref)) <= 1e-9 * scale
         assert z[mdp.reset_states[0]] == 0.0
 
@@ -343,9 +367,6 @@ class TestStructuredEvaluation:
         multichain = recurrent_class_count(induced_transition(mdp, actions)) != 1
         unichain, _ = BanditBatch([mdp]).unichain(actions)
         assert bool(unichain[0]) is not multichain
-        if multichain:
-            with pytest.raises(MultichainPolicy):
-                average_policy_evaluation(mdp, actions, cost)
 
     def test_batch_matches_batch_of_one_values(self):
         rng = np.random.default_rng(8)
@@ -398,11 +419,18 @@ class TestBatchedAverageSolve:
         assert np.array_equal(np.flatnonzero(first), mdp.reset_states)
         assert not batch.unichain(first)[0][0]
 
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
     @pytest.mark.parametrize("length", [-1, 1], ids=["short", "long"])
-    def test_init_z_of_another_length_is_rejected(self, length):
-        mdp = fig1_mdp(beta=1.0, L=10)
-        with pytest.raises(ValueError, match="init_z length does not match state count"):
-            solve_average(mdp, 0.05, init_z=np.zeros(mdp.n_states + length))
+    def test_warm_values_of_another_length_are_rejected(self, length, criterion):
+        mdp = fig1_mdp(beta=0.9 if criterion == "discounted" else 1.0, L=10)
+        with pytest.raises(ValueError, match="warm values length does not match state count"):
+            solve_batch(BanditBatch([mdp]), 0.05, np.zeros(mdp.n_states + length))
+
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    def test_negative_charge_is_rejected(self, criterion):
+        mdp = fig1_mdp(beta=0.9 if criterion == "discounted" else 1.0, L=10)
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            solve_batch(BanditBatch([mdp]), -1e-3)
 
     @pytest.mark.parametrize("criterion", ["discounted", "average"])
     def test_still_changing_at_the_round_cap_raises(self, criterion, monkeypatch):
@@ -410,9 +438,9 @@ class TestBatchedAverageSolve:
         # (average), fig1 needs more than one round at these charges
         mdp = fig1_mdp(beta=0.9 if criterion == "discounted" else 1.0)
         if criterion == "discounted":
-            solve = partial(policy_iteration_discounted, mdp, 0.0, init=np.zeros(mdp.n_states, dtype=np.int8))
+            solve = partial(policy_iteration_discounted, mdp, 0.0, all_passive_warm_start(mdp))
         else:
-            solve = partial(solve_average, mdp, 0.05, init_z=multichain_warm_start(mdp))
+            solve = partial(solve_average, mdp, 0.05, multichain_warm_start(mdp))
         solve()
         monkeypatch.setattr(solvers_module, "_PI_ROUNDS", 1)
         with pytest.raises(NoConvergence, match=r"after 1 rounds in bandits \[0\]"):
@@ -443,10 +471,10 @@ def relative_value_iteration(batch, lam, w, tol=1e-9, max_sweeps=200_000):
     raise AssertionError(f"relative value iteration span not below {tol} in {max_sweeps} sweeps")
 
 
-def rvi_reference(batch, lam, init_z=None):
+def rvi_reference(batch, lam, warm=None):
     """The average solve without policy iteration: relative value iteration
-    from init_z, then the greedy policy, then its exact evaluation."""
-    w = np.zeros(batch.n_states) if init_z is None else np.array(init_z, dtype=float)
+    from the values `warm`, then the greedy policy, then its exact evaluation."""
+    w = np.zeros(batch.n_states) if warm is None else np.array(warm, dtype=float)
     actions = _greedy(*relative_value_iteration(batch, lam, w))
     costs = np.stack([batch.costs + lam * actions, actions], axis=1)
     values, gains, unichain = _evaluate(batch, actions, costs, average=True)
@@ -463,7 +491,7 @@ def warm_sweep(batch, counts=None):
     the gradient search does; yields (lam, warm start, solution)."""
     z = None
     for lam in LAMBDA_GRID:
-        sol = solve_average_batch(batch, lam, init_z=z, counts=counts)
+        sol = solve_batch(batch, lam, z, counts)
         yield lam, z, sol
         z = sol.values
 
@@ -499,7 +527,7 @@ class TestAveragePolicyIteration:
         batch = BanditBatch(mixed_mdps(1.0))
         for lam in LAMBDA_GRID:
             counts = SolveCounts()
-            sol = solve_average_batch(batch, lam, counts=counts)
+            sol = solve_batch(batch, lam, counts=counts)
             actions, values, _, _ = rvi_reference(batch, lam)
             assert np.array_equal(sol.actions, actions)
             assert np.array_equal(sol.values, values)
@@ -517,9 +545,9 @@ class TestAveragePolicyIteration:
         # ends, bit for bit, at the RVI reference and at the cold solve
         fig1 = fig1_mdp(beta=1.0)
         masks.clear()
-        sol = solve_average_batch(BanditBatch([fig1]), 0.05, init_z=multichain_warm_start(fig1))
+        sol = solve_batch(BanditBatch([fig1]), 0.05, multichain_warm_start(fig1))
         assert masks and masks[0] == [True]
-        cold = solve_average_batch(BanditBatch([fig1]), 0.05)
+        cold = solve_batch(BanditBatch([fig1]), 0.05)
         reference = rvi_reference(BanditBatch([fig1]), 0.05, multichain_warm_start(fig1))
         for got in (sol, cold):
             for array, expected in zip((got.actions, got.values, got.gains, got.usage), reference):
@@ -529,7 +557,7 @@ class TestAveragePolicyIteration:
         batch = BanditBatch([fig1, other])
         init = np.concatenate([multichain_warm_start(fig1), np.zeros(other.n_states)])
         masks.clear()
-        sol = solve_average_batch(batch, 0.05, init_z=init)
+        sol = solve_batch(batch, 0.05, init)
         assert masks[0] == [True, False]
         actions, values, gains, usage = rvi_reference(batch, 0.05, init)
         assert np.array_equal(sol.actions, actions)
@@ -546,7 +574,7 @@ class TestAveragePolicyIteration:
         warm = [None] * len(mdps)
         for lam, _, sol in warm_sweep(batch):
             for b, one in enumerate(alone):
-                own = solve_average_batch(one, lam, init_z=warm[b])
+                own = solve_batch(one, lam, warm[b])
                 warm[b] = own.values
                 assert np.array_equal(batch.split(sol.actions, b), own.actions)
                 scale = max(1.0, np.max(np.abs(own.values)))
