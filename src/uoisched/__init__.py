@@ -44,8 +44,7 @@ from .index_policy import (
 from .lagrange import (
     GradientTrace,
     LagrangeProblem,
-    derivative_average,
-    derivative_discounted,
+    derivative,
     gradient_search,
     make_problem,
     objective_derivative,

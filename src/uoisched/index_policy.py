@@ -21,12 +21,7 @@ import numpy as np
 from .belief_mdp import TruncatedBeliefMDP, state_labels
 from .errors import ConfigError
 from .lagrange import GradientTrace, LagrangeProblem
-from .solvers import (
-    ACTIVE_TIE_TOL,
-    active_passive_values,
-    policy_iteration_discounted,
-    solve_average,
-)
+from .solvers import ACTIVE_TIE_TOL, AVERAGE, DISCOUNTED, BanditBatch, active_passive_values, solve_batch
 
 TABLE_SCHEMA_VERSION = 1
 
@@ -49,11 +44,11 @@ def _indices_from_values(mdp: TruncatedBeliefMDP, values: np.ndarray) -> np.ndar
     return rho * (v_tx - v_reset)
 
 
-def _gain_indices(mdp: TruncatedBeliefMDP, lam: float, policy, solve) -> GainIndexTable:
+def _gain_indices(mdp: TruncatedBeliefMDP, lam: float, policy) -> GainIndexTable:
     if lam < 0:
         raise ValueError("lambda_star must be >= 0")
     if policy is None:
-        policy = solve(mdp, lam)
+        policy = solve_batch(BanditBatch([mdp]), lam).policy(0)
     return GainIndexTable(
         bandit_label=mdp.bandit.label,
         criterion=policy.criterion,
@@ -67,12 +62,12 @@ def _gain_indices(mdp: TruncatedBeliefMDP, lam: float, policy, solve) -> GainInd
 
 def gain_indices_discounted(mdp: TruncatedBeliefMDP, lambda_star: float, policy=None) -> GainIndexTable:
     """Index table from the policy-evaluated optimal value at lambda_star."""
-    return _gain_indices(mdp, lambda_star, policy, policy_iteration_discounted)
+    return _gain_indices(mdp, lambda_star, policy)
 
 
 def gain_indices_average(mdp: TruncatedBeliefMDP, lambda_a: float, policy=None) -> GainIndexTable:
     """Index table from the differential value function at lambda_a."""
-    return _gain_indices(mdp, lambda_a, policy, solve_average)
+    return _gain_indices(mdp, lambda_a, policy)
 
 
 def gain_index_tables(problem: LagrangeProblem, trace: GradientTrace) -> list[GainIndexTable]:
@@ -81,7 +76,7 @@ def gain_index_tables(problem: LagrangeProblem, trace: GradientTrace) -> list[Ga
     sol = trace.solution
     if sol is None:
         raise ValueError("the gradient trace carries no solution at lambda*")
-    tables = [_gain_indices(mdp, sol.lam, sol.policy(b), None) for b, mdp in enumerate(sol.batch.mdps)]
+    tables = [_gain_indices(mdp, sol.lam, sol.policy(b)) for b, mdp in enumerate(sol.batch.mdps)]
     return [tables[j] for j in problem.members]
 
 
@@ -146,10 +141,15 @@ def table_from_doc(doc: dict) -> GainIndexTable:
         beliefs = np.array([s["belief"] for s in states], dtype=float)
         if not (np.all(np.isfinite(indices)) and np.all(np.isfinite(beliefs))):
             raise ConfigError("index table holds a non-finite index or belief")
+        lam, criterion = doc["lambda_star"], doc["criterion"]
+        if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not (np.isfinite(lam) and lam >= 0):
+            raise ConfigError(f"index table document has a malformed field lambda_star: {lam!r} is not finite and >= 0")
+        if criterion not in (DISCOUNTED, AVERAGE):
+            raise ConfigError(f"index table document has a malformed field criterion: {criterion!r}")
         return GainIndexTable(
             bandit_label=doc["bandit_label"],
-            criterion=doc["criterion"],
-            lambda_star=float(doc["lambda_star"]),
+            criterion=criterion,
+            lambda_star=float(lam),
             indices=indices,
             values=None,
             beliefs=beliefs,

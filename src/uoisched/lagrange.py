@@ -3,11 +3,12 @@
 For service charge lam the relaxed problem decouples into single-bandit
 solves; the dual objective is
 
-    discounted:  f(lam) = sum_i V_i(chi_i, lam) - m*lam/(1-beta)
-    average:     l(lam) = sum_i g_i(lam)        - m*lam
+    f(lam) = sum_i V_i(chi_i, lam) - m*lam/s,   s = solvers.charge_scale(beta)
 
-Both are concave and piecewise linear in lam, with derivative equal to the
-summed expected activation usage minus the channel budget.  The gradient
+with V_i the discounted value (s = 1 - beta), or at beta = 1 the gain g_i
+(s = 1: the average-cost dual l(lam) = sum_i g_i(lam) - m*lam).  It is
+concave and piecewise linear in lam, with derivative equal to the summed
+expected activation usage minus the channel budget m/s.  The gradient
 iteration lam_{k+1} = lam_k + a_k * f'(lam_k) with a_k = c/(k+1) stops once
 consecutive derivatives bracket a sign change within epsilon.
 """
@@ -27,9 +28,9 @@ from .solvers import (
     BatchSolution,
     PolicyAndValues,
     SolveCounts,
-    average_policy_evaluation,
+    _evaluate,
+    charge_scale,
     greedy_interval,
-    policy_evaluation_discounted,
     solve_batch,
 )
 
@@ -55,10 +56,9 @@ class LagrangeProblem:
         if len(betas) != 1:
             raise ValueError("all bandits must share one discount factor")
         self.beta = betas.pop()
-        if self.criterion == DISCOUNTED and not self.beta < 1.0:
-            raise ValueError("discounted problems need discount < 1")
-        if self.criterion == AVERAGE and self.beta != 1.0:
-            raise ValueError("average problems need MDPs built with discount = 1")
+        if self.criterion != (AVERAGE if self.beta == 1.0 else DISCOUNTED):
+            raise ValueError(f"a {self.criterion!r} problem cannot have discount {self.beta} (average cost is 1)")
+        self.budget = self.m / charge_scale(self.beta)  # the m channels, weighted as one charge
         # identical (mdp, initial state) pairs are solved once and shared
         # (duplicated bandits are common in sweeps)
         index, unique = {}, []
@@ -81,14 +81,13 @@ def make_problem(
     epsilon=None,
     max_iters=5000,
 ) -> LagrangeProblem:
-    """LagrangeProblem with scale-aware defaults: c = (1-beta)*B_H (discounted)
-    or B_H (average), epsilon = 1e-3*B_H, where B_H = max_i log2 N_i."""
+    """LagrangeProblem with scale-aware defaults: c = charge_scale(beta)*B_H
+    and epsilon = 1e-3*B_H, where B_H = max_i log2 N_i."""
     if initial_states is None:
         initial_states = [0] * len(mdps)  # omega
     b_h = max(np.log2(mdp.bandit.chain.n_states) for mdp in mdps)
-    beta = mdps[0].discount
     if stepsize_c is None:
-        stepsize_c = (1.0 - beta) * b_h if criterion == DISCOUNTED else b_h
+        stepsize_c = charge_scale(mdps[0].discount) * b_h
     if epsilon is None:
         epsilon = 1e-3 * b_h
     return LagrangeProblem(
@@ -115,44 +114,32 @@ class GradientTrace:
     solution: BatchSolution | None = field(default=None, repr=False, compare=False)
 
 
-def derivative_discounted(mdp: TruncatedBeliefMDP, optimal_policy, initial_state: int) -> float:
-    """dV/dlam at the policy's lam: expected discounted number of activations
-    from the initial state, via policy evaluation with the action-indicator cost."""
+def derivative(mdp: TruncatedBeliefMDP, optimal_policy, initial_state: int) -> float:
+    """dV/dlam (or dg/dlam) at the policy's lam: the policy's expected
+    discounted number of activations from the initial state, or its long-run
+    activation rate from there, in [0, 1]; from one policy evaluation under
+    the action-indicator cost."""
     actions = optimal_policy.actions if isinstance(optimal_policy, PolicyAndValues) else np.asarray(optimal_policy)
-    h = policy_evaluation_discounted(mdp, actions, actions.astype(float))
-    return float(h[initial_state])
-
-
-def derivative_average(mdp: TruncatedBeliefMDP, optimal_policy, initial_state: int) -> float:
-    """dg/dlam: long-run activation rate of the policy from the initial
-    state, in [0, 1]."""
-    actions = optimal_policy.actions if isinstance(optimal_policy, PolicyAndValues) else np.asarray(optimal_policy)
-    rates, _ = average_policy_evaluation(mdp, actions, actions.astype(float))
-    return float(rates[initial_state])
+    values, rates, _ = _evaluate(BanditBatch([mdp]), actions, actions.astype(float)[:, None])
+    return float((rates if mdp.discount == 1.0 else values)[initial_state, 0])
 
 
 def _derivative(problem: LagrangeProblem, sol: BatchSolution) -> float:
     total = sum(float(sol.usage[j]) for j in problem.members)
-    if problem.criterion == DISCOUNTED:
-        return float(total - problem.m / (1.0 - problem.beta))
-    return float(total - problem.m)
+    return float(total - problem.budget)
 
 
 def objective_derivative(problem: LagrangeProblem, lam: float, warm=None, counts=None) -> float:
-    """f'(lam) = sum_i dV_i/dlam - m/(1-beta), or l'(lam) = sum_i g_i' - m;
+    """f'(lam) = sum_i dV_i/dlam - m/charge_scale(beta);
     `warm` is optional warm-start values (see solvers.solve_batch)."""
     return _derivative(problem, solve_batch(problem.batch, lam, warm, counts))
 
 
 def objective_value(problem: LagrangeProblem, lam: float, warm=None) -> float:
     """f(lam) or l(lam); a lower bound on the original problem's optimum."""
-    sol = solve_batch(problem.batch, lam, warm)
-    if problem.criterion == DISCOUNTED:
-        start = sol.values[problem.batch.initial_ids]
-        total = sum(float(start[j]) for j in problem.members)
-        return float(total - problem.m * lam / (1.0 - problem.beta))
-    total = sum(float(sol.gains[j]) for j in problem.members)
-    return float(total - problem.m * lam)
+    start = solve_batch(problem.batch, lam, warm).objective
+    total = sum(float(start[j]) for j in problem.members)
+    return float(total - problem.m * lam / charge_scale(problem.beta))
 
 
 def derivative_zero_tol(problem: LagrangeProblem) -> float:
@@ -162,8 +149,7 @@ def derivative_zero_tol(problem: LagrangeProblem) -> float:
     the linear solves as O(1e-14) noise of either sign; snapping |f'| below
     this band to zero lets the sign-product criterion fire there.
     """
-    budget = problem.m / (1.0 - problem.beta) if problem.criterion == DISCOUNTED else problem.m
-    return 1e-9 * max(1.0, budget)
+    return 1e-9 * max(1.0, problem.budget)
 
 
 def gradient_search(problem: LagrangeProblem) -> GradientTrace:

@@ -47,6 +47,7 @@ import numpy as np
 
 from .belief_mdp import TruncatedBeliefMDP, transition_matrices
 from .errors import NoConvergence, StateSpaceTooLarge
+from .solvers import charge_scale
 
 DEFAULT_CAP = 2_000_000
 
@@ -231,11 +232,38 @@ class _FactoredSweep:
         return policy
 
 
-def _check_stopping(tol: float, max_iters: int) -> None:
+def _value_iteration(mdps, m: int, tol: float, cap: int, max_iters: int):
+    """(joint, sweep, v, Tv, low, high, sweeps) at the first bracket [low, high]
+    at most tol wide: MacQueen's on V* - Tv (v <- Tv), or at beta = 1 Odoni's
+    on g*, by damped relative value iteration (v <- (v + Tv)/2, v[0] = 0)."""
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    betas = {mdp.discount for mdp in mdps}
+    if len(betas) != 1:
+        raise ValueError("bandits must share one discount factor")
+    beta = betas.pop()
+    joint = build_joint(mdps, m, cap)
+    sweep = _FactoredSweep(joint, beta)
+    v, tv, d = np.zeros(joint.n_joint), np.empty(joint.n_joint), np.empty(joint.n_joint)
+    scale = beta / charge_scale(beta)
+    for sweeps in range(1, max_iters + 1):
+        sweep.values(v, out=tv)
+        np.subtract(tv, v, out=d)
+        low, high = scale * d.min(), scale * d.max()
+        if high - low <= tol:
+            return joint, sweep, v, tv, low, high, sweeps
+        if beta < 1.0:
+            v, tv = tv, v
+        else:
+            v += tv
+            v *= 0.5
+            v -= v[0]
+    what, width = ("relative value iteration", "span") if beta == 1.0 else ("value iteration", "bracket width")
+    raise NoConvergence(
+        f"joint {what} did not converge in {max_iters} sweeps: last {width} {high - low:.3g} > tol {tol:g}"
+    )
 
 
 def joint_solve_discounted(
@@ -248,29 +276,9 @@ def joint_solve_discounted(
 ) -> OracleResult:
     """Optimal discounted values of the joint truncated problem, each within
     tol/2: the midpoint of the first MacQueen bracket at most tol wide."""
-    _check_stopping(tol, max_iters)
-    betas = {mdp.discount for mdp in mdps}
-    if len(betas) != 1:
-        raise ValueError("bandits must share one discount factor")
-    beta = betas.pop()
-    if not beta < 1.0:
+    if not all(mdp.discount < 1.0 for mdp in mdps):
         raise ValueError("discounted oracle requires discount < 1")
-    joint = build_joint(mdps, m, cap)
-    sweep = _FactoredSweep(joint, beta)
-    v, tv, d = np.zeros(joint.n_joint), np.empty(joint.n_joint), np.empty(joint.n_joint)
-    scale = beta / (1.0 - beta)
-    for sweeps in range(1, max_iters + 1):
-        sweep.values(v, out=tv)
-        np.subtract(tv, v, out=d)
-        low, high = scale * d.min(), scale * d.max()
-        if high - low <= tol:
-            break
-        v, tv = tv, v
-    else:
-        raise NoConvergence(
-            f"joint value iteration did not converge in {max_iters} sweeps: "
-            f"last bracket width {high - low:.3g} > tol {tol:g}"
-        )
+    joint, sweep, v, tv, low, high, sweeps = _value_iteration(mdps, m, tol, cap, max_iters)
     policy = sweep.policy(v)
     start = joint.joint_index(initial_states or [0] * len(mdps))
     bounds = (float(tv[start] + low), float(tv[start] + high))
@@ -289,25 +297,11 @@ def joint_solve_average(
 ) -> OracleResult:
     """Optimal average cost of the joint truncated problem by damped relative
     value iteration with span-seminorm stopping."""
-    _check_stopping(tol, max_iters)
-    joint = build_joint(mdps, m, cap)
-    sweep = _FactoredSweep(joint, 1.0)
-    w, tw, d = np.zeros(joint.n_joint), np.empty(joint.n_joint), np.empty(joint.n_joint)
-    for sweeps in range(1, max_iters + 1):
-        sweep.values(w, out=tw)
-        np.subtract(tw, w, out=d)
-        low, high = d.min(), d.max()
-        if high - low <= tol:
-            gain = 0.5 * (high + low)
-            z = w - w[0]
-            return OracleResult(
-                value=float(gain), values=z, policy=sweep.policy(w), gain=float(gain), joint=joint, sweeps=sweeps,
-                bounds=(float(low), float(high)),
-            )
-        w += tw
-        w *= 0.5
-        w -= w[0]
-    raise NoConvergence(
-        f"joint relative value iteration did not converge in {max_iters} sweeps: "
-        f"last span {high - low:.3g} > tol {tol:g}"
+    if not all(mdp.discount == 1.0 for mdp in mdps):
+        raise ValueError("average oracle requires discount = 1")
+    joint, sweep, w, _, low, high, sweeps = _value_iteration(mdps, m, tol, cap, max_iters)
+    gain = 0.5 * (high + low)
+    return OracleResult(
+        value=float(gain), values=w - w[0], policy=sweep.policy(w), gain=float(gain), joint=joint, sweeps=sweeps,
+        bounds=(float(low), float(high)),
     )

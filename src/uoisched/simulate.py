@@ -32,7 +32,7 @@ from .belief_mdp import BanditSpec, build_truncated, nearest_state, truncated_gr
 from .index_policy import gain_index_tables
 from .lagrange import gradient_search, make_problem
 from .rng import RunStreams
-from .solvers import AVERAGE, DISCOUNTED
+from .solvers import AVERAGE, DISCOUNTED, charge_scale
 
 RESULT_SCHEMA_VERSION = 1
 
@@ -59,10 +59,8 @@ class RMABInstance:
         labels = [b.label for b in self.bandits]
         if len(set(labels)) != M:
             raise ValueError("bandit labels must be unique")
-        if self.criterion == DISCOUNTED and not 0.0 <= self.discount < 1.0:
-            raise ValueError("discounted criterion needs 0 <= beta < 1")
-        if self.criterion == AVERAGE and self.discount != 1.0:
-            raise ValueError("average criterion requires discount = 1.0")
+        if not 0.0 <= self.discount <= 1.0 or self.criterion != (AVERAGE if self.discount == 1.0 else DISCOUNTED):
+            raise ValueError(f"a {self.criterion!r} instance cannot have discount {self.discount} (average cost is 1)")
         if self.initial_beliefs is not None and len(self.initial_beliefs) != M:
             raise ValueError("one initial belief per bandit required")
 
@@ -238,7 +236,7 @@ def simulate(
     if tables is not None:
         _check_tables(instance, tables, l_per_bandit, grids)
 
-    if instance.criterion == AVERAGE:
+    if beta == 1.0:
         burn = int(0.1 * horizon) if burn_in is None else int(burn_in)
         if burn >= horizon:
             raise ValueError("burn_in must leave at least one slot")
@@ -265,7 +263,6 @@ def simulate(
     belief = offset + start
     rho = np.array([b.success_prob for b in instance.bandits])[:, None]
     lam_star = tables[0].lambda_star if tables is not None else None
-    or_scale = beta if instance.criterion == DISCOUNTED else 1.0
     if policy == "round_robin":
         # slot t serves bandits (t-1)m .. tm-1 mod M, a cycle of M/gcd(M, m)
         cycle = M // math.gcd(M, m)
@@ -282,8 +279,7 @@ def simulate(
         entropy, passive_next, reset, belief = entropy[order], rank[passive_next[order]], rank[reset], rank[belief]
         index = index[order] if index is not None else None
 
-    disc_total = np.zeros(runs)
-    avg_total = np.zeros(runs)
+    total = np.zeros(runs)
     served = np.zeros((M, runs), dtype=np.int64)
     beta_pow = 1.0
     record_traces = record_y and tables is not None
@@ -323,7 +319,7 @@ def simulate(
             _walk_beliefs(B[: n + 1], act, resets, passive_next, m, chosen)
 
         if record_traces:
-            or_mask_trace[first : first + n] = or_scale * index.take(B[:n, :, 0]) >= lam_star - 1e-12
+            or_mask_trace[first : first + n] = beta * index.take(B[:n, :, 0]) >= lam_star - 1e-12
             selection_trace[first : first + n] = np.nonzero(chosen[:, :, 0])[1].reshape(n, m)
         served += chosen.sum(axis=0)
         # each slot's cost adds bandits 0..M-1 in order and the totals add
@@ -333,17 +329,15 @@ def simulate(
         for i in range(1, M):
             cost += entropy.take(B[:n, i])
         X[0], B[0] = X[n], B[n]
-        if instance.criterion == DISCOUNTED:
-            weights = np.multiply.accumulate(np.r_[beta_pow, np.full(n - 1, beta)])
-            beta_pow = weights[-1] * beta
-            disc_total = np.vstack([disc_total, weights[:, None] * cost]).cumsum(axis=0)[-1]
-        else:
-            avg_total = np.vstack([avg_total, cost[max(0, burn - first):]]).cumsum(axis=0)[-1]
+        # slot weights beta^t, or (beta = 1) 0 before the burn-in and 1 after
+        weights = np.multiply.accumulate(np.r_[beta_pow, np.full(n - 1, beta)])
+        beta_pow = weights[-1] * beta
+        weights[: max(0, burn - first)] = 0.0
+        total = np.vstack([total, weights[:, None] * cost]).cumsum(axis=0)[-1]
 
-    if instance.criterion == DISCOUNTED:
-        per_run = disc_total
-    else:
-        per_run = avg_total / (horizon - burn)
+    per_run = total
+    if beta == 1.0:
+        per_run = total / (horizon - burn)
         cap = sum(np.log2(b.chain.n_states) for b in instance.bandits)
         if per_run.min() < -1e-12 or per_run.max() > cap + 1e-9:
             raise AssertionError("time-average UoI left its feasible range")
@@ -437,7 +431,7 @@ def asymptotic_sweep(
             if c == 0:
                 raise ValueError(f"class {bandit.label!r} has no bandit at M = {M}; each class needs one at every M")
 
-    beta = 1.0 if criterion == AVERAGE else discount
+    beta = discount
     class_mdps = [
         build_truncated(b, int(truncation_L) if np.isscalar(truncation_L) else int(truncation_L[k]), beta)
         for k, (b, _) in enumerate(classes)
@@ -451,18 +445,15 @@ def asymptotic_sweep(
     problem = make_problem(mdps0, m_chan0, criterion, **(gradient_opts or {}))
     trace = gradient_search(problem)
     lam_star = trace.lambda_star
-    sol = trace.solution
     per_bandit = gain_index_tables(problem, trace)
     tables = [per_bandit[problem.members.index(k)] for k in range(len(classes))]
 
     # each class's V(omega) (discounted) or g (average) at lambda*
-    discounted = criterion == DISCOUNTED
-    class_values = (sol.values[sol.batch.initial_ids] if discounted else sol.gains).tolist()
-    charge_scale = 1.0 - beta if discounted else 1.0
+    class_values = trace.solution.objective.tolist()
 
     if horizon is None:
         total_bh = max(m_list) * max(np.log2(b.chain.n_states) for b, _ in classes)
-        horizon = discounted_horizon(beta, total_bh) if criterion == DISCOUNTED else 10_000
+        horizon = discounted_horizon(beta, total_bh) if beta < 1.0 else 10_000
 
     rows = []
     for M in m_list:
@@ -476,7 +467,7 @@ def asymptotic_sweep(
                 rep_tables.append(replace(tables[k], bandit_label=label))
         instance = RMABInstance(bandits, m_chan, criterion, beta, seed=seed)
         res = simulate(instance, "gain_index", horizon, runs, seed=seed, tables=rep_tables, burn_in=burn_in)
-        bound = (sum(c * v for c, v in zip(counts, class_values)) - m_chan * lam_star / charge_scale) / M
+        bound = (sum(c * v for c, v in zip(counts, class_values)) - m_chan * lam_star / charge_scale(beta)) / M
         cost = res.mean / M
         rows.append(
             SweepRow(

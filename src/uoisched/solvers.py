@@ -37,6 +37,10 @@ Tie-break convention used everywhere: the ACTIVE action is taken whenever
 a(X) <= r(X) (up to ACTIVE_TIE_TOL), where a and r are the active/passive
 continuation values.  Applying the same rule in every solver makes the
 one-sided derivative choice at breakpoints consistent.
+
+The discount alone picks the criterion, in every layer: beta = 1 is average
+cost.  A unit charge paid in every slot weighs 1/s, s = `charge_scale(beta)`:
+its discounted sum 1/(1 - beta), or its rate 1 at beta = 1.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ _PI_ROUNDS = 50  # policy-iteration rounds, either criterion, before NoConvergen
 # extrapolated along a policy's affine values and qa - qp of a fresh
 # evaluation at the new charge differed by at most 1.5e-14 over 1,920
 # random M=4 cases (both criteria, shifts up to 0.3), so the margin leaves
-# a factor of about 1e6 for rounding.  The discounted margin also stays
-# above 2 * ACTIVE_TIE_TOL / (1 - beta): a policy certified greedy within
+# a factor of about 1e6 for rounding.  The margin also stays above
+# 2 * ACTIVE_TIE_TOL / charge_scale(beta): a policy certified greedy within
 # the tie tolerance can lose at most ACTIVE_TIE_TOL / (1 - beta) in any
 # state's decision, so where one policy is greedy by the margin policy
 # iteration can certify no other.
@@ -63,6 +67,12 @@ GREEDY_MARGIN = 1e-7
 
 DISCOUNTED = "discounted"
 AVERAGE = "average"
+
+
+def charge_scale(beta: float) -> float:
+    """s such that a unit charge paid in every slot weighs 1/s: 1 - beta, or
+    1 at beta = 1 (average cost)."""
+    return 1.0 - beta if beta < 1.0 else 1.0
 
 
 @dataclass
@@ -210,6 +220,11 @@ class BatchSolution:
     usage: np.ndarray
     activations: np.ndarray | None
 
+    @property
+    def objective(self) -> np.ndarray:
+        """Each bandit's criterion value at its initial state: V, or the gain g."""
+        return self.gains if self.batch.discount == 1.0 else self.values[self.batch.initial_ids]
+
     def policy(self, b: int) -> PolicyAndValues:
         return PolicyAndValues(
             self.batch.split(self.actions, b),
@@ -258,7 +273,7 @@ def greedy_interval(sol: BatchSolution):
     batch, beta = sol.batch, sol.batch.discount
     gap = np.subtract(*_q_values(batch, sol.lam, sol.values, beta))
     slope = np.subtract(*_q_values(batch, 1.0, sol.activations, beta))  # the costs cancel
-    margin = GREEDY_MARGIN if beta == 1.0 else max(GREEDY_MARGIN, 2.0 * ACTIVE_TIE_TOL / (1.0 - beta))
+    margin = max(GREEDY_MARGIN, 2.0 * ACTIVE_TIE_TOL / charge_scale(beta))
     # active states need gap + t * slope <= tol - margin, passive ones
     # gap + t * slope > tol + margin: both read t * rate <= room
     active = sol.actions == 1
@@ -285,8 +300,9 @@ def _spread(batch: BanditBatch, grid_values, nodes):
     return values
 
 
-def _evaluate(batch: BanditBatch, actions, costs, average: bool, counts=None):
-    """Values of one fixed policy per bandit under R cost vectors.
+def _evaluate(batch: BanditBatch, actions, costs, counts=None):
+    """Values of one fixed policy per bandit under R cost vectors, under the
+    batch's criterion.
 
     `actions` is (n,) and `costs` (n, R) in the flat layout.  Returns values
     (n, R), gains (n, R) and the (B,) unichain mask.  Discounted: V, and
@@ -295,7 +311,8 @@ def _evaluate(batch: BanditBatch, actions, costs, average: bool, counts=None):
     """
     B, N = batch.size, batch.n_max
     K, R = N + 2, costs.shape[1]
-    beta = 1.0 if average else batch.discount
+    beta = batch.discount
+    average = beta == 1.0
     actions = np.asarray(actions)
     unichain, reach = batch.unichain(actions) if average else (np.ones(B, dtype=bool), None)
     if counts is not None:
@@ -401,12 +418,17 @@ def _cost_column(mdp, cost_per_state):
     return cost[:, None]
 
 
+def _one_bandit(mdp: TruncatedBeliefMDP, average: bool, name: str) -> BanditBatch:
+    """A batch of one `mdp`, which must be of the criterion `name` serves."""
+    if (mdp.discount == 1.0) != average:
+        raise ValueError(f"{name} requires discount {'= 1' if average else '< 1'}, got {mdp.discount}")
+    return BanditBatch([mdp])
+
+
 def policy_evaluation_discounted(mdp: TruncatedBeliefMDP, actions, cost_per_state) -> np.ndarray:
     """Solve (I - beta * P_pi) v = cost for a fixed policy."""
-    if mdp.discount >= 1.0:
-        raise ValueError("policy_evaluation_discounted requires discount < 1")
-    cost = _cost_column(mdp, cost_per_state)
-    values, _, _ = _evaluate(BanditBatch([mdp]), actions, cost, average=False)
+    batch = _one_bandit(mdp, False, "policy_evaluation_discounted")
+    values, _, _ = _evaluate(batch, actions, _cost_column(mdp, cost_per_state))
     return values[:, 0]
 
 
@@ -418,8 +440,8 @@ def average_policy_evaluation(mdp: TruncatedBeliefMDP, actions, cost_per_state):
     T_1^1 state; a multichain one has a gain per recurrent class and the
     bias of `_evaluate_multichain`.
     """
-    cost = _cost_column(mdp, cost_per_state)
-    values, gains, _ = _evaluate(BanditBatch([mdp]), actions, cost, average=True)
+    batch = _one_bandit(mdp, True, "average_policy_evaluation")
+    values, gains, _ = _evaluate(batch, actions, _cost_column(mdp, cost_per_state))
     return gains[:, 0], values[:, 0]
 
 
@@ -428,12 +450,10 @@ def value_iteration_discounted(
 ) -> PolicyAndValues:
     """Classic value iteration; stops when the update is <= tol*(1-beta)/(2*beta),
     which certifies a tol-accurate value function."""
+    batch = _one_bandit(mdp, False, "value_iteration_discounted")
     beta = mdp.discount
-    if beta >= 1.0:
-        raise ValueError("value_iteration_discounted requires discount < 1")
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    batch = BanditBatch([mdp])
     if beta == 0.0:
         qa, qp = _q_values(batch, lam, np.zeros(mdp.n_states), 0.0)
         actions = _greedy(qa, qp)
@@ -480,7 +500,7 @@ def _policy_iteration(batch: BanditBatch, lam, actions, counts=None):
         if counts is not None:
             counts.pi_rounds += 1
         costs = np.stack([batch.costs + lam * actions, actions], axis=1)
-        values, gains, unichain = _evaluate(batch, actions, costs, beta == 1.0, counts)
+        values, gains, unichain = _evaluate(batch, actions, costs, counts)
         improved = _greedy(*_q_values(batch, lam, values[:, 0], beta))
         if not unichain.all():
             improved = _multichain_step(batch, actions, improved, gains[:, 0], ~unichain)
@@ -519,12 +539,12 @@ def solve_batch(batch: BanditBatch, lam: float, warm=None, counts=None) -> Batch
 
 def policy_iteration_discounted(mdp: TruncatedBeliefMDP, lam: float, warm=None) -> PolicyAndValues:
     """Discounted solve of one bandit, warm-started from values (see solve_batch)."""
-    return solve_batch(BanditBatch([mdp]), lam, warm).policy(0)
+    return solve_batch(_one_bandit(mdp, False, "policy_iteration_discounted"), lam, warm).policy(0)
 
 
 def solve_average(mdp: TruncatedBeliefMDP, lam: float, warm=None) -> PolicyAndValues:
     """Average-cost solve of one bandit, warm-started from values (see solve_batch)."""
-    return solve_batch(BanditBatch([mdp]), lam, warm).policy(0)
+    return solve_batch(_one_bandit(mdp, True, "solve_average"), lam, warm).policy(0)
 
 
 def active_passive_values(mdp: TruncatedBeliefMDP, values, state: int, lam: float):
@@ -535,7 +555,7 @@ def active_passive_values(mdp: TruncatedBeliefMDP, values, state: int, lam: floa
     The greedy action is active iff a <= r.
     """
     values = np.asarray(values, dtype=float)
-    beta = mdp.discount if mdp.discount < 1.0 else 1.0
+    beta = mdp.discount
     rho = mdp.bandit.success_prob
     v_next = values[mdp.passive_next[state]]
     v_reset = (mdp.states[state] * values[mdp.reset_states]).sum()

@@ -21,7 +21,7 @@ from uoisched import (
     asymptotic_sweep,
     build_truncated,
     choose_truncation,
-    derivative_average,
+    derivative,
     discounted_error_bound,
     discounted_horizon,
     gain_indices_average,
@@ -190,7 +190,7 @@ def test_criterion_5_policy_corners(discounted_catalog, average_catalog):
         for mdp in solved.mdps:
             active = solve_average(mdp, 0.0)
             ok &= active.actions.min() == 1
-            rates.append(derivative_average(mdp, active, 0))
+            rates.append(derivative(mdp, active, 0))
             lam, found = 1.0, False
             for _ in range(60):
                 passive = solve_average(mdp, lam)
@@ -199,7 +199,7 @@ def test_criterion_5_policy_corners(discounted_catalog, average_catalog):
                     break
                 lam *= 2.0
             ok &= found
-            rates.append(derivative_average(mdp, passive, 0))
+            rates.append(derivative(mdp, passive, 0))
             ok &= abs(rates[-2] - 1.0) < 1e-12 and abs(rates[-1]) < 1e-12
     report(5, ok, "lambda=0 all-active; all-passive found within 60 doublings; rates exactly 1/0")
 

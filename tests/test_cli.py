@@ -211,6 +211,22 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    def test_tables_with_a_non_finite_lambda_star_exit_2(self, tmp_path, capsys):
+        cfg, out = run_indices(tmp_path)
+        paths = [out / "indices_src-a.json", out / "indices_src-b.json"]
+        for path in paths:
+            doc = json.loads(path.read_text())
+            doc["lambda_star"] = float("nan")
+            path.write_text(json.dumps(doc))
+        code = main(
+            ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--policy", "gain_index",
+             "--tables", *map(str, paths)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "indices_src-a.json" in err and "lambda_star" in err
+        assert not (tmp_path / "o" / "sim_gain_index.json").exists()
+
     def test_tables_from_another_truncation_depth_exit_2(self, tmp_path, capsys):
         # same chains, tables computed at L = 5 for a config truncated at L = 12
         _, out = run_indices(tmp_path, doc=dict(FAST_CONFIG, truncation={"mode": "fixed", "L": 5}))

@@ -307,6 +307,27 @@ class TestSerialization:
             load_table(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lambda_star", float("nan")),
+            ("lambda_star", float("inf")),
+            ("lambda_star", -0.5),
+            ("lambda_star", True),
+            ("lambda_star", "0.05"),
+            ("criterion", "discount"),
+            ("criterion", None),
+        ],
+        ids=["nan_lambda", "inf_lambda", "negative_lambda", "bool_lambda", "string_lambda", "unknown_criterion",
+             "null_criterion"],
+    )
+    def test_bad_lambda_star_or_criterion_rejected(self, field, value):
+        bandit = BanditSpec(validate_chain(FIG1), 1.0, "fig1")
+        doc = table_to_doc(gain_indices_discounted(build_truncated(bandit, 4, 0.9), 0.05))
+        doc[field] = value
+        with pytest.raises(ConfigError, match=f"malformed field {field}"):
+            table_from_doc(json.loads(json.dumps(doc)))
+
     def test_json_is_deterministic(self, tmp_path):
         bandit = BanditSpec(validate_chain(FIG1), 1.0, "fig1")
         mdp = build_truncated(bandit, 5, 0.9)

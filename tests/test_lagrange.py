@@ -9,8 +9,7 @@ from uoisched import (
     MaxItersExceeded,
     build_truncated,
     choose_truncation,
-    derivative_average,
-    derivative_discounted,
+    derivative,
     gradient_search,
     make_problem,
     objective_derivative,
@@ -59,19 +58,19 @@ class TestDerivativeDiscounted:
     def test_all_active_hits_upper_bound(self):
         (mdp,) = fig1_mdps(0.9, count=1)
         actions = np.ones(mdp.n_states, dtype=np.int8)
-        assert derivative_discounted(mdp, actions, 0) == pytest.approx(10.0, abs=1e-10)
+        assert derivative(mdp, actions, 0) == pytest.approx(10.0, abs=1e-10)
 
     def test_all_passive_is_zero(self):
         (mdp,) = fig1_mdps(0.9, count=1)
         actions = np.zeros(mdp.n_states, dtype=np.int8)
-        assert derivative_discounted(mdp, actions, 0) == pytest.approx(0.0, abs=1e-12)
+        assert derivative(mdp, actions, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(314)
         bandit = random_bandit(rng, 2, "mc", rho=0.8)
         mdp = build_truncated(bandit, 10, 0.9)
         actions = rng.integers(0, 2, mdp.n_states).astype(np.int8)
-        exact = derivative_discounted(mdp, actions, 0)
+        exact = derivative(mdp, actions, 0)
         horizon = int(np.ceil(np.log(1e-6 * (1 - 0.9)) / np.log(0.9)))
         est, se = monte_carlo_discounted_activations(mdp, actions, 0, 100_000, horizon, 4000)
         assert abs(exact - est) <= 3 * se
@@ -80,17 +79,17 @@ class TestDerivativeDiscounted:
 class TestDerivativeAverage:
     def test_all_active_is_one(self):
         (mdp,) = fig1_mdps(1.0, count=1)
-        assert derivative_average(mdp, np.ones(mdp.n_states, dtype=np.int8), 0) == pytest.approx(1.0, abs=1e-12)
+        assert derivative(mdp, np.ones(mdp.n_states, dtype=np.int8), 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_passive_is_zero(self):
         (mdp,) = fig1_mdps(1.0, count=1)
-        assert derivative_average(mdp, np.zeros(mdp.n_states, dtype=np.int8), 0) == pytest.approx(0.0, abs=1e-12)
+        assert derivative(mdp, np.zeros(mdp.n_states, dtype=np.int8), 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_active_only_at_omega_matches_stationary_mass(self):
         (mdp,) = fig1_mdps(1.0, count=1)
         actions = np.zeros(mdp.n_states, dtype=np.int8)
         actions[0] = 1  # transmit only from the equilibrium belief, rho = 1
-        rate = derivative_average(mdp, actions, 0)
+        rate = derivative(mdp, actions, 0)
         p = induced_transition(mdp, actions).toarray()
         n = mdp.n_states
         a = np.vstack([p.T - np.eye(n), np.ones(n)])
@@ -145,7 +144,7 @@ class TestBatchedDerivative:
         derivs, values = [], []
         for mdp, s in zip(problem.mdps, problem.initial_states):
             pol = policy_iteration_discounted(mdp, lam)
-            derivs.append(derivative_discounted(mdp, pol, s))
+            derivs.append(derivative(mdp, pol, s))
             values.append(pol.values[s])
         expect = sum(derivs) - problem.m / (1 - 0.9)
         assert objective_derivative(problem, lam) == pytest.approx(expect, rel=1e-12, abs=1e-11)
@@ -157,7 +156,7 @@ class TestBatchedDerivative:
         problem = mixed_problem("average", 1.0)
         pols = [solve_average(mdp, lam) for mdp in problem.mdps]
         pairs = zip(problem.mdps, pols, problem.initial_states)
-        expect = sum(derivative_average(mdp, pol, s) for mdp, pol, s in pairs) - problem.m
+        expect = sum(derivative(mdp, pol, s) for mdp, pol, s in pairs) - problem.m
         assert objective_derivative(problem, lam) == pytest.approx(expect, rel=1e-12, abs=1e-12)
         expect_value = sum(pol.gain for pol in pols) - problem.m * lam
         assert objective_value(problem, lam) == pytest.approx(expect_value, rel=1e-12)
@@ -190,6 +189,11 @@ class TestProblemConstruction:
         mdps = fig1_mdps(0.9)
         with pytest.raises(ValueError):
             make_problem(mdps, 2, "discounted")
+
+    @pytest.mark.parametrize("criterion, beta", [("discounted", 1.0), ("average", 0.9), ("discount", 0.9)])
+    def test_criterion_must_match_the_discount(self, criterion, beta):
+        with pytest.raises(ValueError, match="cannot have discount"):
+            make_problem(fig1_mdps(beta), 1, criterion)
 
     def test_scale_aware_defaults(self):
         problem = make_problem(fig1_mdps(0.9), 1, "discounted")

@@ -197,6 +197,22 @@ class TestStoppingArguments:
         with pytest.raises(ValueError):
             solve(mdps, 1, **kwargs)
 
+    @pytest.mark.parametrize(
+        "solve, betas",
+        [
+            (joint_solve_discounted, (1.0, 1.0)),
+            (joint_solve_discounted, (0.9, 0.5)),
+            (joint_solve_average, (0.9, 0.9)),
+            (joint_solve_average, (1.0, 0.9)),
+        ],
+        ids=["discounted-at-1", "discounted-mixed", "average-at-0.9", "average-mixed"],
+    )
+    def test_discount_of_the_other_criterion_or_mixed_rejected(self, solve, betas):
+        chain = validate_chain(FIG1)
+        mdps = [build_truncated(BanditSpec(chain, 1.0, label), 4, b) for label, b in zip("ab", betas)]
+        with pytest.raises(ValueError, match="discount"):
+            solve(mdps, 1)
+
     def test_max_iters_bounds_the_sweeps(self):
         _, mdps = fig1_pair(0.9, L=4)
         assert joint_solve_discounted(mdps, 1, max_iters=1, tol=1e3).sweeps == 1

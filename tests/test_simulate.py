@@ -108,6 +108,16 @@ class TestSimulateBasics:
         with pytest.raises(ValueError):
             RMABInstance(bandits, 0, "average", 1.0)
 
+    @pytest.mark.parametrize(
+        "criterion, beta",
+        [("discounted", 1.0), ("discounted", -0.1), ("average", 0.9), ("average", 1.5), ("discount", 0.9)],
+    )
+    def test_criterion_must_match_the_discount(self, criterion, beta):
+        chain = validate_chain(FIG1)
+        bandits = [BanditSpec(chain, 1.0, "a"), BanditSpec(chain, 1.0, "b")]
+        with pytest.raises(ValueError, match="cannot have discount"):
+            RMABInstance(bandits, 1, criterion, beta)
+
     def test_tables_from_another_chain_rejected(self):
         tables, _, _ = fig1_tables("average", 1.0)
         other = validate_chain([[0.9, 0.2], [0.1, 0.8]])

@@ -13,7 +13,7 @@ from uoisched import (
     average_policy_evaluation,
     build_truncated,
     choose_truncation,
-    derivative_average,
+    derivative,
     entropy,
     policy_evaluation_discounted,
     policy_iteration_discounted,
@@ -241,7 +241,7 @@ class TestAveragePolicyEvaluation:
         rates, _ = average_policy_evaluation(mdp, actions, actions.astype(float))
         assert np.all(rates[~resets] == 0.0)
         assert np.allclose(rates[resets], 1.0, rtol=0.0, atol=1e-12)
-        assert np.array_equal([derivative_average(mdp, actions, s) for s in range(mdp.n_states)], rates)
+        assert np.array_equal([derivative(mdp, actions, s) for s in range(mdp.n_states)], rates)
         gains, _ = average_policy_evaluation(mdp, actions, mdp.costs_passive)
         # the reset class observes the source's own chain, so it spends the
         # fraction omega_k of its time at T_k^1
@@ -278,6 +278,29 @@ class TestActivePassiveValues:
         a, r = active_passive_values(mdp, v, 0, 0.7)
         assert a == pytest.approx(0.7, abs=1e-15)
         assert r == 0.0
+
+
+class TestOneCriterionPerSolver:
+    """Each single-bandit solver serves one criterion and rejects an MDP of
+    the other, which the batch would otherwise solve under its own."""
+
+    @pytest.mark.parametrize(
+        "call, beta",
+        [
+            (lambda mdp: policy_iteration_discounted(mdp, 0.1), 1.0),
+            (lambda mdp: value_iteration_discounted(mdp, 0.1), 1.0),
+            (lambda mdp: policy_evaluation_discounted(mdp, np.ones(mdp.n_states, np.int8), mdp.costs_passive), 1.0),
+            (lambda mdp: solve_average(mdp, 0.1), 0.9),
+            (lambda mdp: average_policy_evaluation(mdp, np.ones(mdp.n_states, np.int8), mdp.costs_passive), 0.9),
+        ],
+        ids=[
+            "policy_iteration_discounted", "value_iteration_discounted", "policy_evaluation_discounted",
+            "solve_average", "average_policy_evaluation",
+        ],
+    )
+    def test_mdp_of_the_other_criterion_is_rejected(self, call, beta):
+        with pytest.raises(ValueError, match="requires discount"):
+            call(fig1_mdp(beta=beta, L=6))
 
 
 class TestLambdaMonotonicity:
@@ -377,7 +400,7 @@ class TestStructuredEvaluation:
         actions = [rng.integers(0, 2, mdp.n_states).astype(np.int8) for mdp in mdps]
         costs = [rng.uniform(size=mdp.n_states) for mdp in mdps]
         batch = BanditBatch(mdps)
-        values, _, _ = _evaluate(batch, np.concatenate(actions), np.concatenate(costs)[:, None], False)
+        values, _, _ = _evaluate(batch, np.concatenate(actions), np.concatenate(costs)[:, None])
         for b, mdp in enumerate(mdps):
             alone = policy_evaluation_discounted(mdp, actions[b], costs[b])
             assert np.max(np.abs(batch.split(values[:, 0], b) - alone)) <= 1e-13 * np.max(np.abs(alone))
@@ -477,7 +500,7 @@ def rvi_reference(batch, lam, warm=None):
     w = np.zeros(batch.n_states) if warm is None else np.array(warm, dtype=float)
     actions = _greedy(*relative_value_iteration(batch, lam, w))
     costs = np.stack([batch.costs + lam * actions, actions], axis=1)
-    values, gains, unichain = _evaluate(batch, actions, costs, average=True)
+    values, gains, unichain = _evaluate(batch, actions, costs)
     assert unichain.all()
     start = gains[batch.initial_ids]
     return actions, values[:, 0], start[:, 0], start[:, 1]
@@ -622,7 +645,7 @@ class TestMultichainEvaluation:
         p_star, labels, closed = cesaro_limit(p)
         if len(closed) == 1:
             return
-        h, g, unichain = _evaluate(BanditBatch([mdp]), actions, cost[:, None], average=True)
+        h, g, unichain = _evaluate(BanditBatch([mdp]), actions, cost[:, None])
         h, g = h[:, 0], g[:, 0]
         assert not unichain[0]
         scale = max(1.0, np.max(np.abs(h)))
@@ -639,10 +662,10 @@ class TestMultichainEvaluation:
         if recurrent_class_count(induced_transition(mdp, actions)) != 1:
             return
         batch = BanditBatch([mdp])
-        z, g, _ = _evaluate(batch, actions, cost[:, None], average=True)
+        z, g, _ = _evaluate(batch, actions, cost[:, None])
         with pytest.MonkeyPatch.context() as mp:
             force_multichain(mp)
-            h, g_forced, unichain = _evaluate(batch, actions, cost[:, None], average=True)
+            h, g_forced, unichain = _evaluate(batch, actions, cost[:, None])
         assert not unichain[0]
         scale = max(1.0, np.max(np.abs(z)))
         anchor = mdp.reset_states[0]
