@@ -18,7 +18,6 @@ sweep = asymptotic_sweep(
     m_list=[4, 8, 16, 32],
     runs=30,
     seed=60606,
-    criterion="average",
     discount=1.0,
     truncation_L=20,
     horizon=10_000,

@@ -38,6 +38,7 @@ from .index_policy import (
     gain_indices_average,
     gain_indices_discounted,
     load_table,
+    or_active,
     or_decision,
     save_table,
 )
@@ -74,8 +75,8 @@ from .solvers import (
     AVERAGE,
     DISCOUNTED,
     PolicyAndValues,
-    active_passive_values,
     average_policy_evaluation,
+    criterion_of,
     policy_evaluation_discounted,
     policy_iteration_discounted,
     solve_average,

@@ -81,8 +81,10 @@ def nearest_state(states: np.ndarray, belief) -> int:
     return int(np.argmin(gaps))
 
 
-def truncated_grid(bandit: BanditSpec, L: int):
-    """Read-only (states, costs, passive_next, reset_states) of the L-truncation."""
+def build_truncated(bandit: BanditSpec, L: int, discount: float) -> TruncatedBeliefMDP:
+    """Construct the L-truncated belief MDP of a bandit, with read-only arrays."""
+    if not 0.0 <= discount <= 1.0:
+        raise ValueError("discount must be in [0, 1]")
     if L < 1:
         raise ValueError("L must be >= 1")
     chain = bandit.chain
@@ -101,22 +103,13 @@ def truncated_grid(bandit: BanditSpec, L: int):
     ids = np.arange(n, dtype=np.int64)
     passive_next = np.where(ids % L == 0, 0, ids + 1)
     reset_states = np.arange(N, dtype=np.int64) * L + 1
-
-    for arr in (states, costs, passive_next, reset_states):
-        arr.setflags(write=False)
-    return states, costs, passive_next, reset_states
-
-
-def build_truncated(bandit: BanditSpec, L: int, discount: float) -> TruncatedBeliefMDP:
-    """Construct the L-truncated belief MDP of a bandit."""
-    if not 0.0 <= discount <= 1.0:
-        raise ValueError("discount must be in [0, 1]")
-    states, costs, passive_next, reset_states = truncated_grid(bandit, L)
     # an active row sums to rho * sum(x) + 1 - rho; a passive row is a single 1
     rho = bandit.success_prob
     if np.max(np.abs(rho * states.sum(axis=1) + (1.0 - rho) - 1.0)) > ROW_SUM_TOL:
         raise AssertionError("active transition rows do not sum to 1")
 
+    for arr in (states, costs, passive_next, reset_states):
+        arr.setflags(write=False)
     return TruncatedBeliefMDP(
         bandit=bandit,
         truncation_L=L,
@@ -164,16 +157,15 @@ def _fannes_gap(tv: float, n: int) -> float:
     return float(tv * np.log2(max(n - 1, 1)) + hb)
 
 
-def truncation_diagnostics(chain: ChainSpec, L: int, probe_depth: int | None = None) -> TruncationDiagnostics:
+def truncation_diagnostics(chain: ChainSpec, L: int) -> TruncationDiagnostics:
     """Compute (eta_L, sigma_L, B_H) for a chain at truncation depth L.
 
     sigma_L must dominate |H(T_k^{L+j}) - H(omega)| for every j >= 0.  We probe
-    j = 0..probe_depth (default 4L) directly and close the tail with a
-    Fannes-type bound at the depth-(L+probe) total-variation gap; TV to omega
-    never increases under the chain map, so that single gap bounds the tail.
+    j = 0..4L directly (probe_depth = 4L) and close the tail with a
+    Fannes-type bound at the depth-5L total-variation gap; TV to omega never
+    increases under the chain map, so that single gap bounds the tail.
     """
-    if probe_depth is None:
-        probe_depth = 4 * L
+    probe_depth = 4 * L
     omega = chain.equilibrium
     h_omega = entropy(omega)
     n = chain.n_states

@@ -235,7 +235,6 @@ def cmd_asymptotic(args) -> int:
         m_list=m_list,
         runs=config.runs,
         seed=config.seed,
-        criterion=config.criterion,
         discount=config.discount,
         truncation_L=prep.l_per_bandit,
         horizon=config.horizon if config.criterion == AVERAGE else None,

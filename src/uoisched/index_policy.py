@@ -7,8 +7,8 @@ The index of a belief state X is the activation gain
 with V the optimal value function at the dual optimizer lam* (differential
 value Z at lam^a for the average criterion).  TX is read through the
 truncated passive successor.  The scheduling policy activates the m largest
-indices each slot; the OR rule activates whenever the active continuation
-value does not exceed the passive one, equivalently beta*W(X) >= lam*.
+indices each slot; the OR rule `or_active` activates where the active
+continuation value a does not exceed the passive one r: r - a = beta*W(X) - lam*.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .belief_mdp import TruncatedBeliefMDP, state_labels
 from .errors import ConfigError
 from .lagrange import GradientTrace, LagrangeProblem
-from .solvers import ACTIVE_TIE_TOL, AVERAGE, DISCOUNTED, BanditBatch, active_passive_values, solve_batch
+from .solvers import ACTIVE_TIE_TOL, AVERAGE, DISCOUNTED, _one_bandit, criterion_of, solve_batch
 
 TABLE_SCHEMA_VERSION = 1
 
@@ -45,13 +45,9 @@ def _indices_from_values(mdp: TruncatedBeliefMDP, values: np.ndarray) -> np.ndar
 
 
 def _gain_indices(mdp: TruncatedBeliefMDP, lam: float, policy) -> GainIndexTable:
-    if lam < 0:
-        raise ValueError("lambda_star must be >= 0")
-    if policy is None:
-        policy = solve_batch(BanditBatch([mdp]), lam).policy(0)
     return GainIndexTable(
         bandit_label=mdp.bandit.label,
-        criterion=policy.criterion,
+        criterion=criterion_of(mdp.discount),
         lambda_star=float(lam),
         indices=_indices_from_values(mdp, policy.values),
         values=policy.values,
@@ -60,14 +56,23 @@ def _gain_indices(mdp: TruncatedBeliefMDP, lam: float, policy) -> GainIndexTable
     )
 
 
+def _checked_gain_indices(mdp: TruncatedBeliefMDP, lam: float, policy, average: bool, name: str) -> GainIndexTable:
+    """Table of `policy`, or of the batch-of-one solve at lam, of an MDP of
+    the criterion `name` serves."""
+    if lam < 0:
+        raise ValueError("lambda_star must be >= 0")
+    batch = _one_bandit(mdp, average, name)
+    return _gain_indices(mdp, lam, solve_batch(batch, lam).policy(0) if policy is None else policy)
+
+
 def gain_indices_discounted(mdp: TruncatedBeliefMDP, lambda_star: float, policy=None) -> GainIndexTable:
-    """Index table from the policy-evaluated optimal value at lambda_star."""
-    return _gain_indices(mdp, lambda_star, policy)
+    """Index table from the optimal value at lambda_star of a discounted MDP."""
+    return _checked_gain_indices(mdp, lambda_star, policy, False, "gain_indices_discounted")
 
 
 def gain_indices_average(mdp: TruncatedBeliefMDP, lambda_a: float, policy=None) -> GainIndexTable:
-    """Index table from the differential value function at lambda_a."""
-    return _gain_indices(mdp, lambda_a, policy)
+    """Index table from the differential value at lambda_a of an average-cost MDP."""
+    return _checked_gain_indices(mdp, lambda_a, policy, True, "gain_indices_average")
 
 
 def gain_index_tables(problem: LagrangeProblem, trace: GradientTrace) -> list[GainIndexTable]:
@@ -88,10 +93,17 @@ def gain_index_general(transitions_active, transitions_passive, values, state: i
     return float((transitions_passive @ values)[state] - (transitions_active @ values)[state])
 
 
+def or_active(indices, beta: float, lambda_star: float):
+    """The OR rule: True where beta*W >= lambda_star, that is where the
+    active continuation value a does not exceed the passive one r (r - a =
+    beta*W - lambda_star), with the solvers' tie rule a <= r + ACTIVE_TIE_TOL."""
+    return beta * np.asarray(indices) >= lambda_star - ACTIVE_TIE_TOL
+
+
 def or_decision(mdp: TruncatedBeliefMDP, values, state: int, lambda_star: float) -> bool:
-    """True iff the OR policy transmits in this state: a(X, lam*) <= r(X, lam*)."""
-    a, r = active_passive_values(mdp, values, state, lambda_star)
-    return bool(a <= r + ACTIVE_TIE_TOL)
+    """True iff the OR policy transmits in this state: `or_active` of its index under `values`."""
+    w = _indices_from_values(mdp, np.asarray(values, dtype=float))[state]
+    return bool(or_active(w, mdp.discount, lambda_star))
 
 
 def table_to_doc(table: GainIndexTable, config_hash: str | None = None) -> dict:

@@ -22,14 +22,13 @@ import numpy as np
 from .belief_mdp import TruncatedBeliefMDP
 from .errors import MaxItersExceeded
 from .solvers import (
-    AVERAGE,
-    DISCOUNTED,
     BanditBatch,
     BatchSolution,
     PolicyAndValues,
     SolveCounts,
     _evaluate,
     charge_scale,
+    criterion_of,
     greedy_interval,
     solve_batch,
 )
@@ -56,7 +55,7 @@ class LagrangeProblem:
         if len(betas) != 1:
             raise ValueError("all bandits must share one discount factor")
         self.beta = betas.pop()
-        if self.criterion != (AVERAGE if self.beta == 1.0 else DISCOUNTED):
+        if self.criterion != criterion_of(self.beta):
             raise ValueError(f"a {self.criterion!r} problem cannot have discount {self.beta} (average cost is 1)")
         self.budget = self.m / charge_scale(self.beta)  # the m channels, weighted as one charge
         # identical (mdp, initial state) pairs are solved once and shared

@@ -28,11 +28,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .belief_mdp import BanditSpec, build_truncated, nearest_state, truncated_grid
-from .index_policy import gain_index_tables
+from .belief_mdp import BanditSpec, build_truncated, nearest_state
+from .index_policy import gain_index_tables, or_active
 from .lagrange import gradient_search, make_problem
 from .rng import RunStreams
-from .solvers import AVERAGE, DISCOUNTED, charge_scale
+from .solvers import charge_scale, criterion_of
 
 RESULT_SCHEMA_VERSION = 1
 
@@ -59,7 +59,7 @@ class RMABInstance:
         labels = [b.label for b in self.bandits]
         if len(set(labels)) != M:
             raise ValueError("bandit labels must be unique")
-        if not 0.0 <= self.discount <= 1.0 or self.criterion != (AVERAGE if self.discount == 1.0 else DISCOUNTED):
+        if not 0.0 <= self.discount <= 1.0 or self.criterion != criterion_of(self.discount):
             raise ValueError(f"a {self.criterion!r} instance cannot have discount {self.discount} (average cost is 1)")
         if self.initial_beliefs is not None and len(self.initial_beliefs) != M:
             raise ValueError("one initial belief per bandit required")
@@ -106,31 +106,32 @@ class SimResult:
         }
 
 
-def discounted_horizon(beta: float, total_entropy_bound: float, tail: float = 1e-6) -> int:
-    """Smallest T with beta^T * bound / (1 - beta) < tail (estimator bias cap)."""
+def discounted_horizon(beta: float, total_entropy_bound: float) -> int:
+    """Smallest T with beta^T * bound / (1 - beta) < 1e-6 (estimator bias cap)."""
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must be in [0, 1)")
     if beta == 0.0:
         return 1
-    t = math.log(tail * (1.0 - beta) / total_entropy_bound) / math.log(beta)
+    t = math.log(1e-6 * (1.0 - beta) / total_entropy_bound) / math.log(beta)
     return max(1, int(math.ceil(t)))
 
 
-def _check_tables(instance: RMABInstance, tables, l_per_bandit, grids) -> None:
+def _check_tables(instance: RMABInstance, tables, mdps) -> None:
     lam = tables[0].lambda_star
-    for bandit, table, L, (states, _, _, _) in zip(instance.bandits, tables, l_per_bandit, grids):
+    for bandit, table, mdp in zip(instance.bandits, tables, mdps):
         if table.bandit_label != bandit.label:
             raise ValueError(f"table label {table.bandit_label!r} does not match bandit {bandit.label!r}")
         if table.criterion != instance.criterion:
             raise ValueError(f"table criterion {table.criterion!r} does not match instance")
         if abs(table.lambda_star - lam) > 1e-9:
             raise ValueError("index tables were computed at different multipliers")
+        L = mdp.truncation_L
         if table.truncation_L != L:
             raise ValueError(f"index table for {bandit.label!r} has truncation depth {table.truncation_L}, not {L}")
         if (
-            table.beliefs.shape != states.shape
-            or table.indices.shape != states.shape[:1]
-            or np.max(np.abs(table.beliefs - states)) > 1e-12
+            table.beliefs.shape != mdp.states.shape
+            or table.indices.shape != (mdp.n_states,)
+            or np.max(np.abs(table.beliefs - mdp.states)) > 1e-12
         ):
             raise ValueError(f"index table for {bandit.label!r} was not computed for this bandit's chain")
 
@@ -204,7 +205,7 @@ def simulate(
     belief truncation.  Cost H(X_i(t)) accrues at the start of slot t with
     weight beta^(t-1) (discounted) or enters the post-burn-in time average.
     `record_y` (with tables) logs the first run's OR decisions
-    beta*W >= lambda* per slot and the selected bandits.  Identical seeds
+    (`index_policy.or_active`) per slot and the selected bandits.  Identical seeds
     yield identical traces.
     """
     if horizon < 1:
@@ -232,9 +233,9 @@ def simulate(
         l_per_bandit = [int(l) for l in truncation_L]
     if len(l_per_bandit) != M:
         raise ValueError(f"expected {M} truncation depths, got {len(l_per_bandit)}")
-    grids = [truncated_grid(b, L) for b, L in zip(instance.bandits, l_per_bandit)]
+    mdps = [build_truncated(b, L, beta) for b, L in zip(instance.bandits, l_per_bandit)]
     if tables is not None:
-        _check_tables(instance, tables, l_per_bandit, grids)
+        _check_tables(instance, tables, mdps)
 
     if beta == 1.0:
         burn = int(0.1 * horizon) if burn_in is None else int(burn_in)
@@ -246,19 +247,19 @@ def simulate(
     # one flat table per quantity: bandit i's truncated state s is global id
     # offset[i] + s, and its source state k is global id chain_offset[i] + k
     n_chain = np.array([b.chain.n_states for b in instance.bandits])
-    n_states = np.array([g[0].shape[0] for g in grids])
+    n_states = np.array([mdp.n_states for mdp in mdps])
     offset = np.cumsum(n_states) - n_states
     chain_offset = (np.cumsum(n_chain) - n_chain)[:, None]
-    entropy = np.concatenate([g[1] for g in grids])
-    passive_next = np.concatenate([g[2] + off for g, off in zip(grids, offset)])
-    reset = np.concatenate([g[3] + off for g, off in zip(grids, offset)])
+    entropy = np.concatenate([mdp.costs_passive for mdp in mdps])
+    passive_next = np.concatenate([mdp.passive_next + off for mdp, off in zip(mdps, offset)])
+    reset = np.concatenate([mdp.reset_states + off for mdp, off in zip(mdps, offset)])
     index = np.concatenate([t.indices for t in tables]) if tables is not None else None
     start = np.zeros(M, dtype=np.int64)
     if instance.initial_beliefs is not None:
         for i, chi in enumerate(instance.initial_beliefs):
             if chi is not None:
-                start[i] = nearest_state(grids[i][0], chi)
-    start_cdf = _padded_cdf([g[0][s : s + 1] for g, s in zip(grids, start)], n_chain.max())
+                start[i] = nearest_state(mdps[i].states, chi)
+    start_cdf = _padded_cdf([mdp.states[s : s + 1] for mdp, s in zip(mdps, start)], n_chain.max())
     transition_cdf = _padded_cdf([b.chain.transition.T for b in instance.bandits], n_chain.max())
     belief = offset + start
     rho = np.array([b.success_prob for b in instance.bandits])[:, None]
@@ -319,7 +320,7 @@ def simulate(
             _walk_beliefs(B[: n + 1], act, resets, passive_next, m, chosen)
 
         if record_traces:
-            or_mask_trace[first : first + n] = beta * index.take(B[:n, :, 0]) >= lam_star - 1e-12
+            or_mask_trace[first : first + n] = or_active(index.take(B[:n, :, 0]), beta, lam_star)
             selection_trace[first : first + n] = np.nonzero(chosen[:, :, 0])[1].reshape(n, m)
         served += chosen.sum(axis=0)
         # each slot's cost adds bandits 0..M-1 in order and the totals add
@@ -406,7 +407,6 @@ def asymptotic_sweep(
     m_list: list[int],
     runs: int,
     seed: int,
-    criterion: str,
     discount: float,
     truncation_L,
     horizon: int | None = None,
@@ -442,7 +442,7 @@ def asymptotic_sweep(
     m0 = m_list[0]
     m_chan0, counts0, _ = plans[m0]
     mdps0 = [class_mdps[k] for k, c in enumerate(counts0) for _ in range(c)]
-    problem = make_problem(mdps0, m_chan0, criterion, **(gradient_opts or {}))
+    problem = make_problem(mdps0, m_chan0, criterion_of(beta), **(gradient_opts or {}))
     trace = gradient_search(problem)
     lam_star = trace.lambda_star
     per_bandit = gain_index_tables(problem, trace)
@@ -465,7 +465,7 @@ def asymptotic_sweep(
                 label = f"{base.label}-{j + 1}"
                 bandits.append(BanditSpec(base.chain, base.success_prob, label))
                 rep_tables.append(replace(tables[k], bandit_label=label))
-        instance = RMABInstance(bandits, m_chan, criterion, beta, seed=seed)
+        instance = RMABInstance(bandits, m_chan, problem.criterion, beta, seed=seed)
         res = simulate(instance, "gain_index", horizon, runs, seed=seed, tables=rep_tables, burn_in=burn_in)
         bound = (sum(c * v for c, v in zip(counts, class_values)) - m_chan * lam_star / charge_scale(beta)) / M
         cost = res.mean / M
@@ -484,7 +484,7 @@ def asymptotic_sweep(
     return AsymptoticSweep(
         alpha=alpha,
         proportions=proportions,
-        criterion=criterion,
+        criterion=problem.criterion,
         discount=beta,
         lambda_star=float(lam_star),
         m_list=m_list,

@@ -33,13 +33,16 @@ is evaluated under its charged cost and under the activation indicator;
 the two together make its values affine in the charge, from which
 `greedy_interval` reads the charges at which the policy stays optimal.
 
-Tie-break convention used everywhere: the ACTIVE action is taken whenever
-a(X) <= r(X) (up to ACTIVE_TIE_TOL), where a and r are the active/passive
-continuation values.  Applying the same rule in every solver makes the
-one-sided derivative choice at breakpoints consistent.
+Tie-break conventions.  A policy read greedily off values (the start of
+policy iteration, value iteration, `greedy_interval`, the OR rule
+`index_policy.or_active`) is ACTIVE wherever qa <= qp + ACTIVE_TIE_TOL.
+Policy iteration itself keeps a state's action where |qa - qp| <=
+ACTIVE_TIE_TOL and takes the strictly better one elsewhere: flipping tied
+states can cycle among policies of equal gain, and keeping the incumbent
+makes it terminate (Puterman 1994, sections 8.6 and 9.2).
 
 The discount alone picks the criterion, in every layer: beta = 1 is average
-cost.  A unit charge paid in every slot weighs 1/s, s = `charge_scale(beta)`:
+cost (`criterion_of`).  A unit charge paid in every slot weighs 1/s, s = `charge_scale(beta)`:
 its discounted sum 1/(1 - beta), or its rate 1 at beta = 1.
 """
 
@@ -69,6 +72,11 @@ DISCOUNTED = "discounted"
 AVERAGE = "average"
 
 
+def criterion_of(beta: float) -> str:
+    """The criterion a discount stands for: AVERAGE at beta = 1, else DISCOUNTED."""
+    return AVERAGE if beta == 1.0 else DISCOUNTED
+
+
 def charge_scale(beta: float) -> float:
     """s such that a unit charge paid in every slot weighs 1/s: 1 - beta, or
     1 at beta = 1 (average cost)."""
@@ -88,7 +96,6 @@ class PolicyAndValues:
     values: np.ndarray
     gain: float
     lam: float
-    criterion: str
 
 
 @dataclass
@@ -213,12 +220,15 @@ class BatchSolution:
 
     batch: BanditBatch
     lam: float
-    criterion: str
     actions: np.ndarray
     values: np.ndarray
     gains: np.ndarray
     usage: np.ndarray
     activations: np.ndarray | None
+
+    @property
+    def criterion(self) -> str:
+        return criterion_of(self.batch.discount)
 
     @property
     def objective(self) -> np.ndarray:
@@ -231,7 +241,6 @@ class BatchSolution:
             self.batch.split(self.values, b),
             float(self.gains[b]),
             self.lam,
-            self.criterion,
         )
 
 
@@ -457,30 +466,30 @@ def value_iteration_discounted(
     if beta == 0.0:
         qa, qp = _q_values(batch, lam, np.zeros(mdp.n_states), 0.0)
         actions = _greedy(qa, qp)
-        return PolicyAndValues(actions, np.minimum(qa, qp), 0.0, lam, DISCOUNTED)
+        return PolicyAndValues(actions, np.minimum(qa, qp), 0.0, lam)
     stop = tol * (1.0 - beta) / (2.0 * beta)
     v = np.zeros(mdp.n_states)
     for _ in range(max_iters):
         qa, qp = _q_values(batch, lam, v, beta)
         v_new = np.minimum(qa, qp)
         if np.max(np.abs(v_new - v)) <= stop:
-            return PolicyAndValues(_greedy(qa, qp), v_new, 0.0, lam, DISCOUNTED)
+            return PolicyAndValues(_greedy(qa, qp), v_new, 0.0, lam)
         v = v_new
     raise SolverError("value iteration failed to converge (should be impossible)")
 
 
-def _multichain_step(batch: BanditBatch, actions, greedy, gains, multi):
+def _multichain_step(batch: BanditBatch, actions, improved, gains, multi):
     """Next policy of the bandits marked in the (B,) mask `multi` (Puterman
     1994, section 9.2): where some state's other action has a lower P_a g
-    (by more than ACTIVE_TIE_TOL), switch those states; otherwise `greedy`,
+    (by more than ACTIVE_TIE_TOL), switch those states; otherwise `improved`,
     the bias step, where both actions tie on P_a g.  Other bandits take
-    `greedy`."""
+    `improved`."""
     excess = np.subtract(*_expected_next(batch, gains))  # P_active g - P_passive g
     switch = np.where(actions == 1, excess > ACTIVE_TIE_TOL, excess < -ACTIVE_TIE_TOL)
     gain_step = np.logical_or.reduceat(switch, batch.offsets[:-1])[batch.bandit_of]
     tied = np.abs(excess) <= ACTIVE_TIE_TOL
-    step = np.where(gain_step, np.where(switch, 1 - actions, actions), np.where(tied, greedy, actions))
-    return np.where(multi[batch.bandit_of], step, greedy).astype(np.int8)
+    step = np.where(gain_step, np.where(switch, 1 - actions, actions), np.where(tied, improved, actions))
+    return np.where(multi[batch.bandit_of], step, improved).astype(np.int8)
 
 
 def _policy_iteration(batch: BanditBatch, lam, actions, counts=None):
@@ -489,7 +498,8 @@ def _policy_iteration(batch: BanditBatch, lam, actions, counts=None):
 
     Each round evaluates the policy under its charged cost c + lam * a and
     under the activation indicator a.  A bandit whose iterate is unichain
-    (always, when discounted) takes the policy greedy in its values; a
+    (always, when discounted) takes the policy greedy in its values, each
+    state keeping its action where qa and qp tie within ACTIVE_TIE_TOL; a
     multichain one takes `_multichain_step`.  Returns the last evaluated
     actions with their exact (values, gains), both (n, 2), and the (B,)
     unichain mask.  Raises NoConvergence when some bandit still changes its
@@ -501,7 +511,8 @@ def _policy_iteration(batch: BanditBatch, lam, actions, counts=None):
             counts.pi_rounds += 1
         costs = np.stack([batch.costs + lam * actions, actions], axis=1)
         values, gains, unichain = _evaluate(batch, actions, costs, counts)
-        improved = _greedy(*_q_values(batch, lam, values[:, 0], beta))
+        qa, qp = _q_values(batch, lam, values[:, 0], beta)
+        improved = np.where(np.abs(qa - qp) <= ACTIVE_TIE_TOL, actions, qa < qp).astype(np.int8)
         if not unichain.all():
             improved = _multichain_step(batch, actions, improved, gains[:, 0], ~unichain)
         changed = np.logical_or.reduceat(improved != actions, batch.offsets[:-1])
@@ -527,12 +538,11 @@ def solve_batch(batch: BanditBatch, lam: float, warm=None, counts=None) -> Batch
     w = np.zeros(batch.n_states) if warm is None else np.asarray(warm, dtype=float)
     if w.shape != (batch.n_states,):
         raise ValueError("warm values length does not match state count")
-    average = batch.discount == 1.0
     actions = _greedy(*_q_values(batch, lam, w, batch.discount))
     actions, values, gains, unichain = _policy_iteration(batch, lam, actions, counts)
-    start = (gains if average else values)[batch.initial_ids]
+    start = (gains if batch.discount == 1.0 else values)[batch.initial_ids]
     return BatchSolution(
-        batch, lam, AVERAGE if average else DISCOUNTED, actions, values[:, 0],
+        batch, lam, actions, values[:, 0],
         gains[batch.initial_ids, 0], start[:, 1], values[:, 1] if unichain.all() else None,
     )
 
@@ -546,19 +556,3 @@ def solve_average(mdp: TruncatedBeliefMDP, lam: float, warm=None) -> PolicyAndVa
     """Average-cost solve of one bandit, warm-started from values (see solve_batch)."""
     return solve_batch(_one_bandit(mdp, True, "solve_average"), lam, warm).policy(0)
 
-
-def active_passive_values(mdp: TruncatedBeliefMDP, values, state: int, lam: float):
-    """Continuation values (a, r) of the active and passive action in one state.
-
-    Discounted: a = lam + beta*rho*sum_k x_k V(T_k^1) + beta*(1-rho)*V(TX) and
-    r = beta*V(TX); for an average-cost MDP the undiscounted analogs with Z.
-    The greedy action is active iff a <= r.
-    """
-    values = np.asarray(values, dtype=float)
-    beta = mdp.discount
-    rho = mdp.bandit.success_prob
-    v_next = values[mdp.passive_next[state]]
-    v_reset = (mdp.states[state] * values[mdp.reset_states]).sum()
-    a = lam + beta * (rho * v_reset + (1.0 - rho) * v_next)
-    r = beta * v_next
-    return float(a), float(r)

@@ -21,7 +21,7 @@ from uoisched import (
     transition_matrices,
     validate_chain,
 )
-from uoisched.solvers import BanditBatch
+from uoisched.solvers import BanditBatch, _q_values
 
 FIG1 = [[0.99, 0.3], [0.01, 0.7]]
 
@@ -75,6 +75,15 @@ def induced_transition(mdp, actions) -> sp.csr_matrix:
     p = (d_act @ active + d_pas @ passive).tocsr()
     p.eliminate_zeros()
     return p
+
+
+def active_passive(mdp, values, lam):
+    """Continuation values (a, r) of the active and passive action in every
+    state: the solvers' Q-values at charge lam less the state costs.
+    Discounted, a = lam + beta*rho*sum_k x_k V(T_k^1) + beta*(1-rho)*V(TX)
+    and r = beta*V(TX); at discount 1 the undiscounted analogs in Z."""
+    qa, qp = _q_values(BanditBatch([mdp]), lam, np.asarray(values, dtype=float), mdp.discount)
+    return qa - mdp.costs_passive, qp - mdp.costs_passive
 
 
 def force_multichain(monkeypatch) -> None:

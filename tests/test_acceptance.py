@@ -289,7 +289,7 @@ def test_criterion_9_asymptotic_gap_shrinks():
     classes = [(BanditSpec(chain_a, 1.0, "ca"), 0.5), (BanditSpec(chain_b, 0.8, "cb"), 0.5)]
     sweep = asymptotic_sweep(
         classes, alpha=0.5, m_list=[4, 32], runs=30, seed=9090,
-        criterion="average", discount=1.0, truncation_L=20, horizon=10_000,
+        discount=1.0, truncation_L=20, horizon=10_000,
     )
     by_m = {r.n_bandits: r for r in sweep.rows}
     g4, g32 = by_m[4], by_m[32]

@@ -1,10 +1,15 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uoisched
 from uoisched import joint_solve_discounted
 from uoisched.cli import main
 from uoisched.config import load_config, parse_config
@@ -446,3 +451,30 @@ class TestConfigRoundTrip:
                 assert doc["config_hash"] == cfg_hash, path.name
             else:
                 assert f"config_hash={cfg_hash}" in path.read_text().splitlines()[0]
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    """`indices`, `simulate --policy gain_index` and `oracle --policy-result`
+    on both sample configs, cut to 2 runs of 200 slots, in an interpreter
+    where importing scipy fails: the pipeline needs numpy alone."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from uoisched.cli import main\n"
+        "cfg, out, tables = sys.argv[1], sys.argv[2], sys.argv[3:]\n"
+        "print([\n"
+        "    main(['indices', '--config', cfg, '--out', out]),\n"
+        "    main(['simulate', '--config', cfg, '--out', out, '--policy', 'gain_index', '--tables', *tables]),\n"
+        "    main(['oracle', '--config', cfg, '--out', out, '--policy-result', out + '/sim_gain_index.json']),\n"
+        "])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(uoisched.__file__).parents[1]))
+    for name in ("two_sources_average", "two_sources_discounted"):
+        doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / f"{name}.json").read_text())
+        doc["simulation"].update(runs=2, horizon=200)
+        out = tmp_path / name
+        tables = [str(out / f"indices_{b['label']}.json") for b in doc["bandits"]]
+        args = [sys.executable, "-c", code, write_config(tmp_path, doc, f"{name}.json"), str(out), *tables]
+        proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0]", (name, proc.stdout, proc.stderr)

@@ -8,7 +8,6 @@ from uoisched import (
     BanditSpec,
     ChainSpec,
     ConfigError,
-    active_passive_values,
     build_truncated,
     choose_truncation,
     gain_index_general,
@@ -18,6 +17,7 @@ from uoisched import (
     gradient_search,
     load_table,
     make_problem,
+    or_active,
     or_decision,
     policy_iteration_discounted,
     save_table,
@@ -27,9 +27,10 @@ from uoisched import (
 )
 from uoisched.config import load_config
 from uoisched.index_policy import table_from_doc, table_to_doc
+from uoisched.solvers import BanditBatch, solve_batch
 from uoisched.workflows import compute_index_tables, prepare
 
-from conftest import FIG1, random_bandit
+from conftest import FIG1, active_passive, random_bandit, rho_one_pair
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -91,9 +92,34 @@ class TestDiscountedIndices:
         lam = 0.08
         pol = policy_iteration_discounted(mdp, lam)
         table = gain_indices_discounted(mdp, lam, policy=pol)
+        a, r = active_passive(mdp, pol.values, lam)
         for s in range(mdp.n_states):
-            a, r = active_passive_values(mdp, pol.values, s, lam)
-            assert r - a == pytest.approx(0.9 * table.indices[s] - lam, abs=1e-8)
+            assert r[s] - a[s] == pytest.approx(0.9 * table.indices[s] - lam, abs=1e-8)
+
+
+class TestOneCriterionPerTable:
+    """Each index twin serves one criterion and rejects an MDP of the other,
+    with or without a given policy."""
+
+    @pytest.mark.parametrize("given_policy", [False, True], ids=["solved", "given"])
+    @pytest.mark.parametrize(
+        "make, beta",
+        [(gain_indices_discounted, 1.0), (gain_indices_average, 0.9)],
+        ids=["gain_indices_discounted", "gain_indices_average"],
+    )
+    def test_mdp_of_the_other_criterion_is_rejected(self, make, beta, given_policy):
+        mdp = build_truncated(BanditSpec(validate_chain(FIG1), 1.0, "f"), 6, beta)
+        policy = solve_batch(BanditBatch([mdp]), 0.1).policy(0) if given_policy else None
+        with pytest.raises(ValueError, match=f"{make.__name__} requires discount"):
+            make(mdp, 0.1, policy=policy)
+
+    @pytest.mark.parametrize(
+        "make, beta, criterion",
+        [(gain_indices_discounted, 0.9, "discounted"), (gain_indices_average, 1.0, "average")],
+    )
+    def test_criterion_is_read_off_the_discount(self, make, beta, criterion):
+        mdp = build_truncated(BanditSpec(validate_chain(FIG1), 1.0, "f"), 6, beta)
+        assert make(mdp, 0.1).criterion == criterion
 
 
 class TestAverageIndices:
@@ -102,7 +128,7 @@ class TestAverageIndices:
         mdp = resolved_mdp(bandit, 1.0)
         sol = solve_average(mdp, 0.05)
         table = gain_indices_average(mdp, 0.05, policy=sol)
-        shifted = type(sol)(sol.actions, sol.values + 3.7, sol.gain, sol.lam, sol.criterion)
+        shifted = type(sol)(sol.actions, sol.values + 3.7, sol.gain, sol.lam)
         table2 = gain_indices_average(mdp, 0.05, policy=shifted)
         assert np.allclose(table.indices, table2.indices, atol=1e-10)
 
@@ -194,6 +220,37 @@ class TestOrDecision:
         lam = 2.0 * find_all_passive_lambda(mdp, 0.9)
         pol = policy_iteration_discounted(mdp, lam)
         assert not any(or_decision(mdp, pol.values, s, lam) for s in range(mdp.n_states))
+
+
+class TestOrRuleAtLambdaStar:
+    """The OR rule read off the index table at lambda* makes the choices of
+    the policy that policy iteration returns there, away from ties."""
+
+    @staticmethod
+    def _problems():
+        for criterion, beta in (("discounted", 0.9), ("discounted", 0.99), ("average", 1.0)):
+            for seed in range(1000, 1006):
+                rng = np.random.default_rng(seed)
+                bandits = [random_bandit(rng, rng.integers(2, 5), f"b{i}") for i in range(4)]
+                yield make_problem([resolved_mdp(b, beta) for b in bandits], 2, criterion)
+        for seed in range(6):
+            yield make_problem(rho_one_pair(seed), 1, "average")
+
+    def test_or_rule_matches_the_solution(self):
+        checked = 0
+        for problem in self._problems():
+            trace = gradient_search(problem)
+            sol, lam = trace.solution, trace.lambda_star
+            if sol.activations is None:  # some final policy is multichain
+                continue
+            for mdp, table, j in zip(problem.mdps, gain_index_tables(problem, trace), problem.members):
+                policy = sol.policy(j)
+                clear = np.abs(mdp.discount * table.indices - lam) > 1e-8
+                assert np.array_equal(or_active(table.indices, mdp.discount, lam)[clear], policy.actions[clear] == 1)
+                decisions = [or_decision(mdp, policy.values, s, lam) for s in range(mdp.n_states)]
+                assert np.array_equal(np.array(decisions)[clear], policy.actions[clear] == 1)
+                checked += int(clear.sum())
+        assert checked > 1000
 
 
 class TestRankingConsistency:

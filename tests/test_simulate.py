@@ -31,6 +31,7 @@ from uoisched import (
 from uoisched.belief_mdp import nearest_state, state_labels
 from uoisched.config import load_config
 from uoisched.simulate import _BLOCK_DOUBLES, POLICIES
+from uoisched.solvers import ACTIVE_TIE_TOL
 from uoisched.workflows import compute_index_tables, prepare
 
 from conftest import FIG1, random_bandit
@@ -67,7 +68,7 @@ def fig1_tables(criterion, beta, rho=1.0):
 
 class TestDiscountedHorizon:
     def test_horizon_tail_rule(self):
-        T = discounted_horizon(0.9, 2.0, tail=1e-6)
+        T = discounted_horizon(0.9, 2.0)
         assert 0.9 ** T * 2.0 / 0.1 < 1e-6
         assert 0.9 ** (T - 1) * 2.0 / 0.1 >= 1e-6
 
@@ -212,7 +213,7 @@ def reference_simulate(inst, policy, tables, horizon, runs, seed, burn_in=0):
             for i in chosen:
                 counts[i] += 1
             if r == 0:
-                mask = [scale * float(tables[i].indices[sid[i]]) >= lam - 1e-12 for i in range(M)]
+                mask = [scale * float(tables[i].indices[sid[i]]) >= lam - ACTIVE_TIE_TOL for i in range(M)]
                 or_trace.append(mask)
                 or_count.append(sum(mask))
                 sel_trace.append(sorted(chosen))
@@ -557,7 +558,6 @@ class TestAsymptoticSweep:
             m_list=[4, 16],
             runs=8,
             seed=1234,
-            criterion="average",
             discount=1.0,
             truncation_L=16,
             horizon=4000,
@@ -572,7 +572,6 @@ class TestAsymptoticSweep:
             m_list=[4, 8],
             runs=4,
             seed=9,
-            criterion="average",
             discount=1.0,
             truncation_L=12,
             horizon=1500,
@@ -588,7 +587,6 @@ class TestAsymptoticSweep:
                 m_list=[5],
                 runs=2,
                 seed=1,
-                criterion="average",
                 discount=1.0,
                 truncation_L=8,
                 horizon=500,
@@ -604,7 +602,6 @@ class TestAsymptoticSweep:
             m_list=[4],
             runs=2,
             seed=3,
-            criterion=criterion,
             discount=beta,
             truncation_L=10,
             horizon=200,
@@ -625,7 +622,6 @@ class TestAsymptoticSweep:
                 m_list=[40, 4],
                 runs=2,
                 seed=1,
-                criterion="average",
                 discount=1.0,
                 truncation_L=8,
                 horizon=500,
@@ -638,7 +634,6 @@ class TestAsymptoticSweep:
             m_list=[4],
             runs=16,
             seed=77,
-            criterion="discounted",
             discount=0.9,
             truncation_L=16,
         )

@@ -9,7 +9,6 @@ import scipy.sparse.csgraph as csgraph
 from uoisched import (
     BanditSpec,
     NoConvergence,
-    active_passive_values,
     average_policy_evaluation,
     build_truncated,
     choose_truncation,
@@ -34,6 +33,7 @@ from uoisched.solvers import (
 
 from conftest import (
     FIG1,
+    active_passive,
     force_multichain,
     induced_transition,
     mixed_mdps,
@@ -256,9 +256,9 @@ class TestActivePassiveValues:
     def test_all_active_at_zero_charge(self):
         mdp = fig1_mdp()
         pol = policy_iteration_discounted(mdp, 0.0)
+        a, r = active_passive(mdp, pol.values, 0.0)
         for s in range(mdp.n_states):
-            a, r = active_passive_values(mdp, pol.values, s, 0.0)
-            assert a <= r + 1e-9
+            assert a[s] <= r[s] + 1e-9
 
     def test_difference_matches_gain_index_identity(self):
         # r - a = beta*W - lam for every state
@@ -267,17 +267,17 @@ class TestActivePassiveValues:
         pol = policy_iteration_discounted(mdp, lam)
         v = pol.values
         rho, beta = mdp.bandit.success_prob, mdp.discount
+        a, r = active_passive(mdp, v, lam)
         for s in range(mdp.n_states):
-            a, r = active_passive_values(mdp, v, s, lam)
             w = rho * (v[mdp.passive_next[s]] - mdp.states[s] @ v[mdp.reset_states])
-            assert r - a == pytest.approx(beta * w - lam, abs=1e-8)
+            assert r[s] - a[s] == pytest.approx(beta * w - lam, abs=1e-8)
 
     def test_myopic_limit(self):
         mdp = fig1_mdp(beta=0.0, rho=1.0)
         v = value_iteration_discounted(mdp, 0.7, tol=1e-12).values
-        a, r = active_passive_values(mdp, v, 0, 0.7)
-        assert a == pytest.approx(0.7, abs=1e-15)
-        assert r == 0.0
+        a, r = active_passive(mdp, v, 0.7)
+        assert a[0] == pytest.approx(0.7, abs=1e-15)
+        assert r[0] == 0.0
 
 
 class TestOneCriterionPerSolver:
@@ -301,6 +301,30 @@ class TestOneCriterionPerSolver:
     def test_mdp_of_the_other_criterion_is_rejected(self, call, beta):
         with pytest.raises(ValueError, match="requires discount"):
             call(fig1_mdp(beta=beta, L=6))
+
+
+class TestTieAtABreakpoint:
+    """Policy iteration keeps a state's action where qa and qp tie within
+    ACTIVE_TIE_TOL.  At this breakpoint of the dual, flipping tied states
+    cycled through three policies of equal gain until NoConvergence."""
+
+    @staticmethod
+    def _bandit():
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            bandits = [
+                random_bandit(rng, int(rng.integers(2, 5)), f"c{k}", rho=float(rng.choice([0.6, 0.8, 1.0])))
+                for k in range(3)
+            ]
+        return bandits[0]
+
+    @pytest.mark.parametrize("shift", [0.0, -1e-9, 1e-9])
+    def test_solve_at_the_breakpoint_terminates(self, shift):
+        bandit = self._bandit()
+        assert (bandit.chain.n_states, bandit.success_prob) == (2, 1.0)
+        mdp = build_truncated(bandit, 20, 1.0)
+        sol = solve_batch(BanditBatch([mdp]), 0.32286361620113463 * (1.0 + shift))
+        assert sol.gains[0] == pytest.approx(0.964157966574381, rel=1e-12)
 
 
 class TestLambdaMonotonicity:
