@@ -42,8 +42,9 @@ states can cycle among policies of equal gain, and keeping the incumbent
 makes it terminate (Puterman 1994, sections 8.6 and 9.2).
 
 The discount alone picks the criterion, in every layer: beta = 1 is average
-cost (`criterion_of`).  A unit charge paid in every slot weighs 1/s, s = `charge_scale(beta)`:
-its discounted sum 1/(1 - beta), or its rate 1 at beta = 1.
+cost (`criterion_of`).  A unit charge paid in every slot weighs 1/s,
+s = `charge_scale(beta)`: its discounted sum 1/(1 - beta), or its rate 1 at
+beta = 1.
 """
 
 from __future__ import annotations
