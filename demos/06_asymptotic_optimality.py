@@ -5,12 +5,13 @@ then grow the population.  The per-source cost of the gain-index policy
 approaches the relaxed lower bound, which depends only on the class mix.
 """
 
-from uoisched import BanditSpec, asymptotic_sweep, validate_chain
+from uoisched import BanditSpec, asymptotic_sweep, build_truncated, validate_chain
 
-classes = [
-    (BanditSpec(validate_chain([[0.99, 0.3], [0.01, 0.7]]), 1.0, "sticky"), 0.5),
-    (BanditSpec(validate_chain([[0.9, 0.35], [0.1, 0.65]]), 0.8, "jumpy"), 0.5),
-]
+# each class is its source's belief MDP truncated at L = 20; discount 1.0
+# selects the average-cost criterion
+sticky = BanditSpec(validate_chain([[0.99, 0.3], [0.01, 0.7]]), 1.0, "sticky")
+jumpy = BanditSpec(validate_chain([[0.9, 0.35], [0.1, 0.65]]), 0.8, "jumpy")
+classes = [(build_truncated(sticky, 20, 1.0), 0.5), (build_truncated(jumpy, 20, 1.0), 0.5)]
 
 sweep = asymptotic_sweep(
     classes,
@@ -18,8 +19,6 @@ sweep = asymptotic_sweep(
     m_list=[4, 8, 16, 32],
     runs=30,
     seed=60606,
-    discount=1.0,
-    truncation_L=20,
     horizon=10_000,
 )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -22,9 +23,10 @@ from .errors import (
     UoiSchedError,
 )
 from .index_policy import load_table, table_to_doc
-from .simulate import POLICIES, asymptotic_sweep
+from .oracle import joint_solve_average, joint_solve_discounted
+from .simulate import POLICIES, asymptotic_sweep, simulate
 from .solvers import AVERAGE, DISCOUNTED
-from .workflows import bound_report, compute_index_tables, prepare, run_oracle, run_simulation
+from .workflows import bound_report, compute_index_tables, prepare
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,13 +60,21 @@ def _echo_config(config, out: Path) -> str:
     return h
 
 
-def cmd_indices(args) -> int:
+def _prepared(args, check=None):
+    """Load the config and apply --seed, run `check(args, config)` on the
+    command's own inputs, then create the out dir, echo the config there and
+    prepare the instance: (prepared instance, out dir, config hash, checked)."""
     config = load_config(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config.override_seed(args.seed)
+    checked = check(args, config) if check else None
     out = _out_dir(args, config)
     h = _echo_config(config, out)
-    prep = prepare(config)
+    return prepare(config), out, h, checked
+
+
+def cmd_indices(args) -> int:
+    prep, out, h, _ = _prepared(args)
     result = compute_index_tables(prep)
 
     for table in result.tables:
@@ -105,32 +115,32 @@ def _simulated_sources(config) -> dict:
     return {key: config.resolved[key] for key in ("bandits", "truncation")}
 
 
+def _simulation_tables(args, config):
+    """The --tables files, one per bandit in config order (gain_index only)."""
+    if args.policy != "gain_index":
+        if args.tables:
+            raise ConfigError(f"--tables applies to policy 'gain_index' only, not {args.policy!r}")
+        return None
+    if not args.tables:
+        raise ConfigError(f"policy {args.policy!r} requires --tables with one file per bandit")
+    try:
+        by_label = {t.bandit_label: t for t in map(load_table, args.tables)}
+    except FileNotFoundError as exc:
+        raise ConfigError(f"index table file not found: {exc.filename}") from exc
+    missing = [b.label for b in config.bandits if b.label not in by_label]
+    if missing:
+        raise ConfigError(f"missing index tables for bandit(s) {missing}")
+    return [by_label[b.label] for b in config.bandits]
+
+
 def cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.override_seed(args.seed)
-    out = _out_dir(args, config)
-    h = _echo_config(config, out)
-    prep = prepare(config)
-
-    tables = None
-    if args.tables and args.policy != "gain_index":
-        raise ConfigError(f"--tables applies to policy 'gain_index' only, not {args.policy!r}")
-    if args.policy == "gain_index":
-        if not args.tables:
-            raise ConfigError(f"policy {args.policy!r} requires --tables with one file per bandit")
-        try:
-            tables = [load_table(p) for p in args.tables]
-        except FileNotFoundError as exc:
-            raise ConfigError(f"index table file not found: {exc.filename}") from exc
-        by_label = {t.bandit_label: t for t in tables}
-        missing = [b.label for b in config.bandits if b.label not in by_label]
-        if missing:
-            raise ConfigError(f"missing index tables for bandit(s) {missing}")
-        tables = [by_label[b.label] for b in config.bandits]
-
+    prep, out, h, tables = _prepared(args, _simulation_tables)
+    config = prep.config
     t0 = time.perf_counter()
-    res = run_simulation(prep, args.policy, tables=tables)
+    res = simulate(
+        config.build_instance(), args.policy, config.horizon, config.runs,
+        tables=tables, truncation_L=prep.l_per_bandit, burn_in=config.burn_in,
+    )
     seconds = time.perf_counter() - t0
     _write_json(out / f"sim_{args.policy}.json", {"result": res.to_json_dict(), **_simulated_sources(config)}, h)
     _write_csv(
@@ -148,19 +158,25 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _policy_result(path, config) -> tuple[float, float]:
-    """Mean and its standard error from a `simulate` result file, after
-    checking it was simulated on the same problem as the config (criterion,
-    discount, M, m, and the sources and truncation it recorded)."""
+def _policy_result(args, config) -> tuple[float, float] | None:
+    """Mean and its standard error from the --policy-result file, if any,
+    after checking it was simulated on the same problem as the config
+    (criterion, discount, M, m, and the sources and truncation it recorded)."""
+    path = args.policy_result
+    if not path:
+        return None
     try:
         with open(path) as fh:
             doc = json.load(fh)
         result = doc["result"]
-        mean, stderr = float(result["mean"]), float(result["stderr"])
+        mean, stderr = result["mean"], result["stderr"]
     except FileNotFoundError as exc:
         raise ConfigError(f"policy result file not found: {exc.filename}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: not a simulation result document") from exc
+    # json reads NaN and Infinity; type() also keeps out bools and strings
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in (mean, stderr)) or stderr < 0:
+        raise ConfigError(f"{path}: mean {mean!r} and stderr {stderr!r} must be finite numbers, stderr >= 0")
     expected = {
         "criterion": config.criterion,
         "discount": config.discount,
@@ -175,16 +191,16 @@ def _policy_result(path, config) -> tuple[float, float]:
     ]
     if mismatched:
         raise ConfigError(f"{path} was not simulated on this config: {', '.join(mismatched)}")
-    return mean, stderr
+    return float(mean), float(stderr)
 
 
 def cmd_oracle(args) -> int:
-    config = load_config(args.config)
-    policy = _policy_result(args.policy_result, config) if args.policy_result else None
-    out = _out_dir(args, config)
-    h = _echo_config(config, out)
-    prep = prepare(config)
-    res = run_oracle(prep)
+    prep, out, h, policy = _prepared(args, _policy_result)
+    config = prep.config
+    if config.criterion == DISCOUNTED:
+        res = joint_solve_discounted(prep.mdps, config.m, tol=1e-8, initial_states=prep.initial_states)
+    else:
+        res = joint_solve_average(prep.mdps, config.m, tol=1e-8)
     doc = {
         "criterion": config.criterion,
         "value": res.value,
@@ -214,29 +230,20 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.override_seed(args.seed)
-    out = _out_dir(args, config)
-    h = _echo_config(config, out)
     try:
         m_list = [int(v) for v in args.m_list.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"--m-list: expected comma-separated integers, got {args.m_list!r}") from exc
     if not m_list:
         raise ConfigError("--m-list: at least one population size required")
-
-    prep = prepare(config)
-    q = 1.0 / len(config.bandits)
-    classes = [(b, q) for b in config.bandits]
+    prep, out, h, _ = _prepared(args)
+    config = prep.config
     sweep = asymptotic_sweep(
-        classes,
+        [(mdp, 1.0 / len(prep.mdps)) for mdp in prep.mdps],
         alpha=args.alpha,
         m_list=m_list,
         runs=config.runs,
         seed=config.seed,
-        discount=config.discount,
-        truncation_L=prep.l_per_bandit,
         horizon=config.horizon if config.criterion == AVERAGE else None,
         burn_in=config.burn_in,
         gradient_opts={

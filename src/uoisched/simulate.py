@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .belief_mdp import BanditSpec, build_truncated, nearest_state
+from .belief_mdp import BanditSpec, TruncatedBeliefMDP, build_truncated, nearest_state
 from .index_policy import gain_index_tables, or_active
 from .lagrange import gradient_search, make_problem
 from .rng import RunStreams
@@ -402,57 +402,55 @@ def _class_counts(proportions, m_int, alpha) -> tuple[int, list[int], list[float
 
 
 def asymptotic_sweep(
-    classes: list[tuple[BanditSpec, float]],
+    classes: list[tuple[TruncatedBeliefMDP, float]],
     alpha: float,
     m_list: list[int],
     runs: int,
     seed: int,
-    discount: float,
-    truncation_L,
     horizon: int | None = None,
     burn_in: int | None = None,
     gradient_opts: dict | None = None,
 ) -> AsymptoticSweep:
     """Scale the population at fixed class mix and channel ratio alpha = m/M.
 
-    For each M the gain-index policy is simulated (class duplicates share one
-    index table) and compared against the per-bandit relaxed lower bound
-    f(lam*)/M, which depends only on the class mix.  Reports the gap series.
+    The class MDPs share one discount, which sets the criterion.  For each M
+    the gain-index policy is simulated (class duplicates share one index
+    table) and compared against the per-bandit relaxed lower bound f(lam*)/M,
+    which depends only on the class mix.  Reports the gap series.
     """
     proportions = [q for _, q in classes]
     if abs(sum(proportions) - 1.0) > 1e-9:
         raise ValueError("class proportions must sum to 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    labels = [mdp.bandit.label for mdp, _ in classes]
     m_list = sorted(int(v) for v in m_list)
+    for name, values in (("class labels", labels), ("population sizes", m_list)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must be unique, got {values}")
     plans = {M: _class_counts(proportions, M, alpha) for M in m_list}
     for M, (_, counts, _) in plans.items():
-        for (bandit, _), c in zip(classes, counts):
+        for label, c in zip(labels, counts):
             if c == 0:
-                raise ValueError(f"class {bandit.label!r} has no bandit at M = {M}; each class needs one at every M")
-
-    beta = discount
-    class_mdps = [
-        build_truncated(b, int(truncation_L) if np.isscalar(truncation_L) else int(truncation_L[k]), beta)
-        for k, (b, _) in enumerate(classes)
-    ]
+                raise ValueError(f"class {label!r} has no bandit at M = {M}; each class needs one at every M")
 
     # lambda* is mix-invariant: compute it on the smallest population, whose
     # batch holds one entry per class, in class order
     m0 = m_list[0]
     m_chan0, counts0, _ = plans[m0]
-    mdps0 = [class_mdps[k] for k, c in enumerate(counts0) for _ in range(c)]
+    mdps0 = [mdp for (mdp, _), c in zip(classes, counts0) for _ in range(c)]
+    beta = mdps0[0].discount
     problem = make_problem(mdps0, m_chan0, criterion_of(beta), **(gradient_opts or {}))
     trace = gradient_search(problem)
     lam_star = trace.lambda_star
     per_bandit = gain_index_tables(problem, trace)
-    tables = [per_bandit[problem.members.index(k)] for k in range(len(classes))]
+    tables = [per_bandit[sum(counts0[:k])] for k in range(len(classes))]
 
     # each class's V(omega) (discounted) or g (average) at lambda*
     class_values = trace.solution.objective.tolist()
 
     if horizon is None:
-        total_bh = max(m_list) * max(np.log2(b.chain.n_states) for b, _ in classes)
+        total_bh = max(m_list) * max(np.log2(mdp.bandit.chain.n_states) for mdp, _ in classes)
         horizon = discounted_horizon(beta, total_bh) if beta < 1.0 else 10_000
 
     rows = []
@@ -460,7 +458,7 @@ def asymptotic_sweep(
         m_chan, counts, residues = plans[M]
         bandits, rep_tables = [], []
         for k, c in enumerate(counts):
-            base = classes[k][0]
+            base = classes[k][0].bandit
             for j in range(c):
                 label = f"{base.label}-{j + 1}"
                 bandits.append(BanditSpec(base.chain, base.success_prob, label))

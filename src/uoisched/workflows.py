@@ -17,8 +17,6 @@ from .belief_mdp import (
 from .config import ExperimentConfig
 from .index_policy import GainIndexTable, gain_index_tables
 from .lagrange import GradientTrace, gradient_search, make_problem
-from .oracle import OracleResult, joint_solve_average, joint_solve_discounted
-from .simulate import SimResult, simulate
 from .solvers import DISCOUNTED
 
 
@@ -93,25 +91,3 @@ def bound_report(prep: PreparedInstance, lam: float = 0.0) -> list[dict]:
             row["bound_at_lambda"] = lam
         rows.append(row)
     return rows
-
-
-def run_simulation(prep: PreparedInstance, policy: str, tables=None) -> SimResult:
-    cfg = prep.config
-    return simulate(
-        cfg.build_instance(),
-        policy,
-        horizon=cfg.horizon,
-        runs=cfg.runs,
-        seed=cfg.seed,
-        tables=tables,
-        truncation_L=prep.l_per_bandit,
-        burn_in=cfg.burn_in,
-    )
-
-
-def run_oracle(prep: PreparedInstance) -> OracleResult:
-    """Exact joint optimum, solved to 1e-8 under either criterion."""
-    cfg = prep.config
-    if cfg.criterion == DISCOUNTED:
-        return joint_solve_discounted(prep.mdps, cfg.m, tol=1e-8, initial_states=prep.initial_states)
-    return joint_solve_average(prep.mdps, cfg.m, tol=1e-8)

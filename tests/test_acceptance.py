@@ -286,11 +286,11 @@ def test_criterion_8_baseline_ordering():
 def test_criterion_9_asymptotic_gap_shrinks():
     chain_a = validate_chain(FIG1)
     chain_b = validate_chain([[0.9, 0.35], [0.1, 0.65]])
-    classes = [(BanditSpec(chain_a, 1.0, "ca"), 0.5), (BanditSpec(chain_b, 0.8, "cb"), 0.5)]
-    sweep = asymptotic_sweep(
-        classes, alpha=0.5, m_list=[4, 32], runs=30, seed=9090,
-        discount=1.0, truncation_L=20, horizon=10_000,
-    )
+    classes = [
+        (build_truncated(BanditSpec(chain_a, 1.0, "ca"), 20, 1.0), 0.5),
+        (build_truncated(BanditSpec(chain_b, 0.8, "cb"), 20, 1.0), 0.5),
+    ]
+    sweep = asymptotic_sweep(classes, alpha=0.5, m_list=[4, 32], runs=30, seed=9090, horizon=10_000)
     by_m = {r.n_bandits: r for r in sweep.rows}
     g4, g32 = by_m[4], by_m[32]
     ok = g32.gap < g4.gap

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -25,6 +26,22 @@ FAST_CONFIG = {
     "m": 1,
     "truncation": {"mode": "fixed", "L": 12},
     "simulation": {"runs": 20, "horizon": 200, "seed": 7},
+}
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+# sha256 of asymptotic.json and asymptotic.csv from `asymptotic --alpha 0.5
+# --m-list 2,4` on each sample config with runs cut to 4
+SAMPLE_SWEEP_SHA256 = {
+    "two_sources_average": (
+        "8cf075b1988071ff4b223e63629ed8af96f4131d9c006c67dd2b582250724132",
+        "1443314eb854784f6d54d5c0a39888c5605e9d251851cbc4305fa26c3f6bed06",
+    ),
+    "two_sources_discounted": (
+        "beb97edfb18c4a3a1828fdd2b36531d458181aa25ea421339ad6080388fe5b3e",
+        "24aca9c862628af67a8c089710aa6036a4fc32ce1a11482ebcce958418b29bcb",
+    ),
 }
 
 
@@ -390,6 +407,22 @@ class TestOracleCommand:
         assert code == 2
         assert "not a simulation result document" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mean", float("nan")), ("mean", float("inf")), ("mean", "1.5"), ("mean", True), ("stderr", -0.1)],
+    )
+    def test_malformed_policy_result_exits_2(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"), "--policy", "round_robin"]) == 0
+        path = tmp_path / "s" / "sim_round_robin.json"
+        doc = json.loads(path.read_text())
+        doc["result"][field] = value
+        path.write_text(json.dumps(doc))
+        code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "o"), "--policy-result", str(path)])
+        assert code == 2
+        assert "must be finite numbers, stderr >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_state_space_cap_exits_4(self, tmp_path):
         doc = dict(FAST_CONFIG, truncation={"mode": "fixed", "L": 600})
         doc["bandits"] = [
@@ -426,6 +459,28 @@ class TestAsymptoticCommand:
         assert csv_lines[1] == "M,m,per_bandit_cost,per_bandit_stderr,per_bandit_bound,gap"
 
 
+    def test_repeated_population_size_exits_2(self, tmp_path, capsys):
+        doc = dict(FAST_CONFIG, criterion={"type": "average"})
+        cfg = write_config(tmp_path, doc)
+        code = main(
+            ["asymptotic", "--config", cfg, "--out", str(tmp_path / "o"), "--alpha", "0.5", "--m-list", "4,2,4"]
+        )
+        assert code == 2
+        assert "population sizes must be unique" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(SAMPLE_SWEEP_SHA256))
+    def test_sample_config_sweep_is_pinned(self, tmp_path, name):
+        """`--alpha 0.5 --m-list 2,4` on a sample config cut to 4 runs writes
+        the same bytes as before the sweep took the prepared class MDPs."""
+        doc = json.loads((REPO / "configs" / f"{name}.json").read_text())
+        doc["simulation"]["runs"] = 4
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["asymptotic", "--config", cfg, "--out", str(out), "--alpha", "0.5", "--m-list", "2,4"]) == 0
+        digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("asymptotic.json", "asymptotic.csv"))
+        assert digests == SAMPLE_SWEEP_SHA256[name]
+
+
 class TestBoundCommand:
     def test_prints_certificates(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_CONFIG)
@@ -454,9 +509,10 @@ class TestConfigRoundTrip:
 
 
 def test_pipeline_runs_without_scipy(tmp_path):
-    """`indices`, `simulate --policy gain_index` and `oracle --policy-result`
-    on both sample configs, cut to 2 runs of 200 slots, in an interpreter
-    where importing scipy fails: the pipeline needs numpy alone."""
+    """`indices`, `simulate --policy gain_index`, `oracle --policy-result` and
+    `asymptotic --alpha 0.5 --m-list 2,4` on both sample configs, cut to 2
+    runs of 200 slots, in an interpreter where importing scipy fails: the
+    pipeline needs numpy alone."""
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -466,15 +522,16 @@ def test_pipeline_runs_without_scipy(tmp_path):
         "    main(['indices', '--config', cfg, '--out', out]),\n"
         "    main(['simulate', '--config', cfg, '--out', out, '--policy', 'gain_index', '--tables', *tables]),\n"
         "    main(['oracle', '--config', cfg, '--out', out, '--policy-result', out + '/sim_gain_index.json']),\n"
+        "    main(['asymptotic', '--config', cfg, '--out', out, '--alpha', '0.5', '--m-list', '2,4']),\n"
         "])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(uoisched.__file__).parents[1]))
     for name in ("two_sources_average", "two_sources_discounted"):
-        doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / f"{name}.json").read_text())
+        doc = json.loads((REPO / "configs" / f"{name}.json").read_text())
         doc["simulation"].update(runs=2, horizon=200)
         out = tmp_path / name
         tables = [str(out / f"indices_{b['label']}.json") for b in doc["bandits"]]
         args = [sys.executable, "-c", code, write_config(tmp_path, doc, f"{name}.json"), str(out), *tables]
         proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0]", (name, proc.stdout, proc.stderr)
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0]", (name, proc.stdout, proc.stderr)

@@ -543,23 +543,21 @@ class TestYTrace:
 
 
 class TestAsymptoticSweep:
-    def _classes(self):
+    def _classes(self, L, beta=1.0):
         chain_a = validate_chain(FIG1)
         chain_b = validate_chain([[0.9, 0.35], [0.1, 0.65]])
         return [
-            (BanditSpec(chain_a, 1.0, "ca"), 0.5),
-            (BanditSpec(chain_b, 0.8, "cb"), 0.5),
+            (build_truncated(BanditSpec(chain_a, 1.0, "ca"), L, beta), 0.5),
+            (build_truncated(BanditSpec(chain_b, 0.8, "cb"), L, beta), 0.5),
         ]
 
     def test_gap_shrinks_with_population(self):
         sweep = asymptotic_sweep(
-            self._classes(),
+            self._classes(16),
             alpha=0.5,
             m_list=[4, 16],
             runs=8,
             seed=1234,
-            discount=1.0,
-            truncation_L=16,
             horizon=4000,
         )
         gaps = {r.n_bandits: r.gap for r in sweep.rows}
@@ -567,13 +565,11 @@ class TestAsymptoticSweep:
 
     def test_bound_identical_across_population(self):
         sweep = asymptotic_sweep(
-            self._classes(),
+            self._classes(12),
             alpha=0.5,
             m_list=[4, 8],
             runs=4,
             seed=9,
-            discount=1.0,
-            truncation_L=12,
             horizon=1500,
         )
         bounds = [r.per_bandit_bound for r in sweep.rows]
@@ -582,39 +578,35 @@ class TestAsymptoticSweep:
     def test_non_integral_channel_count_rejected(self):
         with pytest.raises(ValueError, match="not integral"):
             asymptotic_sweep(
-                self._classes(),
+                self._classes(8),
                 alpha=0.5,
                 m_list=[5],
                 runs=2,
                 seed=1,
-                discount=1.0,
-                truncation_L=8,
                 horizon=500,
             )
 
     @pytest.mark.parametrize("criterion, beta", [("discounted", 0.9), ("average", 1.0)])
     def test_bound_is_the_dual_value_at_lambda_star(self, criterion, beta):
         # unequal counts, so a class read off the wrong batch entry shows
-        classes = [(b, q) for (b, _), q in zip(self._classes(), (0.25, 0.75))]
+        classes = [(b, q) for (b, _), q in zip(self._classes(10, beta), (0.25, 0.75))]
         sweep = asymptotic_sweep(
             classes,
             alpha=0.5,
             m_list=[4],
             runs=2,
             seed=3,
-            discount=beta,
-            truncation_L=10,
             horizon=200,
         )
         row = sweep.rows[0]
-        mdps = [build_truncated(b, 10, beta) for (b, _), c in zip(classes, row.class_counts) for _ in range(c)]
+        mdps = [build_truncated(b.bandit, 10, beta) for (b, _), c in zip(classes, row.class_counts) for _ in range(c)]
         dual = objective_value(make_problem(mdps, row.m, criterion), sweep.lambda_star)
         assert row.per_bandit_bound == pytest.approx(dual / 4, rel=1e-12, abs=1e-14)
 
     def test_class_absent_from_a_population_rejected(self):
         # at M = 4 the mix [0.9, 0.1] rounds to [4, 0], so a lambda* solved
         # there would leave class cb out of the bound at M = 40
-        (a, _), (b, _) = self._classes()
+        (a, _), (b, _) = self._classes(8)
         with pytest.raises(ValueError, match=r"class 'cb' has no bandit at M = 4\b"):
             asymptotic_sweep(
                 [(a, 0.9), (b, 0.1)],
@@ -622,20 +614,35 @@ class TestAsymptoticSweep:
                 m_list=[40, 4],
                 runs=2,
                 seed=1,
-                discount=1.0,
-                truncation_L=8,
                 horizon=500,
             )
 
+    @pytest.mark.parametrize(
+        "which, m_list",
+        [("population sizes", [4, 2, 4]), ("class labels", [2, 4])],
+    )
+    def test_repeated_input_rejected_before_the_search(self, monkeypatch, which, m_list):
+        classes = self._classes(8)
+        if which == "class labels":
+            classes = [(classes[0][0], 0.5)] * 2
+        module = importlib.import_module("uoisched.simulate")
+        monkeypatch.setattr(module, "gradient_search", lambda problem: pytest.fail("searched"))
+        with pytest.raises(ValueError, match=f"{which} must be unique"):
+            asymptotic_sweep(classes, alpha=0.5, m_list=m_list, runs=2, seed=1, horizon=500)
+
+    def test_mixed_discounts_rejected(self):
+        (a, _), _ = self._classes(8, 0.9)
+        (_, _), (b, _) = self._classes(8, 1.0)
+        with pytest.raises(ValueError, match="share one discount"):
+            asymptotic_sweep([(a, 0.5), (b, 0.5)], alpha=0.5, m_list=[2], runs=2, seed=1, horizon=500)
+
     def test_discounted_variant_runs(self):
         sweep = asymptotic_sweep(
-            self._classes(),
+            self._classes(16, 0.9),
             alpha=0.5,
             m_list=[4],
             runs=16,
             seed=77,
-            discount=0.9,
-            truncation_L=16,
         )
         row = sweep.rows[0]
         assert row.per_bandit_cost >= row.per_bandit_bound - 3 * row.per_bandit_stderr
