@@ -229,6 +229,16 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _equilibrium_starts(args, config) -> None:
+    """Reject per-bandit initial beliefs: the sweep starts every class at
+    the equilibrium belief."""
+    given = [b.label for b, chi in zip(config.bandits, config.initial_beliefs) if chi is not None]
+    if given:
+        raise ConfigError(
+            f"asymptotic starts every class at the equilibrium belief; remove initial_belief from {', '.join(given)}"
+        )
+
+
 def cmd_asymptotic(args) -> int:
     try:
         m_list = [int(v) for v in args.m_list.split(",") if v.strip()]
@@ -236,7 +246,7 @@ def cmd_asymptotic(args) -> int:
         raise ConfigError(f"--m-list: expected comma-separated integers, got {args.m_list!r}") from exc
     if not m_list:
         raise ConfigError("--m-list: at least one population size required")
-    prep, out, h, _ = _prepared(args)
+    prep, out, h, _ = _prepared(args, _equilibrium_starts)
     config = prep.config
     sweep = asymptotic_sweep(
         [(mdp, 1.0 / len(prep.mdps)) for mdp in prep.mdps],

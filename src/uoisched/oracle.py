@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -143,11 +143,18 @@ def build_joint(mdps: list[TruncatedBeliefMDP], m: int, cap: int = DEFAULT_CAP) 
 class OracleResult:
     value: float                 # discounted value (or gain) at the initial state
     values: np.ndarray           # per-joint-state V (or differential values)
-    policy: np.ndarray           # argmin action index per joint state
     gain: float                  # average cost (average criterion only)
     joint: JointMDP
     sweeps: int                  # Bellman sweeps of the value iteration
     bounds: tuple[float, float]  # certified bracket on `value`
+    _sweep: _FactoredSweep = field(repr=False)
+    _iterate: np.ndarray = field(repr=False)  # the last iterate, which `_sweep` was applied to
+
+    @cached_property
+    def policy(self) -> np.ndarray:
+        """Argmin action index per joint state (lowest index on a tie), at
+        the last iterate: one more sweep, made only when this is read."""
+        return self._sweep.policy(self._iterate)
 
 
 def _contract(x: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -279,12 +286,12 @@ def joint_solve_discounted(
     if not all(mdp.discount < 1.0 for mdp in mdps):
         raise ValueError("discounted oracle requires discount < 1")
     joint, sweep, v, tv, low, high, sweeps = _value_iteration(mdps, m, tol, cap, max_iters)
-    policy = sweep.policy(v)
     start = joint.joint_index(initial_states or [0] * len(mdps))
     bounds = (float(tv[start] + low), float(tv[start] + high))
     tv += 0.5 * (low + high)
     return OracleResult(
-        value=float(tv[start]), values=tv, policy=policy, gain=0.0, joint=joint, sweeps=sweeps, bounds=bounds
+        value=float(tv[start]), values=tv, gain=0.0, joint=joint, sweeps=sweeps, bounds=bounds, _sweep=sweep,
+        _iterate=v,
     )
 
 
@@ -302,6 +309,6 @@ def joint_solve_average(
     joint, sweep, w, _, low, high, sweeps = _value_iteration(mdps, m, tol, cap, max_iters)
     gain = 0.5 * (high + low)
     return OracleResult(
-        value=float(gain), values=w - w[0], policy=sweep.policy(w), gain=float(gain), joint=joint, sweeps=sweeps,
-        bounds=(float(low), float(high)),
+        value=float(gain), values=w - w[0], gain=float(gain), joint=joint, sweeps=sweeps,
+        bounds=(float(low), float(high)), _sweep=sweep, _iterate=w,
     )

@@ -12,13 +12,16 @@ selections, so different policies under the same seed see identical source
 paths (common random numbers).
 
 A block is simulated in two passes.  The true states depend on the draws
-alone, so they are walked first (three numpy calls per slot) and the reset
-states they lead to are gathered once per block.  The belief pass does only
-what depends on the previous slot's selection.  For gain_index and myopic
-the state ids are ranks in the top-m order (highest score, then lowest
-label), so a slot selects its m smallest belief ids: five calls select,
-mask the successes and step every belief.  Round robin keeps the grid ids
-and a fixed selection: two calls.  Costs and traces are gathered per block.
+alone, so they are walked first (three numpy calls per slot, plus an add
+per state beyond two in the largest chain) and the reset states they lead
+to are gathered once per block.  The belief pass does only what depends on
+the previous slot's selection.  For gain_index and myopic the state ids are
+ranks in the top-m order (highest score, then lowest label), so a slot
+selects its m smallest belief ids: five calls select, mask the successes
+and step every belief.  Round robin keeps the grid ids and a fixed
+selection: two calls.  Apart from the partition at m > 1, no call in a
+slot goes through a Python-level numpy wrapper, and none casts an input.
+Costs and traces are gathered per block.
 """
 
 from __future__ import annotations
@@ -153,18 +156,21 @@ def _padded_cdf(rows: list[np.ndarray], width: int) -> np.ndarray:
 
 def _walk_true_states(X: np.ndarray, u: np.ndarray, transition_cdf: np.ndarray, chain_offset: np.ndarray) -> None:
     """Fill X[1:] with the true states that follow X[0], (n + 1, M, runs)
-    global ids, given slot j's transition draws u[j]: three numpy calls per
-    slot.  A state's next id is the number of its padded cdf entries the
-    draw exceeds plus its chain offset, which the last row of `count` holds
-    throughout."""
+    global ids, given slot j's transition draws u[j].  A state's next id is
+    its chain offset plus the number of its padded cdf entries the draw
+    exceeds.  The comparison writes 0/1 as int64, so every add is int64 +
+    int64: a bool operand would make each add cast it, which costs more."""
     _, M, runs = X.shape
     cdf = np.empty((transition_cdf.shape[0], M, runs))
-    count = np.empty((transition_cdf.shape[0] + 1, M, runs), dtype=np.int64)
-    count[-1] = chain_offset
+    above = np.empty(cdf.shape, dtype=np.int64)
+    first, *further = above
+    offset = np.repeat(chain_offset, runs, axis=1)
     for x, x_next, draws in zip(X[:-1], X[1:], u):
         transition_cdf.take(x, axis=1, out=cdf, mode="clip")
-        np.greater(draws, cdf, out=count[:-1], casting="unsafe")
-        np.add.reduce(count, axis=0, out=x_next)
+        np.greater(draws, cdf, out=above, casting="unsafe")
+        np.add(offset, first, out=x_next)
+        for row in further:
+            x_next += row
 
 
 def _walk_beliefs(B, act, resets, passive_next, m: int | None = None, chosen=None) -> None:
@@ -172,18 +178,23 @@ def _walk_beliefs(B, act, resets, passive_next, m: int | None = None, chosen=Non
     moves to resets[j] where act[j] holds, else to its passive successor.
     With m, act[j] (the successes) is first restricted to the m bandits
     holding the smallest belief ids, which are recorded in chosen[j];
-    without it, act already holds a fixed selection."""
+    without it, act already holds a fixed selection.  Every operand of a
+    slot is (M, runs), so `putmask` acts as a masked copy."""
     if m is None:
         for b, b_next, a, r in zip(B[:-1], B[1:], act, resets):
             passive_next.take(b, out=b_next, mode="clip")
-            np.copyto(b_next, r, where=a)
+            np.putmask(b_next, a, r)
         return
+    kth = np.empty(B.shape[2], dtype=B.dtype)
     for b, b_next, c, a, r in zip(B[:-1], B[1:], chosen, act, resets):
-        kth = b.min(axis=0) if m == 1 else np.partition(b, m - 1, axis=0)[m - 1]
+        if m == 1:
+            np.minimum.reduce(b, axis=0, out=kth)
+        else:
+            kth = np.partition(b, m - 1, axis=0)[m - 1]
         np.less_equal(b, kth, out=c)
         np.logical_and(a, c, out=a)
         passive_next.take(b, out=b_next, mode="clip")
-        np.copyto(b_next, r, where=a)
+        np.putmask(b_next, a, r)
 
 
 def simulate(
@@ -303,7 +314,9 @@ def simulate(
         # the draws alone, so they are walked first, and the buffers of the
         # beliefs are made only once the first block's draws are freed.
         u = streams.draw(n * 2 * M).reshape(runs, n, 2 * M).transpose(1, 2, 0)
-        act = u[:, :M] < rho
+        # the successes in C order, so each slot reads its mask contiguously
+        # (`u[:, :M] < rho` would keep the draws' transposed order)
+        act = np.less(u[:, :M], rho, out=np.empty((n, M, runs), dtype=bool))
         _walk_true_states(X[: n + 1], u[:, M:], transition_cdf, chain_offset)
         del u
         if first == 0:
@@ -414,7 +427,7 @@ def asymptotic_sweep(
     """Scale the population at fixed class mix and channel ratio alpha = m/M.
 
     The class MDPs share one discount, which sets the criterion.  For each M
-    the gain-index policy is simulated (class duplicates share one index
+    the gain-index policy is simulated from the equilibrium belief (class duplicates share one index
     table) and compared against the per-bandit relaxed lower bound f(lam*)/M,
     which depends only on the class mix.  Reports the gap series.
     """

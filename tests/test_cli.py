@@ -423,6 +423,15 @@ class TestOracleCommand:
         assert "must be finite numbers, stderr >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("criterion", [{"type": "discounted", "beta": 0.9}, {"type": "average"}])
+    def test_oracle_does_not_compute_the_policy(self, tmp_path, monkeypatch, criterion):
+        def unread(self, v):
+            raise AssertionError("the oracle's policy was computed")
+
+        monkeypatch.setattr(uoisched.oracle._FactoredSweep, "policy", unread)
+        cfg = write_config(tmp_path, dict(FAST_CONFIG, criterion=criterion))
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
     def test_state_space_cap_exits_4(self, tmp_path):
         doc = dict(FAST_CONFIG, truncation={"mode": "fixed", "L": 600})
         doc["bandits"] = [
@@ -467,6 +476,16 @@ class TestAsymptoticCommand:
         )
         assert code == 2
         assert "population sizes must be unique" in capsys.readouterr().err
+
+    def test_initial_beliefs_exit_2_before_anything_is_written(self, tmp_path, capsys):
+        doc = dict(FAST_CONFIG, criterion={"type": "average"})
+        doc["bandits"] = [dict(b, initial_belief=[0.0, 1.0]) for b in doc["bandits"]]
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        code = main(["asymptotic", "--config", cfg, "--out", str(out), "--alpha", "0.5", "--m-list", "2,4"])
+        assert code == 2
+        assert "remove initial_belief from src-a, src-b" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", sorted(SAMPLE_SWEEP_SHA256))
     def test_sample_config_sweep_is_pinned(self, tmp_path, name):

@@ -266,6 +266,18 @@ def tied_instance(criterion, beta):
     return RMABInstance(copies + [other], 2, criterion, beta, seed=0), tables
 
 
+@functools.cache
+def m10_instance(criterion, beta):
+    """Ten random sources with N in {2, 3, 4} and auto truncation, like the
+    benchmark's M=10 instance, m = 3, and index tables at charge 0.3."""
+    rng = np.random.default_rng(10)
+    bandits = [random_bandit(rng, int(rng.integers(2, 5)), f"b{i}") for i in range(10)]
+    mdps = [build_truncated(b, choose_truncation(b, 1e-6)[0], beta) for b in bandits]
+    maker = gain_indices_discounted if criterion == "discounted" else gain_indices_average
+    tables = [maker(mdp, 0.3) for mdp in mdps]
+    return RMABInstance(bandits, 3, criterion, beta, seed=7), tables
+
+
 CRITERIA = [("discounted", 0.9), ("average", 1.0)]
 
 
@@ -358,6 +370,17 @@ PINNED = {
     ("two_sources_discounted", "round_robin"): "3c6a83c0f385f25b0e79c2d6902a77a2032308ef996a270b98972b6a1cdb3aff",
 }
 
+# result_digest of 1,000 slots and 50 runs on `m10_instance`, recorded with
+# the true-state step that counted the exceeded cdf entries by one reduction
+PINNED_M10 = {
+    ("discounted", "gain_index"): "42bdb4e60aa1bc8fa7b3b79225de9d6ba211ccd401091841ac39ae77d405613b",
+    ("discounted", "myopic"): "9af585e6f04f93c92be789db3b4e6d24aa38eda86dd616c34870c0bcbcd0daa9",
+    ("discounted", "round_robin"): "73be676d2c4a9f022c123e0700f59b7e115d9ed4bb4d2c58c2073e67384750f6",
+    ("average", "gain_index"): "5330e83b0acf6f0a96f5a5b9beb30e959378f6820f0d44d73823aa2e1a2b0bea",
+    ("average", "myopic"): "b2b3a11c24ea71cf46a2cdab380b44155127829ec84d3f0652a4ee82ff0802f6",
+    ("average", "round_robin"): "2436ace604398289b6906a7f75a45c20160c86ef5e5134edf5f2e6ef9b9b8367",
+}
+
 
 def result_digest(res) -> str:
     """SHA-256 of the result document, then of run 0's traces if recorded."""
@@ -385,23 +408,35 @@ class TestPinnedOutputs:
             )
             assert result_digest(res) == PINNED[name, policy], policy
 
+    @pytest.mark.parametrize("criterion,beta", CRITERIA)
+    def test_many_channels_and_wider_chains(self, criterion, beta):
+        """m = 3 selects with a partition, and chains of up to four states
+        take every padded cdf row."""
+        inst, tables = m10_instance(criterion, beta)
+        horizon, runs = 1000, 50
+        block = _BLOCK_DOUBLES // (2 * inst.n_bandits * runs)
+        assert horizon > 3 * block  # three block boundaries at least
+        for policy in POLICIES:
+            res = simulate(inst, policy, horizon, runs, tables=tables, record_y=policy == "gain_index")
+            assert result_digest(res) == PINNED_M10[criterion, policy], policy
+
 
 class TestMemory:
-    # tracemalloc peak in bytes of the call below (M=10, N in {2, 3, 4}, 50
-    # runs, 200 slots in one block) with the slot-by-slot simulator, whose
-    # largest live set was a block's draws (1.6 MB) and their transposed copy
+    # tracemalloc peak in bytes of the gain_index call below at m = 3 (M=10,
+    # N in {2, 3, 4}, 50 runs, 200 slots in one block) with the slot-by-slot
+    # simulator, whose largest live set was a block's draws (1.6 MB) and
+    # their transposed copy; every policy at m = 1 and 3 stays under it
     PEAK_BEFORE = 3_316_735
 
-    def test_peak_stays_within_the_draw_buffers(self):
-        rng = np.random.default_rng(10)
-        bandits = [random_bandit(rng, int(rng.integers(2, 5)), f"b{i}") for i in range(10)]
-        mdps = [build_truncated(b, choose_truncation(b, 1e-6)[0], 1.0) for b in bandits]
-        tables = [gain_indices_average(mdp, 0.3) for mdp in mdps]
-        inst = RMABInstance(bandits, 3, "average", 1.0, seed=7)
-        simulate(inst, "gain_index", 200, 50, tables=tables)  # import and cache effects out of the way
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_peak_stays_within_the_draw_buffers(self, policy, m):
+        inst, tables = m10_instance("average", 1.0)
+        inst = replace(inst, m=m)
+        simulate(inst, policy, 200, 50, tables=tables)  # import and cache effects out of the way
         tracemalloc.start()
         try:
-            simulate(inst, "gain_index", 200, 50, tables=tables)
+            simulate(inst, policy, 200, 50, tables=tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
