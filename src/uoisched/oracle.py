@@ -16,9 +16,14 @@ where H_T reads v at the reset states along the axes in T and at the passive
 successors along every other axis (one flat gather), then contracts each
 axis i in T with the bandit's scaled belief matrix rho_i * states_i
 (n_i x N_i).  H_T depends on T alone, so one sweep computes each H_T once and
-every action that contains T shares it.  The per-action Kronecker products of
-the per-bandit matrices (`JointMDP.transitions`) are built only on request,
-as a reference.
+every action that contains T shares it, and likewise each weighted term
+w * H_T (w != 1) that several actions use.  The last term of every action is
+H_S itself, of weight 1, so actions whose other terms agree share that
+prefix p (summed in the same order) and the minimum over them needs one add:
+rounding is monotone, so min over a of fl(p + H_S_a) = fl(p + min over a of
+H_S_a), bit for bit.  With equal rho and m = 1 every action falls in one
+group.  The per-action Kronecker products of the per-bandit matrices
+(`JointMDP.transitions`) are built only on request, as a reference.
 
 Both solvers stop on bounds, not on the size of the last step.  The Bellman
 operator T is monotone (v <= w implies Tv <= Tw) and shifts constants by its
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -157,14 +163,13 @@ class OracleResult:
         return self._sweep.policy(self._iterate)
 
 
-def _contract(x: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _contract(x: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Apply `mat` (n x N) along `axis` of x, where x has length N: the result
-    has length n there.  `out`, if given, is a flat buffer of the result's size."""
+    has length n there and fills the front of the flat buffer `out`."""
     n, N = mat.shape
     a, b = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
     shape = x.shape[:axis] + (n,) + x.shape[axis + 1:]
-    if out is None:
-        out = np.empty(shape)
+    out = out[: a * n * b]
     if b == 1:
         np.matmul(x.reshape(a, N), mat.T, out=out.reshape(a, n))
     else:
@@ -173,7 +178,8 @@ def _contract(x: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray | None 
 
 
 class _FactoredSweep:
-    """Bellman operator of a joint MDP at discount beta, with its buffers."""
+    """Bellman operator of a joint MDP at discount beta, with its buffers and
+    a fixed plan: each shared weighted term once, one minimum per action group."""
 
     def __init__(self, joint: JointMDP, beta: float):
         n = joint.n_joint
@@ -186,29 +192,57 @@ class _FactoredSweep:
         self.h = {t: np.empty(n) if t else x.ravel() for t, x in self.read.items()}  # H_{} is the gather itself
         self.acc = np.empty(n)
         self.tmp = np.empty(n)
+        # the contractions of an H_T but the last write alternately to acc and
+        # tmp, which are free while the H_T are gathered
+        self.stages = (self.acc, self.tmp)
+        # w * H_T once a sweep for each weight w != 1 that two or more actions
+        # give T; a term of one action alone is weighted as that action is summed
+        uses = Counter(term for terms in joint.terms for term in terms if term[1] != 1.0)
+        self.weighted = {term: np.empty(n) for term, count in uses.items() if count > 1}
+        self.operands = [
+            [(self.weighted[t, w], 1.0) if (t, w) in self.weighted else (self.h[t], w) for t, w in terms]
+            for terms in joint.terms
+        ]
+        # actions whose terms agree but for the last, H_S, form a group (see the
+        # module docstring).  A prefix that two actions S != S' share holds only
+        # S minus the one bandit outside S', so in a group of several it is one
+        # term, which every member uses: `_group` may hold the least H_S in
+        # `out` while it adds that term's own buffer.
+        groups = {}
+        for terms, ops in zip(joint.terms, self.operands):
+            groups.setdefault(tuple(terms[:-1]), (ops[:-1], []))[1].append(ops[-1][0])
+        self.groups = list(groups.values())
 
     def _gather(self, v: np.ndarray) -> None:
-        """Fill H_T for every T the actions use."""
+        """Fill H_T for every T the actions use, and every shared weighted term."""
         for t, ids in self.joint.gathers.items():
             x = self.read[t]
             np.take(v, ids, out=x, mode="clip")  # ids are in range: no bounds check
             for j, i in enumerate(t):
-                x = _contract(x, i, self.scaled[i], out=self.h[t] if j == len(t) - 1 else None)
+                x = _contract(x, i, self.scaled[i], self.h[t] if j == len(t) - 1 else self.stages[j % 2])
+        for (t, w), x in self.weighted.items():
+            np.multiply(self.h[t], w, out=x)
+
+    def _sum(self, operands: list[tuple[np.ndarray, float]], out: np.ndarray) -> np.ndarray:
+        """The sum of x * w over the operands (x, w), left to right: into `out`,
+        or x itself when that is all of it."""
+        total = None
+        for x, w in operands:
+            if w != 1.0:
+                x = np.multiply(x, w, out=out if total is None else self.tmp)
+            total = x if total is None else np.add(total, x, out=out)
+        return total
 
     def _product(self, a: int, out: np.ndarray) -> np.ndarray:
-        """P_a v from the gathered H_T: into `out`, or H_T itself when that is all of it."""
-        terms = self.joint.terms[a]
-        if len(terms) == 1:  # only T = S, of weight 1
-            return self.h[terms[0][0]]
-        (t, weight), *rest = terms
-        np.multiply(self.h[t], weight, out=out)
-        for t, weight in rest:
-            if weight == 1.0:
-                out += self.h[t]
-            else:
-                np.multiply(self.h[t], weight, out=self.tmp)
-                out += self.tmp
-        return out
+        """P_a v from the gathered terms: into `out`, or H_T itself when that is all of it."""
+        return self._sum(self.operands[a], out)
+
+    def _group(self, prefix: list, lasts: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+        """min over a group of its P_a v: the prefix plus the least last term."""
+        least, *others = lasts
+        for x in others:
+            least = np.minimum(least, x, out=out)
+        return self._sum(prefix + [(least, 1.0)], out)
 
     def values(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """min over actions of cost + beta * P_a v, written into `out`.
@@ -216,10 +250,11 @@ class _FactoredSweep:
         The minimum is taken over P_a v and cost and beta are applied once:
         rounding is monotone, so every bit equals the minimum of the q-values."""
         self._gather(v)
-        out.fill(np.inf)
-        for a in range(len(self.joint.actions)):
-            np.minimum(out, self._product(a, self.acc), out=out)
-        out *= self.beta
+        (prefix, lasts), *others = self.groups
+        best = self._group(prefix, lasts, out)
+        for prefix, lasts in others:
+            best = np.minimum(best, self._group(prefix, lasts, self.acc), out=out)
+        np.multiply(best, self.beta, out=out)
         out += self.joint.cost
         return out
 

@@ -1,3 +1,7 @@
+import hashlib
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +27,8 @@ from uoisched import (
     simulate,
     validate_chain,
 )
+from uoisched.config import load_config
+from uoisched.workflows import prepare
 
 from conftest import FIG1, random_bandit
 
@@ -151,11 +157,103 @@ class TestFactoredSweep:
         np.testing.assert_allclose(sweep.values(v, np.empty(joint.n_joint)), q.min(axis=0), rtol=1e-14, atol=0)
         np.testing.assert_array_equal(sweep.policy(v), q.argmin(axis=0))
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("rho", [0.8, 1.0, None], ids=["equal", "one", "mixed"])
+    def test_values_bit_equal_to_the_minimum_of_the_action_sums(self, m, rho):
+        rng = np.random.default_rng(m)
+        mdps = [
+            build_truncated(random_bandit(rng, n, f"b{i}", rho=rho or (0.7, 1.0, 0.85, 0.7)[i]), L, 0.9)
+            for i, (n, L) in enumerate(zip((2, 3, 4, 2), (3, 2, 2, 4)))
+        ]
+        joint = build_joint(mdps, m)
+        sweep = oracle._FactoredSweep(joint, 0.9)
+        out = np.empty(joint.n_joint)
+        for _ in range(3):
+            v = rng.standard_normal(joint.n_joint)
+            got = sweep.values(v, out)
+            sums = []
+            for terms in joint.terms:  # in _product's order: each term times its weight, added in turn
+                (t, weight), *rest = terms
+                total = sweep.h[t] * weight
+                for t, weight in rest:
+                    total = total + (sweep.h[t] if weight == 1.0 else sweep.h[t] * weight)
+                sums.append(total)
+            ref = np.minimum.reduce(sums) * 0.9 + joint.cost
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_values_allocates_no_joint_sized_array(self, m):
+        rng = np.random.default_rng(11)
+        mdps = [
+            build_truncated(random_bandit(rng, n, f"b{n}", rho=rho), L, 0.9)
+            for n, L, rho in zip((2, 3, 4), (10, 6, 5), (0.7, 1.0, 0.85))
+        ]
+        joint = build_joint(mdps, m)
+        sweep = oracle._FactoredSweep(joint, 0.9)
+        v, out = np.random.default_rng(1).random(joint.n_joint), np.empty(joint.n_joint)
+        sweep.values(v, out)
+        tracemalloc.start()
+        try:
+            sweep.values(v, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an eighth of one n_joint float64 array: every intermediate
+        # contraction at m = 2 is larger than this
+        assert peak < joint.n_joint
+
     def test_policy_ties_go_to_the_lowest_action(self):
         _, mdps = fig1_pair(0.9, L=4)
         joint = build_joint(mdps, 1)
         v = np.zeros(joint.n_joint)  # every q-value ties at the cost
         np.testing.assert_array_equal(oracle._FactoredSweep(joint, 0.9).policy(v), 0)
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def oracle_digest(res) -> str:
+    """SHA-256 of every output of a solve, bit for bit."""
+    h = hashlib.sha256()
+    h.update(res.values.tobytes())
+    for text in (res.value.hex(), *(b.hex() for b in res.bounds), str(res.sweeps)):
+        h.update(text.encode())
+    h.update(res.policy.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutputs:
+    """Values, value, bounds, sweeps and policy, pinned by digests computed
+    before the sweep grouped its actions."""
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("two_sources_discounted", "c633a34f8a96b31043bef899e3a33b357b7cd391f9b60878647cd411b49a591a"),
+            ("two_sources_average", "d748c13b4e1dc08480b661e6ac0432bf3bc218564806dc2526c762c2c9cb4e8d"),
+        ],
+    )
+    def test_sample_configs(self, name, digest):
+        prep = prepare(load_config(REPO / "configs" / f"{name}.json"))
+        config = prep.config
+        if config.criterion == "discounted":  # as cli.cmd_oracle solves it
+            res = joint_solve_discounted(prep.mdps, config.m, tol=1e-8, initial_states=prep.initial_states)
+        else:
+            res = joint_solve_average(prep.mdps, config.m, tol=1e-8)
+        assert oracle_digest(res) == digest
+
+    def test_mixed_triple_two_channels(self):
+        res = joint_solve_discounted(mixed_triple(0.9, (0.7, 1.0, 0.85)), 2, tol=1e-8)
+        assert oracle_digest(res) == "a96e29e4832f9b4a31d0d4ff7f52faaa0d12d60593f69b40b699963a32a6ec2d"
+
+    def test_four_actions_in_one_group(self):
+        rng = np.random.default_rng(19)
+        mdps = [  # one success probability, so the four actions share their prefix
+            build_truncated(random_bandit(rng, n, f"q{i}", rho=0.8), L, 1.0)
+            for i, (n, L) in enumerate(zip((2, 3, 2, 3), (4, 3, 5, 2)))
+        ]
+        res = joint_solve_average(mdps, 1, tol=1e-8)
+        assert oracle_digest(res) == "6598ff622088e257255bf85f456d404c5370f4873e7cc1abdb7b1c7990302be5"
 
 
 class TestOracleAgainstCsrReference:
