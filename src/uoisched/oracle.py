@@ -16,8 +16,7 @@ where H_T reads v at the reset states along the axes in T and at the passive
 successors along every other axis (one flat gather), then contracts each
 axis i in T with the bandit's scaled belief matrix rho_i * states_i
 (n_i x N_i).  H_T depends on T alone, so one sweep computes each H_T once and
-every action that contains T shares it, and likewise each weighted term
-w * H_T (w != 1) that several actions use.  The last term of every action is
+every action that contains T shares it.  The last term of every action is
 H_S itself, of weight 1, so actions whose other terms agree share that
 prefix p (summed in the same order) and the minimum over them needs one add:
 rounding is monotone, so min over a of fl(p + H_S_a) = fl(p + min over a of
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -179,7 +177,7 @@ def _contract(x: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray) -> np.
 
 class _FactoredSweep:
     """Bellman operator of a joint MDP at discount beta, with its buffers and
-    a fixed plan: each shared weighted term once, one minimum per action group."""
+    its action groups, each of whose minimum is taken before its shared prefix."""
 
     def __init__(self, joint: JointMDP, beta: float):
         n = joint.n_joint
@@ -195,33 +193,24 @@ class _FactoredSweep:
         # the contractions of an H_T but the last write alternately to acc and
         # tmp, which are free while the H_T are gathered
         self.stages = (self.acc, self.tmp)
-        # w * H_T once a sweep for each weight w != 1 that two or more actions
-        # give T; a term of one action alone is weighted as that action is summed
-        uses = Counter(term for terms in joint.terms for term in terms if term[1] != 1.0)
-        self.weighted = {term: np.empty(n) for term, count in uses.items() if count > 1}
-        self.operands = [
-            [(self.weighted[t, w], 1.0) if (t, w) in self.weighted else (self.h[t], w) for t, w in terms]
-            for terms in joint.terms
-        ]
         # actions whose terms agree but for the last, H_S, form a group (see the
-        # module docstring).  A prefix that two actions S != S' share holds only
-        # S minus the one bandit outside S', so in a group of several it is one
-        # term, which every member uses: `_group` may hold the least H_S in
-        # `out` while it adds that term's own buffer.
+        # module docstring).  A prefix that two actions S != S' share can hold
+        # only H of S minus the one bandit outside S', so in a group of several
+        # it is at most one term: `_group` may hold the least H_S in `tmp` while
+        # it weights that term into `out`.  Without a prefix the least H_S is
+        # the group's value, so it goes to `out`, which later groups leave alone.
         groups = {}
-        for terms, ops in zip(joint.terms, self.operands):
-            groups.setdefault(tuple(terms[:-1]), (ops[:-1], []))[1].append(ops[-1][0])
-        self.groups = list(groups.values())
+        for terms in joint.terms:
+            groups.setdefault(tuple(terms[:-1]), []).append(self.h[terms[-1][0]])
+        self.groups = [([(self.h[t], w) for t, w in prefix], lasts) for prefix, lasts in groups.items()]
 
     def _gather(self, v: np.ndarray) -> None:
-        """Fill H_T for every T the actions use, and every shared weighted term."""
+        """Fill H_T for every T the actions use."""
         for t, ids in self.joint.gathers.items():
             x = self.read[t]
             np.take(v, ids, out=x, mode="clip")  # ids are in range: no bounds check
             for j, i in enumerate(t):
                 x = _contract(x, i, self.scaled[i], self.h[t] if j == len(t) - 1 else self.stages[j % 2])
-        for (t, w), x in self.weighted.items():
-            np.multiply(self.h[t], w, out=x)
 
     def _sum(self, operands: list[tuple[np.ndarray, float]], out: np.ndarray) -> np.ndarray:
         """The sum of x * w over the operands (x, w), left to right: into `out`,
@@ -235,13 +224,14 @@ class _FactoredSweep:
 
     def _product(self, a: int, out: np.ndarray) -> np.ndarray:
         """P_a v from the gathered terms: into `out`, or H_T itself when that is all of it."""
-        return self._sum(self.operands[a], out)
+        return self._sum([(self.h[t], w) for t, w in self.joint.terms[a]], out)
 
     def _group(self, prefix: list, lasts: list[np.ndarray], out: np.ndarray) -> np.ndarray:
-        """min over a group of its P_a v: the prefix plus the least last term."""
+        """min over a group of its P_a v: the prefix plus the least last term,
+        into `out` or a last term itself."""
         least, *others = lasts
         for x in others:
-            least = np.minimum(least, x, out=out)
+            least = np.minimum(least, x, out=self.tmp if prefix else out)
         return self._sum(prefix + [(least, 1.0)], out)
 
     def values(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:

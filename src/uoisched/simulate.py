@@ -19,9 +19,8 @@ the previous slot's selection.  For gain_index and myopic the state ids are
 ranks in the top-m order (highest score, then lowest label), so a slot
 selects its m smallest belief ids: five calls select, mask the successes
 and step every belief.  Round robin keeps the grid ids and a fixed
-selection: two calls.  At m > 1 the selection copies the ids into one
-buffer and partitions it in place (one call more).  No call in a slot goes
-through a Python-level numpy wrapper, and none casts an input.
+selection: two calls.  Apart from the partition at m > 1, no call in a
+slot goes through a Python-level numpy wrapper, and none casts an input.
 Costs and traces are gathered per block.
 """
 
@@ -186,14 +185,12 @@ def _walk_beliefs(B, act, resets, passive_next, m: int | None = None, chosen=Non
             passive_next.take(b, out=b_next, mode="clip")
             np.putmask(b_next, a, r)
         return
-    part = np.empty(B.shape[1:], dtype=B.dtype)  # at m > 1 the slot's ids, partitioned in place
-    kth = part[m - 1]  # the m-th smallest id of every run
+    kth = np.empty(B.shape[2], dtype=B.dtype)
     for b, b_next, c, a, r in zip(B[:-1], B[1:], chosen, act, resets):
         if m == 1:
             np.minimum.reduce(b, axis=0, out=kth)
         else:
-            part[...] = b
-            part.partition(m - 1, axis=0)
+            kth = np.partition(b, m - 1, axis=0)[m - 1]
         np.less_equal(b, kth, out=c)
         np.logical_and(a, c, out=a)
         passive_next.take(b, out=b_next, mode="clip")

@@ -158,11 +158,15 @@ class TestFactoredSweep:
         np.testing.assert_array_equal(sweep.policy(v), q.argmin(axis=0))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("rho", [0.8, 1.0, None], ids=["equal", "one", "mixed"])
-    def test_values_bit_equal_to_the_minimum_of_the_action_sums(self, m, rho):
+    @pytest.mark.parametrize(
+        "rhos",
+        [(0.8,) * 4, (1.0,) * 4, (0.7, 1.0, 0.85, 0.7), (1.0, 0.7, 1.0, 0.7)],
+        ids=["equal", "one", "mixed", "paired"],  # paired: a group of several without a prefix, then others
+    )
+    def test_values_bit_equal_to_the_minimum_of_the_action_sums(self, m, rhos):
         rng = np.random.default_rng(m)
         mdps = [
-            build_truncated(random_bandit(rng, n, f"b{i}", rho=rho or (0.7, 1.0, 0.85, 0.7)[i]), L, 0.9)
+            build_truncated(random_bandit(rng, n, f"b{i}", rho=rhos[i]), L, 0.9)
             for i, (n, L) in enumerate(zip((2, 3, 4, 2), (3, 2, 2, 4)))
         ]
         joint = build_joint(mdps, m)
