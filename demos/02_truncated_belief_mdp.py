@@ -6,13 +6,14 @@ eta_L (belief gap) and sigma_L (entropy gap) bound how much the truncation
 can move the optimal values.
 """
 
+import numpy as np
+
 from uoisched import (
     BanditSpec,
     average_error_bound,
     build_truncated,
     choose_truncation,
     discounted_error_bound,
-    transition_matrices,
     validate_chain,
 )
 
@@ -41,9 +42,13 @@ for lam in (0.0, 0.1, 0.5):
     print(f"  service charge {lam:.1f}: |V - V_truncated| <= {bound:.3e}")
 print(f"average-cost certificate: |g - g_truncated| <= {average_error_bound(diag):.3e}")
 
+# a served source is observed with probability rho and jumps to the reset
+# state T_k^1 of the observed state k (probability rho * x_k); otherwise its
+# belief ages one slot, as if passive
 sid = mdp.state_index(2, 1)
-_, active = transition_matrices(mdp)
-row = active.getrow(sid)
+rho = bandit.success_prob
+successors = np.append(mdp.reset_states, mdp.passive_next[sid])
+probs = np.bincount(successors, weights=np.append(rho * mdp.states[sid], 1.0 - rho), minlength=mdp.n_states)
 print(f"\ntransmitting from belief {mdp.states[sid].round(3)} (success prob 0.8):")
-for j, p in zip(row.indices, row.data):
-    print(f"  -> state {j} {mdp.states[j].round(3)} with probability {p:.3f}")
+for j in np.flatnonzero(probs):
+    print(f"  -> state {j} {mdp.states[j].round(3)} with probability {probs[j]:.3f}")

@@ -39,13 +39,11 @@ from .index_policy import (
     gain_indices_discounted,
     load_table,
     or_active,
-    or_decision,
     save_table,
 )
 from .lagrange import (
     GradientTrace,
     LagrangeProblem,
-    derivative,
     gradient_search,
     make_problem,
     objective_derivative,
@@ -80,7 +78,6 @@ from .solvers import (
     policy_evaluation_discounted,
     policy_iteration_discounted,
     solve_average,
-    value_iteration_discounted,
 )
 
 __version__ = "0.1.0"

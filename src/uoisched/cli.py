@@ -22,7 +22,7 @@ from .errors import (
     TruncationTooDeep,
     UoiSchedError,
 )
-from .index_policy import load_table, table_to_doc
+from .index_policy import load_table, save_table
 from .oracle import joint_solve_average, joint_solve_discounted
 from .simulate import POLICIES, asymptotic_sweep, simulate
 from .solvers import AVERAGE, DISCOUNTED
@@ -78,7 +78,7 @@ def cmd_indices(args) -> int:
     result = compute_index_tables(prep)
 
     for table in result.tables:
-        _write_json(out / f"indices_{table.bandit_label}.json", table_to_doc(table), h)
+        save_table(table, out / f"indices_{table.bandit_label}.json", h)
     _write_csv(
         out / "gradient_trace.csv",
         ["iteration", "lambda", "derivative"],

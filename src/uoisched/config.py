@@ -154,17 +154,20 @@ def parse_config(doc: dict) -> ExperimentConfig:
     trunc = doc.get("truncation", {"mode": "auto", "eta_target": 1e-6})
     _require_keys(trunc, "truncation", required={"mode"}, optional={"L", "eta_target"})
     mode = trunc["mode"]
+    if mode not in ("fixed", "auto"):
+        raise ConfigError(f"truncation.mode: expected 'fixed' or 'auto', got {mode!r}")
+    other = "eta_target" if mode == "fixed" else "L"
+    if other in trunc:
+        raise ConfigError(f"truncation.{other}: not allowed in {mode} mode")
     trunc_l, eta = None, None
     if mode == "fixed":
         if "L" not in trunc:
             raise ConfigError("truncation.L: required for fixed mode")
         trunc_l = _as_number(trunc["L"], "truncation.L", lo=1, integer=True)
-    elif mode == "auto":
+    else:
         eta = _as_number(trunc.get("eta_target", 1e-6), "truncation.eta_target", lo=0.0)
         if eta == 0.0:
             raise ConfigError("truncation.eta_target: must be > 0")
-    else:
-        raise ConfigError(f"truncation.mode: expected 'fixed' or 'auto', got {mode!r}")
 
     grad = doc.get("gradient", {})
     _require_keys(grad, "gradient", required=set(), optional={"c", "epsilon", "max_iters"})
@@ -189,6 +192,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         horizon = 100_000
     burn_in = None
     if "burn_in" in sim:
+        if ctype == DISCOUNTED:
+            raise ConfigError("simulation.burn_in: not allowed for the discounted criterion")
         burn_in = _as_number(sim["burn_in"], "simulation.burn_in", lo=0, integer=True)
         if burn_in >= horizon:
             raise ConfigError("simulation.burn_in: must be smaller than the horizon")

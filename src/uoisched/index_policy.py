@@ -100,12 +100,6 @@ def or_active(indices, beta: float, lambda_star: float):
     return beta * np.asarray(indices) >= lambda_star - ACTIVE_TIE_TOL
 
 
-def or_decision(mdp: TruncatedBeliefMDP, values, state: int, lambda_star: float) -> bool:
-    """True iff the OR policy transmits in this state: `or_active` of its index under `values`."""
-    w = _indices_from_values(mdp, np.asarray(values, dtype=float))[state]
-    return bool(or_active(w, mdp.discount, lambda_star))
-
-
 def table_to_doc(table: GainIndexTable, config_hash: str | None = None) -> dict:
     """Versioned JSON document: omega is encoded as k = 0, n = 0."""
     labels = state_labels(table.beliefs.shape[1], table.truncation_L)
@@ -175,8 +169,7 @@ def table_from_doc(doc: dict) -> GainIndexTable:
 
 def save_table(table: GainIndexTable, path, config_hash: str | None = None) -> None:
     with open(path, "w") as fh:
-        json.dump(table_to_doc(table, config_hash), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(table_to_doc(table, config_hash), indent=2, sort_keys=True) + "\n")
 
 
 def load_table(path) -> GainIndexTable:

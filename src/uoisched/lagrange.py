@@ -24,9 +24,7 @@ from .errors import MaxItersExceeded
 from .solvers import (
     BanditBatch,
     BatchSolution,
-    PolicyAndValues,
     SolveCounts,
-    _evaluate,
     charge_scale,
     criterion_of,
     greedy_interval,
@@ -51,13 +49,6 @@ class LagrangeProblem:
             raise ValueError("stepsize_c and epsilon must be > 0, max_iters >= 1")
         if len(self.initial_states) != len(self.mdps):
             raise ValueError("one initial state per bandit required")
-        betas = {mdp.discount for mdp in self.mdps}
-        if len(betas) != 1:
-            raise ValueError("all bandits must share one discount factor")
-        self.beta = betas.pop()
-        if self.criterion != criterion_of(self.beta):
-            raise ValueError(f"a {self.criterion!r} problem cannot have discount {self.beta} (average cost is 1)")
-        self.budget = self.m / charge_scale(self.beta)  # the m channels, weighted as one charge
         # identical (mdp, initial state) pairs are solved once and shared
         # (duplicated bandits are common in sweeps)
         index, unique = {}, []
@@ -69,6 +60,10 @@ class LagrangeProblem:
                 unique.append((mdp, s))
             self.members.append(index[key])
         self.batch = BanditBatch([mdp for mdp, _ in unique], [s for _, s in unique])
+        self.beta = self.batch.discount
+        if self.criterion != criterion_of(self.beta):
+            raise ValueError(f"a {self.criterion!r} problem cannot have discount {self.beta} (average cost is 1)")
+        self.budget = self.m / charge_scale(self.beta)  # the m channels, weighted as one charge
 
 
 def make_problem(
@@ -111,16 +106,6 @@ class GradientTrace:
     solves_skipped: int = 0                      # iterates inside a known greedy interval
     # the search's own solve of every distinct bandit at lambda_star
     solution: BatchSolution | None = field(default=None, repr=False, compare=False)
-
-
-def derivative(mdp: TruncatedBeliefMDP, optimal_policy, initial_state: int) -> float:
-    """dV/dlam (or dg/dlam) at the policy's lam: the policy's expected
-    discounted number of activations from the initial state, or its long-run
-    activation rate from there, in [0, 1]; from one policy evaluation under
-    the action-indicator cost."""
-    actions = optimal_policy.actions if isinstance(optimal_policy, PolicyAndValues) else np.asarray(optimal_policy)
-    values, rates, _ = _evaluate(BanditBatch([mdp]), actions, actions.astype(float)[:, None])
-    return float((rates if mdp.discount == 1.0 else values)[initial_state, 0])
 
 
 def _derivative(problem: LagrangeProblem, sol: BatchSolution) -> float:

@@ -3,7 +3,6 @@
 `solve_batch` solves either criterion by Howard policy iteration with exact
 evaluations, started from the policy that is greedy in warm-start values
 (the previous solve's V or Z, or zeros: all active at a zero charge).
-Value iteration and linear policy evaluation complete the discounted set.
 Under the average criterion a unichain iterate is evaluated as (g, Z), with
 Z anchored at T_1^1, and improved greedily in Z; at a unichain fixed point
 (g, Z) solves the average-cost optimality equation
@@ -34,8 +33,8 @@ the two together make its values affine in the charge, from which
 `greedy_interval` reads the charges at which the policy stays optimal.
 
 Tie-break conventions.  A policy read greedily off values (the start of
-policy iteration, value iteration, `greedy_interval`, the OR rule
-`index_policy.or_active`) is ACTIVE wherever qa <= qp + ACTIVE_TIE_TOL.
+policy iteration, `greedy_interval`, the OR rule `index_policy.or_active`)
+is ACTIVE wherever qa <= qp + ACTIVE_TIE_TOL.
 Policy iteration itself keeps a state's action where |qa - qp| <=
 ACTIVE_TIE_TOL and takes the strictly better one elsewhere: flipping tied
 states can cycle among policies of equal gain, and keeping the incumbent
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief_mdp import TruncatedBeliefMDP
-from .errors import NoConvergence, SolverError
+from .errors import NoConvergence
 
 ACTIVE_TIE_TOL = 1e-9
 _PI_ROUNDS = 50  # policy-iteration rounds, either criterion, before NoConvergence
@@ -123,7 +122,7 @@ class BanditBatch:
         self.mdps = list(mdps)
         betas = {mdp.discount for mdp in self.mdps}
         if len(betas) != 1:
-            raise ValueError("a batch needs one discount factor")
+            raise ValueError("bandits must share one discount factor")
         self.discount = betas.pop()
         B = len(self.mdps)
         sizes = [mdp.n_states for mdp in self.mdps]
@@ -453,30 +452,6 @@ def average_policy_evaluation(mdp: TruncatedBeliefMDP, actions, cost_per_state):
     batch = _one_bandit(mdp, True, "average_policy_evaluation")
     values, gains, _ = _evaluate(batch, actions, _cost_column(mdp, cost_per_state))
     return gains[:, 0], values[:, 0]
-
-
-def value_iteration_discounted(
-    mdp: TruncatedBeliefMDP, lam: float, tol: float = 1e-8, max_iters: int = 2_000_000
-) -> PolicyAndValues:
-    """Classic value iteration; stops when the update is <= tol*(1-beta)/(2*beta),
-    which certifies a tol-accurate value function."""
-    batch = _one_bandit(mdp, False, "value_iteration_discounted")
-    beta = mdp.discount
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if beta == 0.0:
-        qa, qp = _q_values(batch, lam, np.zeros(mdp.n_states), 0.0)
-        actions = _greedy(qa, qp)
-        return PolicyAndValues(actions, np.minimum(qa, qp), 0.0, lam)
-    stop = tol * (1.0 - beta) / (2.0 * beta)
-    v = np.zeros(mdp.n_states)
-    for _ in range(max_iters):
-        qa, qp = _q_values(batch, lam, v, beta)
-        v_new = np.minimum(qa, qp)
-        if np.max(np.abs(v_new - v)) <= stop:
-            return PolicyAndValues(_greedy(qa, qp), v_new, 0.0, lam)
-        v = v_new
-    raise SolverError("value iteration failed to converge (should be impossible)")
 
 
 def _multichain_step(batch: BanditBatch, actions, improved, gains, multi):

@@ -1,10 +1,14 @@
-"""Shared generators for randomized instances, and dense reference helpers.
+"""Shared generators for randomized instances, and reference helpers.
 
 Chains are sampled with Dirichlet(1) columns and rejected until they pass
 validation with a second-eigenvalue bound, so auto-truncation depths stay
-small and mixing is fast enough for the certificate suites.  The reference
+small and mixing is fast enough for the certificate suites.  The dense
 helpers build the induced chain of a policy from the MDP's sparse matrices
-(`transition_matrices`), independently of the structured solvers.
+(`transition_matrices`), independently of the structured solvers.  Value
+iteration, the single-bandit dual derivative and the one-state OR decision
+are references that only the tests use; the pipeline solves by policy
+iteration, reads the derivative off its batch solve and applies the OR rule
+through `or_active`.
 """
 
 import numpy as np
@@ -16,12 +20,17 @@ from uoisched import (
     BanditSpec,
     ChainError,
     ChainSpec,
+    PolicyAndValues,
+    TruncatedBeliefMDP,
     build_truncated,
     choose_truncation,
+    or_active,
     transition_matrices,
     validate_chain,
 )
-from uoisched.solvers import BanditBatch, _q_values
+from uoisched.errors import SolverError
+from uoisched.index_policy import _indices_from_values
+from uoisched.solvers import BanditBatch, _evaluate, _greedy, _one_bandit, _q_values
 
 FIG1 = [[0.99, 0.3], [0.01, 0.7]]
 
@@ -84,6 +93,46 @@ def active_passive(mdp, values, lam):
     and r = beta*V(TX); at discount 1 the undiscounted analogs in Z."""
     qa, qp = _q_values(BanditBatch([mdp]), lam, np.asarray(values, dtype=float), mdp.discount)
     return qa - mdp.costs_passive, qp - mdp.costs_passive
+
+
+def value_iteration_discounted(
+    mdp: TruncatedBeliefMDP, lam: float, tol: float = 1e-8, max_iters: int = 2_000_000
+) -> PolicyAndValues:
+    """Classic value iteration; stops when the update is <= tol*(1-beta)/(2*beta),
+    which certifies a tol-accurate value function."""
+    batch = _one_bandit(mdp, False, "value_iteration_discounted")
+    beta = mdp.discount
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
+    if beta == 0.0:
+        qa, qp = _q_values(batch, lam, np.zeros(mdp.n_states), 0.0)
+        actions = _greedy(qa, qp)
+        return PolicyAndValues(actions, np.minimum(qa, qp), 0.0, lam)
+    stop = tol * (1.0 - beta) / (2.0 * beta)
+    v = np.zeros(mdp.n_states)
+    for _ in range(max_iters):
+        qa, qp = _q_values(batch, lam, v, beta)
+        v_new = np.minimum(qa, qp)
+        if np.max(np.abs(v_new - v)) <= stop:
+            return PolicyAndValues(_greedy(qa, qp), v_new, 0.0, lam)
+        v = v_new
+    raise SolverError("value iteration failed to converge (should be impossible)")
+
+
+def derivative(mdp: TruncatedBeliefMDP, optimal_policy, initial_state: int) -> float:
+    """dV/dlam (or dg/dlam) at the policy's lam: the policy's expected
+    discounted number of activations from the initial state, or its long-run
+    activation rate from there, in [0, 1]; from one policy evaluation under
+    the action-indicator cost."""
+    actions = optimal_policy.actions if isinstance(optimal_policy, PolicyAndValues) else np.asarray(optimal_policy)
+    values, rates, _ = _evaluate(BanditBatch([mdp]), actions, actions.astype(float)[:, None])
+    return float((rates if mdp.discount == 1.0 else values)[initial_state, 0])
+
+
+def or_decision(mdp: TruncatedBeliefMDP, values, state: int, lambda_star: float) -> bool:
+    """True iff the OR policy transmits in this state: `or_active` of its index under `values`."""
+    w = _indices_from_values(mdp, np.asarray(values, dtype=float))[state]
+    return bool(or_active(w, mdp.discount, lambda_star))
 
 
 def force_multichain(monkeypatch) -> None:

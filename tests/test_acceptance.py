@@ -21,7 +21,6 @@ from uoisched import (
     asymptotic_sweep,
     build_truncated,
     choose_truncation,
-    derivative,
     discounted_error_bound,
     discounted_horizon,
     gain_indices_average,
@@ -39,7 +38,7 @@ from uoisched import (
 from uoisched.cli import main as cli_main
 from uoisched.lagrange import derivative_zero_tol
 
-from conftest import FIG1, random_bandit
+from conftest import FIG1, derivative, random_bandit
 
 
 def report(criterion: int, ok: bool, detail: str):

@@ -132,6 +132,22 @@ class TestIndicesCommand:
         assert main(["indices", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"{section}.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, fields, named",
+        [
+            ("truncation", {"mode": "auto", "eta_target": 1e-6, "L": 3}, "truncation.L"),
+            ("truncation", {"mode": "fixed", "L": 12, "eta_target": 1e-6}, "truncation.eta_target"),
+            ("truncation", {"mode": "adaptive", "L": 3}, "truncation.mode"),
+            ("simulation", {"runs": 20, "horizon": 200, "seed": 7, "burn_in": 7}, "simulation.burn_in"),
+        ],
+        ids=["L_in_auto_mode", "eta_target_in_fixed_mode", "unknown_mode_first", "discounted_burn_in"],
+    )
+    def test_field_the_config_would_ignore_exits_2_and_names_it(self, tmp_path, capsys, section, fields, named):
+        cfg = write_config(tmp_path, dict(FAST_CONFIG, **{section: fields}))
+        assert main(["indices", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("section", ["criterion", "bandits[0]", "truncation", "gradient", "simulation"])
     def test_section_that_is_not_an_object_exits_2_and_names_it(self, tmp_path, capsys, section):
         doc = json.loads(json.dumps(FAST_CONFIG))

@@ -18,7 +18,6 @@ from uoisched import (
     load_table,
     make_problem,
     or_active,
-    or_decision,
     policy_iteration_discounted,
     save_table,
     solve_average,
@@ -30,7 +29,7 @@ from uoisched.index_policy import table_from_doc, table_to_doc
 from uoisched.solvers import BanditBatch, solve_batch
 from uoisched.workflows import compute_index_tables, prepare
 
-from conftest import FIG1, active_passive, random_bandit, rho_one_pair
+from conftest import FIG1, active_passive, or_decision, random_bandit, rho_one_pair
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -9,7 +9,6 @@ from uoisched import (
     MaxItersExceeded,
     build_truncated,
     choose_truncation,
-    derivative,
     gradient_search,
     make_problem,
     objective_derivative,
@@ -23,7 +22,7 @@ import uoisched.solvers as solvers_module
 from uoisched.index_policy import gain_index_tables
 from uoisched.lagrange import _derivative, derivative_zero_tol
 from uoisched.solvers import greedy_interval, solve_batch
-from conftest import FIG1, force_multichain, induced_transition, mixed_mdps, random_bandit, rho_one_pair
+from conftest import FIG1, derivative, force_multichain, induced_transition, mixed_mdps, random_bandit, rho_one_pair
 
 
 def fig1_mdps(beta, count=2, rho=1.0, eta=1e-6):

@@ -12,14 +12,12 @@ from uoisched import (
     average_policy_evaluation,
     build_truncated,
     choose_truncation,
-    derivative,
     entropy,
     policy_evaluation_discounted,
     policy_iteration_discounted,
     solve_average,
     transition_matrices,
     validate_chain,
-    value_iteration_discounted,
 )
 import uoisched.solvers as solvers_module
 from uoisched.solvers import (
@@ -34,12 +32,14 @@ from uoisched.solvers import (
 from conftest import (
     FIG1,
     active_passive,
+    derivative,
     force_multichain,
     induced_transition,
     mixed_mdps,
     random_bandit,
     recurrent_class_count,
     rho_one_pair,
+    value_iteration_discounted,
 )
 
 
