@@ -149,11 +149,13 @@ def cmd_simulate(args) -> int:
         [[res.policy, res.n_bandits, res.m, res.criterion, res.mean, res.stderr, res.runs, res.horizon, res.seed]],
         h,
     )
-    # throughput goes to stdout only: a wall-clock rate in out/ would break byte-identical reruns
+    # throughput goes to stdout only: a wall-clock rate in out/ would break
+    # byte-identical reruns; the walk steps are the deterministic work behind it
     bandit_slots = res.n_bandits * res.runs * res.horizon
     print(
         f"{args.policy}: mean = {res.mean:.6g}, stderr = {res.stderr:.3g} ({res.runs} runs, "
-        f"{bandit_slots:,} bandit-slots at {bandit_slots / seconds:.3g} bandit-slots/s)"
+        f"{bandit_slots:,} bandit-slots at {bandit_slots / seconds:.3g} bandit-slots/s, "
+        f"{res.walk_steps:,} walk steps)"
     )
     return EXIT_OK
 

@@ -13,15 +13,28 @@ paths (common random numbers).
 
 A block is simulated in two passes.  The true states depend on the draws
 alone, so they are walked first (three numpy calls per slot, plus an add
-per state beyond two in the largest chain) and the reset states they lead
-to are gathered once per block.  The belief pass does only what depends on
-the previous slot's selection.  For gain_index and myopic the state ids are
-ranks in the top-m order (highest score, then lowest label), so a slot
-selects its m smallest belief ids: five calls select, mask the successes
-and step every belief.  Round robin keeps the grid ids and a fixed
-selection: two calls.  Apart from the partition at m > 1, no call in a
+per state beyond two in the largest chain).  The belief pass does only what
+depends on the previous slot's selection.  For gain_index and myopic the
+state ids are ranks in the top-m order (highest score, then lowest label),
+so a slot selects its m smallest belief ids: five calls select, mask the
+successes and step every belief.  Round robin keeps the grid ids and a
+fixed selection: two calls.  Apart from the partition at m > 1, no call in a
 slot goes through a Python-level numpy wrapper, and none casts an input.
 Costs and traces are gathered per block.
+
+At 100-500 lanes a slot costs about numpy's per-call floor, so both walks
+speculate along time (`_walk`): a block's K segments are walked in lockstep
+from guessed starts, K times the lanes per call, then repaired from their
+true starts.  A step is deterministic given the block's draws, so a repair
+stops exactly, bit for bit, at the first slot where it meets the stored
+walk, which it soon does: a success and aging into omega both forget where
+a belief started, and a shared draw sends most true states of a chain to
+one successor.  K is the number of segments of at least _SEGMENT_SLOTS
+slots whose lanes fit in _SEGMENT_LANES, or 1 below _MIN_SEGMENTS (500-lane
+or short calls), where the walks make the slot-by-slot calls above.  A
+repair that one round does not settle is finished slot by slot, and a walk
+whose segments do not meet at all goes slot by slot for the rest of the
+call.  `SimResult.walk_steps` counts the steps of both walks.
 """
 
 from __future__ import annotations
@@ -44,6 +57,13 @@ POLICIES = ("gain_index", "myopic", "round_robin")
 # uniforms drawn per block over all runs (2 MB); a block holds at least one
 # slot and at most the horizon
 _BLOCK_DOUBLES = 1 << 18
+
+# a walk is cut into K time segments walked in lockstep (`_walk`): K * lanes
+# stays within _SEGMENT_LANES, each segment holds at least _SEGMENT_SLOTS
+# slots, and below _MIN_SEGMENTS segments the walk goes slot by slot
+_SEGMENT_LANES = 2048
+_SEGMENT_SLOTS = 64
+_MIN_SEGMENTS = 8
 
 
 @dataclass
@@ -89,6 +109,7 @@ class SimResult:
     activation_freq: np.ndarray
     or_mask_trace: np.ndarray | None = field(default=None)   # run 0, (T, M) OR decisions
     selection_trace: np.ndarray | None = field(default=None)  # run 0, (T, m) selected bandits
+    walk_steps: int = 0  # slot steps of both walks (lockstep, repair and slot by slot); not in the JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -197,6 +218,126 @@ def _walk_beliefs(B, act, resets, passive_next, m: int | None = None, chosen=Non
         np.putmask(b_next, a, r)
 
 
+def _true_state_step(u, transition_cdf, chain_offset, k: int):
+    """`step(t, x, out)` for `_walk`: the true states that follow x, the
+    states of a slice t of slots, into out, as one `_walk_true_states` slot
+    does for every selected slot at once (up to k of them)."""
+    width = transition_cdf.shape[0]
+    cdf_buf = np.empty(width * k * u[0].size)
+    above_buf = np.empty(cdf_buf.shape, dtype=np.int64)
+
+    def step(t, x, out):
+        # contiguous (width, lanes, M, runs) buffers, so that `take` writes in place
+        shape = (width,) + x.shape
+        cdf = cdf_buf[: width * x.size].reshape(shape)
+        first, *further = above = above_buf[: width * x.size].reshape(shape)
+        transition_cdf.take(x, axis=1, out=cdf, mode="clip")
+        np.greater(u[t], cdf, out=above, casting="unsafe")
+        np.add(chain_offset, first, out=out)
+        for row in further:
+            out += row
+
+    return step
+
+
+def _belief_step(X, act, reset, passive_next, m, chosen, k: int):
+    """`step(t, b, out)` for `_walk`: the beliefs that follow b, the beliefs
+    of a slice t of slots, into out, as one `_walk_beliefs` slot does for
+    every selected slot at once (up to k of them).  The selection is written
+    to chosen[t], act (the successes) is read, never overwritten, and the
+    reset states are gathered from the true states X[t] by each step, so a
+    speculating walk holds no block of them."""
+    _, M, runs = X.shape
+    hit = np.empty((k, M, runs), dtype=bool)
+    kth = np.empty((k, 1, runs), dtype=np.int64)
+    resets = np.empty((k, M, runs), dtype=np.int64)
+
+    def step(t, b, out):
+        lanes = b.shape[0]
+        a = act[t]
+        if m is not None:
+            if m == 1:
+                np.minimum.reduce(b, axis=1, out=kth[:lanes], keepdims=True)
+                c = np.less_equal(b, kth[:lanes], out=chosen[t])
+            else:
+                c = np.less_equal(b, np.partition(b, m - 1, axis=1)[:, m - 1 : m], out=chosen[t])
+            a = np.logical_and(a, c, out=hit[:lanes])
+        passive_next.take(b, out=out, mode="clip")
+        np.putmask(out, a, reset.take(X[t], out=resets[:lanes], mode="clip"))
+
+    return step
+
+
+def _walk(states: np.ndarray, n: int, k: int, step, walk_from) -> tuple[int, bool]:
+    """Fill states[1 : n + 1] with the walk that follows states[0]; return
+    the steps taken and whether speculation paid.
+
+    With k = 1, `walk_from(lo)`, which walks slots lo .. n - 1 slot by slot,
+    does the whole walk.  Otherwise the slots are cut into k segments of
+    ceil(n / k) slots (the last may be shorter), and `step(t, now, out)`,
+    which writes the states that follow `now`, those of the slots of the
+    slice t, to out, walks every segment in lockstep from the guess
+    states[0].  A step depends only on its state and its slot's data, so a
+    walk that meets the stored walk in some slot goes on exactly as the
+    stored one: a repair can stop there with an exact result.  One repair
+    round walks segments 1 .. k - 1 in lockstep from the ends their
+    predecessors reached, and stops once all its states equal the stored
+    ones; by induction from segment 0, whose start is true, every stored
+    state is then true.  If the round ends first, each segment whose
+    predecessor did not meet its stored walk is repaired slot by slot from
+    its true start until it meets its own; there is no second round.  A
+    segment that never meets it means slowly mixing sources: `walk_from`
+    finishes the block, and the False return makes the caller walk the rest
+    of the call slot by slot."""
+    if k == 1:
+        walk_from(0)
+        return n, True
+    seg = -(-n // k)
+    k = -(-n // seg)  # ceil(n / k) slots may need fewer segments
+    after = states[1 : n + 1]
+    now, new = np.empty((2, k) + states.shape[1:], dtype=states.dtype)
+    now[:] = states[0]
+    for j in range(seg):
+        t = slice(j, n, seg)
+        lanes = len(range(j, n, seg))
+        step(t, now[:lanes], new[:lanes])
+        after[t] = new[:lanes]
+        now, new = new, now
+    steps = seg
+    now[: k - 1] = states[seg:n:seg]
+    for i in range(min(seg, n - seg)):
+        t = slice(seg + i, n, seg)
+        lanes = len(range(seg + i, n, seg))
+        step(t, now[:lanes], new[:lanes])
+        steps += 1
+        if (new[:lanes] == after[t]).all():
+            return steps, True
+        if i == seg - 1:
+            # which of segments 1 .. k - 2 met their stored walks (their
+            # successors then started from true states)
+            met = (new[: k - 2] == after[t][: k - 2]).all(axis=(1, 2))
+        after[t] = new[:lanes]
+        now, new = new, now
+    if k == 2:
+        # segment 1, the last, was walked whole from its true start
+        return steps, True
+    start_true = True
+    for s in range(1, k):
+        if not start_true:
+            end = min((s + 1) * seg, n)
+            for slot in range(s * seg, end):
+                step(slice(slot, slot + 1), states[slot : slot + 1], new[:1])
+                steps += 1
+                if (new[0] == after[slot]).all():
+                    break
+                after[slot] = new[0]
+            else:
+                walk_from(end)
+                return steps + n - end, False
+        start_true = s == k - 1 or met[s - 1]
+    return steps, True
+
+
 def simulate(
     instance: RMABInstance,
     policy: str,
@@ -291,13 +432,15 @@ def simulate(
         entropy, passive_next, reset, belief = entropy[order], rank[passive_next[order]], rank[reset], rank[belief]
         index = index[order] if index is not None else None
 
-    total = np.zeros(runs)
     served = np.zeros((M, runs), dtype=np.int64)
     beta_pow = 1.0
     record_traces = record_y and tables is not None
     or_mask_trace = np.zeros((horizon, M), dtype=bool) if record_traces else None
     selection_trace = np.zeros((horizon, m), dtype=np.int64) if record_traces else None
+    # blocks of near-equal length, so that the last one is long enough to
+    # speculate too
     block = max(1, min(horizon, _BLOCK_DOUBLES // (2 * M * runs)))
+    block = -(-horizon // -(-horizon // block))
 
     # X[j] and B[j] hold the (M, runs) true-state and belief ids of slot
     # first + j of a block, and row 0 carries the last slot of the block
@@ -307,8 +450,16 @@ def simulate(
     streams = RunStreams(seed, runs)
     X = np.empty((block + 1, M, runs), dtype=np.int64)
     X[0] = chain_offset + (streams.draw(M).T > start_cdf[:, :, None]).sum(axis=0)
+    # row 0 carries the totals of the blocks before, rows 1..n a block's
+    # weighted slot costs; the cumsum adds them in slot order
+    totals = np.zeros((block + 1, runs))
+    walk_steps = 0
+    # a walk whose speculation did not pay goes slot by slot for the rest of the call
+    speculate_true = speculate_beliefs = True
     for first in range(0, horizon, block):
         n = min(block, horizon - first)
+        k = min(_SEGMENT_LANES // (M * runs), n // _SEGMENT_SLOTS)
+        k = k if k >= _MIN_SEGMENTS else 1
         # (n, 2M, runs) view of the block's draws: slot j's success draws are
         # u[j, :M], its transition draws u[j, M:].  The true states depend on
         # the draws alone, so they are walked first, and the buffers of the
@@ -317,20 +468,42 @@ def simulate(
         # the successes in C order, so each slot reads its mask contiguously
         # (`u[:, :M] < rho` would keep the draws' transposed order)
         act = np.less(u[:, :M], rho, out=np.empty((n, M, runs), dtype=bool))
-        _walk_true_states(X[: n + 1], u[:, M:], transition_cdf, chain_offset)
+        k_true = k if speculate_true else 1
+        steps, paid = _walk(
+            X, n, k_true,
+            _true_state_step(u[:, M:], transition_cdf, chain_offset, k_true) if k_true > 1 else None,
+            lambda lo: _walk_true_states(X[lo : n + 1], u[lo:, M:], transition_cdf, chain_offset),
+        )
+        speculate_true &= paid
+        walk_steps += steps
         del u
         if first == 0:
             B = np.empty_like(X)
             B[0] = belief[:, None]
-            resets = np.empty((block, M, runs), dtype=np.int64)
-        reset.take(X[:n], out=resets[:n], mode="clip")
+            resets = None
         if policy == "round_robin":
             chosen = rr_masks[(first + np.arange(n)) % cycle]
             act &= chosen
-            _walk_beliefs(B[: n + 1], act, resets, passive_next)
+            select = None
         else:
             chosen = np.empty((n, M, runs), dtype=bool)
-            _walk_beliefs(B[: n + 1], act, resets, passive_next, m, chosen)
+            select = m
+
+        def beliefs_from(lo):
+            nonlocal resets
+            if resets is None:
+                resets = np.empty((block, M, runs), dtype=np.int64)
+            reset.take(X[lo:n], out=resets[lo:n], mode="clip")
+            _walk_beliefs(B[lo : n + 1], act[lo:], resets[lo:n], passive_next, select, chosen[lo:])
+
+        k_beliefs = k if speculate_beliefs else 1
+        steps, paid = _walk(
+            B, n, k_beliefs,
+            _belief_step(X, act, reset, passive_next, select, chosen, k_beliefs) if k_beliefs > 1 else None,
+            beliefs_from,
+        )
+        speculate_beliefs &= paid
+        walk_steps += steps
 
         if record_traces:
             or_mask_trace[first : first + n] = or_active(index.take(B[:n, :, 0]), beta, lam_star)
@@ -339,7 +512,7 @@ def simulate(
         # each slot's cost adds bandits 0..M-1 in order and the totals add
         # slots in order, as a slot-by-slot loop would (cumsum is sequential
         # where sum may add pairwise)
-        cost = entropy.take(B[:n, 0])
+        cost = entropy.take(B[:n, 0], out=totals[1 : n + 1])
         for i in range(1, M):
             cost += entropy.take(B[:n, i])
         X[0], B[0] = X[n], B[n]
@@ -347,11 +520,13 @@ def simulate(
         weights = np.multiply.accumulate(np.r_[beta_pow, np.full(n - 1, beta)])
         beta_pow = weights[-1] * beta
         weights[: max(0, burn - first)] = 0.0
-        total = np.vstack([total, weights[:, None] * cost]).cumsum(axis=0)[-1]
+        cost *= weights[:, None]
+        np.cumsum(totals[: n + 1], axis=0, out=totals[: n + 1])
+        totals[0] = totals[n]
 
-    per_run = total
+    per_run = totals[0].copy()
     if beta == 1.0:
-        per_run = total / (horizon - burn)
+        per_run /= horizon - burn
         cap = sum(np.log2(b.chain.n_states) for b in instance.bandits)
         if per_run.min() < -1e-12 or per_run.max() > cap + 1e-9:
             raise AssertionError("time-average UoI left its feasible range")
@@ -374,6 +549,7 @@ def simulate(
         activation_freq=served.sum(axis=1) / (runs * horizon),
         or_mask_trace=or_mask_trace,
         selection_trace=selection_trace,
+        walk_steps=walk_steps,
     )
 
 

@@ -192,7 +192,8 @@ class TestSimulateCommand:
         res = json.loads((out / "sim_round_robin.json").read_text())["result"]
         line = capsys.readouterr().out.strip().splitlines()[-1]
         match = re.fullmatch(
-            r"round_robin: mean = (\S+), stderr = (\S+) \((\d+) runs, ([\d,]+) bandit-slots at (\S+) bandit-slots/s\)",
+            r"round_robin: mean = (\S+), stderr = (\S+) \((\d+) runs, ([\d,]+) bandit-slots at (\S+) bandit-slots/s, "
+            r"([\d,]+) walk steps\)",
             line,
         )
         assert match, line
@@ -200,6 +201,8 @@ class TestSimulateCommand:
         assert int(match[3]) == res["runs"]
         assert int(match[4].replace(",", "")) == res["n_bandits"] * res["runs"] * res["horizon"]
         assert float(match[5]) > 0
+        # the walk steps are a count of work, kept out of the result document
+        assert int(match[6].replace(",", "")) > 0 and "walk_steps" not in json.dumps(res)
         # the rate is wall-clock, so it stays out of the output files
         assert "bandit_slots" not in json.dumps(res) and "bandit-slots" not in (out / "sim_summary.csv").read_text()
 
