@@ -11,30 +11,34 @@ success draw and one transition draw per bandit regardless of the policy's
 selections, so different policies under the same seed see identical source
 paths (common random numbers).
 
-A block is simulated in two passes.  The true states depend on the draws
-alone, so they are walked first (three numpy calls per slot, plus an add
-per state beyond two in the largest chain).  The belief pass does only what
-depends on the previous slot's selection.  For gain_index and myopic the
-state ids are ranks in the top-m order (highest score, then lowest label),
-so a slot selects its m smallest belief ids: five calls select, mask the
-successes and step every belief.  Round robin keeps the grid ids and a
-fixed selection: two calls.  Apart from the partition at m > 1, no call in a
+A block is simulated in two walks, and each walk is one step function
+driven by `_walk`; a step advances one slot, or a slice of slots at once.
+The true states depend on the draws alone, so they are walked first
+(`_true_state_step`: three numpy calls per slot, plus an add per state
+beyond two in the largest chain).  The belief walk (`_belief_step`) does
+only what depends on the previous slot's selection.  For gain_index and
+myopic the state ids are ranks in the top-m order (highest score, then
+lowest label), so a slot selects its m smallest belief ids: six calls
+select, mask the successes, gather the passive successors and the reset
+states, and merge them.  Round robin keeps the grid ids and a fixed
+selection: three calls.  Apart from the partition at m > 1, no call in a
 slot goes through a Python-level numpy wrapper, and none casts an input.
 Costs and traces are gathered per block.
 
 At 100-500 lanes a slot costs about numpy's per-call floor, so both walks
-speculate along time (`_walk`): a block's K segments are walked in lockstep
-from guessed starts, K times the lanes per call, then repaired from their
-true starts.  A step is deterministic given the block's draws, so a repair
-stops exactly, bit for bit, at the first slot where it meets the stored
-walk, which it soon does: a success and aging into omega both forget where
-a belief started, and a shared draw sends most true states of a chain to
-one successor.  K is the number of segments of at least _SEGMENT_SLOTS
-slots whose lanes fit in _SEGMENT_LANES, or 1 below _MIN_SEGMENTS (500-lane
-or short calls), where the walks make the slot-by-slot calls above.  A
-repair that one round does not settle is finished slot by slot, and a walk
-whose segments do not meet at all goes slot by slot for the rest of the
-call.  `SimResult.walk_steps` counts the steps of both walks.
+speculate along time: a block's K segments are walked in lockstep from
+guessed starts by the same steps, K times the lanes per call, then
+repaired from their true starts.  A step is deterministic given the
+block's draws, so a repair stops exactly, bit for bit, at the first slot
+where it meets the stored walk, which it soon does: a success and aging
+into omega both forget where a belief started, and a shared draw sends
+most true states of a chain to one successor.  K is the number of segments
+of at least _SEGMENT_SLOTS slots whose lanes fit in _SEGMENT_LANES, or 1
+below _MIN_SEGMENTS (500-lane or short calls), where each walk calls its
+step once per slot, with that slot's (M, runs) operands.  A repair that
+one round does not settle is finished slot by slot, and a walk whose
+segments do not meet at all goes slot by slot for the rest of the call.
+`SimResult.walk_steps` counts the steps of both walks.
 """
 
 from __future__ import annotations
@@ -175,62 +179,28 @@ def _padded_cdf(rows: list[np.ndarray], width: int) -> np.ndarray:
     return cdf
 
 
-def _walk_true_states(X: np.ndarray, u: np.ndarray, transition_cdf: np.ndarray, chain_offset: np.ndarray) -> None:
-    """Fill X[1:] with the true states that follow X[0], (n + 1, M, runs)
-    global ids, given slot j's transition draws u[j].  A state's next id is
-    its chain offset plus the number of its padded cdf entries the draw
-    exceeds.  The comparison writes 0/1 as int64, so every add is int64 +
-    int64: a bool operand would make each add cast it, which costs more."""
-    _, M, runs = X.shape
-    cdf = np.empty((transition_cdf.shape[0], M, runs))
-    above = np.empty(cdf.shape, dtype=np.int64)
-    first, *further = above
-    offset = np.repeat(chain_offset, runs, axis=1)
-    for x, x_next, draws in zip(X[:-1], X[1:], u):
-        transition_cdf.take(x, axis=1, out=cdf, mode="clip")
-        np.greater(draws, cdf, out=above, casting="unsafe")
-        np.add(offset, first, out=x_next)
-        for row in further:
-            x_next += row
-
-
-def _walk_beliefs(B, act, resets, passive_next, m: int | None = None, chosen=None) -> None:
-    """Fill B[1:] with the beliefs that follow B[0]: in slot j a bandit
-    moves to resets[j] where act[j] holds, else to its passive successor.
-    With m, act[j] (the successes) is first restricted to the m bandits
-    holding the smallest belief ids, which are recorded in chosen[j];
-    without it, act already holds a fixed selection.  Every operand of a
-    slot is (M, runs), so `putmask` acts as a masked copy."""
-    if m is None:
-        for b, b_next, a, r in zip(B[:-1], B[1:], act, resets):
-            passive_next.take(b, out=b_next, mode="clip")
-            np.putmask(b_next, a, r)
-        return
-    kth = np.empty(B.shape[2], dtype=B.dtype)
-    for b, b_next, c, a, r in zip(B[:-1], B[1:], chosen, act, resets):
-        if m == 1:
-            np.minimum.reduce(b, axis=0, out=kth)
-        else:
-            kth = np.partition(b, m - 1, axis=0)[m - 1]
-        np.less_equal(b, kth, out=c)
-        np.logical_and(a, c, out=a)
-        passive_next.take(b, out=b_next, mode="clip")
-        np.putmask(b_next, a, r)
-
-
 def _true_state_step(u, transition_cdf, chain_offset, k: int):
-    """`step(t, x, out)` for `_walk`: the true states that follow x, the
-    states of a slice t of slots, into out, as one `_walk_true_states` slot
-    does for every selected slot at once (up to k of them)."""
+    """`step(t, x, out)` for `_walk`: into out, the true states that follow
+    x, the (M, runs) global ids of slot t or the (lanes, M, runs) ids of a
+    slice t of up to k slots, given the transition draws u[t].  A state's
+    next id is its chain offset (chain_offset, (M, runs)) plus the number of
+    its padded cdf entries the draw exceeds.  The comparison writes 0/1 as
+    int64, so every add is int64 + int64: a bool operand would make each
+    add cast it, which costs more."""
     width = transition_cdf.shape[0]
-    cdf_buf = np.empty(width * k * u[0].size)
+    cdf_buf = np.empty(width * k * chain_offset.size)
     above_buf = np.empty(cdf_buf.shape, dtype=np.int64)
+    views = {}  # made once per operand shape: (M, runs) for a slot, (lanes, M, runs) for a slice
+
+    def buffers(shape):
+        # contiguous (width,) + shape views, so that `take` writes in place
+        size = width * math.prod(shape)
+        above = above_buf[:size].reshape((width,) + shape)
+        views[shape] = cdf_buf[:size].reshape(above.shape), above, above[0], list(above[1:])
+        return views[shape]
 
     def step(t, x, out):
-        # contiguous (width, lanes, M, runs) buffers, so that `take` writes in place
-        shape = (width,) + x.shape
-        cdf = cdf_buf[: width * x.size].reshape(shape)
-        first, *further = above = above_buf[: width * x.size].reshape(shape)
+        cdf, above, first, further = views.get(x.shape) or buffers(x.shape)
         transition_cdf.take(x, axis=1, out=cdf, mode="clip")
         np.greater(u[t], cdf, out=above, casting="unsafe")
         np.add(chain_offset, first, out=out)
@@ -241,56 +211,66 @@ def _true_state_step(u, transition_cdf, chain_offset, k: int):
 
 
 def _belief_step(X, act, reset, passive_next, m, chosen, k: int):
-    """`step(t, b, out)` for `_walk`: the beliefs that follow b, the beliefs
-    of a slice t of slots, into out, as one `_walk_beliefs` slot does for
-    every selected slot at once (up to k of them).  The selection is written
-    to chosen[t], act (the successes) is read, never overwritten, and the
-    reset states are gathered from the true states X[t] by each step, so a
-    speculating walk holds no block of them."""
+    """`step(t, b, out)` for `_walk`: into out, the beliefs that follow b,
+    those of slot t or of a slice t of up to k slots.  A bandit moves to its
+    reset state where act[t] holds, else to its passive successor.  With m,
+    act[t] (the successes) is first restricted to the m bandits of each run
+    holding the smallest belief ids, which are recorded in chosen[t];
+    without it, act already holds a fixed selection.  act is read, never
+    overwritten, and each step gathers its reset states from the true
+    states X[t]."""
     _, M, runs = X.shape
-    hit = np.empty((k, M, runs), dtype=bool)
-    kth = np.empty((k, 1, runs), dtype=np.int64)
-    resets = np.empty((k, M, runs), dtype=np.int64)
+    hit_buf = np.empty(k * M * runs, dtype=bool)
+    kth_buf = np.empty(k * runs, dtype=np.int64)
+    reset_buf = np.empty(k * M * runs, dtype=np.int64)
+    views = {}
+
+    def buffers(shape):
+        size = math.prod(shape)
+        kth = kth_buf[: size // M].reshape(shape[:-2] + (1, runs))
+        views[shape] = hit_buf[:size].reshape(shape), kth, reset_buf[:size].reshape(shape)
+        return views[shape]
 
     def step(t, b, out):
-        lanes = b.shape[0]
+        hit, kth, resets = views.get(b.shape) or buffers(b.shape)
         a = act[t]
         if m is not None:
             if m == 1:
-                np.minimum.reduce(b, axis=1, out=kth[:lanes], keepdims=True)
-                c = np.less_equal(b, kth[:lanes], out=chosen[t])
+                np.minimum.reduce(b, axis=-2, out=kth, keepdims=True)
+                c = np.less_equal(b, kth, out=chosen[t])
             else:
-                c = np.less_equal(b, np.partition(b, m - 1, axis=1)[:, m - 1 : m], out=chosen[t])
-            a = np.logical_and(a, c, out=hit[:lanes])
+                c = np.less_equal(b, np.partition(b, m - 1, axis=-2)[..., m - 1 : m, :], out=chosen[t])
+            a = np.logical_and(a, c, out=hit)
         passive_next.take(b, out=out, mode="clip")
-        np.putmask(out, a, reset.take(X[t], out=resets[:lanes], mode="clip"))
+        np.putmask(out, a, reset.take(X[t], out=resets, mode="clip"))
 
     return step
 
 
-def _walk(states: np.ndarray, n: int, k: int, step, walk_from) -> tuple[int, bool]:
+def _walk(states: np.ndarray, n: int, k: int, step) -> tuple[int, bool]:
     """Fill states[1 : n + 1] with the walk that follows states[0]; return
     the steps taken and whether speculation paid.
 
-    With k = 1, `walk_from(lo)`, which walks slots lo .. n - 1 slot by slot,
-    does the whole walk.  Otherwise the slots are cut into k segments of
-    ceil(n / k) slots (the last may be shorter), and `step(t, now, out)`,
-    which writes the states that follow `now`, those of the slots of the
-    slice t, to out, walks every segment in lockstep from the guess
-    states[0].  A step depends only on its state and its slot's data, so a
-    walk that meets the stored walk in some slot goes on exactly as the
-    stored one: a repair can stop there with an exact result.  One repair
-    round walks segments 1 .. k - 1 in lockstep from the ends their
+    `step(t, now, out)` writes to out the states that follow `now`, those of
+    slot t (an int) or of the slots of a slice t.  With k = 1 the walk goes
+    slot by slot, `step(j, states[j], states[j + 1])` for each slot j.
+    Otherwise the slots are cut into k segments of ceil(n / k) slots (the
+    last may be shorter), and every segment is walked in lockstep from the
+    guess states[0].  A step depends only on its state and its slot's data,
+    so a walk that meets the stored walk in some slot goes on exactly as
+    the stored one: a repair can stop there with an exact result.  One
+    repair round walks segments 1 .. k - 1 in lockstep from the ends their
     predecessors reached, and stops once all its states equal the stored
     ones; by induction from segment 0, whose start is true, every stored
     state is then true.  If the round ends first, each segment whose
     predecessor did not meet its stored walk is repaired slot by slot from
     its true start until it meets its own; there is no second round.  A
-    segment that never meets it means slowly mixing sources: `walk_from`
-    finishes the block, and the False return makes the caller walk the rest
-    of the call slot by slot."""
+    segment that never meets it means slowly mixing sources: the rest of
+    the block goes slot by slot, and the False return makes the caller walk
+    the rest of the call slot by slot."""
     if k == 1:
-        walk_from(0)
+        for j in range(n):
+            step(j, states[j], states[j + 1])
         return n, True
     seg = -(-n // k)
     k = -(-n // seg)  # ceil(n / k) slots may need fewer segments
@@ -326,13 +306,14 @@ def _walk(states: np.ndarray, n: int, k: int, step, walk_from) -> tuple[int, boo
         if not start_true:
             end = min((s + 1) * seg, n)
             for slot in range(s * seg, end):
-                step(slice(slot, slot + 1), states[slot : slot + 1], new[:1])
+                step(slot, states[slot], new[0])
                 steps += 1
                 if (new[0] == after[slot]).all():
                     break
                 after[slot] = new[0]
             else:
-                walk_from(end)
+                for j in range(end, n):
+                    step(j, states[j], states[j + 1])
                 return steps + n - end, False
         start_true = s == k - 1 or met[s - 1]
     return steps, True
@@ -364,6 +345,8 @@ def simulate(
         raise ValueError("horizon must be >= 1")
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if burn_in is not None and burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     M = instance.n_bandits
     m = instance.m
     seed = instance.seed if seed is None else int(seed)
@@ -398,10 +381,11 @@ def simulate(
 
     # one flat table per quantity: bandit i's truncated state s is global id
     # offset[i] + s, and its source state k is global id chain_offset[i] + k
+    # (repeated over the runs, as the true-state step adds it)
     n_chain = np.array([b.chain.n_states for b in instance.bandits])
     n_states = np.array([mdp.n_states for mdp in mdps])
     offset = np.cumsum(n_states) - n_states
-    chain_offset = (np.cumsum(n_chain) - n_chain)[:, None]
+    chain_offset = np.repeat((np.cumsum(n_chain) - n_chain)[:, None], runs, axis=1)
     entropy = np.concatenate([mdp.costs_passive for mdp in mdps])
     passive_next = np.concatenate([mdp.passive_next + off for mdp, off in zip(mdps, offset)])
     reset = np.concatenate([mdp.reset_states + off for mdp, off in zip(mdps, offset)])
@@ -469,18 +453,13 @@ def simulate(
         # (`u[:, :M] < rho` would keep the draws' transposed order)
         act = np.less(u[:, :M], rho, out=np.empty((n, M, runs), dtype=bool))
         k_true = k if speculate_true else 1
-        steps, paid = _walk(
-            X, n, k_true,
-            _true_state_step(u[:, M:], transition_cdf, chain_offset, k_true) if k_true > 1 else None,
-            lambda lo: _walk_true_states(X[lo : n + 1], u[lo:, M:], transition_cdf, chain_offset),
-        )
+        steps, paid = _walk(X, n, k_true, _true_state_step(u[:, M:], transition_cdf, chain_offset, k_true))
         speculate_true &= paid
         walk_steps += steps
         del u
         if first == 0:
             B = np.empty_like(X)
             B[0] = belief[:, None]
-            resets = None
         if policy == "round_robin":
             chosen = rr_masks[(first + np.arange(n)) % cycle]
             act &= chosen
@@ -488,20 +467,8 @@ def simulate(
         else:
             chosen = np.empty((n, M, runs), dtype=bool)
             select = m
-
-        def beliefs_from(lo):
-            nonlocal resets
-            if resets is None:
-                resets = np.empty((block, M, runs), dtype=np.int64)
-            reset.take(X[lo:n], out=resets[lo:n], mode="clip")
-            _walk_beliefs(B[lo : n + 1], act[lo:], resets[lo:n], passive_next, select, chosen[lo:])
-
         k_beliefs = k if speculate_beliefs else 1
-        steps, paid = _walk(
-            B, n, k_beliefs,
-            _belief_step(X, act, reset, passive_next, select, chosen, k_beliefs) if k_beliefs > 1 else None,
-            beliefs_from,
-        )
+        steps, paid = _walk(B, n, k_beliefs, _belief_step(X, act, reset, passive_next, select, chosen, k_beliefs))
         speculate_beliefs &= paid
         walk_steps += steps
 
