@@ -221,7 +221,11 @@ def cmd_oracle(args) -> int:
             "relative_gap_stderr": policy_stderr / abs(res.value) if res.value != 0 else 0.0,
         }
     _write_json(out / "oracle.json", doc, h)
-    print(f"oracle {config.criterion} value = {res.value:.8g}")
+    # the row blocks follow the host's CPUs, so they go to stdout only
+    print(
+        f"oracle {config.criterion} value = {res.value:.8g} ({res.sweeps} sweeps over "
+        f"{res.joint.n_joint:,} joint states in {res.blocks} row block{'s' * (res.blocks > 1)})"
+    )
     if "gap" in doc:
         gap = doc["gap"]
         print(

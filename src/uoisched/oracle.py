@@ -24,6 +24,18 @@ H_S_a), bit for bit.  With equal rho and m = 1 every action falls in one
 group.  The per-action Kronecker products of the per-bandit matrices
 (`JointMDP.transitions`) are built only on request, as a reference.
 
+A sweep runs on row blocks of axis 0, the states of bandit 0, one per
+usable CPU: block 0 on the calling thread, the others on a thread pool that
+lives for one solve (numpy releases the GIL inside each call).  A block owns
+its rows of every joint-sized buffer and gathers from the whole iterate; an
+H_T with 0 in T contracts axis 0 with the block's rows of rho_0 * states_0.
+Every step is elementwise or a matmul whose output elements are the same
+dot products in any block of at least two rows, and the min and max that
+make the bracket below are exact, so every output is the same bit for bit
+whatever the cut, and so whatever the CPU count.  A block holds at least
+_PART_STATES joint states, since below that a thread costs more than it
+saves: the sample configs' 7,469-state joints stay one block.
+
 Both solvers stop on bounds, not on the size of the last step.  The Bellman
 operator T is monotone (v <= w implies Tv <= Tw) and shifts constants by its
 discount (T(v + c) = Tv + beta c), so with d = Tv - v every further step
@@ -42,8 +54,11 @@ its span is at most tol.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,6 +69,12 @@ from .errors import NoConvergence, StateSpaceTooLarge
 from .solvers import charge_scale
 
 DEFAULT_CAP = 2_000_000
+
+# joint states each row block needs (see `_row_blocks`).  On a 2-CPU host
+# two blocks on two threads ran a sweep in 1.9x the time of one block at 22k
+# joint states, 0.93x at 51k, 0.80x at 67k and 0.63x at 122k; 40k a block
+# leaves a margin for a host whose second CPU is busy.
+_PART_STATES = 40_000
 
 
 @dataclass
@@ -151,48 +172,70 @@ class OracleResult:
     joint: JointMDP
     sweeps: int                  # Bellman sweeps of the value iteration
     bounds: tuple[float, float]  # certified bracket on `value`
-    _sweep: _FactoredSweep = field(repr=False)
-    _iterate: np.ndarray = field(repr=False)  # the last iterate, which `_sweep` was applied to
+    _sweeps: list[_FactoredSweep] = field(repr=False)  # one per row block
+    _iterate: np.ndarray = field(repr=False)  # the last iterate, which `_sweeps` were applied to
+
+    @property
+    def blocks(self) -> int:
+        """Row blocks the sweeps were cut into: a property of the host, not of the result."""
+        return len(self._sweeps)
 
     @cached_property
     def policy(self) -> np.ndarray:
         """Argmin action index per joint state (lowest index on a tie), at
         the last iterate: one more sweep, made only when this is read."""
-        return self._sweep.policy(self._iterate)
+        return np.concatenate([sweep.policy(self._iterate) for sweep in self._sweeps])
 
 
-def _contract(x: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Apply `mat` (n x N) along `axis` of x, where x has length N: the result
-    has length n there and fills the front of the flat buffer `out`."""
+def _contraction(x: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray):
+    """(operands, result) of applying `mat` (n x N) along `axis` of x, where x
+    has length N: `np.matmul(*operands[:2], out=operands[2])` fills the front
+    of the flat buffer `out`, and `result` views it with length n there.
+    x is contiguous, so every operand is a view and the call can be repeated."""
     n, N = mat.shape
     a, b = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
     shape = x.shape[:axis] + (n,) + x.shape[axis + 1:]
     out = out[: a * n * b]
     if b == 1:
-        np.matmul(x.reshape(a, N), mat.T, out=out.reshape(a, n))
+        operands = (x.reshape(a, N), mat.T, out.reshape(a, n))
     else:
-        np.matmul(mat, x.reshape(a, N, b), out=out.reshape(a, n, b))
-    return out.reshape(shape)
+        operands = (mat, x.reshape(a, N, b), out.reshape(a, n, b))
+    return operands, out.reshape(shape)
 
 
 class _FactoredSweep:
-    """Bellman operator of a joint MDP at discount beta, with its buffers and
-    its action groups, each of whose minimum is taken before its shared prefix."""
+    """Bellman operator of a joint MDP at discount beta on the row block
+    `rows` of axis 0 (all rows by default), with the block's buffers and its
+    action groups, each of whose minimum is taken before its shared prefix."""
 
-    def __init__(self, joint: JointMDP, beta: float):
-        n = joint.n_joint
+    def __init__(self, joint: JointMDP, beta: float, rows: slice = slice(None)):
+        lo, hi, _ = rows.indices(joint.mdps[0].n_states)
         self.joint = joint
         self.beta = beta
-        self.scaled = [mdp.bandit.success_prob * mdp.states for mdp in joint.mdps]
+        self.span = slice(lo * joint.strides[0], hi * joint.strides[0])  # the block's flat ids
+        self.cost = joint.cost[self.span]
+        scaled = [mdp.bandit.success_prob * mdp.states for mdp in joint.mdps]
+        scaled[0] = scaled[0][lo:hi]
+        # an H_T with 0 in T contracts axis 0 first, from every reset state of
+        # bandit 0; any other gathers only the block's rows
+        self.gathers = {t: ids if 0 in t else ids[lo:hi] for t, ids in joint.gathers.items()}
+        n = len(self.cost)
         # every buffer is allocated once: fresh n_joint arrays in every sweep
         # cost about a third of its time
-        self.read = {t: np.empty(ids.shape) for t, ids in joint.gathers.items()}
+        self.read = {t: np.empty(ids.shape) for t, ids in self.gathers.items()}
         self.h = {t: np.empty(n) if t else x.ravel() for t, x in self.read.items()}  # H_{} is the gather itself
         self.acc = np.empty(n)
         self.tmp = np.empty(n)
         # the contractions of an H_T but the last write alternately to acc and
-        # tmp, which are free while the H_T are gathered
-        self.stages = (self.acc, self.tmp)
+        # tmp, which are free while the H_T are gathered; a block's shapes are
+        # fixed, so each matmul's operands are made once
+        stages = (self.acc, self.tmp)
+        self.contractions = {}
+        for t, x in self.read.items():
+            self.contractions[t] = []
+            for j, i in enumerate(t):
+                operands, x = _contraction(x, i, scaled[i], self.h[t] if j == len(t) - 1 else stages[j % 2])
+                self.contractions[t].append(operands)
         # actions whose terms agree but for the last, H_S, form a group (see the
         # module docstring).  A prefix that two actions S != S' share can hold
         # only H of S minus the one bandit outside S', so in a group of several
@@ -206,11 +249,10 @@ class _FactoredSweep:
 
     def _gather(self, v: np.ndarray) -> None:
         """Fill H_T for every T the actions use."""
-        for t, ids in self.joint.gathers.items():
-            x = self.read[t]
-            np.take(v, ids, out=x, mode="clip")  # ids are in range: no bounds check
-            for j, i in enumerate(t):
-                x = _contract(x, i, self.scaled[i], self.h[t] if j == len(t) - 1 else self.stages[j % 2])
+        for t, ids in self.gathers.items():
+            np.take(v, ids, out=self.read[t], mode="clip")  # ids are in range: no bounds check
+            for first, second, out in self.contractions[t]:
+                np.matmul(first, second, out=out)
 
     def _sum(self, operands: list[tuple[np.ndarray, float]], out: np.ndarray) -> np.ndarray:
         """The sum of x * w over the operands (x, w), left to right: into `out`,
@@ -235,7 +277,8 @@ class _FactoredSweep:
         return self._sum(prefix + [(least, 1.0)], out)
 
     def values(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """min over actions of cost + beta * P_a v, written into `out`.
+        """min over actions of cost + beta * P_a v on the block's rows, written
+        into `out`, which has the block's length.
 
         The minimum is taken over P_a v and cost and beta are applied once:
         rounding is monotone, so every bit equals the minimum of the q-values."""
@@ -245,29 +288,55 @@ class _FactoredSweep:
         for prefix, lasts in others:
             best = np.minimum(best, self._group(prefix, lasts, self.acc), out=out)
         np.multiply(best, self.beta, out=out)
-        out += self.joint.cost
+        out += self.cost
         return out
 
+    def difference(self, v: np.ndarray, tv: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+        """Write the block's rows of Tv into tv and of Tv - v into d, all three
+        joint-sized, and return the least and the greatest of the latter."""
+        d = np.subtract(self.values(v, tv[self.span]), v[self.span], out=d[self.span])
+        return d.min(), d.max()
+
     def policy(self, v: np.ndarray) -> np.ndarray:
-        """Index of the action with the least q-value at each state; the lowest
-        index wins ties, as in argmin."""
+        """Index of the action with the least q-value at each state of the
+        block; the lowest index wins ties, as in argmin."""
         self._gather(v)
-        best = np.full(self.joint.n_joint, np.inf)
-        q = np.empty(self.joint.n_joint)
-        policy = np.zeros(self.joint.n_joint, dtype=np.intp)
+        best = np.full(len(self.cost), np.inf)
+        q = np.empty(len(self.cost))
+        policy = np.zeros(len(self.cost), dtype=np.intp)
         for a in range(len(self.joint.actions)):
             np.multiply(self._product(a, self.acc), self.beta, out=q)
-            q += self.joint.cost
+            q += self.cost
             better = q < best
             policy[better] = a
             np.minimum(best, q, out=best)
         return policy
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _row_blocks(joint: JointMDP) -> list[slice]:
+    """Cut axis 0 into one block per usable CPU, of at least _PART_STATES
+    joint states and two rows each (a one-row matmul goes to gemv, whose
+    rounding may differ); a single block where that leaves fewer than two."""
+    n0 = joint.mdps[0].n_states
+    k = min(joint.n_joint // _PART_STATES, n0 // 2)
+    k = min(k, _usable_cpus()) if k > 1 else 1  # most joints are small: no system call for them
+    cuts = [b * n0 // k for b in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
 def _value_iteration(mdps, m: int, tol: float, cap: int, max_iters: int):
-    """(joint, sweep, v, Tv, low, high, sweeps) at the first bracket [low, high]
-    at most tol wide: MacQueen's on V* - Tv (v <- Tv), or at beta = 1 Odoni's
-    on g*, by damped relative value iteration (v <- (v + Tv)/2, v[0] = 0)."""
+    """(joint, blocks, v, Tv, low, high, sweeps) at the first bracket [low,
+    high] at most tol wide: MacQueen's on V* - Tv (v <- Tv), or at beta = 1
+    Odoni's on g*, by damped relative value iteration (v <- (v + Tv)/2,
+    v[0] = 0).  `blocks` holds one `_FactoredSweep` per row block: block 0
+    runs on this thread and the others on a pool that ends with the solve."""
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_iters < 1:
@@ -277,21 +346,25 @@ def _value_iteration(mdps, m: int, tol: float, cap: int, max_iters: int):
         raise ValueError("bandits must share one discount factor")
     beta = betas.pop()
     joint = build_joint(mdps, m, cap)
-    sweep = _FactoredSweep(joint, beta)
+    first, *others = blocks = [_FactoredSweep(joint, beta, rows) for rows in _row_blocks(joint)]
     v, tv, d = np.zeros(joint.n_joint), np.empty(joint.n_joint), np.empty(joint.n_joint)
     scale = beta / charge_scale(beta)
-    for sweeps in range(1, max_iters + 1):
-        sweep.values(v, out=tv)
-        np.subtract(tv, v, out=d)
-        low, high = scale * d.min(), scale * d.max()
-        if high - low <= tol:
-            return joint, sweep, v, tv, low, high, sweeps
-        if beta < 1.0:
-            v, tv = tv, v
-        else:
-            v += tv
-            v *= 0.5
-            v -= v[0]
+    with ThreadPoolExecutor(len(others)) if others else contextlib.nullcontext() as pool:
+        for sweeps in range(1, max_iters + 1):
+            futures = [pool.submit(block.difference, v, tv, d) for block in others]
+            low, high = first.difference(v, tv, d)
+            for future in futures:  # min and max are exact, so the bracket does not depend on the cut
+                ends = future.result()
+                low, high = min(low, ends[0]), max(high, ends[1])
+            low, high = scale * low, scale * high
+            if high - low <= tol:
+                return joint, blocks, v, tv, low, high, sweeps
+            if beta < 1.0:
+                v, tv = tv, v
+            else:
+                v += tv
+                v *= 0.5
+                v -= v[0]
     what, width = ("relative value iteration", "span") if beta == 1.0 else ("value iteration", "bracket width")
     raise NoConvergence(
         f"joint {what} did not converge in {max_iters} sweeps: last {width} {high - low:.3g} > tol {tol:g}"
@@ -310,12 +383,12 @@ def joint_solve_discounted(
     tol/2: the midpoint of the first MacQueen bracket at most tol wide."""
     if not all(mdp.discount < 1.0 for mdp in mdps):
         raise ValueError("discounted oracle requires discount < 1")
-    joint, sweep, v, tv, low, high, sweeps = _value_iteration(mdps, m, tol, cap, max_iters)
+    joint, blocks, v, tv, low, high, sweeps = _value_iteration(mdps, m, tol, cap, max_iters)
     start = joint.joint_index(initial_states or [0] * len(mdps))
     bounds = (float(tv[start] + low), float(tv[start] + high))
     tv += 0.5 * (low + high)
     return OracleResult(
-        value=float(tv[start]), values=tv, gain=0.0, joint=joint, sweeps=sweeps, bounds=bounds, _sweep=sweep,
+        value=float(tv[start]), values=tv, gain=0.0, joint=joint, sweeps=sweeps, bounds=bounds, _sweeps=blocks,
         _iterate=v,
     )
 
@@ -331,9 +404,9 @@ def joint_solve_average(
     value iteration with span-seminorm stopping."""
     if not all(mdp.discount == 1.0 for mdp in mdps):
         raise ValueError("average oracle requires discount = 1")
-    joint, sweep, w, _, low, high, sweeps = _value_iteration(mdps, m, tol, cap, max_iters)
+    joint, blocks, w, _, low, high, sweeps = _value_iteration(mdps, m, tol, cap, max_iters)
     gain = 0.5 * (high + low)
     return OracleResult(
         value=float(gain), values=w - w[0], gain=float(gain), joint=joint, sweeps=sweeps,
-        bounds=(float(low), float(high)), _sweep=sweep, _iterate=w,
+        bounds=(float(low), float(high)), _sweeps=blocks, _iterate=w,
     )

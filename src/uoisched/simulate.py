@@ -67,7 +67,7 @@ _BLOCK_DOUBLES = 1 << 18
 # slots, and below _MIN_SEGMENTS segments the walk goes slot by slot
 _SEGMENT_LANES = 2048
 _SEGMENT_SLOTS = 64
-_MIN_SEGMENTS = 8
+_MIN_SEGMENTS = 7
 
 
 @dataclass

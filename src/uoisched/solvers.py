@@ -156,6 +156,7 @@ class BanditBatch:
         self.chain_pad = np.arange(self.n_max)[None, :] >= np.array(n_chain)[:, None]
         self.grid_beliefs = self.on_grid(self.beliefs)  # (L_max, B, N_max, N_max)
         self.grid_rho = np.array([mdp.bandit.success_prob for mdp in self.mdps])[None, :, None]
+        self.cuts = bool((self.grid_rho == 1.0).any())  # an active state at rho = 1 ends its chain
         cells = grid.ravel()
         self.cells = np.flatnonzero(cells < n)
         self.cell_ids = cells[self.cells]
@@ -174,17 +175,16 @@ class BanditBatch:
         pad = np.zeros((1,) + per_state.shape[1:], dtype=per_state.dtype)
         return np.concatenate([per_state, pad])[self.grid_ids]
 
-    def unichain(self, actions):
-        """(B,) True where the policy's induced chain has one recurrent class,
-        and the (B, N+1, N+1) reach matrix of the reset states and omega.
+    def reach(self, actions):
+        """(B, N+1, N+1) reach matrix of the reset states and omega under the
+        policy: entry (i, j) is True when node i reaches node j.
 
         Every recurrent class holds a reset state or omega, because the rest
         of a chain only walks forward into them.  So the classes can be read
         off the (N+1)-node graph of the reset states and omega: reset k
         reaches reset j when an active state of chain k with x_j > 0 comes
         before the first active state at rho = 1 (which never ages on), and
-        reaches omega when no such state cuts the chain.  The chain is
-        unichain iff some node is reachable from every node.
+        reaches omega when no such state cuts the chain.
         """
         act = self.on_grid(actions).astype(bool)
         cut = act & (self.grid_rho == 1.0)
@@ -199,7 +199,19 @@ class BanditBatch:
         reach = (edges | np.eye(N + 1, dtype=bool)).astype(np.int64)
         for _ in range(N.bit_length()):
             reach = np.minimum(reach @ reach, 1)
-        return reach.all(axis=1).any(axis=1), reach.astype(bool)
+        return reach.astype(bool)
+
+    def unichain(self, actions):
+        """(B,) True where the policy's induced chain has one recurrent class,
+        and the `reach` matrix it was read from, or None when no bandit has
+        rho = 1.  The chain is unichain iff some node is reachable from every
+        node.  Without rho = 1 nothing cuts a chain, so omega is reachable
+        from every node and every policy is unichain.
+        """
+        if not self.cuts:
+            return np.ones(self.size, dtype=bool), None
+        reach = self.reach(actions)
+        return reach.all(axis=1).any(axis=1), reach
 
     def split(self, per_state, b):
         return per_state[self.offsets[b] : self.offsets[b + 1]]

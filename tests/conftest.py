@@ -138,9 +138,8 @@ def or_decision(mdp: TruncatedBeliefMDP, values, state: int, lambda_star: float)
 def force_multichain(monkeypatch) -> None:
     """Declare every policy multichain, keeping its real reach matrix, so
     every average-cost evaluation takes the multichain system."""
-    real = BanditBatch.unichain
     monkeypatch.setattr(
-        BanditBatch, "unichain", lambda self, actions: (np.zeros(self.size, dtype=bool), real(self, actions)[1])
+        BanditBatch, "unichain", lambda self, actions: (np.zeros(self.size, dtype=bool), self.reach(actions))
     )
 
 

@@ -328,10 +328,14 @@ class TestOracleCommand:
         assert {"oracle", "policy", "relative_gap"} <= set(doc["gap"])
         assert doc["gap"]["oracle"] == doc["value"]
 
-    def test_oracle_reports_its_sweeps(self, tmp_path):
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_oracle_reports_its_sweeps(self, tmp_path, capsys, monkeypatch, blocks):
+        monkeypatch.setattr(uoisched.oracle, "_PART_STATES", 1)
+        monkeypatch.setattr(uoisched.oracle, "_usable_cpus", lambda: blocks)
         cfg = write_config(tmp_path, FAST_CONFIG)
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        doc = json.loads((tmp_path / "o" / "oracle.json").read_text())
+        text = (tmp_path / "o" / "oracle.json").read_text()
+        doc = json.loads(text)
         prep = prepare(load_config(cfg))
         res = joint_solve_discounted(prep.mdps, 1, initial_states=prep.initial_states)
         assert doc["sweeps"] == res.sweeps > 1
@@ -339,6 +343,15 @@ class TestOracleCommand:
         assert doc["value_bounds"] == list(res.bounds)
         low, high = doc["value_bounds"]
         assert low <= doc["value"] <= high and high - low <= 1e-8
+        # the row blocks follow the host, so they are printed but kept out of the file
+        line = capsys.readouterr().out.splitlines()[-1]
+        match = re.fullmatch(
+            r"oracle discounted value = \S+ \((\d+) sweeps over ([\d,]+) joint states in (\d+) row blocks?\)", line
+        )
+        assert match, line
+        assert int(match[1]) == res.sweeps and int(match[2].replace(",", "")) == res.joint.n_joint
+        assert int(match[3]) == res.blocks == blocks
+        assert "block" not in text
 
     def test_gap_reports_its_standard_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_CONFIG)

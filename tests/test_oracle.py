@@ -1,5 +1,10 @@
 import hashlib
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +36,12 @@ from uoisched.config import load_config
 from uoisched.workflows import prepare
 
 from conftest import FIG1, random_bandit
+
+
+def cut_into(monkeypatch, blocks: int) -> None:
+    """Make every joint with at least two rows per block cut into `blocks` row blocks."""
+    monkeypatch.setattr(oracle, "_PART_STATES", 1)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: blocks)
 
 
 def zero_entropy_chain():
@@ -185,20 +196,25 @@ class TestFactoredSweep:
             ref = np.minimum.reduce(sums) * 0.9 + joint.cost
             assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2])
-    def test_values_allocates_no_joint_sized_array(self, m):
+    def test_values_allocates_no_joint_sized_array(self, m, blocks, monkeypatch):
         rng = np.random.default_rng(11)
         mdps = [
             build_truncated(random_bandit(rng, n, f"b{n}", rho=rho), L, 0.9)
             for n, L, rho in zip((2, 3, 4), (10, 6, 5), (0.7, 1.0, 0.85))
         ]
         joint = build_joint(mdps, m)
-        sweep = oracle._FactoredSweep(joint, 0.9)
-        v, out = np.random.default_rng(1).random(joint.n_joint), np.empty(joint.n_joint)
-        sweep.values(v, out)
+        cut_into(monkeypatch, blocks)
+        sweeps = [oracle._FactoredSweep(joint, 0.9, rows) for rows in oracle._row_blocks(joint)]
+        assert len(sweeps) == blocks
+        v, tv, d = np.random.default_rng(1).random(joint.n_joint), np.empty(joint.n_joint), np.empty(joint.n_joint)
+        for sweep in sweeps:
+            sweep.difference(v, tv, d)
         tracemalloc.start()
         try:
-            sweep.values(v, out)
+            for sweep in sweeps:
+                sweep.difference(v, tv, d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -258,6 +274,165 @@ class TestPinnedOutputs:
         ]
         res = joint_solve_average(mdps, 1, tol=1e-8)
         assert oracle_digest(res) == "6598ff622088e257255bf85f456d404c5370f4873e7cc1abdb7b1c7990302be5"
+
+
+def solve_pinned(name):
+    """The solves `TestPinnedOutputs` pins."""
+    if name in ("two_sources_discounted", "two_sources_average"):
+        prep = prepare(load_config(REPO / "configs" / f"{name}.json"))
+        if prep.config.criterion == "discounted":
+            return joint_solve_discounted(prep.mdps, prep.config.m, tol=1e-8, initial_states=prep.initial_states)
+        return joint_solve_average(prep.mdps, prep.config.m, tol=1e-8)
+    if name == "mixed_triple_two_channels":
+        return joint_solve_discounted(mixed_triple(0.9, (0.7, 1.0, 0.85)), 2, tol=1e-8)
+    rng = np.random.default_rng(19)
+    mdps = [
+        build_truncated(random_bandit(rng, n, f"q{i}", rho=0.8), L, 1.0)
+        for i, (n, L) in enumerate(zip((2, 3, 2, 3), (4, 3, 5, 2)))
+    ]
+    return joint_solve_average(mdps, 1, tol=1e-8)
+
+
+class InlinePool:
+    """Stands in for ThreadPoolExecutor: runs each submitted block at once, on
+    the calling thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+PINNED = ["two_sources_discounted", "two_sources_average", "mixed_triple_two_channels", "four_actions_in_one_group"]
+
+
+def random_joint_instance(rng, beta):
+    """(mdps, m): M from 2 to 4 bandits of 2 or 3 chain states, rho in {0.5,
+    0.8, 1.0}; bandit 0 has 5 to 16 states, so that 2 and 3 row blocks of
+    at least two rows each fit, and often cut it unevenly."""
+    M = int(rng.integers(2, 5))
+    shallow = {2: 8, 3: 4, 4: 2}[M]
+    mdps = [
+        build_truncated(
+            random_bandit(rng, int(rng.integers(2, 4)), f"r{i}", rho=float(rng.choice([0.5, 0.8, 1.0]))),
+            int(rng.integers(2, 6)) if i == 0 else int(rng.integers(1, shallow + 1)),
+            beta,
+        )
+        for i in range(M)
+    ]
+    return mdps, int(rng.integers(1, M))
+
+
+class TestRowBlocks:
+    """Any cut into row blocks gives the one-block solve bit for bit, and
+    its threads end with the solve."""
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_pinned_instances(self, name, monkeypatch):
+        cut_into(monkeypatch, 1)
+        whole = solve_pinned(name)
+        for blocks in (2, 3):
+            cut_into(monkeypatch, blocks)
+            res = solve_pinned(name)
+            assert res.blocks == blocks
+            assert oracle_digest(res) == oracle_digest(whole)
+
+    @pytest.mark.parametrize("beta", [0.9, 1.0], ids=["discounted", "average"])
+    @pytest.mark.parametrize("threads", [False, True], ids=["inline", "threads"])
+    def test_random_instances(self, beta, threads, monkeypatch):
+        # a thread switch per sweep costs more than these small sweeps, so
+        # most instances run their blocks at submit, on this thread
+        if not threads:
+            monkeypatch.setattr(oracle, "ThreadPoolExecutor", InlinePool)
+        rng = np.random.default_rng((2023, 2024)[beta == 1.0] + 10 * threads)
+        solve = joint_solve_discounted if beta < 1.0 else joint_solve_average
+        cuts = set()
+        for _ in range(10 if threads else 150):
+            mdps, m = random_joint_instance(rng, beta)
+            cut_into(monkeypatch, 1)
+            whole = oracle_digest(solve(mdps, m, tol=1e-5))
+            n0 = mdps[0].n_states
+            for blocks in (2, 3):
+                cut_into(monkeypatch, blocks)
+                res = solve(mdps, m, tol=1e-5)
+                assert res.blocks == min(blocks, n0 // 2)
+                assert oracle_digest(res) == whole, (n0, [mdp.n_states for mdp in mdps], m, blocks)
+                cuts.add((res.blocks, n0 % res.blocks != 0))
+        assert cuts >= {(2, True), (3, True)} or threads  # uneven cuts of both counts
+
+    def test_more_blocks_than_cpus_under_fast_thread_switching(self, monkeypatch):
+        cut_into(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            res = solve_pinned("mixed_triple_two_channels")
+        finally:
+            sys.setswitchinterval(interval)
+        assert res.blocks == 4
+        assert oracle_digest(res) == "a96e29e4832f9b4a31d0d4ff7f52faaa0d12d60593f69b40b699963a32a6ec2d"
+
+    def test_block_count(self, monkeypatch):
+        _, mdps = fig1_pair(0.9, L=20)  # 41 states each: 1,681 joint states
+        joint = build_joint(mdps, 1)
+        for cpus, part, blocks in [(2, 1, 2), (3, 1, 3), (2, 841, 1), (2, 840, 2), (64, 1, 20), (1, 1, 1)]:
+            monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(oracle, "_PART_STATES", part)
+            rows = oracle._row_blocks(joint)
+            assert len(rows) == blocks
+            assert rows[0].start == 0 and rows[-1].stop == 41
+            assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+            assert all(r.stop - r.start >= 2 for r in rows)
+
+    @pytest.mark.parametrize("max_iters", [2_000_000, 3], ids=["converged", "no-convergence"])
+    def test_no_worker_thread_outlives_the_solve(self, max_iters, monkeypatch):
+        cut_into(monkeypatch, 3)
+        before = set(threading.enumerate())
+        ran_on = set()
+        difference = oracle._FactoredSweep.difference
+
+        def recorded(self, *args):
+            ran_on.add(threading.current_thread())
+            return difference(self, *args)
+
+        monkeypatch.setattr(oracle._FactoredSweep, "difference", recorded)
+        mdps = mixed_triple(0.9, (0.7, 1.0, 0.85))
+        if max_iters == 3:
+            with pytest.raises(NoConvergence, match="in 3 sweeps"):
+                joint_solve_discounted(mdps, 1, tol=1e-8, max_iters=max_iters)
+        else:
+            assert joint_solve_discounted(mdps, 1, tol=1e-8).blocks == 3
+        assert threading.current_thread() in ran_on and len(ran_on) >= 2  # some block ran on a worker
+        assert not any(t.is_alive() for t in ran_on - before)
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_one_cpu_child_gives_the_pinned_digest(self):
+        code = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from uoisched import oracle\n"
+            "oracle._PART_STATES = 1\n"
+            "from test_oracle import oracle_digest, solve_pinned\n"
+            "res = solve_pinned('mixed_triple_two_channels')\n"
+            "print(oracle._usable_cpus(), res.blocks, oracle_digest(res))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+        args = [sys.executable, "-c", code, str(Path(__file__).parent)]
+        proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        cpus, blocks, digest = proc.stdout.split()
+        assert (cpus, blocks) == ("1", "1")
+        assert digest == "a96e29e4832f9b4a31d0d4ff7f52faaa0d12d60593f69b40b699963a32a6ec2d"
 
 
 class TestOracleAgainstCsrReference:

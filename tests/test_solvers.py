@@ -415,6 +415,21 @@ class TestStructuredEvaluation:
         unichain, _ = BanditBatch([mdp]).unichain(actions)
         assert bool(unichain[0]) is not multichain
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rhos=st.lists(st.sampled_from([0.5, 0.7, 0.95]), min_size=1, max_size=4))
+    def test_every_policy_unichain_without_rho_one(self, seed, rhos):
+        rng = np.random.default_rng(seed)
+        bandits = [random_bandit(rng, int(rng.integers(2, 5)), f"h{i}", rho=rho) for i, rho in enumerate(rhos)]
+        mdps = [build_truncated(bandit, int(rng.integers(1, 13)), 1.0) for bandit in bandits]
+        batch = BanditBatch(mdps)
+        actions = (rng.uniform(size=batch.n_states) < rng.choice([0.1, 0.5, 0.9])).astype(np.int8)
+        unichain, reach = batch.unichain(actions)
+        assert unichain.all() and reach is None
+        # the skipped reach computation agrees, and so does the chain itself
+        assert batch.reach(actions).all(axis=1).any(axis=1).all()
+        for b, mdp in enumerate(mdps):
+            assert recurrent_class_count(induced_transition(mdp, batch.split(actions, b))) == 1
+
     def test_batch_matches_batch_of_one_values(self):
         rng = np.random.default_rng(8)
         mdps = [
