@@ -123,14 +123,19 @@ def _simulation_tables(args, config):
         return None
     if not args.tables:
         raise ConfigError(f"policy {args.policy!r} requires --tables with one file per bandit")
-    try:
-        by_label = {t.bandit_label: t for t in map(load_table, args.tables)}
-    except FileNotFoundError as exc:
-        raise ConfigError(f"index table file not found: {exc.filename}") from exc
-    missing = [b.label for b in config.bandits if b.label not in by_label]
-    if missing:
-        raise ConfigError(f"missing index tables for bandit(s) {missing}")
-    return [by_label[b.label] for b in config.bandits]
+    by_label = {}
+    for path in args.tables:
+        try:
+            table = load_table(path)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"index table file not found: {exc.filename}") from exc
+        if table.bandit_label in by_label:
+            raise ConfigError(f"{path}: a second index table for bandit {table.bandit_label!r}")
+        by_label[table.bandit_label] = table
+    labels = [b.label for b in config.bandits]
+    if sorted(by_label) != sorted(labels):
+        raise ConfigError(f"--tables holds index tables for bandits {sorted(by_label)}, the config has {labels}")
+    return [by_label[label] for label in labels]
 
 
 def cmd_simulate(args) -> int:

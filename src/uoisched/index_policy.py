@@ -152,8 +152,11 @@ def table_from_doc(doc: dict) -> GainIndexTable:
             raise ConfigError(f"index table document has a malformed field lambda_star: {lam!r} is not finite and >= 0")
         if criterion not in (DISCOUNTED, AVERAGE):
             raise ConfigError(f"index table document has a malformed field criterion: {criterion!r}")
+        label = doc["bandit_label"]
+        if not isinstance(label, str):
+            raise ConfigError(f"index table document has a malformed field bandit_label: {label!r} is not a string")
         return GainIndexTable(
-            bandit_label=doc["bandit_label"],
+            bandit_label=label,
             criterion=criterion,
             lambda_star=float(lam),
             indices=indices,

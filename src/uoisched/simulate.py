@@ -28,16 +28,20 @@ Costs and traces are gathered per block.
 At 100-500 lanes a slot costs about numpy's per-call floor, so both walks
 speculate along time: a block's K segments are walked in lockstep from
 guessed starts by the same steps, K times the lanes per call, then
-repaired from their true starts.  A step is deterministic given the
-block's draws, so a repair stops exactly, bit for bit, at the first slot
-where it meets the stored walk, which it soon does: a success and aging
-into omega both forget where a belief started, and a shared draw sends
-most true states of a chain to one successor.  K is the number of segments
-of at least _SEGMENT_SLOTS slots whose lanes fit in _SEGMENT_LANES, or 1
-below _MIN_SEGMENTS (500-lane or short calls), where each walk calls its
-step once per slot, with that slot's (M, runs) operands.  A repair that
-one round does not settle is finished slot by slot, and a walk whose
-segments do not meet at all goes slot by slot for the rest of the call.
+repaired in rounds.  Round r re-walks segments r .. K - 1 in lockstep,
+each from the end its predecessor reached, so segment r starts true.  A
+step is deterministic given the block's draws, so the walk stops exactly,
+bit for bit, at the first step whose states all meet the stored walk,
+which is soon: a success and aging into omega both forget where a belief
+started, and a shared draw sends most true states of a chain to one
+successor.  K is the number of segments of at least _SEGMENT_SLOTS slots
+whose lanes fit in _SEGMENT_LANES, or 1 below _MIN_SEGMENTS (500-lane or
+short calls), where each walk calls its step once per slot, with that
+slot's (M, runs) operands.  Two segments in a row that start true and do
+not meet their stored walks within their rounds mean slowly mixing
+sources: the block is finished slot by slot, and so is the rest of that
+walk in the call.
+A walk takes at most as many steps as the block has slots.
 `SimResult.walk_steps` counts the steps of both walks.
 """
 
@@ -113,7 +117,7 @@ class SimResult:
     activation_freq: np.ndarray
     or_mask_trace: np.ndarray | None = field(default=None)   # run 0, (T, M) OR decisions
     selection_trace: np.ndarray | None = field(default=None)  # run 0, (T, m) selected bandits
-    walk_steps: int = 0  # slot steps of both walks (lockstep, repair and slot by slot); not in the JSON
+    walk_steps: int = 0  # slot steps of both walks (lockstep rounds and slot by slot); not in the JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,68 +259,47 @@ def _walk(states: np.ndarray, n: int, k: int, step) -> tuple[int, bool]:
     slot t (an int) or of the slots of a slice t.  With k = 1 the walk goes
     slot by slot, `step(j, states[j], states[j + 1])` for each slot j.
     Otherwise the slots are cut into k segments of ceil(n / k) slots (the
-    last may be shorter), and every segment is walked in lockstep from the
-    guess states[0].  A step depends only on its state and its slot's data,
-    so a walk that meets the stored walk in some slot goes on exactly as
-    the stored one: a repair can stop there with an exact result.  One
-    repair round walks segments 1 .. k - 1 in lockstep from the ends their
-    predecessors reached, and stops once all its states equal the stored
-    ones; by induction from segment 0, whose start is true, every stored
-    state is then true.  If the round ends first, each segment whose
-    predecessor did not meet its stored walk is repaired slot by slot from
-    its true start until it meets its own; there is no second round.  A
-    segment that never meets it means slowly mixing sources: the rest of
-    the block goes slot by slot, and the False return makes the caller walk
-    the rest of the call slot by slot."""
+    last may be shorter) and walked in rounds.  Round 0 walks every segment
+    in lockstep from the guess states[0]; round r >= 1 walks segments
+    r .. k - 1 in lockstep from the ends their predecessors reached in the
+    round before, so each round's lane 0 walks the next seg slots.  By
+    induction segments 0 .. r - 1 are true when round r starts, so
+    segment r starts true.  A step depends only on its state and its
+    slot's data, so a lane that meets its stored walk goes on exactly as
+    the stored one: the walk stops, exact, at the first step of a round
+    whose states all equal the stored ones.  A lane 0 that meets its
+    stored walk leaves the next segment's stored walk true, so lane 0 of
+    round r >= 2 misses its own only after lane 0 of round r - 1 missed
+    too: the sources mix slower than a segment.  The rest of the block
+    then goes slot by slot from lane 0's true end, and the False return
+    makes the caller walk the rest of the call slot by slot.  A miss in
+    round 1 alone is no such sign, as its stored walk started from the
+    guess.  Either way the walk takes at most n steps."""
     if k == 1:
         for j in range(n):
             step(j, states[j], states[j + 1])
         return n, True
     seg = -(-n // k)
-    k = -(-n // seg)  # ceil(n / k) slots may need fewer segments
     after = states[1 : n + 1]
-    now, new = np.empty((2, k) + states.shape[1:], dtype=states.dtype)
+    now, new = np.empty((2, -(-n // seg)) + states.shape[1:], dtype=states.dtype)
     now[:] = states[0]
-    for j in range(seg):
+    for j in range(n):
         t = slice(j, n, seg)
         lanes = len(range(j, n, seg))
+        if j and j % seg == 0:
+            now[:lanes] = states[t]  # round j // seg starts from the stored ends
         step(t, now[:lanes], new[:lanes])
+        if j >= seg:
+            same = new[:lanes] == after[t]
+            if same.all():
+                return j + 1, True
         after[t] = new[:lanes]
+        if j >= 2 * seg and j % seg == seg - 1 and not same[0].all():
+            break
         now, new = new, now
-    steps = seg
-    now[: k - 1] = states[seg:n:seg]
-    for i in range(min(seg, n - seg)):
-        t = slice(seg + i, n, seg)
-        lanes = len(range(seg + i, n, seg))
-        step(t, now[:lanes], new[:lanes])
-        steps += 1
-        if (new[:lanes] == after[t]).all():
-            return steps, True
-        if i == seg - 1:
-            # which of segments 1 .. k - 2 met their stored walks (their
-            # successors then started from true states)
-            met = (new[: k - 2] == after[t][: k - 2]).all(axis=(1, 2))
-        after[t] = new[:lanes]
-        now, new = new, now
-    if k == 2:
-        # segment 1, the last, was walked whole from its true start
-        return steps, True
-    start_true = True
-    for s in range(1, k):
-        if not start_true:
-            end = min((s + 1) * seg, n)
-            for slot in range(s * seg, end):
-                step(slot, states[slot], new[0])
-                steps += 1
-                if (new[0] == after[slot]).all():
-                    break
-                after[slot] = new[0]
-            else:
-                for j in range(end, n):
-                    step(j, states[j], states[j + 1])
-                return steps + n - end, False
-        start_true = s == k - 1 or met[s - 1]
-    return steps, True
+    for i in range(j + 1, n):
+        step(i, states[i], states[i + 1])
+    return n, False
 
 
 def simulate(
@@ -337,7 +320,7 @@ def simulate(
     list) too when both are given; without tables `truncation_L` sets the
     belief truncation.  Cost H(X_i(t)) accrues at the start of slot t with
     weight beta^(t-1) (discounted) or enters the post-burn-in time average.
-    `record_y` (with tables) logs the first run's OR decisions
+    `record_y` (which needs tables) logs the first run's OR decisions
     (`index_policy.or_active`) per slot and the selected bandits.  Identical seeds
     yield identical traces.
     """
@@ -358,6 +341,8 @@ def simulate(
         raise ValueError(f"expected {M} tables, got {len(tables)}")
     if tables is None and policy == "gain_index":
         raise ValueError("this policy requires one index table per bandit")
+    if tables is None and record_y:
+        raise ValueError("record_y requires index tables: the OR decisions are read from them")
     if truncation_L is None:
         if tables is None:
             raise ValueError("truncation_L is required when no index tables are given")
@@ -418,9 +403,8 @@ def simulate(
 
     served = np.zeros((M, runs), dtype=np.int64)
     beta_pow = 1.0
-    record_traces = record_y and tables is not None
-    or_mask_trace = np.zeros((horizon, M), dtype=bool) if record_traces else None
-    selection_trace = np.zeros((horizon, m), dtype=np.int64) if record_traces else None
+    or_mask_trace = np.zeros((horizon, M), dtype=bool) if record_y else None
+    selection_trace = np.zeros((horizon, m), dtype=np.int64) if record_y else None
     # blocks of near-equal length, so that the last one is long enough to
     # speculate too
     block = max(1, min(horizon, _BLOCK_DOUBLES // (2 * M * runs)))
@@ -472,7 +456,7 @@ def simulate(
         speculate_beliefs &= paid
         walk_steps += steps
 
-        if record_traces:
+        if record_y:
             or_mask_trace[first : first + n] = or_active(index.take(B[:n, :, 0]), beta, lam_star)
             selection_trace[first : first + n] = np.nonzero(chosen[:, :, 0])[1].reshape(n, m)
         served += chosen.sum(axis=0)

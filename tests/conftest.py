@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
+from hypothesis import settings
 
 from uoisched import (
     BanditSpec,
@@ -31,6 +32,11 @@ from uoisched import (
 from uoisched.errors import SolverError
 from uoisched.index_policy import _indices_from_values
 from uoisched.solvers import BanditBatch, _evaluate, _greedy, _one_bandit, _q_values
+
+# a failing property test prints the `@reproduce_failure` line that replays
+# it; deadlines, example counts, the example database and seeds are unchanged
+settings.register_profile("print-blob", print_blob=True)
+settings.load_profile("print-blob")
 
 FIG1 = [[0.99, 0.3], [0.01, 0.7]]
 

@@ -268,6 +268,52 @@ class TestSimulateCommand:
         assert "indices_src-a.json" in err and "lambda_star" in err
         assert not (tmp_path / "o" / "sim_gain_index.json").exists()
 
+    def test_a_table_label_that_is_not_a_string_exits_2(self, tmp_path, capsys):
+        cfg, out = run_indices(tmp_path)
+        path = out / "indices_src-a.json"
+        doc = json.loads(path.read_text())
+        doc["bandit_label"] = ["src-a"]
+        path.write_text(json.dumps(doc))
+        code = main(
+            ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--policy", "gain_index",
+             "--tables", str(path), str(out / "indices_src-b.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "indices_src-a.json" in err and "bandit_label" in err
+        assert not (tmp_path / "o" / "sim_gain_index.json").exists()
+
+    def test_a_table_for_a_bandit_the_config_does_not_have_exits_2(self, tmp_path, capsys):
+        cfg, out = run_indices(tmp_path)
+        doc = json.loads((out / "indices_src-b.json").read_text())
+        doc["bandit_label"] = "src-c"
+        extra = tmp_path / "indices_src-c.json"
+        extra.write_text(json.dumps(doc))
+        code = main(
+            ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--policy", "gain_index",
+             "--tables", str(out / "indices_src-a.json"), str(out / "indices_src-b.json"), str(extra)]
+        )
+        assert code == 2
+        assert "'src-c'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "sim_gain_index.json").exists()
+
+    def test_two_tables_for_one_bandit_exit_2(self, tmp_path, capsys):
+        # the second src-a table differs: neither may silently win
+        cfg, out = run_indices(tmp_path)
+        first = out / "indices_src-a.json"
+        doc = json.loads(first.read_text())
+        doc["states"][0]["index"] += 1.0
+        second = tmp_path / "edited_src-a.json"
+        second.write_text(json.dumps(doc))
+        code = main(
+            ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--policy", "gain_index",
+             "--tables", str(first), str(out / "indices_src-b.json"), str(second)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "edited_src-a.json" in err and "'src-a'" in err
+        assert not (tmp_path / "o" / "sim_gain_index.json").exists()
+
     def test_tables_from_another_truncation_depth_exit_2(self, tmp_path, capsys):
         # same chains, tables computed at L = 5 for a config truncated at L = 12
         _, out = run_indices(tmp_path, doc=dict(FAST_CONFIG, truncation={"mode": "fixed", "L": 5}))
