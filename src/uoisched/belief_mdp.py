@@ -153,8 +153,7 @@ def _fannes_gap(tv: float, n: int) -> float:
         return 0.0
     if tv >= 1.0 - 1.0 / n:
         return float(np.log2(n))
-    hb = -tv * np.log2(tv) - (1.0 - tv) * np.log2(1.0 - tv)
-    return float(tv * np.log2(max(n - 1, 1)) + hb)
+    return float(tv * np.log2(max(n - 1, 1)) + entropy([tv, 1.0 - tv]))
 
 
 def truncation_diagnostics(chain: ChainSpec, L: int) -> TruncationDiagnostics:

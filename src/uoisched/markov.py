@@ -10,7 +10,6 @@ equilibrium belief in serialized state labels).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,60 +45,56 @@ class ChainSpec:
         object.__setattr__(self, "equilibrium", _readonly(self.equilibrium))
 
 
+def _closure(edges: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of stacked boolean adjacency matrices
+    `edges` (..., n, n): entry (u, v) is True when v is reachable from u.
+
+    A path between two nodes needs at most n - 1 edges, and each boolean
+    squaring doubles the path length covered, so ceil(log2(n - 1))
+    squarings find it."""
+    n = edges.shape[-1]
+    reach = edges | np.eye(n, dtype=bool)
+    for _ in range(max(n - 2, 0).bit_length()):
+        reach = reach @ reach  # boolean matmul: or over k of reach[u, k] and reach[k, v]
+    return reach
+
+
 def _strong_components(edges: np.ndarray) -> list[list[int]]:
     """Strongly connected components of the digraph with boolean adjacency
     `edges` (edges[u, v]: an edge u -> v), as sorted 1-based state lists in
-    order of their smallest state.
-
-    The reachability closure doubles the path length it covers per squaring,
-    so about log2(N) boolean products of N x N matrices find it."""
-    n = edges.shape[0]
-    reach = edges | np.eye(n, dtype=bool)
-    while True:
-        wider = reach @ reach  # boolean matmul: or over k of reach[u, k] and reach[k, v]
-        if np.array_equal(wider, reach):
-            break
-        reach = wider
+    order of their smallest state: the rows of the mutual reachability
+    relation read off `_closure`."""
+    reach = _closure(edges)
     mutual = reach & reach.T
-    groups, seen = [], np.zeros(n, dtype=bool)
-    for u in range(n):
-        if not seen[u]:
-            seen |= mutual[u]
-            groups.append([int(v) + 1 for v in np.flatnonzero(mutual[u])])
-    return groups
+    roots = np.unique(mutual.argmax(axis=1))  # each state's component by its smallest state
+    return [[int(v) + 1 for v in np.flatnonzero(mutual[r])] for r in roots]
 
 
-def _chain_period(adj: list[list[int]]) -> int:
-    """Period of a strongly connected digraph: gcd of (level[u]+1-level[v]) over edges.
-
-    Any spanning-tree levels work here, because each level[x] is the length of
-    some root-to-x path and path-length differences to a vertex are multiples
-    of the period.
-    """
-    n = len(adj)
-    level = [-1] * n
-    level[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                stack.append(v)
-    g = 0
-    for u in range(n):
-        for v in adj[u]:
-            g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g)
+def _chain_period(edges: np.ndarray) -> int:
+    """Period of the strongly connected digraph with boolean adjacency
+    `edges`: the gcd of level[u] + 1 - level[v] over its edges u -> v, with
+    breadth-first levels from state 0 (each frontier the boolean product of
+    the last with `edges`).  Any root-to-state path lengths work as levels,
+    because path-length differences to a state are multiples of the period."""
+    level = np.full(edges.shape[0], -1)
+    frontier = np.arange(edges.shape[0]) == 0
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = (frontier @ edges) & (level < 0)
+        depth += 1
+    u, v = np.nonzero(edges)
+    return int(np.gcd.reduce(level[u] + 1 - level[v]))
 
 
 def validate_chain(raw_matrix) -> ChainSpec:
     """Validate a column-stochastic matrix and compute its equilibrium distribution.
 
     Raises NotStochastic / Reducible / Periodic naming the offending column or
-    structure.  The equilibrium solves (T - I) w = 0 with the normalization
-    row sum(w) = 1 replacing one equation (direct linear solve, not power
-    iteration: exact to solver precision for the small N used here).
+    structure, both read off the boolean adjacency of the positive entries.
+    The equilibrium solves (T - I) w = 0 with the normalization row sum(w) = 1
+    replacing one equation (direct linear solve, not power iteration: exact to
+    solver precision for the small N used here).
     """
     t = np.asarray(raw_matrix, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -118,12 +113,12 @@ def validate_chain(raw_matrix) -> ChainSpec:
         raise NotStochastic(f"column {k + 1} sums to {sums[k]:.12g}, off by more than 1e-9")
     t = np.clip(t, 0.0, 1.0) / sums  # renormalize the <=1e-9 dust away
 
-    groups = _strong_components(t.T > 0.0)  # edge k -> j iff t[j, k] > 0
+    edges = t.T > 0.0  # edge k -> j iff t[j, k] > 0
+    groups = _strong_components(edges)
     if len(groups) != 1:
         raise Reducible(f"chain is not irreducible; strongly connected components: {groups}")
 
-    adj = [list(np.flatnonzero(t[:, k] > 0.0)) for k in range(n)]
-    period = _chain_period(adj)
+    period = _chain_period(edges)
     if period != 1:
         raise Periodic(f"chain is periodic with period {period}")
 
@@ -154,18 +149,14 @@ def as_belief(x, n_states: int | None = None) -> np.ndarray:
 
 
 def entropy(x) -> float:
-    """Shannon entropy in bits with 0*log(0) = 0; clamps round-off to [0, inf)."""
-    x = np.asarray(x, dtype=float)
-    pos = x[x > 0.0]
-    return float(max(-(pos * np.log2(pos)).sum(), 0.0))
+    """Shannon entropy in bits of one belief: `entropies` of a single row."""
+    return float(entropies(x))
 
 
 def entropies(rows) -> np.ndarray:
-    """Shannon entropy in bits of every row (last axis) of an array of beliefs.
-
-    Bit for bit as `entropy` row by row for rows of up to 7 entries; longer
-    rows holding zeros may differ in the last bit, because numpy's pairwise
-    summation groups the terms by position and the zeros shift them."""
+    """Shannon entropy in bits, with 0*log(0) = 0, of every row (last axis)
+    of an array of beliefs; round-off below 0 is clamped to 0 (-0.0 stays).
+    `entropy` is this function on one row, so the two agree bit for bit."""
     x = np.asarray(rows, dtype=float)
     pos = x > 0.0
     terms = np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0)

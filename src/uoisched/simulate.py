@@ -568,14 +568,19 @@ def asymptotic_sweep(
     for name, values in (("class labels", labels), ("population sizes", m_list)):
         if len(set(values)) != len(values):
             raise ValueError(f"{name} must be unique, got {values}")
+    if not m_list or m_list[0] < 2:
+        raise ValueError(f"population sizes must be at least 2, got {m_list}")
     plans = {M: _class_counts(proportions, M, alpha) for M in m_list}
     for M, (_, counts, _) in plans.items():
         for label, c in zip(labels, counts):
             if c == 0:
                 raise ValueError(f"class {label!r} has no bandit at M = {M}; each class needs one at every M")
 
-    # lambda* is mix-invariant: compute it on the smallest population, whose
-    # batch holds one entry per class, in class order
+    # f(lam)/M bounds the per-bandit cost from below at any lam >= 0, and
+    # only the set of its maximizers is mix-invariant: the lambda* the search
+    # returns moves with M within the search's tolerance.  So the sweep solves
+    # once, on the smallest population, and bounds every M at that lambda*
+    # (ROADMAP item 9 reads the exact optimum off the search's bracket).
     m0 = m_list[0]
     m_chan0, counts0, _ = plans[m0]
     mdps0 = [mdp for (mdp, _), c in zip(classes, counts0) for _ in range(c)]

@@ -54,6 +54,7 @@ import numpy as np
 
 from .belief_mdp import TruncatedBeliefMDP
 from .errors import NoConvergence
+from .markov import _closure
 
 ACTIVE_TIE_TOL = 1e-9
 _PI_ROUNDS = 50  # policy-iteration rounds, either criterion, before NoConvergence
@@ -177,7 +178,8 @@ class BanditBatch:
 
     def reach(self, actions):
         """(B, N+1, N+1) reach matrix of the reset states and omega under the
-        policy: entry (i, j) is True when node i reaches node j.
+        policy: entry (i, j) is True when node i reaches node j, the boolean
+        closure (`markov._closure`) of the one-step edges read off below.
 
         Every recurrent class holds a reset state or omega, because the rest
         of a chain only walks forward into them.  So the classes can be read
@@ -196,10 +198,7 @@ class BanditBatch:
         edges[:, :N, N] = walks_on[-1]
         omega_active = np.asarray(actions)[self.omega_ids].astype(bool)
         edges[:, N, :N] = omega_active[:, None] & (self.beliefs[self.omega_ids] > 0.0)
-        reach = (edges | np.eye(N + 1, dtype=bool)).astype(np.int64)
-        for _ in range(N.bit_length()):
-            reach = np.minimum(reach @ reach, 1)
-        return reach.astype(bool)
+        return _closure(edges)
 
     def unichain(self, actions):
         """(B,) True where the policy's induced chain has one recurrent class,

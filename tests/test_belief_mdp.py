@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from uoisched import (
     validate_chain,
 )
 import uoisched
-from uoisched.belief_mdp import nearest_state
+from uoisched.belief_mdp import _fannes_gap, nearest_state
 from uoisched.lagrange import gradient_search, make_problem
 
 from conftest import FIG1, random_bandit, random_chain
@@ -169,6 +170,28 @@ class TestErrorBounds:
                 d2 = truncation_diagnostics(chain, 2 * L)
                 assert average_error_bound(d2) <= average_error_bound(d1) + 1e-15
                 assert d2.eta_L <= d1.eta_L + 1e-15
+
+
+class TestFannesGap:
+    """tv * log2(n - 1) + Hb(tv) below tv = 1 - 1/n, where it peaks at
+    log2(n), and log2(n) from there on."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 30])
+    def test_formula_below_the_cap(self, n):
+        for tv in np.linspace(0.0, 1.0 - 1.0 / n, 8, endpoint=False)[1:]:
+            hb = -tv * math.log2(tv) - (1.0 - tv) * math.log2(1.0 - tv)
+            assert _fannes_gap(tv, n) == pytest.approx(tv * math.log2(max(n - 1, 1)) + hb, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 30])
+    def test_capped_at_log2_n(self, n):
+        cap = 1.0 - 1.0 / n
+        for tv in (cap, (cap + 1.0) / 2, 1.0):
+            assert _fannes_gap(tv, n) == np.log2(n)
+        # the formula meets the cap where it peaks
+        assert _fannes_gap(np.nextafter(cap, 0.0), n) == pytest.approx(np.log2(n), abs=1e-12)
+
+    def test_zero_distance_gives_zero(self):
+        assert _fannes_gap(0.0, 3) == 0.0
 
 
 def common_state_ids(n, L):

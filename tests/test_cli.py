@@ -14,6 +14,7 @@ import uoisched
 from uoisched import joint_solve_discounted
 from uoisched.cli import main
 from uoisched.config import load_config, parse_config
+from uoisched.errors import ConfigError
 from uoisched.workflows import prepare
 
 FAST_CONFIG = {
@@ -105,6 +106,14 @@ class TestIndicesCommand:
         doc = dict(FAST_CONFIG, m=2)
         cfg = write_config(tmp_path, doc)
         assert main(["indices", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_solver_failure_exits_3(self, tmp_path, capsys):
+        # a step of 1e-9 cannot close the bracket in one iteration
+        doc = dict(FAST_CONFIG, gradient={"c": 1e-9, "max_iters": 1})
+        cfg = write_config(tmp_path, doc)
+        assert main(["indices", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: gradient search did not meet the stopping criterion in 1 iterations")
 
     def test_unknown_field_exits_2_and_names_it(self, tmp_path, capsys):
         doc = dict(FAST_CONFIG)
@@ -463,6 +472,14 @@ class TestOracleCommand:
         assert "bandits differ from the config" in err and "truncation" not in err
         assert not (tmp_path / "o2").exists()
 
+    def test_missing_policy_result_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        path = tmp_path / "absent.json"
+        code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "o"), "--policy-result", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: policy result file not found: {path}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_policy_result_without_sources_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_CONFIG)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"), "--policy", "round_robin"]) == 0
@@ -555,6 +572,22 @@ class TestAsymptoticCommand:
         assert code == 2
         assert "population sizes must be unique" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "m_list, message",
+        [
+            ("2,four", "--m-list: expected comma-separated integers, got '2,four'"),
+            (",", "--m-list: at least one population size required"),
+            ("-2,4", "population sizes must be at least 2, got [-2, 4]"),
+        ],
+        ids=["non_integer", "empty", "below_two"],
+    )
+    def test_bad_population_list_exits_2_and_names_it(self, tmp_path, capsys, m_list, message):
+        cfg = write_config(tmp_path, dict(FAST_CONFIG, criterion={"type": "average"}))
+        code = main(["asymptotic", "--config", cfg, "--out", str(tmp_path / "o"), "--alpha", "0.5",
+                     f"--m-list={m_list}"])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_initial_beliefs_exit_2_before_anything_is_written(self, tmp_path, capsys):
         doc = dict(FAST_CONFIG, criterion={"type": "average"})
         doc["bandits"] = [dict(b, initial_belief=[0.0, 1.0]) for b in doc["bandits"]]
@@ -584,6 +617,73 @@ class TestBoundCommand:
         assert main(["bound", "--config", cfg]) == 0
         text = capsys.readouterr().out
         assert "eta_L" in text and "sigma_L" in text and "src-a" in text
+
+
+def bandit_0(**fields):
+    return [dict(FAST_CONFIG["bandits"][0], **fields), FAST_CONFIG["bandits"][1]]
+
+
+DROP = object()  # a config edit that removes the field
+
+
+class TestConfigRejections:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"m": DROP}, "config: missing required field(s) ['m']"),
+            ({"m": "1"}, "m: expected a number, got '1'"),
+            ({"m": 1.5}, "m: expected an integer, got 1.5"),
+            ({"simulation": {"runs": 0}}, "simulation.runs: must be >= 1, got 0"),
+            ({"bandits": bandit_0(rho=1.5)}, "bandits[0].rho: must be <= 1.0, got 1.5"),
+            ({"schema_version": 2}, "schema_version: unsupported value 2"),
+            ({"criterion": {"type": "discounted"}}, "criterion.beta: required for the discounted criterion"),
+            ({"criterion": {"type": "discounted", "beta": 1.0}}, "criterion.beta: must be < 1, got 1.0"),
+            ({"criterion": {"type": "average", "beta": 0.9}}, "criterion.beta: not allowed for the average criterion"),
+            ({"criterion": {"type": "total"}}, "criterion.type: expected 'discounted' or 'average', got 'total'"),
+            ({"bandits": FAST_CONFIG["bandits"][:1]}, "bandits: expected a list of at least 2 bandits"),
+            ({"bandits": bandit_0(label="")}, "bandits[0].label: expected a non-empty string"),
+            ({"bandits": bandit_0(label="src-b")}, "bandits[1].label: duplicate label 'src-b'"),
+            (
+                {"bandits": bandit_0(transition=[[0.0, 1.0], [1.0, 0.0]])},
+                "bandits[0].transition (bandit 'src-a'): chain is periodic with period 2",
+            ),
+            ({"bandits": bandit_0(rho=0)}, "bandits[0].rho: must be in (0, 1], got 0.0"),
+            ({"bandits": bandit_0(initial_belief=[1.0])}, "bandits[0].initial_belief: expected 2 entries"),
+            ({"bandits": bandit_0(initial_belief=[0.6, 0.6])}, "bandits[0].initial_belief: not a probability vector"),
+            ({"truncation": {"mode": "fixed"}}, "truncation.L: required for fixed mode"),
+            ({"truncation": {"mode": "auto", "eta_target": 0}}, "truncation.eta_target: must be > 0"),
+            ({"gradient": {"c": 0}}, "gradient.c: must be > 0"),
+            ({"gradient": {"epsilon": 0}}, "gradient.epsilon: must be > 0"),
+            (
+                {"criterion": {"type": "average"}, "simulation": {"horizon": 200, "burn_in": 200}},
+                "simulation.burn_in: must be smaller than the horizon",
+            ),
+            ({"outputs": 5}, "outputs: expected a string path"),
+        ],
+        ids=[
+            "missing_field", "not_a_number", "not_an_integer", "below_minimum", "above_maximum",
+            "schema_version", "no_beta", "beta_one", "beta_for_average", "unknown_criterion",
+            "one_bandit", "empty_label", "duplicate_label", "bad_transition", "rho_zero",
+            "initial_belief_length", "initial_belief_not_a_distribution", "fixed_mode_without_L",
+            "eta_target_zero", "gradient_c_zero", "gradient_epsilon_zero", "burn_in_at_horizon",
+            "outputs_not_a_string",
+        ],
+    )
+    def test_rejected_with_its_message(self, edit, message):
+        doc = {k: v for k, v in dict(FAST_CONFIG, **edit).items() if v is not DROP}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(json.loads(json.dumps(doc)))
+
+    def test_missing_file_rejected(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'config file not found: {path}')}$"):
+            load_config(path)
+
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"schema_version": 1,')
+        with pytest.raises(ConfigError, match="^config file is not valid JSON: "):
+            load_config(path)
 
 
 class TestConfigRoundTrip:

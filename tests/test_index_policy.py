@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,20 @@ class TestSerialization:
         doc[field] = value
         with pytest.raises(ConfigError, match=f"malformed field {field}"):
             table_from_doc(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize(
+        "make_doc, message",
+        [
+            (lambda doc: [doc], "index table document must be a JSON object"),
+            (lambda doc: dict(doc, schema_version=2), "unsupported index table schema_version: 2"),
+        ],
+        ids=["not_an_object", "schema_version"],
+    )
+    def test_document_rejected_before_its_fields(self, make_doc, message):
+        bandit = BanditSpec(validate_chain(FIG1), 1.0, "fig1")
+        doc = table_to_doc(gain_indices_discounted(build_truncated(bandit, 4, 0.9), 0.05))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            table_from_doc(make_doc(doc))
 
     def test_json_is_deterministic(self, tmp_path):
         bandit = BanditSpec(validate_chain(FIG1), 1.0, "fig1")

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -35,6 +37,56 @@ def entropy_bits_highprec(probs) -> float:
         return float(total)
 
 
+def dfs_period(edges) -> int:
+    """Period of a strongly connected digraph from depth-first levels over
+    adjacency lists: gcd of level[u] + 1 - level[v] over the edges u -> v
+    (reference for the boolean-level `markov._chain_period`)."""
+    n = len(edges)
+    adj = [list(np.flatnonzero(row)) for row in edges]
+    level = [-1] * n
+    level[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                stack.append(v)
+    g = 0
+    for u in range(n):
+        for v in adj[u]:
+            g = math.gcd(g, level[u] + 1 - level[v])
+    return abs(g)
+
+
+def warshall_closure(edges) -> np.ndarray:
+    """Reflexive-transitive closure of one boolean adjacency matrix by
+    Warshall's loop over intermediate nodes (reference for `markov._closure`)."""
+    n = len(edges)
+    reach = np.array(edges, dtype=bool) | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+    return reach
+
+
+def random_irreducible_digraphs(rng, count):
+    """Random strongly connected digraphs of 2-9 nodes, about half of them
+    block-cyclic: edges only from class c to class c + 1 (mod d), so their
+    period is a multiple of d."""
+    graphs = []
+    while len(graphs) < count:
+        n = int(rng.integers(2, 10))
+        if rng.random() < 0.5:
+            d = int(rng.integers(2, n + 1))
+            cls = rng.permutation(np.arange(n) % d)
+            edges = (rng.random((n, n)) < rng.uniform(0.5, 1.0)) & (cls[None, :] == (cls[:, None] + 1) % d)
+        else:
+            edges = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+        if csgraph.connected_components(edges, directed=True, connection="strong")[0] == 1:
+            graphs.append(edges)
+    return graphs
+
+
 class TestValidateChain:
     def test_fig1_equilibrium(self):
         chain = validate_chain(FIG1)
@@ -70,6 +122,18 @@ class TestValidateChain:
             expected = sorted([list(np.flatnonzero(labels == c) + 1) for c in np.unique(labels)])
             assert markov._strong_components(edges) == expected
 
+    def test_period_matches_depth_first_levels(self):
+        graphs = random_irreducible_digraphs(np.random.default_rng(25), 600)
+        periods = [markov._chain_period(edges) for edges in graphs]
+        assert periods == [dfs_period(edges) for edges in graphs]
+        assert sum(p > 1 for p in periods) >= 200  # the block-cyclic half keeps periodic cases common
+
+    def test_three_cycle_of_blocks_is_periodic(self):
+        # states {1, 2} -> {3} -> {4} -> {1, 2}: every cycle has length 3
+        t = [[0.0, 0.0, 0.0, 0.4], [0.0, 0.0, 0.0, 0.6], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+        with pytest.raises(Periodic, match=r"^chain is periodic with period 3$"):
+            validate_chain(t)
+
     def test_bad_column_sum(self):
         with pytest.raises(NotStochastic, match="column 1"):
             validate_chain([[0.5, 0.3], [0.6, 0.7]])
@@ -89,6 +153,21 @@ class TestValidateChain:
     def test_fixed_point(self):
         chain = validate_chain(FIG1)
         assert np.max(np.abs(chain.transition @ chain.equilibrium - chain.equilibrium)) < 1e-10
+
+
+class TestClosure:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_stacked_graphs_match_the_loop_reference(self, n):
+        rng = np.random.default_rng(n)
+        edges = rng.random((3, 4, n, n)) < rng.uniform(0.05, 0.5, size=(3, 4, 1, 1))
+        want = np.array([warshall_closure(e) for e in edges.reshape(-1, n, n)]).reshape(edges.shape)
+        assert np.array_equal(markov._closure(edges), want)
+
+    def test_a_path_through_every_node_is_closed(self):
+        # the longest shortest path, n - 1 edges, needs every squaring
+        for n in range(1, 40):
+            edges = np.eye(n, k=1, dtype=bool)
+            assert np.array_equal(markov._closure(edges), np.triu(np.ones((n, n), dtype=bool)))
 
 
 class TestEntropy:
@@ -115,19 +194,24 @@ def beliefs_with_zeros(rng, n, count=300):
 
 
 class TestEntropies:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 20))
     def test_rows_match_entropy_bit_for_bit(self, n):
         rows = beliefs_with_zeros(np.random.default_rng(n), n)
         want = np.array([entropy(row) for row in rows])
         assert np.array_equal(entropies(rows).view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("n", [8, 11, 16])
-    def test_long_rows_with_zeros_agree_to_rounding(self, n):
-        # pairwise summation groups long rows' terms by position, so the
-        # zeros may move the last bit (documented in `entropies`)
-        rows = beliefs_with_zeros(np.random.default_rng(n), n)
-        want = np.array([entropy(row) for row in rows])
+    def test_long_rows_with_zeros_match_high_precision(self, n):
+        rows = beliefs_with_zeros(np.random.default_rng(n), n, count=60)
+        want = np.array([entropy_bits_highprec(row) for row in rows.tolist()])
         assert np.max(np.abs(entropies(rows) - want)) <= 8 * np.finfo(float).eps * np.log2(n)
+
+    def test_sparse_row_of_eight_entries(self):
+        # a sum over the nonzero entries alone groups the terms differently
+        # and reads 1.7551496630526413
+        x = [0.0, 0.27945776203891104, 0.48822735564075165, 0.0021457932684020723,
+             0.0, 0.12326053592486269, 0.10690855312707255, 0.0]
+        assert entropy(x) == entropies(np.array([x]))[0] == 1.7551496630526415
 
     def test_stacked_rows(self):
         rng = np.random.default_rng(4)

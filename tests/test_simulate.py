@@ -2,6 +2,7 @@ import functools
 import hashlib
 import importlib
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -150,6 +151,50 @@ class TestSimulateBasics:
         inst = fig1_instance("average", 1.0)
         with pytest.raises(ValueError, match=message):
             simulate(inst, "round_robin", horizon, runs, truncation_L=4, burn_in=burn_in)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: replace(t, bandit_label="c"), "table label 'c' does not match bandit 'b'"),
+            (lambda t: replace(t, criterion="discounted"), "table criterion 'discounted' does not match instance"),
+            (lambda t: replace(t, lambda_star=t.lambda_star + 1e-6), "index tables were computed at different multipliers"),
+        ],
+        ids=["label", "criterion", "multiplier"],
+    )
+    def test_table_that_does_not_match_the_instance_rejected(self, edit, message):
+        tables, _, _ = fig1_tables("average", 1.0)
+        inst = fig1_instance("average", 1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate(inst, "gain_index", horizon=10, runs=2, tables=[tables[0], edit(tables[1])])
+
+    @pytest.mark.parametrize(
+        "make_kwargs, message",
+        [
+            (lambda tables: {"policy": "gain_index", "tables": tables[:1]}, "expected 2 tables, got 1"),
+            (lambda tables: {"policy": "myopic"}, "truncation_L is required when no index tables are given"),
+            (lambda tables: {"policy": "myopic", "truncation_L": [4, 4, 4]}, "expected 2 truncation depths, got 3"),
+        ],
+        ids=["table_count", "no_truncation_depth", "depth_count"],
+    )
+    def test_table_and_depth_counts_rejected(self, make_kwargs, message):
+        tables, _, _ = fig1_tables("average", 1.0)
+        inst = fig1_instance("average", 1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate(inst, horizon=10, runs=2, **make_kwargs(tables))
+
+    @pytest.mark.parametrize(
+        "labels, initial_beliefs, message",
+        [
+            (("a", "a"), None, "bandit labels must be unique"),
+            (("a", "b"), [[1.0, 0.0]], "one initial belief per bandit required"),
+        ],
+        ids=["duplicate_labels", "initial_belief_count"],
+    )
+    def test_instance_rejected(self, labels, initial_beliefs, message):
+        chain = validate_chain(FIG1)
+        bandits = [BanditSpec(chain, 1.0, label) for label in labels]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RMABInstance(bandits, 1, "average", 1.0, initial_beliefs=initial_beliefs)
 
     def test_unknown_policy_rejected(self):
         # a callable is not a policy: the simulator runs the names in POLICIES only
@@ -883,6 +928,15 @@ class TestAsymptoticSweep:
         monkeypatch.setattr(module, "gradient_search", lambda problem: pytest.fail("searched"))
         with pytest.raises(ValueError, match=f"{which} must be unique"):
             asymptotic_sweep(classes, alpha=0.5, m_list=m_list, runs=2, seed=1, horizon=500)
+
+    @pytest.mark.parametrize("m_list", [[-2, 4], [0, 4], [1, 4], []])
+    def test_population_below_two_rejected_before_the_search(self, monkeypatch, m_list):
+        # a negative M would give negative class counts and an empty batch
+        module = importlib.import_module("uoisched.simulate")
+        monkeypatch.setattr(module, "gradient_search", lambda problem: pytest.fail("searched"))
+        message = f"population sizes must be at least 2, got {m_list}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            asymptotic_sweep(self._classes(8), alpha=0.5, m_list=m_list, runs=2, seed=1, horizon=500)
 
     def test_mixed_discounts_rejected(self):
         (a, _), _ = self._classes(8, 0.9)
