@@ -24,7 +24,7 @@ from .errors import (
 )
 from .index_policy import load_table, save_table
 from .oracle import joint_solve_average, joint_solve_discounted
-from .simulate import POLICIES, asymptotic_sweep, simulate
+from .simulate import POLICIES, asymptotic_sweep, simulate, sweep_plans
 from .solvers import AVERAGE, DISCOUNTED
 from .workflows import bound_report, compute_index_tables, prepare
 
@@ -155,12 +155,13 @@ def cmd_simulate(args) -> int:
         h,
     )
     # throughput goes to stdout only: a wall-clock rate in out/ would break
-    # byte-identical reruns; the walk steps are the deterministic work behind it
+    # byte-identical reruns; the walk steps are the work behind it, and they
+    # and the parts (processes) the runs were cut into follow the host's CPUs
     bandit_slots = res.n_bandits * res.runs * res.horizon
     print(
         f"{args.policy}: mean = {res.mean:.6g}, stderr = {res.stderr:.3g} ({res.runs} runs, "
         f"{bandit_slots:,} bandit-slots at {bandit_slots / seconds:.3g} bandit-slots/s, "
-        f"{res.walk_steps:,} walk steps)"
+        f"{res.walk_steps:,} walk steps in {res.parts} part{'s' * (res.parts > 1)})"
     )
     return EXIT_OK
 
@@ -240,24 +241,28 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _equilibrium_starts(args, config) -> None:
-    """Reject per-bandit initial beliefs: the sweep starts every class at
-    the equilibrium belief."""
-    given = [b.label for b, chi in zip(config.bandits, config.initial_beliefs) if chi is not None]
-    if given:
-        raise ConfigError(
-            f"asymptotic starts every class at the equilibrium belief; remove initial_belief from {', '.join(given)}"
-        )
-
-
-def cmd_asymptotic(args) -> int:
+def _sweep_plan(args, config) -> list[int]:
+    """The population sizes of --m-list, once the sweep's plan checks pass
+    on them (`sweep_plans`) and no bandit has an initial belief: the sweep
+    starts every class at the equilibrium belief."""
     try:
         m_list = [int(v) for v in args.m_list.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"--m-list: expected comma-separated integers, got {args.m_list!r}") from exc
     if not m_list:
         raise ConfigError("--m-list: at least one population size required")
-    prep, out, h, _ = _prepared(args, _equilibrium_starts)
+    given = [b.label for b, chi in zip(config.bandits, config.initial_beliefs) if chi is not None]
+    if given:
+        raise ConfigError(
+            f"asymptotic starts every class at the equilibrium belief; remove initial_belief from {', '.join(given)}"
+        )
+    labels = [b.label for b in config.bandits]
+    sweep_plans(labels, [1.0 / len(labels)] * len(labels), args.alpha, m_list)  # each bandit a class, as below
+    return m_list
+
+
+def cmd_asymptotic(args) -> int:
+    prep, out, h, m_list = _prepared(args, _sweep_plan)
     config = prep.config
     sweep = asymptotic_sweep(
         [(mdp, 1.0 / len(prep.mdps)) for mdp in prep.mdps],

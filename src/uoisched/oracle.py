@@ -57,7 +57,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -66,6 +65,7 @@ import numpy as np
 
 from .belief_mdp import TruncatedBeliefMDP, transition_matrices
 from .errors import NoConvergence, StateSpaceTooLarge
+from .parallel import usable_cpus as _usable_cpus
 from .solvers import charge_scale
 
 DEFAULT_CAP = 2_000_000
@@ -311,13 +311,6 @@ class _FactoredSweep:
             policy[better] = a
             np.minimum(best, q, out=best)
         return policy
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _row_blocks(joint: JointMDP) -> list[slice]:

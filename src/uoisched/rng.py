@@ -1,10 +1,12 @@
 """Per-run random streams for reproducible simulation.
 
-`RunStreams` gives simulation run r its own numpy Philox stream, spawned as
-child r of `SeedSequence(seed)`.  A child depends only on (seed, r), so run r
-draws the same values however many runs are simulated with it, and different
-seeds give unrelated streams.  Each double comes from one 64-bit output by
-the 53-bit construction (raw >> 11) * 2**-53 of numpy's `Generator.random`.
+`RunStreams` gives simulation run r its own numpy Philox stream, seeded by
+`SeedSequence(seed, spawn_key=(r,))`: child r of `SeedSequence(seed).spawn`,
+bit for bit.  A child depends only on (seed, r), so run r draws the same
+values however many runs are simulated with it and wherever a range of runs
+starts, and different seeds give unrelated streams.  Each double comes from
+one 64-bit output by the 53-bit construction (raw >> 11) * 2**-53 of numpy's
+`Generator.random`.
 Runs fill whole blocks of their upcoming draws with one call each; every
 stream is consumed in order, so results do not depend on the block size.
 
@@ -34,11 +36,15 @@ def _check_seed(seed: int) -> int:
 
 
 class RunStreams:
-    """One Philox stream per simulation run, spawned from SeedSequence(seed)."""
+    """One Philox stream for each of the runs first .. first + runs - 1,
+    run r's from child r of SeedSequence(seed)."""
 
-    def __init__(self, seed: int, runs: int):
-        children = np.random.SeedSequence(_check_seed(seed)).spawn(runs)
-        self._generators = [np.random.Generator(np.random.Philox(child)) for child in children]
+    def __init__(self, seed: int, runs: int, first: int = 0):
+        seed = _check_seed(seed)
+        self._generators = [
+            np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(r,))))
+            for r in range(first, first + runs)
+        ]
 
     def draw(self, k: int) -> np.ndarray:
         """The next k uniforms in [0, 1) of every run's stream, as (runs, k)."""

@@ -43,6 +43,15 @@ sources: the block is finished slot by slot, and so is the rest of that
 walk in the call.
 A walk takes at most as many steps as the block has slots.
 `SimResult.walk_steps` counts the steps of both walks.
+
+Runs draw from their own streams, so a call cuts its runs into contiguous
+ranges, one per usable CPU (`parallel.max_parts`), once each range holds at
+least _PART_BSLOTS bandit-slots: the first range runs in this process and
+each other one in a forked child (`parallel.in_parts`).  Each range sizes
+its blocks and speculates over its own runs, and the per-run totals, the
+service counts (integers) and the walk steps are joined in run order, so
+every output is the same bit for bit whatever the cut; only
+`SimResult.walk_steps` and `SimResult.parts` follow the host's CPUs.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ import numpy as np
 from .belief_mdp import BanditSpec, TruncatedBeliefMDP, build_truncated, nearest_state
 from .index_policy import gain_index_tables, or_active
 from .lagrange import gradient_search, make_problem
+from .parallel import in_parts, max_parts
 from .rng import RunStreams
 from .solvers import charge_scale, criterion_of
 
@@ -72,6 +82,14 @@ _BLOCK_DOUBLES = 1 << 18
 _SEGMENT_LANES = 2048
 _SEGMENT_SLOTS = 64
 _MIN_SEGMENTS = 7
+
+# bandit-slots (M * runs * horizon) each part of the runs needs (see
+# `simulate`).  On a 2-CPU host two parts ran a call in 1.03-1.59x the time
+# of one at 10^5 bandit-slots, 0.92-1.17x at 2 * 10^5, 0.68-0.79x at 5 * 10^5
+# and 0.57-0.78x at 10^6 (the average sample config and a 10-source
+# instance, gain_index and round robin); 5 * 10^5 a part leaves a margin for
+# a host whose second CPU is busy.
+_PART_BSLOTS = 500_000
 
 
 @dataclass
@@ -118,6 +136,7 @@ class SimResult:
     or_mask_trace: np.ndarray | None = field(default=None)   # run 0, (T, M) OR decisions
     selection_trace: np.ndarray | None = field(default=None)  # run 0, (T, m) selected bandits
     walk_steps: int = 0  # slot steps of both walks (lockstep rounds and slot by slot); not in the JSON
+    parts: int = 1  # processes the runs were cut across; not in the JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -365,12 +384,12 @@ def simulate(
         burn = 0
 
     # one flat table per quantity: bandit i's truncated state s is global id
-    # offset[i] + s, and its source state k is global id chain_offset[i] + k
-    # (repeated over the runs, as the true-state step adds it)
+    # offset[i] + s, and its source state k is global id chain_base[i] + k
+    # (repeated over a part's runs, as the true-state step adds it)
     n_chain = np.array([b.chain.n_states for b in instance.bandits])
     n_states = np.array([mdp.n_states for mdp in mdps])
     offset = np.cumsum(n_states) - n_states
-    chain_offset = np.repeat((np.cumsum(n_chain) - n_chain)[:, None], runs, axis=1)
+    chain_base = np.cumsum(n_chain) - n_chain
     entropy = np.concatenate([mdp.costs_passive for mdp in mdps])
     passive_next = np.concatenate([mdp.passive_next + off for mdp, off in zip(mdps, offset)])
     reset = np.concatenate([mdp.reset_states + off for mdp, off in zip(mdps, offset)])
@@ -401,81 +420,98 @@ def simulate(
         entropy, passive_next, reset, belief = entropy[order], rank[passive_next[order]], rank[reset], rank[belief]
         index = index[order] if index is not None else None
 
-    served = np.zeros((M, runs), dtype=np.int64)
-    beta_pow = 1.0
-    or_mask_trace = np.zeros((horizon, M), dtype=bool) if record_y else None
-    selection_trace = np.zeros((horizon, m), dtype=np.int64) if record_y else None
-    # blocks of near-equal length, so that the last one is long enough to
-    # speculate too
-    block = max(1, min(horizon, _BLOCK_DOUBLES // (2 * M * runs)))
-    block = -(-horizon // -(-horizon // block))
+    def run_range(lo: int, hi: int):
+        """Runs lo .. hi - 1: their totals, the services of each bandit summed
+        over them, the walk steps, and run 0's traces if lo is 0 and
+        record_y.  Blocks are sized from these runs alone."""
+        runs = hi - lo
+        record = record_y and lo == 0
+        chain_offset = np.repeat(chain_base[:, None], runs, axis=1)
+        served = np.zeros((M, runs), dtype=np.int64)
+        beta_pow = 1.0
+        or_mask_trace = np.zeros((horizon, M), dtype=bool) if record else None
+        selection_trace = np.zeros((horizon, m), dtype=np.int64) if record else None
+        # blocks of near-equal length, so that the last one is long enough to
+        # speculate too
+        block = max(1, min(horizon, _BLOCK_DOUBLES // (2 * M * runs)))
+        block = -(-horizon // -(-horizon // block))
 
-    # X[j] and B[j] hold the (M, runs) true-state and belief ids of slot
-    # first + j of a block, and row 0 carries the last slot of the block
-    # before.  The fixed draw order of every run is one initial draw per
-    # bandit, then per slot success draws for bandits 0..M-1 followed by
-    # transition draws for bandits 0..M-1.
-    streams = RunStreams(seed, runs)
-    X = np.empty((block + 1, M, runs), dtype=np.int64)
-    X[0] = chain_offset + (streams.draw(M).T > start_cdf[:, :, None]).sum(axis=0)
-    # row 0 carries the totals of the blocks before, rows 1..n a block's
-    # weighted slot costs; the cumsum adds them in slot order
-    totals = np.zeros((block + 1, runs))
-    walk_steps = 0
-    # a walk whose speculation did not pay goes slot by slot for the rest of the call
-    speculate_true = speculate_beliefs = True
-    for first in range(0, horizon, block):
-        n = min(block, horizon - first)
-        k = min(_SEGMENT_LANES // (M * runs), n // _SEGMENT_SLOTS)
-        k = k if k >= _MIN_SEGMENTS else 1
-        # (n, 2M, runs) view of the block's draws: slot j's success draws are
-        # u[j, :M], its transition draws u[j, M:].  The true states depend on
-        # the draws alone, so they are walked first, and the buffers of the
-        # beliefs are made only once the first block's draws are freed.
-        u = streams.draw(n * 2 * M).reshape(runs, n, 2 * M).transpose(1, 2, 0)
-        # the successes in C order, so each slot reads its mask contiguously
-        # (`u[:, :M] < rho` would keep the draws' transposed order)
-        act = np.less(u[:, :M], rho, out=np.empty((n, M, runs), dtype=bool))
-        k_true = k if speculate_true else 1
-        steps, paid = _walk(X, n, k_true, _true_state_step(u[:, M:], transition_cdf, chain_offset, k_true))
-        speculate_true &= paid
-        walk_steps += steps
-        del u
-        if first == 0:
-            B = np.empty_like(X)
-            B[0] = belief[:, None]
-        if policy == "round_robin":
-            chosen = rr_masks[(first + np.arange(n)) % cycle]
-            act &= chosen
-            select = None
-        else:
-            chosen = np.empty((n, M, runs), dtype=bool)
-            select = m
-        k_beliefs = k if speculate_beliefs else 1
-        steps, paid = _walk(B, n, k_beliefs, _belief_step(X, act, reset, passive_next, select, chosen, k_beliefs))
-        speculate_beliefs &= paid
-        walk_steps += steps
+        # X[j] and B[j] hold the (M, runs) true-state and belief ids of slot
+        # first + j of a block, and row 0 carries the last slot of the block
+        # before.  The fixed draw order of every run is one initial draw per
+        # bandit, then per slot success draws for bandits 0..M-1 followed by
+        # transition draws for bandits 0..M-1.
+        streams = RunStreams(seed, runs, first=lo)
+        X = np.empty((block + 1, M, runs), dtype=np.int64)
+        X[0] = chain_offset + (streams.draw(M).T > start_cdf[:, :, None]).sum(axis=0)
+        # row 0 carries the totals of the blocks before, rows 1..n a block's
+        # weighted slot costs; the cumsum adds them in slot order
+        totals = np.zeros((block + 1, runs))
+        walk_steps = 0
+        # a walk whose speculation did not pay goes slot by slot for the rest of the call
+        speculate_true = speculate_beliefs = True
+        for first in range(0, horizon, block):
+            n = min(block, horizon - first)
+            k = min(_SEGMENT_LANES // (M * runs), n // _SEGMENT_SLOTS)
+            k = k if k >= _MIN_SEGMENTS else 1
+            # (n, 2M, runs) view of the block's draws: slot j's success draws are
+            # u[j, :M], its transition draws u[j, M:].  The true states depend on
+            # the draws alone, so they are walked first, and the buffers of the
+            # beliefs are made only once the first block's draws are freed.
+            u = streams.draw(n * 2 * M).reshape(runs, n, 2 * M).transpose(1, 2, 0)
+            # the successes in C order, so each slot reads its mask contiguously
+            # (`u[:, :M] < rho` would keep the draws' transposed order)
+            act = np.less(u[:, :M], rho, out=np.empty((n, M, runs), dtype=bool))
+            k_true = k if speculate_true else 1
+            steps, paid = _walk(X, n, k_true, _true_state_step(u[:, M:], transition_cdf, chain_offset, k_true))
+            speculate_true &= paid
+            walk_steps += steps
+            del u
+            if first == 0:
+                B = np.empty_like(X)
+                B[0] = belief[:, None]
+            if policy == "round_robin":
+                chosen = rr_masks[(first + np.arange(n)) % cycle]
+                act &= chosen
+                select = None
+            else:
+                chosen = np.empty((n, M, runs), dtype=bool)
+                select = m
+            k_beliefs = k if speculate_beliefs else 1
+            steps, paid = _walk(B, n, k_beliefs, _belief_step(X, act, reset, passive_next, select, chosen, k_beliefs))
+            speculate_beliefs &= paid
+            walk_steps += steps
 
-        if record_y:
-            or_mask_trace[first : first + n] = or_active(index.take(B[:n, :, 0]), beta, lam_star)
-            selection_trace[first : first + n] = np.nonzero(chosen[:, :, 0])[1].reshape(n, m)
-        served += chosen.sum(axis=0)
-        # each slot's cost adds bandits 0..M-1 in order and the totals add
-        # slots in order, as a slot-by-slot loop would (cumsum is sequential
-        # where sum may add pairwise)
-        cost = entropy.take(B[:n, 0], out=totals[1 : n + 1])
-        for i in range(1, M):
-            cost += entropy.take(B[:n, i])
-        X[0], B[0] = X[n], B[n]
-        # slot weights beta^t, or (beta = 1) 0 before the burn-in and 1 after
-        weights = np.multiply.accumulate(np.r_[beta_pow, np.full(n - 1, beta)])
-        beta_pow = weights[-1] * beta
-        weights[: max(0, burn - first)] = 0.0
-        cost *= weights[:, None]
-        np.cumsum(totals[: n + 1], axis=0, out=totals[: n + 1])
-        totals[0] = totals[n]
+            if record:
+                or_mask_trace[first : first + n] = or_active(index.take(B[:n, :, 0]), beta, lam_star)
+                selection_trace[first : first + n] = np.nonzero(chosen[:, :, 0])[1].reshape(n, m)
+            served += chosen.sum(axis=0)
+            # each slot's cost adds bandits 0..M-1 in order and the totals add
+            # slots in order, as a slot-by-slot loop would (cumsum is sequential
+            # where sum may add pairwise)
+            cost = entropy.take(B[:n, 0], out=totals[1 : n + 1])
+            for i in range(1, M):
+                cost += entropy.take(B[:n, i])
+            X[0], B[0] = X[n], B[n]
+            # slot weights beta^t, or (beta = 1) 0 before the burn-in and 1 after
+            weights = np.multiply.accumulate(np.r_[beta_pow, np.full(n - 1, beta)])
+            beta_pow = weights[-1] * beta
+            weights[: max(0, burn - first)] = 0.0
+            cost *= weights[:, None]
+            np.cumsum(totals[: n + 1], axis=0, out=totals[: n + 1])
+            totals[0] = totals[n]
+        return totals[0].copy(), served.sum(axis=1), walk_steps, (or_mask_trace, selection_trace)
 
-    per_run = totals[0].copy()
+    # each part simulates a contiguous range of runs, part 0 in this process
+    # and the others in forked children; runs read their own streams and the
+    # results are joined in run order, so the cut changes no output
+    n_parts = min(runs, M * runs * horizon // _PART_BSLOTS)
+    n_parts = min(n_parts, max_parts()) if n_parts > 1 else 1
+    cuts = [(p * runs // n_parts, (p + 1) * runs // n_parts) for p in range(n_parts)]
+    parts = in_parts(run_range, cuts)
+    per_run = np.concatenate([part[0] for part in parts])
+    served = sum(part[1] for part in parts)
+    or_mask_trace, selection_trace = parts[0][3]
     if beta == 1.0:
         per_run /= horizon - burn
         cap = sum(np.log2(b.chain.n_states) for b in instance.bandits)
@@ -497,10 +533,11 @@ def simulate(
         per_run=per_run,
         mean=mean,
         stderr=stderr,
-        activation_freq=served.sum(axis=1) / (runs * horizon),
+        activation_freq=served / (runs * horizon),
         or_mask_trace=or_mask_trace,
         selection_trace=selection_trace,
-        walk_steps=walk_steps,
+        walk_steps=sum(part[2] for part in parts),
+        parts=n_parts,
     )
 
 
@@ -541,6 +578,29 @@ def _class_counts(proportions, m_int, alpha) -> tuple[int, list[int], list[float
     return int(round(m_req)), counts, residues
 
 
+def sweep_plans(labels: list[str], proportions: list[float], alpha: float, m_list) -> dict:
+    """Check a population sweep's plan and return, for each population size
+    M in ascending order, (channels M * alpha, class counts, rounding
+    residues).  The sizes must be unique and at least 2, M * alpha integral,
+    and every class present at every M."""
+    if abs(sum(proportions) - 1.0) > 1e-9:
+        raise ValueError("class proportions must sum to 1")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    m_list = sorted(int(v) for v in m_list)
+    for name, values in (("class labels", labels), ("population sizes", m_list)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must be unique, got {values}")
+    if not m_list or m_list[0] < 2:
+        raise ValueError(f"population sizes must be at least 2, got {m_list}")
+    plans = {M: _class_counts(proportions, M, alpha) for M in m_list}
+    for M, (_, counts, _) in plans.items():
+        for label, c in zip(labels, counts):
+            if c == 0:
+                raise ValueError(f"class {label!r} has no bandit at M = {M}; each class needs one at every M")
+    return plans
+
+
 def asymptotic_sweep(
     classes: list[tuple[TruncatedBeliefMDP, float]],
     alpha: float,
@@ -559,22 +619,8 @@ def asymptotic_sweep(
     which depends only on the class mix.  Reports the gap series.
     """
     proportions = [q for _, q in classes]
-    if abs(sum(proportions) - 1.0) > 1e-9:
-        raise ValueError("class proportions must sum to 1")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    labels = [mdp.bandit.label for mdp, _ in classes]
-    m_list = sorted(int(v) for v in m_list)
-    for name, values in (("class labels", labels), ("population sizes", m_list)):
-        if len(set(values)) != len(values):
-            raise ValueError(f"{name} must be unique, got {values}")
-    if not m_list or m_list[0] < 2:
-        raise ValueError(f"population sizes must be at least 2, got {m_list}")
-    plans = {M: _class_counts(proportions, M, alpha) for M in m_list}
-    for M, (_, counts, _) in plans.items():
-        for label, c in zip(labels, counts):
-            if c == 0:
-                raise ValueError(f"class {label!r} has no bandit at M = {M}; each class needs one at every M")
+    plans = sweep_plans([mdp.bandit.label for mdp, _ in classes], proportions, alpha, m_list)
+    m_list = list(plans)
 
     # f(lam)/M bounds the per-bandit cost from below at any lam >= 0, and
     # only the set of its maximizers is mix-invariant: the lambda* the search

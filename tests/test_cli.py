@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -202,7 +203,7 @@ class TestSimulateCommand:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         match = re.fullmatch(
             r"round_robin: mean = (\S+), stderr = (\S+) \((\d+) runs, ([\d,]+) bandit-slots at (\S+) bandit-slots/s, "
-            r"([\d,]+) walk steps\)",
+            r"([\d,]+) walk steps in (\d+) parts?\)",
             line,
         )
         assert match, line
@@ -210,10 +211,24 @@ class TestSimulateCommand:
         assert int(match[3]) == res["runs"]
         assert int(match[4].replace(",", "")) == res["n_bandits"] * res["runs"] * res["horizon"]
         assert float(match[5]) > 0
-        # the walk steps are a count of work, kept out of the result document
+        # the walk steps and the parts are counts of work, kept out of the result document
         assert int(match[6].replace(",", "")) > 0 and "walk_steps" not in json.dumps(res)
+        assert match[7] == "1" and "parts" not in json.dumps(res)
         # the rate is wall-clock, so it stays out of the output files
         assert "bandit_slots" not in json.dumps(res) and "bandit-slots" not in (out / "sim_summary.csv").read_text()
+
+    def test_output_files_do_not_depend_on_the_parts(self, tmp_path, capsys, monkeypatch):
+        """The runs cut across two processes write the same bytes as one."""
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        monkeypatch.setattr(importlib.import_module("uoisched.simulate"), "_PART_BSLOTS", 1)
+        written = {}
+        for parts in (1, 2):
+            monkeypatch.setattr(uoisched.parallel, "usable_cpus", lambda: parts)
+            out = tmp_path / f"o{parts}"
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--policy", "myopic"]) == 0
+            assert capsys.readouterr().out.endswith(f"walk steps in {parts} part{'s' * (parts > 1)})\n")
+            written[parts] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert written[1] == written[2]
 
     def test_gain_index_without_tables_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)
@@ -587,6 +602,23 @@ class TestAsymptoticCommand:
                      f"--m-list={m_list}"])
         assert code == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("m_list", ["3,4", "4,2,4", "-2,4", "2,four"])
+    def test_bad_population_list_exits_2_before_anything_is_written(self, tmp_path, m_list):
+        """The sweep's plan checks (here a non-integral M * alpha, a repeated
+        size, a size below 2) run before the out dir is made or touched."""
+        cfg = write_config(tmp_path, dict(FAST_CONFIG, criterion={"type": "average"}))
+        command = ["asymptotic", "--config", cfg, "--alpha", "0.5", f"--m-list={m_list}", "--out"]
+        fresh = tmp_path / "fresh"
+        assert main([*command, str(fresh)]) == 2
+        assert not fresh.exists()
+        populated = tmp_path / "populated"
+        populated.mkdir()
+        for name in ("config_echo.json", "asymptotic.json", "asymptotic.csv"):
+            (populated / name).write_text(f"{name} of an earlier sweep\n")
+        before = {f.name: f.read_bytes() for f in populated.iterdir()}
+        assert main([*command, str(populated)]) == 2
+        assert {f.name: f.read_bytes() for f in populated.iterdir()} == before
 
     def test_initial_beliefs_exit_2_before_anything_is_written(self, tmp_path, capsys):
         doc = dict(FAST_CONFIG, criterion={"type": "average"})

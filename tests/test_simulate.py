@@ -2,7 +2,11 @@ import functools
 import hashlib
 import importlib
 import json
+import os
 import re
+import signal
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +34,9 @@ from uoisched import (
 )
 
 from uoisched.belief_mdp import nearest_state, state_labels
+from uoisched import parallel
 from uoisched.config import load_config
+from uoisched.rng import RunStreams
 from uoisched.simulate import _BLOCK_DOUBLES, POLICIES, _walk
 from uoisched.solvers import ACTIVE_TIE_TOL
 from uoisched.workflows import compute_index_tables, prepare
@@ -408,6 +414,19 @@ class TestStreams:
             assert many.per_run[:3].tolist() == few.per_run.tolist(), policy
             assert many.selection_trace.tolist() == few.selection_trace.tolist(), policy
 
+    def test_a_range_of_runs_reads_the_same_streams(self):
+        seed, runs, sizes = 2 ** 63 + 5, 9, (1, 5, 3)
+        whole = RunStreams(seed, runs)
+        draws = [whole.draw(j) for j in sizes]
+        for k in (0, 1, 4, 8):
+            part = RunStreams(seed, runs - k, first=k)
+            for j, rows in zip(sizes, draws):
+                assert part.draw(j).tolist() == rows[k:].tolist(), (k, j)
+        # run r's stream is child r of SeedSequence(seed).spawn, bit for bit
+        children = np.random.SeedSequence(seed).spawn(runs)
+        spawned = [np.random.Generator(np.random.Philox(child)).random(4).tolist() for child in children]
+        assert RunStreams(seed, runs).draw(4).tolist() == spawned
+
     @pytest.mark.parametrize("criterion,beta", CRITERIA)
     def test_neighbouring_seeds_share_no_run(self, criterion, beta):
         inst, tables = mixed_instance(criterion, beta)
@@ -415,6 +434,147 @@ class TestStreams:
             a = simulate(inst, policy, 80, 8, seed=2, tables=tables)
             b = simulate(inst, policy, 80, 8, seed=3, tables=tables)
             assert not set(a.per_run.tolist()) & set(b.per_run.tolist()), policy
+
+
+def force_parts(monkeypatch, k):
+    """Cut every call of at least k runs into k parts, however many CPUs the
+    host has (k = 1: never cut)."""
+    monkeypatch.setattr(importlib.import_module("uoisched.simulate"), "_PART_BSLOTS", 1 if k > 1 else 10 ** 18)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: k)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def streams_that(monkeypatch, act):
+    """Make simulate's RunStreams call act(first) before building the
+    streams of the runs from first on, so a part can be made to fail."""
+    module = importlib.import_module("uoisched.simulate")
+
+    def streams(seed, runs, first=0):
+        act(first)
+        return RunStreams(seed, runs, first)
+
+    monkeypatch.setattr(module, "RunStreams", streams)
+
+
+class TestParts:
+    """Runs cut into contiguous ranges, all but the first simulated in forked
+    children, give the one-part results exactly, and no child outlives a
+    call, whether it succeeds or a part fails."""
+
+    @pytest.mark.parametrize("criterion,beta", CRITERIA)
+    def test_parts_do_not_change_results(self, criterion, beta, monkeypatch):
+        inst, tables = mixed_instance(criterion, beta)
+        horizon, runs = 50, 7
+        # blocks of 7 slots over all 7 runs; a part sizes its blocks from its
+        # own runs, so the cuts 3 + 4 and 2 + 2 + 3 put the block ends
+        # elsewhere in every part
+        monkeypatch.setattr(importlib.import_module("uoisched.simulate"), "_BLOCK_DOUBLES", 7 * 2 * inst.n_bandits * runs)
+        kw = dict(seed=13, tables=tables, burn_in=0 if criterion == "discounted" else 5, record_y=True)
+        for m in (1, 2, 3):
+            case = replace(inst, m=m)
+            for policy in POLICIES:
+                force_parts(monkeypatch, 1)
+                one = simulate(case, policy, horizon, runs, **kw)
+                assert one.parts == 1
+                for k in (2, 3):
+                    force_parts(monkeypatch, k)
+                    res = simulate(case, policy, horizon, runs, **kw)
+                    assert res.parts == k
+                    assert outputs(res) == outputs(one), (m, policy, k)
+                    assert (res.mean, res.stderr) == (one.mean, one.stderr), (m, policy, k)
+        assert_no_child_left()
+
+    def test_one_part_without_fork_with_a_live_thread_one_cpu_or_one_run(self, monkeypatch):
+        inst, tables = mixed_instance("discounted", 0.9)
+
+        def parts(runs=4):
+            return simulate(inst, "gain_index", 20, runs, tables=tables).parts
+
+        force_parts(monkeypatch, 2)
+        assert parts() == 2
+        assert parts(runs=1) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(parallel, "usable_cpus", lambda: 1)
+            assert parts() == 1
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            assert parts() == 1
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert parts() == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert parts() == 2
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_children_are_fewer_than_the_usable_cpus(self, cpus, monkeypatch):
+        inst, tables = mixed_instance("discounted", 0.9)
+        monkeypatch.setattr(importlib.import_module("uoisched.simulate"), "_PART_BSLOTS", 1)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        forks = []
+        fork = parallel._fork
+        monkeypatch.setattr(parallel, "_fork", lambda: forks.append(1) or fork())
+        res = simulate(inst, "myopic", 20, 8, tables=tables)
+        assert res.parts == cpus and len(forks) == cpus - 1
+        assert_no_child_left()
+
+    def test_a_child_error_is_raised_in_the_parent(self, monkeypatch):
+        inst, tables = mixed_instance("discounted", 0.9)
+        force_parts(monkeypatch, 3)
+
+        def fail_in_children(first):
+            if first > 0:
+                raise ValueError(f"no streams for runs from {first}")
+
+        streams_that(monkeypatch, fail_in_children)
+        with pytest.raises(ValueError, match=r"no streams for runs from 2$") as caught:
+            simulate(inst, "gain_index", 20, 6, tables=tables)
+        # the first child's error is raised, with its traceback as the cause
+        assert isinstance(caught.value.__cause__, parallel.ChildTraceback)
+        assert "fail_in_children" in str(caught.value.__cause__)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("how", ["killed", "exit"])
+    def test_a_child_that_ends_without_a_result_is_named(self, how, monkeypatch):
+        inst, tables = mixed_instance("discounted", 0.9)
+        force_parts(monkeypatch, 2)
+
+        def end_children(first):
+            if first > 0 and how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            elif first > 0:
+                os._exit(3)
+
+        streams_that(monkeypatch, end_children)
+        message = r"signal 9 \(Killed\)" if how == "killed" else "exit status 3"
+        with pytest.raises(RuntimeError, match=rf"part 2\.\.3 ended by {message} without a result"):
+            simulate(inst, "gain_index", 20, 4, tables=tables)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_an_error_in_the_parent_kills_the_children(self, error, monkeypatch):
+        inst, tables = mixed_instance("discounted", 0.9)
+        force_parts(monkeypatch, 3)
+
+        def fail_in_parent(first):
+            if first == 0:
+                raise error("the parent's own part failed")
+            time.sleep(60)  # the children would outlive the call unless killed
+
+        streams_that(monkeypatch, fail_in_parent)
+        t0 = time.perf_counter()
+        with pytest.raises(error, match="the parent's own part failed"):
+            simulate(inst, "gain_index", 20, 6, tables=tables)
+        assert time.perf_counter() - t0 < 30
+        assert_no_child_left()
 
 
 def force_segments(monkeypatch, k, lanes):
@@ -557,35 +717,53 @@ class TestWalkWork:
             assert plain.walk_steps == 2 * horizon
             assert res.walk_steps <= 1.25 * plain.walk_steps, policy
 
-    def test_sample_config_walks_take_a_tenth_of_the_slots(self):
+    def test_sample_config_walks_take_a_tenth_of_the_slots(self, monkeypatch):
         """On the average sample config the repairs settle within a few
         slots, so both walks together take fewer than a tenth of the 2T steps
-        a slot-by-slot walk takes.  The step counts are pinned: a change in
-        how the walks speculate or repair shows here first."""
+        a slot-by-slot walk takes, in one part and summed over two.  The step
+        counts are pinned: a change in how the walks speculate or repair
+        shows here first.  Two parts of 25 runs speculate over their own
+        lanes, so their steps differ from one part's."""
         prep = prepare(load_config(CONFIG_DIR / "two_sources_average.json"))
         config = prep.config
         tables = compute_index_tables(prep).tables
         pinned = {"gain_index": 3352, "myopic": 2545, "round_robin": 2619}
+        pinned_two_parts = {"gain_index": 3401, "myopic": 2507, "round_robin": 2571}
         for policy in POLICIES:
-            res = simulate(
-                config.build_instance(), policy, config.horizon, config.runs, tables=tables if policy == "gain_index" else None,
-                truncation_L=prep.l_per_bandit, burn_in=config.burn_in,
+            args = (config.build_instance(), policy, config.horizon, config.runs)
+            kw = dict(
+                tables=tables if policy == "gain_index" else None, truncation_L=prep.l_per_bandit, burn_in=config.burn_in
             )
+            force_parts(monkeypatch, 1)
+            res = simulate(*args, **kw)
+            force_parts(monkeypatch, 2)
+            two = simulate(*args, **kw)
+            assert (res.parts, two.parts) == (1, 2)
+            assert two.per_run.tolist() == res.per_run.tolist(), policy
+            assert two.activation_freq.tolist() == res.activation_freq.tolist(), policy
             assert res.walk_steps == pinned[policy], policy
-            assert res.walk_steps < 0.1 * 2 * config.horizon, policy
+            assert two.walk_steps == pinned_two_parts[policy], policy
+            assert max(res.walk_steps, two.walk_steps) < 0.1 * 2 * config.horizon, policy
 
-    def test_a_miss_in_round_1_alone_keeps_speculating(self):
+    def test_a_miss_in_round_1_alone_keeps_speculating(self, monkeypatch):
         """At seed 0 a gain_index belief walk on the average sample config
         has a block whose segment 1 misses its walk from the guess in round
         1, and round 2 settles it.  Giving up there would walk the rest of
-        the call slot by slot: 19,171 steps instead of 3,421."""
+        the call slot by slot: 19,171 steps instead of 3,421 in one part
+        (3,407 in two)."""
         prep = prepare(load_config(CONFIG_DIR / "two_sources_average.json"))
         config = prep.config
-        res = simulate(
-            config.build_instance(), "gain_index", config.horizon, config.runs, seed=0,
-            tables=compute_index_tables(prep).tables, burn_in=config.burn_in,
-        )
+        args = (config.build_instance(), "gain_index", config.horizon, config.runs)
+        kw = dict(seed=0, tables=compute_index_tables(prep).tables, burn_in=config.burn_in)
+        force_parts(monkeypatch, 1)
+        res = simulate(*args, **kw)
+        force_parts(monkeypatch, 2)
+        two = simulate(*args, **kw)
+        assert (res.parts, two.parts) == (1, 2)
+        assert two.per_run.tolist() == res.per_run.tolist()
         assert res.walk_steps == 3421
+        assert two.walk_steps == 3407
+        assert two.walk_steps < 0.1 * 2 * config.horizon
 
 
 CONFIG_DIR =Path(__file__).resolve().parent.parent / "configs"
