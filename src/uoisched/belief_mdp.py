@@ -8,7 +8,10 @@ State layout of the L-truncated MDP (N*L + 1 states):
 Passive action ages a belief by one step; from age L (and from omega) it
 lands on omega.  Active action resets to T_k^1 with probability rho * x_k
 and otherwise follows the passive successor.  Duplicate belief vectors are
-kept as distinct symbolic (k, n) states so indexing stays bijective.
+kept as distinct symbolic (k, n) states so indexing stays bijective.  The
+beliefs are copied from the chain's `aged_beliefs`, so a second build on the
+same chain object (the other criterion, a simulation after the index solve)
+propagates nothing.
 """
 
 from __future__ import annotations
@@ -82,7 +85,8 @@ def nearest_state(states: np.ndarray, belief) -> int:
 
 
 def build_truncated(bandit: BanditSpec, L: int, discount: float) -> TruncatedBeliefMDP:
-    """Construct the L-truncated belief MDP of a bandit, with read-only arrays."""
+    """Construct the L-truncated belief MDP of a bandit, with read-only arrays;
+    the beliefs are copies of the chain's `aged_beliefs(L)`."""
     if not 0.0 <= discount <= 1.0:
         raise ValueError("discount must be in [0, 1]")
     if L < 1:
@@ -93,15 +97,11 @@ def build_truncated(bandit: BanditSpec, L: int, discount: float) -> TruncatedBel
 
     states = np.empty((n, N))
     states[0] = chain.equilibrium
-    for k in range(1, N + 1):
-        x = chain.transition[:, k - 1].copy()
-        for age in range(1, L + 1):
-            states[(k - 1) * L + age] = x
-            x = chain.transition @ x
+    states[1:] = chain.aged_beliefs(L).reshape(N * L, N)  # (k, n) at id (k - 1) * L + n
     costs = entropies(states)
     # age L (id divisible by L) and omega (id 0) age into omega
-    ids = np.arange(n, dtype=np.int64)
-    passive_next = np.where(ids % L == 0, 0, ids + 1)
+    passive_next = np.arange(1, n + 1, dtype=np.int64)
+    passive_next[::L] = 0
     reset_states = np.arange(N, dtype=np.int64) * L + 1
     # an active row sums to rho * sum(x) + 1 - rho; a passive row is a single 1
     rho = bandit.success_prob

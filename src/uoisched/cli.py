@@ -24,7 +24,7 @@ from .errors import (
 )
 from .index_policy import load_table, save_table
 from .oracle import joint_solve_average, joint_solve_discounted
-from .simulate import POLICIES, asymptotic_sweep, simulate, sweep_plans
+from .simulate import POLICIES, asymptotic_sweep, check_tables, simulate, sweep_plans
 from .solvers import AVERAGE, DISCOUNTED
 from .workflows import bound_report, compute_index_tables, prepare
 
@@ -61,16 +61,18 @@ def _echo_config(config, out: Path) -> str:
 
 
 def _prepared(args, check=None):
-    """Load the config and apply --seed, run `check(args, config)` on the
-    command's own inputs, then create the out dir, echo the config there and
-    prepare the instance: (prepared instance, out dir, config hash, checked)."""
+    """Load the config and apply --seed, prepare the instance (which writes
+    nothing) and run `check(args, prep)` on the command's own inputs; only
+    then create the out dir and echo the config there: (prepared instance,
+    out dir, config hash, checked)."""
     config = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         config.override_seed(args.seed)
-    checked = check(args, config) if check else None
+    prep = prepare(config)
+    checked = check(args, prep) if check else None
     out = _out_dir(args, config)
     h = _echo_config(config, out)
-    return prepare(config), out, h, checked
+    return prep, out, h, checked
 
 
 def cmd_indices(args) -> int:
@@ -115,8 +117,10 @@ def _simulated_sources(config) -> dict:
     return {key: config.resolved[key] for key in ("bandits", "truncation")}
 
 
-def _simulation_tables(args, config):
-    """The --tables files, one per bandit in config order (gain_index only)."""
+def _simulation_tables(args, prep):
+    """The --tables files, one per bandit in config order (gain_index only),
+    once `simulate`'s own table check passes on the prepared MDPs."""
+    config = prep.config
     if args.policy != "gain_index":
         if args.tables:
             raise ConfigError(f"--tables applies to policy 'gain_index' only, not {args.policy!r}")
@@ -135,7 +139,9 @@ def _simulation_tables(args, config):
     labels = [b.label for b in config.bandits]
     if sorted(by_label) != sorted(labels):
         raise ConfigError(f"--tables holds index tables for bandits {sorted(by_label)}, the config has {labels}")
-    return [by_label[label] for label in labels]
+    tables = [by_label[label] for label in labels]
+    check_tables(config.build_instance(), tables, prep.mdps)
+    return tables
 
 
 def cmd_simulate(args) -> int:
@@ -166,13 +172,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _policy_result(args, config) -> tuple[float, float] | None:
+def _policy_result(args, prep) -> tuple[float, float] | None:
     """Mean and its standard error from the --policy-result file, if any,
     after checking it was simulated on the same problem as the config
     (criterion, discount, M, m, and the sources and truncation it recorded)."""
     path = args.policy_result
     if not path:
         return None
+    config = prep.config
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -241,7 +248,7 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _sweep_plan(args, config) -> list[int]:
+def _sweep_plan(args, prep) -> list[int]:
     """The population sizes of --m-list, once the sweep's plan checks pass
     on them (`sweep_plans`) and no bandit has an initial belief: the sweep
     starts every class at the equilibrium belief."""
@@ -251,6 +258,7 @@ def _sweep_plan(args, config) -> list[int]:
         raise ConfigError(f"--m-list: expected comma-separated integers, got {args.m_list!r}") from exc
     if not m_list:
         raise ConfigError("--m-list: at least one population size required")
+    config = prep.config
     given = [b.label for b, chi in zip(config.bandits, config.initial_beliefs) if chi is not None]
     if given:
         raise ConfigError(

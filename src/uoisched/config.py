@@ -73,7 +73,8 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def override_seed(self, seed: int) -> None:
-        self.seed = int(seed)
+        """Replace simulation.seed, under the rule `parse_config` applies to it."""
+        self.seed = _as_number(seed, "simulation.seed", lo=0, hi=2 ** 64 - 1, integer=True)
         self.resolved["simulation"]["seed"] = self.seed
 
     def build_instance(self) -> RMABInstance:

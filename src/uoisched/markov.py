@@ -6,11 +6,15 @@ this convention belief propagation is the matrix-vector product ``T @ x``
 and column k of ``T`` is the belief held right after observing state k.
 States are numbered 1..N in the public API (0 is reserved for the
 equilibrium belief in serialized state labels).
+
+A chain keeps the beliefs T^n e_k it has aged (`ChainSpec.aged_beliefs`),
+so every truncated MDP built on the same chain object copies them instead
+of propagating again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,10 +43,37 @@ class ChainSpec:
     n_states: int
     transition: np.ndarray   # (N, N), column-stochastic
     equilibrium: np.ndarray  # (N,), fixed point of transition
+    _aged: np.ndarray = field(init=False, repr=False, compare=False)  # aged_beliefs' cache
 
     def __post_init__(self):
         object.__setattr__(self, "transition", _readonly(self.transition))
         object.__setattr__(self, "equilibrium", _readonly(self.equilibrium))
+        object.__setattr__(self, "_aged", np.empty((self.n_states, 0, self.n_states)))
+
+    def aged_beliefs(self, L: int) -> np.ndarray:
+        """Read-only (N, L, N) array whose [k - 1, n - 1] row is T^n e_k, the
+        belief n steps after observing state k, for n in 1..L.
+
+        Each column is aged by the recurrence x = T @ x from column k of T.
+        The ages are computed once per chain: a deeper L extends the last
+        array from its oldest ages, and a shallower one is a view of it, so
+        every caller reads the same bits."""
+        if L < 1:
+            raise ValueError("L must be >= 1")
+        aged = self._aged
+        have = aged.shape[1]
+        if L > have:
+            deeper = np.empty((self.n_states, L, self.n_states))
+            deeper[:, :have] = aged
+            for k in range(self.n_states):
+                x = self.transition[:, k].copy() if have == 0 else self.transition @ aged[k, -1]
+                for age in range(have, L):
+                    deeper[k, age] = x
+                    x = self.transition @ x
+            deeper.setflags(write=False)
+            object.__setattr__(self, "_aged", deeper)
+            aged = deeper
+        return aged[:, :L]
 
 
 def _closure(edges: np.ndarray) -> np.ndarray:
@@ -179,13 +210,14 @@ def belief_reset(chain: ChainSpec, observed_state: int) -> np.ndarray:
 
 
 def n_step_column(chain: ChainSpec, k: int, n: int) -> np.ndarray:
-    """T^n e_k by repeated propagation from belief_reset(k); n >= 1."""
+    """T^n e_k, the belief n >= 1 steps after observing state k (1-based),
+    read off `ChainSpec.aged_beliefs`."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = belief_reset(chain, k)
-    for _ in range(n - 1):
-        x = chain.transition @ x
-    return x
+    k = int(k)
+    if not 1 <= k <= chain.n_states:
+        raise IndexOutOfRange(f"state {k} not in 1..{chain.n_states}")
+    return chain.aged_beliefs(n)[k - 1, n - 1].copy()
 
 
 def uoi(chain: ChainSpec, x) -> float:

@@ -4,8 +4,11 @@ Beliefs are tracked symbolically as truncated-state ids in the layout of
 `belief_mdp`, so the simulator follows the truncated dynamics: ages beyond L
 are pinned to the equilibrium belief.  Every bandit's tables are concatenated
 into flat arrays, and each slot advances all bandits of all runs with a
-fixed number of vectorized numpy operations.  Each run draws from its own
-Philox stream (`rng.RunStreams`), a block of slots at a time, so no
+fixed number of vectorized numpy operations.  The truncated MDPs are
+built on the bandits' chain objects, which keep their aged beliefs, so a
+call on chains a caller has already built MDPs on propagates no belief.
+Each run draws from its own Philox stream (`rng.RunStreams`, every run's
+key derived in one vectorized pass), a block of slots at a time, so no
 random-number call is left inside the slot loop.  Every slot consumes one
 success draw and one transition draw per bandit regardless of the policy's
 selections, so different policies under the same seed see identical source
@@ -65,7 +68,7 @@ from .belief_mdp import BanditSpec, TruncatedBeliefMDP, build_truncated, nearest
 from .index_policy import gain_index_tables, or_active
 from .lagrange import gradient_search, make_problem
 from .parallel import in_parts, max_parts
-from .rng import RunStreams
+from .rng import RunStreams, check_seed
 from .solvers import charge_scale, criterion_of
 
 RESULT_SCHEMA_VERSION = 1
@@ -167,7 +170,10 @@ def discounted_horizon(beta: float, total_entropy_bound: float) -> int:
     return max(1, int(math.ceil(t)))
 
 
-def _check_tables(instance: RMABInstance, tables, mdps) -> None:
+def check_tables(instance: RMABInstance, tables, mdps) -> None:
+    """Raise ValueError unless each table was computed for its bandit of
+    `instance` and its truncated MDP in `mdps`: the same label, criterion,
+    depth and belief grid, and every table at one multiplier."""
     lam = tables[0].lambda_star
     for bandit, table, mdp in zip(instance.bandits, tables, mdps):
         if table.bandit_label != bandit.label:
@@ -340,8 +346,10 @@ def simulate(
     belief truncation.  Cost H(X_i(t)) accrues at the start of slot t with
     weight beta^(t-1) (discounted) or enters the post-burn-in time average.
     `record_y` (which needs tables) logs the first run's OR decisions
-    (`index_policy.or_active`) per slot and the selected bandits.  Identical seeds
-    yield identical traces.
+    (`index_policy.or_active`) per slot and the selected bandits.  `seed`
+    (default `instance.seed`) must be an integer in [0, 2**64 - 1]; run r
+    draws from child r of `SeedSequence(seed)`, so identical seeds yield
+    identical traces.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -351,7 +359,7 @@ def simulate(
         raise ValueError("burn_in must be >= 0")
     M = instance.n_bandits
     m = instance.m
-    seed = instance.seed if seed is None else int(seed)
+    seed = check_seed(instance.seed if seed is None else seed)
     beta = instance.discount
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -374,7 +382,7 @@ def simulate(
         raise ValueError(f"expected {M} truncation depths, got {len(l_per_bandit)}")
     mdps = [build_truncated(b, L, beta) for b, L in zip(instance.bandits, l_per_bandit)]
     if tables is not None:
-        _check_tables(instance, tables, mdps)
+        check_tables(instance, tables, mdps)
 
     if beta == 1.0:
         burn = int(0.1 * horizon) if burn_in is None else int(burn_in)

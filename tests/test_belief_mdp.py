@@ -61,6 +61,31 @@ class TestBuildTruncated:
         for k in (1, 2):
             assert mdp.passive_next[mdp.state_index(k, 4)] == 0
             assert mdp.passive_next[mdp.state_index(k, 2)] == mdp.state_index(k, 3)
+        for L in (1, 2, 5):
+            mdp = build_truncated(fig1_bandit(), L, 0.9)
+            ids = np.arange(mdp.n_states)
+            assert mdp.passive_next.tolist() == np.where(ids % L == 0, 0, ids + 1).tolist()
+            assert mdp.passive_next.dtype == np.int64
+
+    def test_a_second_build_of_a_chain_reuses_its_aged_beliefs(self):
+        bandit = random_bandit(np.random.default_rng(8), 3, "x")
+        first = build_truncated(bandit, 12, 0.9)
+        cached = bandit.chain._aged
+        assert cached.shape == (3, 12, 3)
+        # the other criterion, a shallower depth, and a bandit sharing the chain
+        again = [
+            build_truncated(bandit, 12, 1.0),
+            build_truncated(bandit, 7, 0.9),
+            build_truncated(BanditSpec(bandit.chain, 0.5, "x-2"), 12, 0.9),
+        ]
+        assert bandit.chain._aged is cached
+        assert again[0].states.tobytes() == first.states.tobytes()
+        assert again[1].states[1:].tobytes() == cached[:, :7].tobytes()
+        assert again[2].costs_passive.tobytes() == first.costs_passive.tobytes()
+        # a deeper build extends the chain's ages, keeping the first 12
+        deeper = build_truncated(bandit, 20, 0.9)
+        assert bandit.chain._aged is not cached
+        assert deeper.states[1:].reshape(3, 20, 3)[:, :12].tobytes() == cached.tobytes()
 
     def test_costs_are_entropies(self):
         mdp = build_truncated(fig1_bandit(), 5, 0.9)

@@ -61,6 +61,21 @@ def run_indices(tmp_path, doc=FAST_CONFIG, out="out"):
     return cfg, out_dir
 
 
+def assert_rejected_without_a_trace(tmp_path, command, code=2):
+    """`command` (without --out) exits with `code` and writes nothing: a
+    fresh out dir is not created, and a populated one keeps its bytes."""
+    fresh = tmp_path / "fresh"
+    assert main([*command, "--out", str(fresh)]) == code
+    assert not fresh.exists()
+    populated = tmp_path / "populated"
+    populated.mkdir()
+    for name in ("config_echo.json", "sim_round_robin.json", "indices_src-a.json"):
+        (populated / name).write_text(f"{name} of an earlier run\n")
+    before = {f.name: f.read_bytes() for f in populated.iterdir()}
+    assert main([*command, "--out", str(populated)]) == code
+    assert {f.name: f.read_bytes() for f in populated.iterdir()} == before
+
+
 class TestIndicesCommand:
     def test_sample_config_produces_tables_and_trace(self, tmp_path):
         _, out = run_indices(tmp_path)
@@ -359,6 +374,51 @@ class TestSimulateCommand:
         assert echo["config"]["simulation"]["seed"] == 123
         res = json.loads((out / "sim_myopic.json").read_text())["result"]
         assert res["seed"] == 123
+
+
+    def test_tables_of_the_other_criterion_exit_2_before_anything_is_written(self, tmp_path, capsys):
+        # the discounted config's tables on the same sources under average cost
+        _, out = run_indices(tmp_path)
+        cfg = write_config(tmp_path, dict(FAST_CONFIG, criterion={"type": "average"}), name="average.json")
+        tables = [str(out / "indices_src-a.json"), str(out / "indices_src-b.json")]
+        command = ["simulate", "--config", cfg, "--policy", "gain_index", "--tables", *tables]
+        assert_rejected_without_a_trace(tmp_path, command)
+        assert "table criterion 'discounted' does not match instance" in capsys.readouterr().err
+
+    def test_truncation_too_deep_exits_4_before_anything_is_written(self, tmp_path, capsys):
+        # a second eigenvalue of 0.9998 needs L of about 69,000 for eta 1e-6
+        doc = dict(FAST_CONFIG, truncation={"mode": "auto", "eta_target": 1e-6})
+        doc["bandits"] = [dict(FAST_CONFIG["bandits"][0], transition=[[0.9999, 0.0001], [0.0001, 0.9999]]),
+                          FAST_CONFIG["bandits"][1]]
+        cfg = write_config(tmp_path, doc)
+        assert_rejected_without_a_trace(tmp_path, ["simulate", "--config", cfg, "--policy", "round_robin"], code=4)
+        assert "resource limit: no L <= 10000" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        out = tmp_path / "o"
+        seed = 2 ** 64 - 1
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--policy", "round_robin",
+                     "--seed", str(seed)]) == 0
+        assert json.loads((out / "config_echo.json").read_text())["config"]["simulation"]["seed"] == seed
+        assert json.loads((out / "sim_round_robin.json").read_text())["result"]["seed"] == seed
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["indices"],
+        ["simulate", "--policy", "round_robin"],
+        ["asymptotic", "--alpha", "0.5", "--m-list", "2,4"],
+    ],
+    ids=["indices", "simulate", "asymptotic"],
+)
+def test_seed_outside_64_bits_exits_2_before_anything_is_written(tmp_path, capsys, command, seed):
+    cfg = write_config(tmp_path, dict(FAST_CONFIG, criterion={"type": "average"}))
+    assert_rejected_without_a_trace(tmp_path, [*command, "--config", cfg, "--seed", seed])
+    err = capsys.readouterr().err
+    assert err.startswith("config error: simulation.seed: must be") and seed in err
 
 
 class TestAverageCriterionPipeline:

@@ -271,6 +271,63 @@ class TestNStepColumn:
         with pytest.raises(ValueError):
             n_step_column(fig1_chain, 1, 0)
 
+    def test_rejects_a_state_outside_the_chain(self, fig1_chain):
+        for k in (0, 3):
+            with pytest.raises(IndexOutOfRange):
+                n_step_column(fig1_chain, k, 2)
+
+
+def aged_by_columns(chain, L):
+    """The per-column aging loop that built every truncated MDP's beliefs
+    before chains kept them: column k of T, then x = T @ x, L times."""
+    out = np.empty((chain.n_states, L, chain.n_states))
+    for k in range(chain.n_states):
+        x = chain.transition[:, k].copy()
+        for age in range(L):
+            out[k, age] = x
+            x = chain.transition @ x
+    return out
+
+
+class TestAgedBeliefs:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.lists(st.integers(1, 60), min_size=1, max_size=5))
+    def test_any_order_of_depths_gives_the_loop_bit_for_bit(self, seed, n, depths):
+        chain = random_chain(np.random.default_rng(seed), n, max_eig2=1.0)
+        for L in depths:
+            aged = chain.aged_beliefs(L)
+            assert aged.shape == (n, L, n)
+            assert aged.tobytes() == aged_by_columns(chain, L).tobytes(), (depths, L)
+
+    def test_deeper_extends_and_shallower_reads_the_same_bits(self):
+        chain = random_chain(np.random.default_rng(27), 4, max_eig2=1.0)
+        reference = aged_by_columns(chain, 40)
+        for L in (3, 17, 40, 5, 1, 40):
+            assert chain.aged_beliefs(L).tobytes() == reference[:, :L].tobytes(), L
+        assert np.shares_memory(chain.aged_beliefs(12), chain.aged_beliefs(40))
+
+    def test_rejects_a_depth_below_one(self, fig1_chain):
+        for L in (0, -1):
+            with pytest.raises(ValueError, match="L must be >= 1"):
+                fig1_chain.aged_beliefs(L)
+
+    def test_read_only(self, fig1_chain):
+        aged = fig1_chain.aged_beliefs(6)
+        assert not aged.flags.writeable
+        with pytest.raises(ValueError):
+            aged[0, 0, 0] = 0.5
+        deeper = fig1_chain.aged_beliefs(9)
+        assert not deeper.flags.writeable and aged.tobytes() == deeper[:, :6].tobytes()
+
+    def test_n_step_column_reads_the_aged_beliefs(self, fig1_chain):
+        aged = fig1_chain.aged_beliefs(30)
+        for k in (1, 2):
+            for n in (1, 2, 30):
+                column = n_step_column(fig1_chain, k, n)
+                assert column.tobytes() == aged[k - 1, n - 1].tobytes()
+                column[0] = -1.0  # a copy: the chain's beliefs stay as they were
+        assert fig1_chain.aged_beliefs(30).tobytes() == aged_by_columns(fig1_chain, 30).tobytes()
+
 
 class TestUoi:
     def test_equilibrium_fixed_point(self, fig1_chain):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uoisched import Xoshiro256StarStar
-from uoisched.rng import RunStreams
+from uoisched.rng import RunStreams, check_seed, spawn_keys
 
 MASK = (1 << 64) - 1
 
@@ -93,3 +95,67 @@ def test_run_streams_reject_out_of_range_seed():
         RunStreams(-1, 2)
     with pytest.raises(ValueError):
         RunStreams(2 ** 64, 2)
+
+
+def seed_sequence_keys(seed, runs, first):
+    """The Philox keys numpy derives for children first .. first + runs - 1
+    of SeedSequence(seed), one SeedSequence at a time."""
+    return [
+        np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64).tolist()
+        for r in range(first, first + runs)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_spawn_keys_are_seed_sequence_keys(data):
+    seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+    runs = data.draw(st.integers(0, 6), label="runs")
+    first = data.draw(st.integers(0, 2 ** 32 - runs), label="first")
+    keys = spawn_keys(seed, runs, first)
+    assert keys.dtype == np.uint64 and keys.shape == (runs, 2)
+    assert keys.tolist() == seed_sequence_keys(seed, runs, first)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+@pytest.mark.parametrize("first", [0, 2 ** 31, 2 ** 32 - 4])
+def test_spawn_keys_at_the_edges_of_the_seed_and_spawn_words(seed, first):
+    assert spawn_keys(seed, 4, first).tolist() == seed_sequence_keys(seed, 4, first)
+
+
+def test_run_streams_at_the_last_spawn_word_draw_the_seed_sequence_children():
+    seed, first = 2 ** 64 - 1, 2 ** 32 - 2
+    drawn = RunStreams(seed, 2, first=first).draw(3)
+    for row, r in zip(drawn, (first, first + 1)):
+        child = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(r,))))
+        assert row.tolist() == child.random(3).tolist()
+
+
+@pytest.mark.parametrize("runs, first", [(1, 2 ** 32), (2, 2 ** 32 - 1), (2 ** 32 + 1, 0)])
+def test_runs_past_one_spawn_word_are_rejected(runs, first):
+    # a run index of 2**32 or more would be a second spawn word
+    with pytest.raises(ValueError, match="32-bit spawn word"):
+        spawn_keys(5, runs, first)
+    with pytest.raises(ValueError, match="32-bit spawn word"):
+        RunStreams(5, runs, first=first)
+
+
+@pytest.mark.parametrize("seed", [3.7, 3.0, True, False, np.True_, "3", None, np.float64(3.0)])
+def test_seeds_must_be_integers(seed):
+    # a float was truncated and a bool read as 0 or 1
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        check_seed(seed)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        RunStreams(seed, 2)
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(2 ** 64 - 1), np.uint32(7), 2 ** 64 - 1])
+def test_numpy_integer_seeds_draw_as_python_ints(seed):
+    assert check_seed(seed) == int(seed) and type(check_seed(seed)) is int
+    assert RunStreams(seed, 2).draw(3).tolist() == RunStreams(int(seed), 2).draw(3).tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, np.int64(-1)])
+def test_check_seed_rejects_out_of_range(seed):
+    with pytest.raises(ValueError, match="64-bit unsigned integer"):
+        check_seed(seed)

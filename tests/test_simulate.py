@@ -427,6 +427,27 @@ class TestStreams:
         spawned = [np.random.Generator(np.random.Philox(child)).random(4).tolist() for child in children]
         assert RunStreams(seed, runs).draw(4).tolist() == spawned
 
+    @pytest.mark.parametrize("seed", [3.7, 3.0, True, np.True_, "3"])
+    def test_a_seed_that_is_not_an_integer_is_rejected(self, seed):
+        # int() made 3.7 draw seed 3's runs and True seed 1's
+        inst = fig1_instance("average", 1.0)
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            simulate(inst, "round_robin", 10, 2, seed=seed, truncation_L=4)
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            simulate(replace(inst, seed=seed), "round_robin", 10, 2, truncation_L=4)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_a_seed_out_of_range_is_rejected(self, seed):
+        inst = fig1_instance("average", 1.0)
+        with pytest.raises(ValueError, match="64-bit unsigned integer"):
+            simulate(inst, "round_robin", 10, 2, seed=seed, truncation_L=4)
+
+    def test_a_numpy_integer_seed_is_the_same_python_int(self):
+        inst = fig1_instance("average", 1.0)
+        a = simulate(inst, "round_robin", 10, 3, seed=np.uint64(2 ** 64 - 1), truncation_L=4)
+        b = simulate(inst, "round_robin", 10, 3, seed=2 ** 64 - 1, truncation_L=4)
+        assert type(a.seed) is int and a.to_json_dict() == b.to_json_dict()
+
     @pytest.mark.parametrize("criterion,beta", CRITERIA)
     def test_neighbouring_seeds_share_no_run(self, criterion, beta):
         inst, tables = mixed_instance(criterion, beta)
