@@ -141,9 +141,16 @@ class RunStreams:
             np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in spawn_keys(seed, runs, first)
         ]
 
-    def draw(self, k: int) -> np.ndarray:
-        """The next k uniforms in [0, 1) of every run's stream, as (runs, k)."""
-        out = np.empty((len(self._generators), k))
+    def draw(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next k uniforms in [0, 1) of every run's stream, as (runs, k),
+        written into `out` if given: a (runs, k) float64 array whose rows are
+        each contiguous, such as the first k columns of a wider array.  Any
+        other `out` raises ValueError before a stream is read."""
+        shape = (len(self._generators), k)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64 or (k > 1 and out.strides[1] != out.itemsize):
+            raise ValueError(f"out must be a float64 array of shape {shape} with contiguous rows")
         for generator, row in zip(self._generators, out):
             generator.random(out=row)
         return out

@@ -15,37 +15,44 @@ selections, so different policies under the same seed see identical source
 paths (common random numbers).
 
 A block is simulated in two walks, and each walk is one step function
-driven by `_walk`; a step advances one slot, or a slice of slots at once.
-The true states depend on the draws alone, so they are walked first
-(`_true_state_step`: three numpy calls per slot, plus an add per state
-beyond two in the largest chain).  The belief walk (`_belief_step`) does
-only what depends on the previous slot's selection.  For gain_index and
-myopic the state ids are ranks in the top-m order (highest score, then
-lowest label), so a slot selects its m smallest belief ids: six calls
-select, mask the successes, gather the passive successors and the reset
-states, and merge them.  Round robin keeps the grid ids and a fixed
-selection: three calls.  Apart from the partition at m > 1, no call in a
-slot goes through a Python-level numpy wrapper, and none casts an input.
-Costs and traces are gathered per block.
+driven by `_walk`.  A block's n slots are cut into K time segments of seg
+slots (the last may be shorter), and its arrays are segment-major: the
+true states and beliefs are (seg + 2, M, K, runs) slabs whose row o holds
+offset o of every segment, and the successes, selections and transition
+draws (seg, M, K, runs), so a step reads one contiguous (M, K, runs) slab
+of each and writes the next.  The true states depend on the draws alone,
+so they are walked first (`_true_state_step`: three numpy calls per step,
+plus an add per state beyond two in the largest chain).  The belief walk
+(`_belief_step`) does only what depends on the previous slot's selection.
+For gain_index and myopic the state ids are ranks in the top-m order
+(highest score, then lowest label), so a slot selects its m smallest
+belief ids: seven calls select, mask the successes, gather the passive
+successors and the reset states, and merge them.  Round robin keeps the
+grid ids and a fixed selection: three calls.  Apart from the partition at
+m > 1, no call in a step goes through a Python-level numpy wrapper and
+none casts an input; the selection compares with no broadcast operand,
+which numpy would buffer.  Costs and traces are gathered per block.
 
 At 100-500 lanes a slot costs about numpy's per-call floor, so both walks
-speculate along time: a block's K segments are walked in lockstep from
-guessed starts by the same steps, K times the lanes per call, then
-repaired in rounds.  Round r re-walks segments r .. K - 1 in lockstep,
-each from the end its predecessor reached, so segment r starts true.  A
-step is deterministic given the block's draws, so the walk stops exactly,
-bit for bit, at the first step whose states all meet the stored walk,
-which is soon: a success and aging into omega both forget where a belief
-started, and a shared draw sends most true states of a chain to one
-successor.  K is the number of segments of at least _SEGMENT_SLOTS slots
-whose lanes fit in _SEGMENT_LANES, or 1 below _MIN_SEGMENTS (500-lane or
-short calls), where each walk calls its step once per slot, with that
-slot's (M, runs) operands.  Two segments in a row that start true and do
-not meet their stored walks within their rounds mean slowly mixing
-sources: the block is finished slot by slot, and so is the rest of that
-walk in the call.
-A walk takes at most as many steps as the block has slots.
-`SimResult.walk_steps` counts the steps of both walks.
+speculate along time: the K segments are walked in lockstep from guessed
+starts by the same steps, K times the lanes per call, then repaired in
+rounds.  Each round walks all K segments again, segment s from the end
+segment s - 1 reached in the round before, so round r makes segment r
+true while the segments before it repeat their stored walks.  A step is
+deterministic given the block's draws, so the walk stops exactly, bit for
+bit, at the first step whose states all meet the stored walk, which is
+soon: a success and aging into omega both forget where a belief started,
+and a shared draw sends most true states of a chain to one successor.  K
+is the number of segments of at least _SEGMENT_SLOTS slots whose lanes fit
+in _SEGMENT_LANES, or 1 below _MIN_SEGMENTS (500-lane or short calls),
+where a walk is one round, slot by slot, that reads the block's draws
+through a view.  A speculating block's draws are laid out once into the
+slab layout, half of its segments at a time.  Two segments in a row that
+start true and do not meet their stored walks within their rounds mean
+slowly mixing sources: that walk finishes the block's rounds without
+comparing, and walks the rest of the call so (in one segment once neither
+walk speculates).  A walk takes at most as many steps as the block has
+slots.  `SimResult.walk_steps` counts the steps of both walks.
 
 Runs draw from their own streams, so a call cuts its runs into contiguous
 ranges, one per usable CPU (`parallel.max_parts`), once each range holds at
@@ -208,30 +215,24 @@ def _padded_cdf(rows: list[np.ndarray], width: int) -> np.ndarray:
     return cdf
 
 
-def _true_state_step(u, transition_cdf, chain_offset, k: int):
-    """`step(t, x, out)` for `_walk`: into out, the true states that follow
-    x, the (M, runs) global ids of slot t or the (lanes, M, runs) ids of a
-    slice t of up to k slots, given the transition draws u[t].  A state's
-    next id is its chain offset (chain_offset, (M, runs)) plus the number of
-    its padded cdf entries the draw exceeds.  The comparison writes 0/1 as
+def _true_state_step(u, transition_cdf, chain_base):
+    """`step(o, x, out)` for `_walk`: into out, the true states that follow
+    x, the (M, K, runs) global ids at offset o of a block's K segments,
+    given their transition draws u[o] (u is (seg, M, K, runs)).  A state's
+    next id is its chain offset (chain_base, (M,)) plus the number of its
+    padded cdf entries the draw exceeds.  The comparison writes 0/1 as
     int64, so every add is int64 + int64: a bool operand would make each
     add cast it, which costs more."""
-    width = transition_cdf.shape[0]
-    cdf_buf = np.empty(width * k * chain_offset.size)
-    above_buf = np.empty(cdf_buf.shape, dtype=np.int64)
-    views = {}  # made once per operand shape: (M, runs) for a slot, (lanes, M, runs) for a slice
+    lanes = u.shape[1:]
+    draws = list(u)
+    chain_offset = np.broadcast_to(chain_base[:, None, None], lanes).copy()
+    cdf = np.empty(transition_cdf.shape[:1] + lanes)
+    above = np.empty(cdf.shape, dtype=np.int64)
+    first, further = above[0], list(above[1:])
 
-    def buffers(shape):
-        # contiguous (width,) + shape views, so that `take` writes in place
-        size = width * math.prod(shape)
-        above = above_buf[:size].reshape((width,) + shape)
-        views[shape] = cdf_buf[:size].reshape(above.shape), above, above[0], list(above[1:])
-        return views[shape]
-
-    def step(t, x, out):
-        cdf, above, first, further = views.get(x.shape) or buffers(x.shape)
+    def step(o, x, out):
         transition_cdf.take(x, axis=1, out=cdf, mode="clip")
-        np.greater(u[t], cdf, out=above, casting="unsafe")
+        np.greater(draws[o], cdf, out=above, casting="unsafe")
         np.add(chain_offset, first, out=out)
         for row in further:
             out += row
@@ -239,92 +240,117 @@ def _true_state_step(u, transition_cdf, chain_offset, k: int):
     return step
 
 
-def _belief_step(X, act, reset, passive_next, m, chosen, k: int):
-    """`step(t, b, out)` for `_walk`: into out, the beliefs that follow b,
-    those of slot t or of a slice t of up to k slots.  A bandit moves to its
-    reset state where act[t] holds, else to its passive successor.  With m,
-    act[t] (the successes) is first restricted to the m bandits of each run
-    holding the smallest belief ids, which are recorded in chosen[t];
-    without it, act already holds a fixed selection.  act is read, never
-    overwritten, and each step gathers its reset states from the true
-    states X[t]."""
-    _, M, runs = X.shape
-    hit_buf = np.empty(k * M * runs, dtype=bool)
-    kth_buf = np.empty(k * runs, dtype=np.int64)
-    reset_buf = np.empty(k * M * runs, dtype=np.int64)
-    views = {}
+def _belief_step(X, act, reset, passive_next, m, chosen):
+    """`step(o, b, out)` for `_walk`: into out, the beliefs that follow b,
+    the (M, K, runs) ids at offset o of a block's K segments (act, chosen:
+    (seg, M, K, runs); X: the true states, (seg + 2, M, K, runs)).  A
+    bandit moves to its reset state where act[o] holds, else to its
+    passive successor.  With m, act[o] (the successes) is first restricted
+    to the m bandits of each run holding the smallest belief ids, which are
+    recorded in chosen[o]; without it, act already holds a fixed selection.
+    act is read, never overwritten, and each step gathers its reset states
+    from the true states X[o]."""
+    lanes = act.shape[1:]
+    states, successes = list(X), list(act)
+    selected = list(chosen) if m is not None else None
+    hit = np.empty(lanes, dtype=bool)
+    least = np.empty((1,) + lanes[1:], dtype=np.int64)
+    kth = np.empty(lanes, dtype=np.int64)
+    resets = np.empty(lanes, dtype=np.int64)
 
-    def buffers(shape):
-        size = math.prod(shape)
-        kth = kth_buf[: size // M].reshape(shape[:-2] + (1, runs))
-        views[shape] = hit_buf[:size].reshape(shape), kth, reset_buf[:size].reshape(shape)
-        return views[shape]
-
-    def step(t, b, out):
-        hit, kth, resets = views.get(b.shape) or buffers(b.shape)
-        a = act[t]
+    def step(o, b, out):
+        a = successes[o]
         if m is not None:
+            # each run's m-th smallest id, copied to every bandit's row:
+            # numpy buffers a broadcast operand of a comparison, which costs more
             if m == 1:
-                np.minimum.reduce(b, axis=-2, out=kth, keepdims=True)
-                c = np.less_equal(b, kth, out=chosen[t])
+                np.copyto(kth, np.minimum.reduce(b, axis=0, out=least, keepdims=True))
             else:
-                c = np.less_equal(b, np.partition(b, m - 1, axis=-2)[..., m - 1 : m, :], out=chosen[t])
-            a = np.logical_and(a, c, out=hit)
+                np.copyto(kth, np.partition(b, m - 1, axis=0)[m - 1 : m])
+            a = np.logical_and(a, np.less_equal(b, kth, out=selected[o]), out=hit)
         passive_next.take(b, out=out, mode="clip")
-        np.putmask(out, a, reset.take(X[t], out=resets, mode="clip"))
+        np.putmask(out, a, reset.take(states[o], out=resets, mode="clip"))
 
     return step
 
 
-def _walk(states: np.ndarray, n: int, k: int, step) -> tuple[int, bool]:
-    """Fill states[1 : n + 1] with the walk that follows states[0]; return
-    the steps taken and whether speculation paid.
+def _draw_segments(streams: RunStreams, n: int, rho, act, u) -> None:
+    """Draw a block of n slots and lay it out segment-major: into act the
+    successes (each bandit's success draw below its rho) and into u the
+    transition draws, both (seg, M, K, runs).  Half of the segments are
+    drawn at a time, each run's stream still read in order, so only half a
+    block of raw draws is held at once; the last segment's padded slots
+    keep draws of the first half."""
+    seg, M, K, runs = u.shape
+    half = -(-K // 2)
+    raw = np.empty((runs, half * seg * 2 * M))
+    for lo, hi in ((0, half), (half, K)):
+        drawn = (min(hi * seg, n) - lo * seg) * 2 * M
+        streams.draw(drawn, out=raw[:, :drawn])
+        # (seg, 2M, hi - lo, runs): offset o of segment lo + s is raw[r, s, o]
+        part = raw[:, : (hi - lo) * seg * 2 * M].reshape(runs, hi - lo, seg, 2 * M).transpose(2, 3, 1, 0)
+        np.less(part[:, :M], rho, out=act[:, :, lo:hi])
+        u[:, :, lo:hi] = part[:, M:]
 
-    `step(t, now, out)` writes to out the states that follow `now`, those of
-    slot t (an int) or of the slots of a slice t.  With k = 1 the walk goes
-    slot by slot, `step(j, states[j], states[j + 1])` for each slot j.
-    Otherwise the slots are cut into k segments of ceil(n / k) slots (the
-    last may be shorter) and walked in rounds.  Round 0 walks every segment
-    in lockstep from the guess states[0]; round r >= 1 walks segments
-    r .. k - 1 in lockstep from the ends their predecessors reached in the
-    round before, so each round's lane 0 walks the next seg slots.  By
-    induction segments 0 .. r - 1 are true when round r starts, so
-    segment r starts true.  A step depends only on its state and its
-    slot's data, so a lane that meets its stored walk goes on exactly as
-    the stored one: the walk stops, exact, at the first step of a round
-    whose states all equal the stored ones.  A lane 0 that meets its
-    stored walk leaves the next segment's stored walk true, so lane 0 of
-    round r >= 2 misses its own only after lane 0 of round r - 1 missed
-    too: the sources mix slower than a segment.  The rest of the block
-    then goes slot by slot from lane 0's true end, and the False return
-    makes the caller walk the rest of the call slot by slot.  A miss in
-    round 1 alone is no such sign, as its stored walk started from the
-    guess.  Either way the walk takes at most n steps."""
-    if k == 1:
-        for j in range(n):
-            step(j, states[j], states[j + 1])
-        return n, True
-    seg = -(-n // k)
-    after = states[1 : n + 1]
-    now, new = np.empty((2, -(-n // seg)) + states.shape[1:], dtype=states.dtype)
-    now[:] = states[0]
-    for j in range(n):
-        t = slice(j, n, seg)
-        lanes = len(range(j, n, seg))
-        if j and j % seg == 0:
-            now[:lanes] = states[t]  # round j // seg starts from the stored ends
-        step(t, now[:lanes], new[:lanes])
-        if j >= seg:
-            same = new[:lanes] == after[t]
-            if same.all():
-                return j + 1, True
-        after[t] = new[:lanes]
-        if j >= 2 * seg and j % seg == seg - 1 and not same[0].all():
-            break
-        now, new = new, now
-    for i in range(j + 1, n):
-        step(i, states[i], states[i + 1])
-    return n, False
+
+def _walk(S: np.ndarray, n: int, step, speculate: bool) -> tuple[int, bool]:
+    """Walk a block of n slots cut into K segments of seg slots (the last
+    may be shorter) from S[0, :, 0]; return the steps taken and whether
+    speculation paid.
+
+    S is (seg + 2, M, K, runs), segment-major: S[o, :, s] holds the states
+    before slot s * seg + o, so every step reads one contiguous (M, K, runs)
+    slab and writes the next; the last row is scratch.  `step(o, now, out)`
+    writes to out the states that follow `now`, those at offset o of every
+    segment.  The walk goes in rounds, each walking all K segments in
+    lockstep for seg steps (the last round stops at the last slot).  Round
+    0 starts every segment from the guess S[0, :, 0]; round r >= 1 starts
+    segment s >= 1 from the end segment s - 1 reached in the round before.
+    By induction segments 0 .. r - 1 are true when round r starts, so
+    segment r starts true, and the segments before it repeat their stored
+    walk.  With K = 1 this is one round, slot by slot.
+
+    To speculate, rounds r >= 1 compare each step's states with the stored
+    walk (the last segment's padded offsets excluded).  A step depends only
+    on its state and its slot's data, so a segment that meets its stored
+    walk goes on exactly as the stored one: the walk stops, exact, at the
+    first step whose states all equal the stored ones.  A segment r that
+    meets its stored walk leaves segment r + 1's stored walk true, so
+    segment r misses its own in round r >= 2 only after segment r - 1
+    missed in round r - 1 too: the sources mix slower than a segment.  The
+    walk then stops comparing and finishes its rounds, and the False return
+    makes the caller walk the rest of the call without speculating.  A
+    miss in round 1 alone is no such sign, as its stored walk started from
+    the guess.  Either way the walk takes at most n steps."""
+    seg, K = S.shape[0] - 2, S.shape[2]
+    last = n - (K - 1) * seg
+    *rows, new = S
+    if speculate and K > 1:
+        differ = np.empty(new.shape, dtype=bool)
+        tail = np.s_[:, :-1]  # the last segment's padded offsets stay out of the test
+        checks = [
+            (new, row, differ) if o < last else (new[tail], row[tail], differ[tail])
+            for o, row in enumerate(rows[1:])
+        ]
+    new[...] = S[0, :, :1]  # the guess, through the scratch: an overlapping copy would allocate
+    S[0, :, 1:] = new[:, 1:]
+    for r in range(K):
+        if r:
+            S[0, :, 1:] = S[seg, :, :-1]
+        compare = speculate and r > 0
+        for o in range(seg if r < K - 1 else last):
+            if compare:
+                fresh, stored, diff = checks[o]
+                step(o, rows[o], new)
+                np.not_equal(fresh, stored, out=diff)
+                if not np.count_nonzero(diff):
+                    return r * seg + o + 1, True
+                np.copyto(stored, fresh)
+            else:
+                step(o, rows[o], rows[o + 1])
+        if compare and r >= 2 and np.count_nonzero(diff[:, r]):
+            speculate = False
+    return n, K == 1
 
 
 def simulate(
@@ -393,7 +419,6 @@ def simulate(
 
     # one flat table per quantity: bandit i's truncated state s is global id
     # offset[i] + s, and its source state k is global id chain_base[i] + k
-    # (repeated over a part's runs, as the true-state step adds it)
     n_chain = np.array([b.chain.n_states for b in instance.bandits])
     n_states = np.array([mdp.n_states for mdp in mdps])
     offset = np.cumsum(n_states) - n_states
@@ -410,7 +435,7 @@ def simulate(
     start_cdf = _padded_cdf([mdp.states[s : s + 1] for mdp, s in zip(mdps, start)], n_chain.max())
     transition_cdf = _padded_cdf([b.chain.transition.T for b in instance.bandits], n_chain.max())
     belief = offset + start
-    rho = np.array([b.success_prob for b in instance.bandits])[:, None]
+    rho = np.array([b.success_prob for b in instance.bandits])[:, None, None]
     lam_star = tables[0].lambda_star if tables is not None else None
     if policy == "round_robin":
         # slot t serves bandits (t-1)m .. tm-1 mod M, a cycle of M/gcd(M, m)
@@ -434,7 +459,6 @@ def simulate(
         record_y.  Blocks are sized from these runs alone."""
         runs = hi - lo
         record = record_y and lo == 0
-        chain_offset = np.repeat(chain_base[:, None], runs, axis=1)
         served = np.zeros((M, runs), dtype=np.int64)
         beta_pow = 1.0
         or_mask_trace = np.zeros((horizon, M), dtype=bool) if record else None
@@ -444,68 +468,104 @@ def simulate(
         block = max(1, min(horizon, _BLOCK_DOUBLES // (2 * M * runs)))
         block = -(-horizon // -(-horizon // block))
 
-        # X[j] and B[j] hold the (M, runs) true-state and belief ids of slot
-        # first + j of a block, and row 0 carries the last slot of the block
-        # before.  The fixed draw order of every run is one initial draw per
-        # bandit, then per slot success draws for bandits 0..M-1 followed by
-        # transition draws for bandits 0..M-1.
+        def segments(n: int) -> tuple[int, int]:
+            """(K, seg): the segments a block of n slots speculates in, and
+            their length (the last may be shorter); (1, n) if too few fit."""
+            k = min(_SEGMENT_LANES // (M * runs), n // _SEGMENT_SLOTS)
+            if k < _MIN_SEGMENTS:
+                return 1, n
+            seg = -(-n // k)
+            return -(-n // seg), seg
+
+        # Each block's arrays are segment-major views of buffers made once
+        # for the largest block (all blocks but the last are equally long):
+        # X and B, (seg + 2, M, K, runs), hold the true-state and belief ids
+        # before slot s * seg + o of the block at [o, :, s] (see `_walk`);
+        # the successes, `chosen` and the transition draws are
+        # (seg, M, K, runs).  A slot's draws are, in each run's fixed order,
+        # M success draws then M transition draws, after one initial draw
+        # per bandit.
+        shapes = [segments(n) for n in {block, horizon - (horizon - 1) // block * block}]
+        slots = max(K * seg for K, seg in shapes)
         streams = RunStreams(seed, runs, first=lo)
-        X = np.empty((block + 1, M, runs), dtype=np.int64)
-        X[0] = chain_offset + (streams.draw(M).T > start_cdf[:, :, None]).sum(axis=0)
+        x_buf = np.empty(max(K * (seg + 2) for K, seg in shapes) * M * runs, dtype=np.int64)
+        b_buf = chosen_buf = None  # made once the first block's draws are freed
+        act_buf = np.empty(slots * M * runs, dtype=bool)
+        u_buf = np.empty(slots * M * runs) if any(K > 1 for K, _ in shapes) else None
         # row 0 carries the totals of the blocks before, rows 1..n a block's
-        # weighted slot costs; the cumsum adds them in slot order
-        totals = np.zeros((block + 1, runs))
+        # weighted slot costs in slot order; the cumsum adds them in order
+        totals = np.zeros((slots + 1, runs))
+        x_start = chain_base[:, None] + (streams.draw(M).T > start_cdf[:, :, None]).sum(axis=0)
+        b_start = belief[:, None]
         walk_steps = 0
-        # a walk whose speculation did not pay goes slot by slot for the rest of the call
+        # a walk whose speculation did not pay walks the rest of the call
+        # without it, and a block neither walk speculates in is one segment
         speculate_true = speculate_beliefs = True
         for first in range(0, horizon, block):
             n = min(block, horizon - first)
-            k = min(_SEGMENT_LANES // (M * runs), n // _SEGMENT_SLOTS)
-            k = k if k >= _MIN_SEGMENTS else 1
-            # (n, 2M, runs) view of the block's draws: slot j's success draws are
-            # u[j, :M], its transition draws u[j, M:].  The true states depend on
-            # the draws alone, so they are walked first, and the buffers of the
-            # beliefs are made only once the first block's draws are freed.
-            u = streams.draw(n * 2 * M).reshape(runs, n, 2 * M).transpose(1, 2, 0)
-            # the successes in C order, so each slot reads its mask contiguously
-            # (`u[:, :M] < rho` would keep the draws' transposed order)
-            act = np.less(u[:, :M], rho, out=np.empty((n, M, runs), dtype=bool))
-            k_true = k if speculate_true else 1
-            steps, paid = _walk(X, n, k_true, _true_state_step(u[:, M:], transition_cdf, chain_offset, k_true))
+            K, seg = segments(n) if speculate_true or speculate_beliefs else (1, n)
+            last = n - (K - 1) * seg
+            X = x_buf[: (seg + 2) * M * K * runs].reshape(seg + 2, M, K, runs)
+            X[0, :, 0] = x_start
+            act = act_buf[: seg * M * K * runs].reshape(seg, M, K, runs)
+            if K == 1:
+                # (n, 2M, 1, runs) view of the block's draws: slot j's success
+                # draws are u[j, :M], its transition draws u[j, M:]
+                u = streams.draw(n * 2 * M).reshape(runs, n, 2 * M).transpose(1, 2, 0)[:, :, None]
+                np.less(u[:, :M], rho, out=act)
+                u = u[:, M:]
+            else:
+                u = u_buf[: seg * M * K * runs].reshape(seg, M, K, runs)
+                _draw_segments(streams, n, rho, act, u)
+            # the true states depend on the draws alone, so they are walked
+            # first, and the beliefs' buffer is made only once the first
+            # block's draws are freed
+            steps, paid = _walk(X, n, _true_state_step(u, transition_cdf, chain_base), speculate_true)
             speculate_true &= paid
             walk_steps += steps
             del u
-            if first == 0:
-                B = np.empty_like(X)
-                B[0] = belief[:, None]
+            if b_buf is None:
+                b_buf = np.empty_like(x_buf)
+                chosen_buf = np.empty_like(act_buf) if policy != "round_robin" else None
+            B = b_buf[: X.size].reshape(X.shape)
+            B[0, :, 0] = b_start
             if policy == "round_robin":
-                chosen = rr_masks[(first + np.arange(n)) % cycle]
+                slot = first + np.arange(seg)[:, None] + seg * np.arange(K)
+                chosen = rr_masks[slot % cycle].transpose(0, 2, 1, 3)
                 act &= chosen
                 select = None
             else:
-                chosen = np.empty((n, M, runs), dtype=bool)
+                chosen = chosen_buf[: act.size].reshape(act.shape)
                 select = m
-            k_beliefs = k if speculate_beliefs else 1
-            steps, paid = _walk(B, n, k_beliefs, _belief_step(X, act, reset, passive_next, select, chosen, k_beliefs))
+            steps, paid = _walk(B, n, _belief_step(X, act, reset, passive_next, select, chosen), speculate_beliefs)
             speculate_beliefs &= paid
             walk_steps += steps
 
             if record:
-                or_mask_trace[first : first + n] = or_active(index.take(B[:n, :, 0]), beta, lam_star)
-                selection_trace[first : first + n] = np.nonzero(chosen[:, :, 0])[1].reshape(n, m)
-            served += chosen.sum(axis=0)
+                # run 0's beliefs and selections in slot order, (n, M)
+                beliefs, selected = (a[:seg, :, :, 0].transpose(2, 0, 1).reshape(K * seg, M)[:n] for a in (B, chosen))
+                or_mask_trace[first : first + n] = or_active(index.take(beliefs), beta, lam_star)
+                selection_trace[first : first + n] = np.nonzero(selected)[1].reshape(n, m)
+            # the last segment's padded offsets are no slots
+            served += chosen[:, :, :-1].sum(axis=(0, 2)) + chosen[:last, :, -1].sum(axis=0)
             # each slot's cost adds bandits 0..M-1 in order and the totals add
             # slots in order, as a slot-by-slot loop would (cumsum is sequential
-            # where sum may add pairwise)
-            cost = entropy.take(B[:n, 0], out=totals[1 : n + 1])
+            # where sum may add pairwise).  With K > 1 the costs are summed in
+            # the transition draws' buffer, free since the true-state walk, and
+            # copied into totals in slot order.
+            in_order = totals[1 : K * seg + 1].reshape(K, seg, runs).transpose(1, 0, 2)
+            cost = in_order if K == 1 else u_buf[: in_order.size].reshape(in_order.shape)
+            entropy.take(B[:seg, 0], out=cost)
             for i in range(1, M):
-                cost += entropy.take(B[:n, i])
-            X[0], B[0] = X[n], B[n]
+                cost += entropy.take(B[:seg, i])
+            if K > 1:
+                np.copyto(in_order, cost)
+            x_start, b_start = X[last, :, -1].copy(), B[last, :, -1].copy()
             # slot weights beta^t, or (beta = 1) 0 before the burn-in and 1 after
             weights = np.multiply.accumulate(np.r_[beta_pow, np.full(n - 1, beta)])
             beta_pow = weights[-1] * beta
             weights[: max(0, burn - first)] = 0.0
-            cost *= weights[:, None]
+            totals[1 : n + 1] *= weights[:, None]
             np.cumsum(totals[: n + 1], axis=0, out=totals[: n + 1])
             totals[0] = totals[n]
         return totals[0].copy(), served.sum(axis=1), walk_steps, (or_mask_trace, selection_trace)

@@ -90,6 +90,36 @@ def test_run_streams_read_each_run_in_order():
         assert drawn[r].tolist() == [(int(bits.random_raw()) >> 11) * 2.0 ** -53 for _ in range(7)]
 
 
+def test_run_streams_draw_into_the_rows_of_a_wider_buffer():
+    # the first k columns of a padded buffer take the same values as a
+    # fresh array, and the padding is left as it was
+    padded = np.full((3, 9), -1.0)
+    streams = RunStreams(31, 3)
+    assert np.shares_memory(streams.draw(2, out=padded[:, :2]), padded)
+    streams.draw(5, out=padded[:, 2:7])
+    fresh = RunStreams(31, 3)
+    assert padded[:, :7].tolist() == np.hstack([fresh.draw(2), fresh.draw(5)]).tolist()
+    assert (padded[:, 7:] == -1.0).all()
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((3, 4)),  # one column short
+        np.empty((2, 5)),  # one run short
+        np.empty((3, 10))[:, ::2],  # rows not contiguous
+        np.empty((5, 3)).T,  # rows not contiguous
+        np.empty((3, 5), dtype=np.float32),
+    ],
+)
+def test_run_streams_draw_rejects_a_bad_out_before_reading(out):
+    streams = RunStreams(31, 3)
+    with pytest.raises(ValueError):
+        streams.draw(5, out=out)
+    # no stream was read
+    assert streams.draw(5).tolist() == RunStreams(31, 3).draw(5).tolist()
+
+
 def test_run_streams_reject_out_of_range_seed():
     with pytest.raises(ValueError):
         RunStreams(-1, 2)

@@ -640,6 +640,28 @@ class TestSpeculation:
         for j, d in enumerate(data):
             states[j + 1] = np.where(d == 1, 0, states[j] + 1)
 
+    @staticmethod
+    def segment_walk(data, start, k, speculate=True, pad=0):
+        """`_walk` over the (n, M, runs) data cut into k segments as
+        `simulate` cuts a block: the data laid out segment-major, the last
+        segment's padded offsets holding `pad`.  Returns the walk's (n + 1,
+        M, runs) states in slot order, its steps and whether it paid."""
+        n = data.shape[0]
+        seg = -(-n // k)
+        K = -(-n // seg)
+        padded = np.full((K * seg,) + data.shape[1:], pad, dtype=data.dtype)
+        padded[:n] = data
+        by_offset = padded.reshape((K, seg) + data.shape[1:]).transpose(1, 2, 0, 3)
+        states = np.empty((seg + 2, data.shape[1], K, data.shape[2]), dtype=np.int64)
+        states[0, :, 0] = start
+
+        def step(o, now, out):
+            np.copyto(out, np.where(by_offset[o] == 1, 0, now + 1))
+
+        steps, paid = _walk(states, n, step, speculate)
+        in_order = states[:seg].transpose(2, 0, 1, 3).reshape((K * seg,) + data.shape[1:])[:n]
+        return np.concatenate([in_order, states[n - (K - 1) * seg, None, :, K - 1]]), steps, paid
+
     @pytest.mark.parametrize(
         "pattern, fewest, most, pays",
         [
@@ -660,16 +682,17 @@ class TestSpeculation:
             # its walk from the guess, which is no sign of slow mixing:
             # round 2 settles at segment 2's first resets, 21 steps
             ("quiet segment 1", 19, 26, True),
-            # segments 1 and 2 (slots 9..26) are quiet: lane 0 misses its
-            # stored walk in rounds 1 and 2, so the walk gives up and goes
-            # slot by slot, although round 3 would settle after 29 steps
+            # segments 1 and 2 (slots 9..26) are quiet: segment 2 misses its
+            # stored walk in rounds 1 and 2, so the walk gives up and
+            # finishes its rounds without comparing, although round 3 would
+            # settle after 29 steps
             ("quiet segments 1 and 2", 60, 60, False),
             # no reset after slot 0: the same give-up
             ("never", 60, 60, False),
         ],
     )
     def test_walk_repairs_exactly(self, pattern, fewest, most, pays):
-        n, k = 60, 7
+        n, k = 60, 7  # 7 segments of 9 slots, the last of 6
         rng = np.random.default_rng(5)
         data = (rng.random((n, 1, 3)) < 0.5).astype(np.int64)
         quiet = {
@@ -681,18 +704,33 @@ class TestSpeculation:
             data[quiet[pattern]] = 0
         expected = np.zeros((n + 1, 1, 3), dtype=np.int64)
         self.reference_walk(expected, data)
-
-        def step(t, now, out):
-            np.copyto(out, np.where(data[t] == 1, 0, now + 1))
-
-        states = np.zeros_like(expected)
-        steps, paid = _walk(states, n, k, step)
+        states, steps, paid = self.segment_walk(data, 0, k)
         assert states.tolist() == expected.tolist()
         assert fewest <= steps <= most and paid == pays
 
+    def test_a_short_last_segment_pads_out_of_the_meet_test(self):
+        """20 slots in 3 segments of 7, 7 and 6.  Segment 0 is quiet, so in
+        round 1 segment 1 starts 7 slots older than its guess and meets its
+        stored walk only at its reset at offset 6 (slot 13), while segment
+        2, quiet too, never meets its walk from segment 1's guessed end.  At
+        offset 6 segment 2 has ended: its padded offset would still differ
+        from its stored walk, but the walk stops there, after 7 + 7 steps,
+        as a walk over the slots alone does."""
+        n, k = 20, 3
+        data = np.zeros((n, 1, 2), dtype=np.int64)
+        data[13] = 1
+        expected = np.full((n + 1, 1, 2), 5, dtype=np.int64)
+        self.reference_walk(expected, data)
+        states, steps, paid = self.segment_walk(data, 5, k)
+        assert states.tolist() == expected.tolist()
+        assert (steps, paid) == (14, True)
+
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(2, 90), cut=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
-    def test_walk_matches_the_slot_by_slot_walk_for_any_cut(self, n, cut, p, seed):
+    @given(
+        n=st.integers(2, 90), cut=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+        speculate=st.booleans(), pad=st.integers(0, 1),
+    )
+    def test_walk_matches_the_slot_by_slot_walk_for_any_cut(self, n, cut, p, seed, speculate, pad):
         k = 1 + int(cut * (n - 1))
         rng = np.random.default_rng(seed)
         data = (rng.random((n, 2, 3)) < p).astype(np.int64)
@@ -700,15 +738,14 @@ class TestSpeculation:
         expected = np.empty((n + 1, 2, 3), dtype=np.int64)
         expected[0] = start
         self.reference_walk(expected, data)
-
-        def step(t, now, out):
-            np.copyto(out, np.where(data[t] == 1, 0, now + 1))
-
-        states = np.empty_like(expected)
-        states[0] = start
-        steps, _ = _walk(states, n, k, step)
+        states, steps, paid = self.segment_walk(data, start, k, speculate, pad)
         assert states.tolist() == expected.tolist()
-        assert steps == n if k == 1 else steps <= n
+        if k == 1:
+            assert (steps, paid) == (n, True)
+        elif not speculate:
+            assert (steps, paid) == (n, False)
+        else:
+            assert steps < n and paid or steps == n
 
 
 def sticky_instance():
@@ -726,11 +763,27 @@ def sticky_instance():
 
 class TestWalkWork:
     def test_slow_mixing_sources_cost_about_one_slot_by_slot_walk(self, monkeypatch):
+        """The true-state walk gives up in the first block and walks the
+        later blocks without comparing, in the same 15-segment layout as
+        the belief walk, which still speculates and pays.  The outputs are
+        those of the call that never speculates."""
         inst, tables = sticky_instance()
         module = importlib.import_module("uoisched.simulate")
         horizon, runs = 4000, 50
+        walk = module._walk
         for policy in POLICIES:
+            calls = []
+
+            def recorded(S, n, step, speculate):
+                steps, paid = walk(S, n, step, speculate)
+                calls.append((S.shape[2], speculate, steps))
+                return steps, paid
+
+            monkeypatch.setattr(module, "_walk", recorded)
             res = simulate(inst, policy, horizon, runs, tables=tables, record_y=True)
+            monkeypatch.undo()
+            assert calls[0::2] == [(15, True, 1000)] + [(15, False, 1000)] * 3, policy
+            assert all(K == 15 and speculate and steps < 250 for K, speculate, steps in calls[1::2]), policy
             monkeypatch.setattr(module, "_MIN_SEGMENTS", 10 ** 9)
             plain = simulate(inst, policy, horizon, runs, tables=tables, record_y=True)
             monkeypatch.undo()
@@ -904,6 +957,50 @@ class TestMemory:
         assert steps < plain_steps
         assert segmented <= self.PEAK_SLOT_BY_SLOT[policy]
         assert plain <= self.PEAK_SLOT_BY_SLOT[policy]
+
+
+    @pytest.mark.parametrize("policy", ["gain_index", "round_robin"])
+    def test_a_speculating_walk_allocates_no_array_per_step(self, policy):
+        """Once their step functions are built, both walks of a speculating
+        block (m = 1 for gain_index) allocate nothing per step: the peak,
+        the walk's per-call views and its bool meet-test buffer, stays below
+        one (M, K, runs) int64 slab.  512 runs make the slab large against
+        those per-call objects, and a slab-sized temporary in any step
+        would exceed it."""
+        module = importlib.import_module("uoisched.simulate")
+        rng = np.random.default_rng(8)
+        bandits = [random_bandit(rng, k, f"b{k}") for k in (2, 3)]
+        mdps = [build_truncated(b, 8, 1.0) for b in bandits]
+        M, K, seg, runs = 2, 8, 64, 512
+        n = K * seg - 5  # the last segment is shorter
+        offset = np.array([0, mdps[0].n_states])
+        transition_cdf = module._padded_cdf([b.chain.transition.T for b in bandits], 3)
+        passive_next = np.concatenate([mdp.passive_next + off for mdp, off in zip(mdps, offset)])
+        reset = np.concatenate([mdp.reset_states + off for mdp, off in zip(mdps, offset)])
+        act = rng.random((seg, M, K, runs)) < 0.6
+        if policy == "round_robin":
+            chosen, m = np.arange(seg * M * K).reshape(seg, M, K, 1) % M == 0, None
+            act &= chosen
+        else:
+            chosen, m = np.empty_like(act), 1
+        X = np.empty((seg + 2, M, K, runs), dtype=np.int64)
+        X[0, :, 0] = np.array([0, 2])[:, None]
+        B = np.empty_like(X)
+        B[0, :, 0] = offset[:, None]
+        slab = M * K * runs * 8
+        for S, step in (
+            (X, module._true_state_step(rng.random((seg, M, K, runs)), transition_cdf, np.array([0, 2]))),
+            (B, module._belief_step(X, act, reset, passive_next, m, chosen)),
+        ):
+            _walk(S, n, step, True)  # caches out of the way
+            tracemalloc.start()
+            try:
+                steps, paid = _walk(S, n, step, True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert paid and steps < n
+            assert peak < slab
 
 
 def small_case(seed, n_bandits, criterion):
