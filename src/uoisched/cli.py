@@ -75,37 +75,52 @@ def _prepared(args, check=None):
     return prep, out, h, checked
 
 
-def cmd_indices(args) -> int:
-    prep, out, h, _ = _prepared(args)
+def _timed_index_tables(args, prep):
+    """The gradient search and its tables, run before anything is written
+    (a search that fails exits 3 with the out dir untouched), and its wall
+    time."""
+    t0 = time.perf_counter()
     result = compute_index_tables(prep)
+    return result, time.perf_counter() - t0
+
+
+def cmd_indices(args) -> int:
+    prep, out, h, (result, seconds) = _prepared(args, _timed_index_tables)
+    trace = result.trace
 
     for table in result.tables:
         save_table(table, out / f"indices_{table.bandit_label}.json", h)
     _write_csv(
         out / "gradient_trace.csv",
         ["iteration", "lambda", "derivative"],
-        [[k, lam, d] for k, (lam, d) in enumerate(result.trace.iterates)],
+        [[k, lam, d] for k, (lam, d) in enumerate(trace.iterates)],
         h,
     )
     _write_json(
         out / "truncation_report.json",
-        {"bandits": bound_report(prep, lam=result.trace.lambda_star)},
+        {"bandits": bound_report(prep, lam=trace.lambda_star)},
         h,
     )
     _write_json(
         out / "lambda_report.json",
         {
-            "lambda_star": result.trace.lambda_star,
-            "stop_reason": result.trace.stop_reason,
-            "bracket": list(result.trace.bracket),
-            "iterations": len(result.trace.iterates),
-            "policy_evaluations": result.trace.policy_evaluations,
-            "pi_rounds": result.trace.pi_rounds,
-            "solves_skipped": result.trace.solves_skipped,
+            "lambda_star": trace.lambda_star,
+            "stop_reason": trace.stop_reason,
+            "bracket": list(trace.bracket),
+            "iterations": len(trace.iterates),
+            "policy_evaluations": trace.policy_evaluations,
+            "pi_rounds": trace.pi_rounds,
+            "solves_skipped": trace.solves_skipped,
         },
         h,
     )
-    print(f"lambda_star = {result.trace.lambda_star:.6g} ({len(result.trace.iterates)} gradient evaluations)")
+    # the search's wall time goes to stdout only (in out/ it would break
+    # byte-identical reruns), with the solver work it paid for
+    print(f"lambda_star = {trace.lambda_star:.6g} ({len(trace.iterates)} gradient evaluations)")
+    print(
+        f"gradient search: {seconds:.3g} s, {trace.policy_evaluations:,} policy evaluations in "
+        f"{trace.pi_rounds:,} policy-iteration rounds, {trace.solves_skipped:,} solves skipped"
+    )
     print(f"wrote {len(result.tables)} index tables to {out}")
     return EXIT_OK
 

@@ -27,7 +27,13 @@ unknowns: the N reset values u = V(T_k^1), V(omega) and (average cost) g,
 so one (N+2) x (N+2) solve per bandit gives all values (a multichain
 policy takes a 2(N+1) x 2(N+1) solve, with a gain per node).  `BanditBatch`
 stacks several bandits, padded to a common N and L, so a batch of policies
-costs one backward pass over the ages and one batched solve.  Each policy
+costs one backward pass over the ages and one batched solve.  What no
+policy changes is built once per batch: the map that gathers every state's
+value from the grid cells and the solved node values in one `take`, and
+the batched system less the rows a policy sets.  Each age of the backward
+pass is two ufunc calls on one flat, contiguous row (the product into a
+scratch row, then the sum): the floating-point operations of the broadcast
+update coef[j] += carry[j] * coef[j + 1], in the same order.  Each policy
 is evaluated under its charged cost and under the activation indicator;
 the two together make its values affine in the charge, from which
 `greedy_interval` reads the charges at which the policy stays optimal.
@@ -140,6 +146,7 @@ class BanditBatch:
         self.bandit_of = np.repeat(np.arange(B), sizes)
         self.costs = np.concatenate([mdp.costs_passive for mdp in self.mdps])
         self.rho = np.repeat([mdp.bandit.success_prob for mdp in self.mdps], sizes)
+        self.stay = 1.0 - self.rho
         self.passive_next = np.concatenate([mdp.passive_next + s for mdp, s in zip(self.mdps, starts)])
         self.beliefs = np.zeros((n, self.n_max))
         self.reset_ids = np.empty((n, self.n_max), dtype=np.int64)
@@ -158,9 +165,33 @@ class BanditBatch:
         self.grid_beliefs = self.on_grid(self.beliefs)  # (L_max, B, N_max, N_max)
         self.grid_rho = np.array([mdp.bandit.success_prob for mdp in self.mdps])[None, :, None]
         self.cuts = bool((self.grid_rho == 1.0).any())  # an active state at rho = 1 ends its chain
-        cells = grid.ravel()
-        self.cells = np.flatnonzero(cells < n)
-        self.cell_ids = cells[self.cells]
+        # What `_evaluate` needs that no policy changes.  Flat state -> its
+        # row in [grid cells || (B, N_max + 1) node rows]: the reset states
+        # and omega read their node, every other state its cell (padding
+        # cells write the spare entry n, padding chains omega's, which the
+        # last write sets).
+        N, K = self.n_max, self.n_max + 2
+        spread = np.empty(n + 1, dtype=np.int64)
+        spread[grid] = np.arange(grid.size).reshape(grid.shape)
+        nodes = grid.size + np.arange(B * (N + 1)).reshape(B, N + 1)
+        spread[self.reset_ids[starts]] = nodes[:, :N]
+        spread[starts] = nodes[:, N]
+        self.spread_ids = spread[:n]
+        self.first_cells = self.first_row * B + np.arange(B)  # age-1 rows of the (L_max * B, ...) grid
+        # The (B, K, K) system in (u, z_omega, g), K = N_max + 2, less what
+        # the policy sets: identity rows for the chains (a padding chain's
+        # stays), omega's g column and the anchor u_1 = 0 (average), or
+        # g = 0 (discounted).  Omega's row is read from `omega_rows`, under a
+        # passive and an active omega: (2, B, N_max + 1).
+        eye = np.eye(K)
+        if self.discount == 1.0:
+            eye[N, N + 1] = 1.0
+            eye[N + 1] = eye[0]
+        self.system = np.repeat(eye[None], B, axis=0)
+        a_rho_o = np.array([[[0]], [[1]]]) * self.rho[starts, None]
+        self.omega_rows = np.concatenate(
+            [-self.discount * a_rho_o * self.beliefs[starts], 1.0 - self.discount * (1.0 - a_rho_o)], axis=-1
+        )
 
     @property
     def size(self) -> int:
@@ -257,21 +288,27 @@ class BatchSolution:
 
 def _expected_next(batch: BanditBatch, values):
     """(P_active values, P_passive values) in every state, undiscounted."""
-    v_next = values[batch.passive_next]
+    v_next = values.take(batch.passive_next)
     # x.V(resets) summed in chain order, so zero padding leaves every bit as
     # in a batch of one
-    v_resets = values[batch.reset_ids_t]
+    v_resets = values.take(batch.reset_ids_t)
     v_reset = batch.beliefs_t[0] * v_resets[0]
+    step = np.empty_like(v_reset)
     for k in range(1, batch.n_max):
-        v_reset += batch.beliefs_t[k] * v_resets[k]
-    return batch.rho * v_reset + (1.0 - batch.rho) * v_next, v_next
+        np.multiply(batch.beliefs_t[k], v_resets[k], step)
+        np.add(v_reset, step, v_reset)
+    # rho * x.V(resets) + (1 - rho) * V(next)
+    np.multiply(batch.rho, v_reset, v_reset)
+    np.multiply(batch.stay, v_next, step)
+    return np.add(v_reset, step, v_reset), v_next
 
 
 def _q_values(batch: BanditBatch, lam, values, beta):
+    """(qa, qp): costs + lam + beta * P_active values, costs + beta * P_passive values."""
     p_active, p_passive = _expected_next(batch, values)
-    qa = batch.costs + lam + beta * p_active
-    qp = batch.costs + beta * p_passive
-    return qa, qp
+    qa = np.add(batch.costs, lam)
+    qa += np.multiply(beta, p_active, p_active)
+    return qa, np.add(batch.costs, np.multiply(beta, p_passive, p_passive), p_passive)
 
 
 def _greedy(qa, qp):
@@ -310,14 +347,22 @@ def greedy_interval(sol: BatchSolution):
 def _spread(batch: BanditBatch, grid_values, nodes):
     """Flat (n, R) values from per-cell values (L_max, B, N_max, R) and
     per-node values (B, N_max+1, R): the reset states, then omega."""
-    N, R = batch.n_max, grid_values.shape[-1]
-    values = np.empty((batch.n_states, R))
-    values[batch.cell_ids] = grid_values.reshape(-1, R)[batch.cells]
-    real = ~batch.chain_pad
-    o = batch.omega_ids
-    values[batch.reset_ids[o][real]] = nodes[:, :N][real]
-    values[o] = nodes[:, N]
-    return values
+    R = grid_values.shape[-1]
+    return np.concatenate([grid_values.reshape(-1, R), nodes.reshape(-1, R)]).take(batch.spread_ids, axis=0)
+
+
+def _backward(coef, carry):
+    """coef[j] += carry[j, ..., None] * coef[j + 1] for j = L-2 .. 0, in
+    place, as two ufunc calls per age on flat rows (carry repeated per
+    column): the same products and sums as the broadcast update."""
+    rows = list(coef.reshape(coef.shape[0], -1))
+    scales = list(np.repeat(carry.reshape(coef.shape[0], -1), coef.shape[-1], axis=1))
+    step = np.empty_like(rows[0])
+    later = rows[-1]
+    for row, scale in zip(rows[-2::-1], scales[-2::-1]):
+        np.multiply(scale, later, step)
+        np.add(row, step, row)
+        later = row
 
 
 def _evaluate(batch: BanditBatch, actions, costs, counts=None):
@@ -338,43 +383,44 @@ def _evaluate(batch: BanditBatch, actions, costs, counts=None):
     if counts is not None:
         counts.policy_evaluations += B
 
-    # V(cell) = coef[..., :K] . (u, z_omega, g) + coef[..., K:], built backward
-    a_rho = batch.on_grid(actions * batch.rho)
-    carry = beta * (1.0 - a_rho)
-    coef = np.zeros((batch.l_max, B, N, K + R))
-    coef[..., :N] = (beta * a_rho)[..., None] * batch.grid_beliefs
+    # V(cell) = coef[..., :K] . (u, z_omega, g) + coef[..., K:], built
+    # backward; each state's row is gathered onto the grid (padding reads
+    # the zero row n)
+    a_rho = np.zeros(batch.n_states + 1)
+    np.multiply(actions, batch.rho, out=a_rho[:-1])
+    carry = (beta * (1.0 - a_rho)).take(batch.grid_ids)
+    per_state = np.zeros((batch.n_states + 1, K + R))
+    np.multiply((beta * a_rho[:-1])[:, None], batch.beliefs, out=per_state[:-1, :N])
     if average:
-        coef[..., N + 1] = -1.0
-    coef[..., K:] = batch.on_grid(costs)
-    coef[-1, ..., N] += carry[-1]
-    for j in range(batch.l_max - 2, -1, -1):
-        coef[j] += carry[j, ..., None] * coef[j + 1]
+        per_state[:, N + 1] = -1.0
+    per_state[:-1, K:] = costs
+    coef = per_state.take(batch.grid_ids, axis=0)
+    coef[-1, ..., N] = carry[-1]
+    _backward(coef, carry)
 
     # unknowns (u_1..u_N, z_omega, g): N chain closures, omega, and g = 0
     # (discounted) or the anchor u_1 = 0 (average)
-    first = coef[batch.first_row, np.arange(B)]
-    eye = np.eye(K)
-    a_mat = np.zeros((B, K, K))
-    rhs = np.zeros((B, K, R))
-    pad = batch.chain_pad[..., None]
-    a_mat[:, :N] = np.where(pad, eye[:N], eye[:N] - first[..., :K])
-    rhs[:, :N] = np.where(pad, 0.0, first[..., K:])
+    first = coef.reshape(-1, N, K + R).take(batch.first_cells, axis=0)
     o = batch.omega_ids
-    a_rho_o = actions[o] * batch.rho[o]
-    a_mat[:, N, :N] = -beta * a_rho_o[:, None] * batch.beliefs[o]
-    a_mat[:, N, N] = 1.0 - beta * (1.0 - a_rho_o)
-    a_mat[:, N, N + 1] = 1.0 if average else 0.0
-    rhs[:, N] = costs[o]
-    a_mat[:, N + 1] = eye[0] if average else eye[N + 1]
-    a_mat[~unichain] = eye  # singular there; `_evaluate_multichain` takes over
+    a_mat = batch.system.copy()
+    np.subtract(a_mat[:, :N], first[..., :K], out=a_mat[:, :N], where=~batch.chain_pad[..., None])
+    a_mat[:, N, : N + 1] = np.where(actions[o, None] != 0, batch.omega_rows[1], batch.omega_rows[0])
+    if not unichain.all():
+        a_mat[~unichain] = np.eye(K)  # singular there; `_evaluate_multichain` takes over
+    # a padding chain's cost coefficients stay +0.0: the right-hand side of
+    # its identity row
+    rhs = np.concatenate([first[..., K:], costs[o, None], np.zeros((B, 1, R))], axis=1)
     y = np.linalg.solve(a_mat, rhs)
     if average:
         y[:, 0] = 0.0  # the anchor, exactly
 
-    values = _spread(batch, coef[..., :K] @ y + coef[..., K:], y)
-    gains = y[:, N + 1][batch.bandit_of]
+    grid = coef[..., :K] @ y
+    grid += coef[..., K:]
+    values = _spread(batch, grid, y[:, : N + 1])
+    gains = y[:, N + 1].take(batch.bandit_of, axis=0)
     if not unichain.all():
         multi = ~unichain[batch.bandit_of, None]
+        a_rho_o = actions[o] * batch.rho[o]
         h, g = _evaluate_multichain(batch, coef, carry, first, a_rho_o, costs, reach)
         values, gains = np.where(multi, h, values), np.where(multi, g, gains)
     return values, gains, unichain
@@ -397,8 +443,7 @@ def _evaluate_multichain(batch: BanditBatch, coef, carry, first, a_rho_o, costs,
     J = N + 1
     a = coef[..., :J]
     d = a.copy()
-    for j in range(batch.l_max - 2, -1, -1):
-        d[j] += carry[j, ..., None] * d[j + 1]
+    _backward(d, carry)
     # padding chains are zero-cost chains into omega: transient, never read
     o = batch.omega_ids
     eye = np.eye(J)
@@ -407,7 +452,7 @@ def _evaluate_multichain(batch: BanditBatch, coef, carry, first, a_rho_o, costs,
     p_nodes[:, N, :N] = a_rho_o[:, None] * batch.beliefs[o]
     p_nodes[:, N, N] = 1.0 - a_rho_o
     d_nodes = np.zeros_like(p_nodes)
-    d_nodes[:, :N] = d[batch.first_row, np.arange(batch.size)]
+    d_nodes[:, :N] = d.reshape(-1, N, J).take(batch.first_cells, axis=0)
     d_nodes[:, N, N] = 1.0
     rhs = np.zeros((batch.size, 2 * J, R))
     rhs[:, J:N + J] = first[..., N + 2:]
@@ -438,6 +483,13 @@ def _cost_column(mdp, cost_per_state):
     return cost[:, None]
 
 
+def _policy_column(mdp, actions):
+    policy = np.asarray(actions)
+    if policy.shape != (mdp.n_states,) or not ((policy == 0) | (policy == 1)).all():
+        raise ValueError("actions must hold one 0 or 1 per state")
+    return policy.astype(np.int8)
+
+
 def _one_bandit(mdp: TruncatedBeliefMDP, average: bool, name: str) -> BanditBatch:
     """A batch of one `mdp`, which must be of the criterion `name` serves."""
     if (mdp.discount == 1.0) != average:
@@ -448,7 +500,7 @@ def _one_bandit(mdp: TruncatedBeliefMDP, average: bool, name: str) -> BanditBatc
 def policy_evaluation_discounted(mdp: TruncatedBeliefMDP, actions, cost_per_state) -> np.ndarray:
     """Solve (I - beta * P_pi) v = cost for a fixed policy."""
     batch = _one_bandit(mdp, False, "policy_evaluation_discounted")
-    values, _, _ = _evaluate(batch, actions, _cost_column(mdp, cost_per_state))
+    values, _, _ = _evaluate(batch, _policy_column(mdp, actions), _cost_column(mdp, cost_per_state))
     return values[:, 0]
 
 
@@ -461,7 +513,7 @@ def average_policy_evaluation(mdp: TruncatedBeliefMDP, actions, cost_per_state):
     bias of `_evaluate_multichain`.
     """
     batch = _one_bandit(mdp, True, "average_policy_evaluation")
-    values, gains, _ = _evaluate(batch, actions, _cost_column(mdp, cost_per_state))
+    values, gains, _ = _evaluate(batch, _policy_column(mdp, actions), _cost_column(mdp, cost_per_state))
     return gains[:, 0], values[:, 0]
 
 

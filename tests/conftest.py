@@ -8,7 +8,9 @@ helpers build the induced chain of a policy from the MDP's sparse matrices
 iteration, the single-bandit dual derivative and the one-state OR decision
 are references that only the tests use; the pipeline solves by policy
 iteration, reads the derivative off its batch solve and applies the OR rule
-through `or_active`.
+through `or_active`.  `frozen_evaluate` and `frozen_q_values` are frozen
+copies of the policy evaluation and the Q-values as they were before their
+numpy calls were trimmed; the solvers must keep matching them byte for byte.
 """
 
 import numpy as np
@@ -158,3 +160,107 @@ def recurrent_class_count(p: sp.csr_matrix) -> int:
         if labels[i] != labels[j]:
             has_exit[labels[i]] = True
     return int(np.sum(~has_exit))
+
+
+def _frozen_spread(batch, grid_values, nodes):
+    N, R = batch.n_max, grid_values.shape[-1]
+    values = np.empty((batch.n_states, R))
+    grid = batch.grid_ids.ravel()
+    cells = np.flatnonzero(grid < batch.n_states)
+    values[grid[cells]] = grid_values.reshape(-1, R)[cells]
+    real = ~batch.chain_pad
+    o = batch.omega_ids
+    values[batch.reset_ids[o][real]] = nodes[:, :N][real]
+    values[o] = nodes[:, N]
+    return values
+
+
+def _frozen_evaluate_multichain(batch, coef, carry, first, a_rho_o, costs, reach):
+    N, R = batch.n_max, costs.shape[1]
+    J = N + 1
+    a = coef[..., :J]
+    d = a.copy()
+    for j in range(batch.l_max - 2, -1, -1):
+        d[j] += carry[j, ..., None] * d[j + 1]
+    o = batch.omega_ids
+    eye = np.eye(J)
+    p_nodes = np.zeros((batch.size, J, J))
+    p_nodes[:, :N] = first[..., :J]
+    p_nodes[:, N, :N] = a_rho_o[:, None] * batch.beliefs[o]
+    p_nodes[:, N, N] = 1.0 - a_rho_o
+    d_nodes = np.zeros_like(p_nodes)
+    d_nodes[:, :N] = d[batch.first_row, np.arange(batch.size)]
+    d_nodes[:, N, N] = 1.0
+    rhs = np.zeros((batch.size, 2 * J, R))
+    rhs[:, J:N + J] = first[..., N + 2:]
+    rhs[:, N + J] = costs[o]
+    mutual = reach & reach.transpose(0, 2, 1)
+    recurrent = (mutual == reach).all(axis=2)
+    anchor = recurrent & ~np.tril(mutual, -1).any(axis=2)
+    system = np.block([[eye - p_nodes, np.zeros_like(p_nodes)], [d_nodes, eye - p_nodes]])
+    system[:, :J] = np.where(anchor[..., None], np.hstack([np.zeros((J, J)), eye]), system[:, :J])
+    x = np.linalg.solve(system, rhs)
+    x += np.linalg.solve(system, rhs - system @ x)
+    gain_nodes, bias_nodes = x[:, :J], x[:, J:]
+    bias_nodes[anchor] = 0.0
+    h = _frozen_spread(batch, a @ bias_nodes - d @ gain_nodes + coef[..., N + 2:], bias_nodes)
+    g = _frozen_spread(batch, a @ gain_nodes, gain_nodes)
+    return h, g
+
+
+def frozen_evaluate(batch, actions, costs):
+    """(values, gains, unichain) of `solvers._evaluate` as it was before the
+    per-batch gather map and the two-call backward step: the same
+    floating-point operations, one strided write and fancy write at a time."""
+    B, N = batch.size, batch.n_max
+    K, R = N + 2, costs.shape[1]
+    beta = batch.discount
+    average = beta == 1.0
+    actions = np.asarray(actions)
+    unichain, reach = batch.unichain(actions) if average else (np.ones(B, dtype=bool), None)
+    a_rho = batch.on_grid(actions * batch.rho)
+    carry = beta * (1.0 - a_rho)
+    coef = np.zeros((batch.l_max, B, N, K + R))
+    coef[..., :N] = (beta * a_rho)[..., None] * batch.grid_beliefs
+    if average:
+        coef[..., N + 1] = -1.0
+    coef[..., K:] = batch.on_grid(costs)
+    coef[-1, ..., N] += carry[-1]
+    for j in range(batch.l_max - 2, -1, -1):
+        coef[j] += carry[j, ..., None] * coef[j + 1]
+    first = coef[batch.first_row, np.arange(B)]
+    eye = np.eye(K)
+    a_mat = np.zeros((B, K, K))
+    rhs = np.zeros((B, K, R))
+    pad = batch.chain_pad[..., None]
+    a_mat[:, :N] = np.where(pad, eye[:N], eye[:N] - first[..., :K])
+    rhs[:, :N] = np.where(pad, 0.0, first[..., K:])
+    o = batch.omega_ids
+    a_rho_o = actions[o] * batch.rho[o]
+    a_mat[:, N, :N] = -beta * a_rho_o[:, None] * batch.beliefs[o]
+    a_mat[:, N, N] = 1.0 - beta * (1.0 - a_rho_o)
+    a_mat[:, N, N + 1] = 1.0 if average else 0.0
+    rhs[:, N] = costs[o]
+    a_mat[:, N + 1] = eye[0] if average else eye[N + 1]
+    a_mat[~unichain] = eye
+    y = np.linalg.solve(a_mat, rhs)
+    if average:
+        y[:, 0] = 0.0
+    values = _frozen_spread(batch, coef[..., :K] @ y + coef[..., K:], y)
+    gains = y[:, N + 1][batch.bandit_of]
+    if not unichain.all():
+        multi = ~unichain[batch.bandit_of, None]
+        h, g = _frozen_evaluate_multichain(batch, coef, carry, first, a_rho_o, costs, reach)
+        values, gains = np.where(multi, h, values), np.where(multi, g, gains)
+    return values, gains, unichain
+
+
+def frozen_q_values(batch, lam, values, beta):
+    """(qa, qp) of `solvers._q_values` as it was before its calls were trimmed."""
+    v_next = values[batch.passive_next]
+    v_resets = values[batch.reset_ids_t]
+    v_reset = batch.beliefs_t[0] * v_resets[0]
+    for k in range(1, batch.n_max):
+        v_reset += batch.beliefs_t[k] * v_resets[k]
+    p_active = batch.rho * v_reset + (1.0 - batch.rho) * v_next
+    return batch.costs + lam + beta * p_active, batch.costs + beta * v_next

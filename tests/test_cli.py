@@ -121,15 +121,25 @@ class TestIndicesCommand:
     def test_m_equal_to_bandit_count_exits_2(self, tmp_path):
         doc = dict(FAST_CONFIG, m=2)
         cfg = write_config(tmp_path, doc)
-        assert main(["indices", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_rejected_without_a_trace(tmp_path, ["indices", "--config", cfg])
 
     def test_solver_failure_exits_3(self, tmp_path, capsys):
         # a step of 1e-9 cannot close the bracket in one iteration
         doc = dict(FAST_CONFIG, gradient={"c": 1e-9, "max_iters": 1})
         cfg = write_config(tmp_path, doc)
-        assert main(["indices", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert_rejected_without_a_trace(tmp_path, ["indices", "--config", cfg], code=3)
         err = capsys.readouterr().err
         assert err.startswith("solver failure: gradient search did not meet the stopping criterion in 1 iterations")
+
+    def test_prints_the_search_and_its_work(self, tmp_path, capsys):
+        _, out = run_indices(tmp_path)
+        report = json.loads((out / "lambda_report.json").read_text())
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(
+            r"gradient search: \S+ s, (\d+) policy evaluations in (\d+) policy-iteration rounds, "
+            r"(\d+) solves skipped",
+            lines[1],
+        ).groups() == tuple(str(report[key]) for key in ("policy_evaluations", "pi_rounds", "solves_skipped"))
 
     def test_unknown_field_exits_2_and_names_it(self, tmp_path, capsys):
         doc = dict(FAST_CONFIG)

@@ -34,6 +34,8 @@ from conftest import (
     active_passive,
     derivative,
     force_multichain,
+    frozen_evaluate,
+    frozen_q_values,
     induced_transition,
     mixed_mdps,
     random_bandit,
@@ -41,6 +43,98 @@ from conftest import (
     rho_one_pair,
     value_iteration_discounted,
 )
+
+
+class TestMalformedPolicies:
+    """The public evaluations take one 0 or 1 per state and nothing else: a
+    short policy would broadcast and a fractional one is no policy."""
+
+    @pytest.mark.parametrize("evaluate, beta", [(policy_evaluation_discounted, 0.9), (average_policy_evaluation, 1.0)])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: [1],
+            lambda n: np.ones(n + 1, dtype=np.int8),
+            lambda n: np.ones((n, 1), dtype=np.int8),
+            lambda n: np.full(n, 2),
+            lambda n: np.full(n, 0.5),
+            lambda n: np.full(n, np.nan),
+            lambda n: np.array(1),
+        ],
+        ids=["length-one", "one-too-many", "column", "two", "half", "nan", "scalar"],
+    )
+    def test_rejected(self, evaluate, beta, make):
+        mdp = fig1_mdp(beta=beta, L=4)
+        with pytest.raises(ValueError, match="one 0 or 1 per state"):
+            evaluate(mdp, make(mdp.n_states), mdp.costs_passive)
+
+    @pytest.mark.parametrize("evaluate, beta", [(policy_evaluation_discounted, 0.9), (average_policy_evaluation, 1.0)])
+    def test_any_zero_one_dtype_is_the_same_policy(self, evaluate, beta):
+        mdp = fig1_mdp(beta=beta, L=4)
+        actions = np.random.default_rng(3).integers(0, 2, mdp.n_states)
+        expected = np.asarray(evaluate(mdp, actions.astype(np.int8), mdp.costs_passive))
+        for policy in (actions.astype(bool), actions.astype(float), actions.tolist()):
+            assert np.asarray(evaluate(mdp, policy, mdp.costs_passive)).tobytes() == expected.tobytes()
+
+
+def random_batch(rng, beta, n_bandits, max_L, rhos):
+    """Bandits with N in {2, 3, 4}, rho from `rhos` and L in 1..max_L, a
+    random policy of some density, and R in {1, 2} random cost columns."""
+    mdps = [
+        build_truncated(
+            random_bandit(rng, int(rng.integers(2, 5)), f"e{i}", rho=float(rng.choice(rhos))),
+            int(rng.integers(1, max_L + 1)),
+            beta,
+        )
+        for i in range(n_bandits)
+    ]
+    batch = BanditBatch(mdps)
+    actions = (rng.uniform(size=batch.n_states) < rng.choice([0.05, 0.5, 0.95])).astype(np.int8)
+    return batch, actions, rng.uniform(size=(batch.n_states, int(rng.integers(1, 3))))
+
+
+def assert_same_bytes(got, expected):
+    for new, old in zip(got, expected, strict=True):
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+
+class TestFrozenEvaluation:
+    """`_evaluate` and `_q_values` do the floating-point operations of their
+    frozen copies in conftest, on the same operands in the same order, so
+    every value, gain and Q-value matches byte for byte; the pinned searches
+    cover only a few batches."""
+
+    @pytest.mark.parametrize("beta", [0.9, 1.0])
+    def test_one_bandit_of_one_age(self, beta):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            batch, actions, costs = random_batch(rng, beta, 1, 1, (0.5, 0.8, 1.0))
+            assert_same_bytes(_evaluate(batch, actions, costs), frozen_evaluate(batch, actions, costs))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 1.0])
+    def test_mixed_batches(self, beta):
+        rng = np.random.default_rng(12)
+        multichain = 0
+        for _ in range(40):
+            batch, actions, costs = random_batch(rng, beta, int(rng.integers(1, 7)), 37, (0.5, 0.8, 1.0))
+            expected = frozen_evaluate(batch, actions, costs)
+            assert_same_bytes(_evaluate(batch, actions, costs), expected)
+            multichain += int((~expected[2]).sum())
+            values = costs[:, 0]
+            lam = float(rng.uniform(0.0, 1.0))
+            assert_same_bytes(_q_values(batch, lam, values, beta), frozen_q_values(batch, lam, values, beta))
+        # both evaluation paths are met at beta = 1
+        assert multichain > 0 if beta == 1.0 else multichain == 0
+
+    def test_forced_multichain_at_rho_one(self, monkeypatch):
+        force_multichain(monkeypatch)
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            batch, actions, costs = random_batch(rng, 1.0, int(rng.integers(1, 5)), 37, (1.0,))
+            got = _evaluate(batch, actions, costs)
+            assert not got[2].any()
+            assert_same_bytes(got, frozen_evaluate(batch, actions, costs))
 
 
 def fig1_mdp(beta=0.9, rho=1.0, L=None):
