@@ -12,6 +12,12 @@ kept as distinct symbolic (k, n) states so indexing stays bijective.  The
 beliefs are copied from the chain's `aged_beliefs`, so a second build on the
 same chain object (the other criterion, a simulation after the index solve)
 propagates nothing.
+
+The depth L and its certificates walk sequential matrix powers, T^{n+1} =
+T @ T^n.  Each power is one BLAS call (`np.dot`) into its slot of a stack,
+and the gaps to omega and the entropies are taken over a whole stack at
+once: the per-call cost of numpy, not the arithmetic, sets the time of
+these tiny products.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .errors import TruncationTooDeep
 from .markov import ChainSpec, entropies, entropy
 
 ROW_SUM_TOL = 1e-12
+_POWER_BLOCK = 16  # matrix powers made per gap test in choose_truncation
 
 
 @dataclass(frozen=True)
@@ -143,10 +150,6 @@ def transition_matrices(mdp: TruncatedBeliefMDP):
     return p_passive, p_active
 
 
-def _max_gap_to_omega(powers: np.ndarray, omega: np.ndarray) -> float:
-    return float(np.max(np.abs(powers - omega[:, None])))
-
-
 def _fannes_gap(tv: float, n: int) -> float:
     """Entropy-continuity bound |H(p) - H(q)| <= tv*log2(n-1) + Hb(tv) at TV distance tv."""
     if tv <= 0.0:
@@ -156,6 +159,19 @@ def _fannes_gap(tv: float, n: int) -> float:
     return float(tv * np.log2(max(n - 1, 1)) + entropy([tv, 1.0 - tv]))
 
 
+def _powers(t: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Fill stack[1:] with t @ stack[0], t @ stack[1], ...: one `np.dot`
+    into its slot per power, the same BLAS product as `t @ prev`."""
+    for i in range(1, len(stack)):
+        np.dot(t, stack[i - 1], out=stack[i])
+    return stack
+
+
+def _gaps_to_omega(powers: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """max_k ||T_k^n - omega||_inf of each matrix in a (..., N, N) stack."""
+    return np.abs(powers - omega[:, None]).max(axis=(-2, -1))
+
+
 def truncation_diagnostics(chain: ChainSpec, L: int) -> TruncationDiagnostics:
     """Compute (eta_L, sigma_L, B_H) for a chain at truncation depth L.
 
@@ -163,22 +179,21 @@ def truncation_diagnostics(chain: ChainSpec, L: int) -> TruncationDiagnostics:
     j = 0..4L directly (probe_depth = 4L) and close the tail with a
     Fannes-type bound at the depth-5L total-variation gap; TV to omega never
     increases under the chain map, so that single gap bounds the tail.
+    T^L is `matrix_power`'s; the deeper powers follow it one `np.dot` each.
     """
     probe_depth = 4 * L
     omega = chain.equilibrium
-    h_omega = entropy(omega)
     n = chain.n_states
 
-    powers = np.linalg.matrix_power(chain.transition, L)
-    eta_l = _max_gap_to_omega(powers, omega)
-
-    probes = np.empty((probe_depth + 1, n, n))  # probe j's rows: the beliefs T_k^{L+j}
-    cur = powers
-    for j in range(probe_depth + 1):
-        probes[j] = cur.T
-        cur = chain.transition @ cur
-    sigma = float(np.abs(entropies(probes) - h_omega).max())
-    tail_tv = 0.5 * float(np.max(np.abs(cur - omega[:, None]).sum(axis=0)))
+    stack = np.empty((probe_depth + 2, n, n))  # stack[j] = T^{L+j}
+    stack[0] = np.linalg.matrix_power(chain.transition, L)
+    _powers(chain.transition, stack)
+    eta_l = float(_gaps_to_omega(stack[0], omega))
+    # the rows of stack[j].T are the beliefs T_k^{L+j}; they are copied into
+    # rows, as a sum along a strided axis may add in another order
+    beliefs = np.ascontiguousarray(stack[:-1].transpose(0, 2, 1))
+    sigma = float(np.abs(entropies(beliefs) - entropy(omega)).max())
+    tail_tv = 0.5 * float(np.max(np.abs(stack[-1] - omega[:, None]).sum(axis=0)))
     sigma = max(sigma, _fannes_gap(tail_tv, n))
 
     return TruncationDiagnostics(
@@ -193,19 +208,28 @@ def truncation_diagnostics(chain: ChainSpec, L: int) -> TruncationDiagnostics:
 def choose_truncation(
     bandit: BanditSpec, eta_target: float, l_max: int = 10000
 ) -> tuple[int, TruncationDiagnostics]:
-    """Smallest L <= l_max with max_k ||T_k^L - omega||_inf <= eta_target."""
+    """Smallest L <= l_max with max_k ||T_k^L - omega||_inf <= eta_target.
+
+    The powers T^L = T @ T^{L-1} are made _POWER_BLOCK at a time into one
+    stack, whose gaps are tested together."""
     if eta_target <= 0.0:
         raise ValueError("eta_target must be > 0")
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
     chain = bandit.chain
-    omega = chain.equilibrium
-    cur = chain.transition.copy()
-    for L in range(1, l_max + 1):
-        if _max_gap_to_omega(cur, omega) <= eta_target:
+    t, omega = chain.transition, chain.equilibrium
+    stack = np.empty((min(_POWER_BLOCK, l_max), chain.n_states, chain.n_states))
+    stack[0] = t
+    for first in range(1, l_max + 1, len(stack)):  # stack[i] = T^(first + i)
+        if first > 1:
+            np.dot(t, stack[-1], out=stack[0])
+        gaps = _gaps_to_omega(_powers(t, stack), omega)[: l_max - first + 1]
+        hits = np.flatnonzero(gaps <= eta_target)
+        if hits.size:
+            L = first + int(hits[0])
             return L, truncation_diagnostics(chain, L)
-        cur = chain.transition @ cur
     raise TruncationTooDeep(
-        f"no L <= {l_max} reaches eta_target={eta_target:g} "
-        f"(gap at L={l_max}: {_max_gap_to_omega(cur, omega):.3g})"
+        f"no L <= {l_max} reaches eta_target={eta_target:g} (gap at L={l_max}: {gaps[-1]:.3g})"
     )
 
 

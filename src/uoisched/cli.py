@@ -64,15 +64,17 @@ def _prepared(args, check=None):
     """Load the config and apply --seed, prepare the instance (which writes
     nothing) and run `check(args, prep)` on the command's own inputs; only
     then create the out dir and echo the config there: (prepared instance,
-    out dir, config hash, checked)."""
+    out dir, config hash, checked, wall time of prepare)."""
     config = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         config.override_seed(args.seed)
+    t0 = time.perf_counter()
     prep = prepare(config)
+    prepare_s = time.perf_counter() - t0
     checked = check(args, prep) if check else None
     out = _out_dir(args, config)
     h = _echo_config(config, out)
-    return prep, out, h, checked
+    return prep, out, h, checked, prepare_s
 
 
 def _timed_index_tables(args, prep):
@@ -85,9 +87,10 @@ def _timed_index_tables(args, prep):
 
 
 def cmd_indices(args) -> int:
-    prep, out, h, (result, seconds) = _prepared(args, _timed_index_tables)
+    prep, out, h, (result, seconds), prepare_s = _prepared(args, _timed_index_tables)
     trace = result.trace
 
+    t0 = time.perf_counter()
     for table in result.tables:
         save_table(table, out / f"indices_{table.bandit_label}.json", h)
     _write_csv(
@@ -114,13 +117,15 @@ def cmd_indices(args) -> int:
         },
         h,
     )
-    # the search's wall time goes to stdout only (in out/ it would break
-    # byte-identical reruns), with the solver work it paid for
+    write_s = time.perf_counter() - t0
+    # the stage times go to stdout only (in out/ they would break
+    # byte-identical reruns), with the solver work the search paid for
     print(f"lambda_star = {trace.lambda_star:.6g} ({len(trace.iterates)} gradient evaluations)")
     print(
         f"gradient search: {seconds:.3g} s, {trace.policy_evaluations:,} policy evaluations in "
         f"{trace.pi_rounds:,} policy-iteration rounds, {trace.solves_skipped:,} solves skipped"
     )
+    print(f"prepare (truncation and MDP build): {prepare_s:.3g} s, writing the outputs: {write_s:.3g} s")
     print(f"wrote {len(result.tables)} index tables to {out}")
     return EXIT_OK
 
@@ -160,7 +165,7 @@ def _simulation_tables(args, prep):
 
 
 def cmd_simulate(args) -> int:
-    prep, out, h, tables = _prepared(args, _simulation_tables)
+    prep, out, h, tables, _ = _prepared(args, _simulation_tables)
     config = prep.config
     t0 = time.perf_counter()
     res = simulate(
@@ -224,13 +229,23 @@ def _policy_result(args, prep) -> tuple[float, float] | None:
     return float(mean), float(stderr)
 
 
-def cmd_oracle(args) -> int:
-    prep, out, h, policy = _prepared(args, _policy_result)
+def _joint_solve(args, prep):
+    """The --policy-result check (`_policy_result`), then the joint solve, run
+    before anything is written (a joint space over the cap exits 4 and a
+    solve that does not converge exits 3, both with the out dir untouched):
+    (oracle result, policy mean and stderr or None)."""
+    policy = _policy_result(args, prep)
     config = prep.config
     if config.criterion == DISCOUNTED:
         res = joint_solve_discounted(prep.mdps, config.m, tol=1e-8, initial_states=prep.initial_states)
     else:
         res = joint_solve_average(prep.mdps, config.m, tol=1e-8)
+    return res, policy
+
+
+def cmd_oracle(args) -> int:
+    prep, out, h, (res, policy), _ = _prepared(args, _joint_solve)
+    config = prep.config
     doc = {
         "criterion": config.criterion,
         "value": res.value,
@@ -285,7 +300,7 @@ def _sweep_plan(args, prep) -> list[int]:
 
 
 def cmd_asymptotic(args) -> int:
-    prep, out, h, m_list = _prepared(args, _sweep_plan)
+    prep, out, h, m_list, _ = _prepared(args, _sweep_plan)
     config = prep.config
     sweep = asymptotic_sweep(
         [(mdp, 1.0 / len(prep.mdps)) for mdp in prep.mdps],

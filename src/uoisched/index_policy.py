@@ -100,14 +100,24 @@ def or_active(indices, beta: float, lambda_star: float):
     return beta * np.asarray(indices) >= lambda_star - ACTIVE_TIE_TOL
 
 
-def table_to_doc(table: GainIndexTable, config_hash: str | None = None) -> dict:
-    """Versioned JSON document: omega is encoded as k = 0, n = 0."""
-    labels = state_labels(table.beliefs.shape[1], table.truncation_L)
+def _table_header(table: GainIndexTable, config_hash: str | None) -> dict:
+    """The table document without its "states"."""
     doc = {
         "schema_version": TABLE_SCHEMA_VERSION,
         "bandit_label": table.bandit_label,
         "criterion": table.criterion,
         "lambda_star": table.lambda_star,
+    }
+    if config_hash is not None:
+        doc["config_hash"] = config_hash
+    return doc
+
+
+def table_to_doc(table: GainIndexTable, config_hash: str | None = None) -> dict:
+    """Versioned JSON document: omega is encoded as k = 0, n = 0."""
+    labels = state_labels(table.beliefs.shape[1], table.truncation_L)
+    return {
+        **_table_header(table, config_hash),
         "states": [
             {
                 "k": k,
@@ -118,9 +128,6 @@ def table_to_doc(table: GainIndexTable, config_hash: str | None = None) -> dict:
             for i, (k, n) in enumerate(labels)
         ],
     }
-    if config_hash is not None:
-        doc["config_hash"] = config_hash
-    return doc
 
 
 def table_from_doc(doc: dict) -> GainIndexTable:
@@ -170,9 +177,31 @@ def table_from_doc(doc: dict) -> GainIndexTable:
         raise ConfigError(f"index table document has a malformed field: {exc}") from exc
 
 
+# json's spelling of the floats whose repr is not JSON
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def save_table(table: GainIndexTable, path, config_hash: str | None = None) -> None:
+    """Write exactly `json.dumps(table_to_doc(table, config_hash), indent=2,
+    sort_keys=True)` and a newline.  json's encoder runs in Python once
+    indent is set, so only the header goes through it; "states" sorts
+    last, and each state is one %-template, with every float in json's own
+    text (its repr, or NaN, Infinity, -Infinity)."""
+    header = json.dumps(_table_header(table, config_hash), indent=2, sort_keys=True)
+    n_chain = table.beliefs.shape[1]
+    values = np.column_stack([table.beliefs, table.indices])
+    texts = list(map(float.__repr__, values.ravel().tolist()))
+    if not np.isfinite(values).all():
+        texts = [_NON_FINITE.get(t, t) for t in texts]
+    belief = ",\n".join(["        %s"] * n_chain)
+    state = f'    {{\n      "belief": [\n{belief}\n      ],\n      "index": %s,\n      "k": %d,\n      "n": %d\n    }}'
+    per = n_chain + 1
+    states = ",\n".join([
+        state % (*texts[i * per:(i + 1) * per], k, n)
+        for i, (k, n) in enumerate(state_labels(n_chain, table.truncation_L))
+    ])
     with open(path, "w") as fh:
-        fh.write(json.dumps(table_to_doc(table, config_hash), indent=2, sort_keys=True) + "\n")
+        fh.write(f'{header[:-2]},\n  "states": [\n{states}\n  ]\n}}\n')
 
 
 def load_table(path) -> GainIndexTable:

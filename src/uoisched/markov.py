@@ -9,7 +9,8 @@ equilibrium belief in serialized state labels).
 
 A chain keeps the beliefs T^n e_k it has aged (`ChainSpec.aged_beliefs`),
 so every truncated MDP built on the same chain object copies them instead
-of propagating again.
+of propagating again.  Each age is one gemv (`np.dot` with `out=`) written
+straight into its row of the kept array.
 """
 
 from __future__ import annotations
@@ -65,11 +66,12 @@ class ChainSpec:
         if L > have:
             deeper = np.empty((self.n_states, L, self.n_states))
             deeper[:, :have] = aged
-            for k in range(self.n_states):
-                x = self.transition[:, k].copy() if have == 0 else self.transition @ aged[k, -1]
-                for age in range(have, L):
-                    deeper[k, age] = x
-                    x = self.transition @ x
+            t = self.transition
+            if have == 0:
+                deeper[:, 0] = t.T  # age 1 after state k: column k of T
+            for rows in deeper:
+                for age in range(max(have, 1), L):
+                    np.dot(t, rows[age - 1], out=rows[age])  # the gemv of t @ x
             deeper.setflags(write=False)
             object.__setattr__(self, "_aged", deeper)
             aged = deeper

@@ -11,6 +11,9 @@ iteration, reads the derivative off its batch solve and applies the OR rule
 through `or_active`.  `frozen_evaluate` and `frozen_q_values` are frozen
 copies of the policy evaluation and the Q-values as they were before their
 numpy calls were trimmed; the solvers must keep matching them byte for byte.
+`frozen_choose_truncation`, `frozen_truncation_diagnostics` and
+`frozen_aged_beliefs` are the truncation and the belief ageing as they were
+before each matrix power became one BLAS call into a stack.
 """
 
 import numpy as np
@@ -21,17 +24,22 @@ from hypothesis import settings
 
 from uoisched import (
     BanditSpec,
+    TruncationDiagnostics,
+    TruncationTooDeep,
     ChainError,
     ChainSpec,
     PolicyAndValues,
     TruncatedBeliefMDP,
     build_truncated,
     choose_truncation,
+    entropies,
+    entropy,
     or_active,
     transition_matrices,
     validate_chain,
 )
 from uoisched.errors import SolverError
+from uoisched.belief_mdp import _fannes_gap
 from uoisched.index_policy import _indices_from_values
 from uoisched.solvers import BanditBatch, _evaluate, _greedy, _one_bandit, _q_values
 
@@ -264,3 +272,59 @@ def frozen_q_values(batch, lam, values, beta):
         v_reset += batch.beliefs_t[k] * v_resets[k]
     p_active = batch.rho * v_reset + (1.0 - batch.rho) * v_next
     return batch.costs + lam + beta * p_active, batch.costs + beta * v_next
+
+
+def _frozen_max_gap_to_omega(powers, omega) -> float:
+    return float(np.max(np.abs(powers - omega[:, None])))
+
+
+def frozen_truncation_diagnostics(chain, L: int) -> TruncationDiagnostics:
+    """`belief_mdp.truncation_diagnostics` as it was before the powers went
+    into one stack: each probe copied transposed, one at a time."""
+    probe_depth = 4 * L
+    omega = chain.equilibrium
+    h_omega = entropy(omega)
+    n = chain.n_states
+    powers = np.linalg.matrix_power(chain.transition, L)
+    eta_l = _frozen_max_gap_to_omega(powers, omega)
+    probes = np.empty((probe_depth + 1, n, n))
+    cur = powers
+    for j in range(probe_depth + 1):
+        probes[j] = cur.T
+        cur = chain.transition @ cur
+    sigma = float(np.abs(entropies(probes) - h_omega).max())
+    tail_tv = 0.5 * float(np.max(np.abs(cur - omega[:, None]).sum(axis=0)))
+    sigma = max(sigma, _fannes_gap(tail_tv, n))
+    return TruncationDiagnostics(
+        truncation_L=L, eta_L=eta_l, sigma_L=sigma, b_h=float(np.log2(n)), probe_depth=probe_depth
+    )
+
+
+def frozen_choose_truncation(bandit, eta_target: float, l_max: int = 10000):
+    """`belief_mdp.choose_truncation` as it was before the powers went into a
+    stack, with the gap at l_max (the old message named the next one's)."""
+    chain = bandit.chain
+    omega = chain.equilibrium
+    cur = chain.transition.copy()
+    for L in range(1, l_max + 1):
+        gap = _frozen_max_gap_to_omega(cur, omega)
+        if gap <= eta_target:
+            return L, frozen_truncation_diagnostics(chain, L)
+        cur = chain.transition @ cur
+    raise TruncationTooDeep(
+        f"no L <= {l_max} reaches eta_target={eta_target:g} (gap at L={l_max}: {gap:.3g})"
+    )
+
+
+def frozen_aged_beliefs(transition, aged, L: int) -> np.ndarray:
+    """`ChainSpec.aged_beliefs`' extension of the (N, have, N) ages `aged` to
+    depth L, as it was before each age became one `np.dot` into its row."""
+    n, have = aged.shape[0], aged.shape[1]
+    deeper = np.empty((n, L, n))
+    deeper[:, :have] = aged
+    for k in range(n):
+        x = transition[:, k].copy() if have == 0 else transition @ aged[k, -1]
+        for age in range(have, L):
+            deeper[k, age] = x
+            x = transition @ x
+    return deeper

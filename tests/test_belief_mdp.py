@@ -27,7 +27,14 @@ import uoisched
 from uoisched.belief_mdp import _fannes_gap, nearest_state
 from uoisched.lagrange import gradient_search, make_problem
 
-from conftest import FIG1, random_bandit, random_chain
+from conftest import (
+    FIG1,
+    frozen_aged_beliefs,
+    frozen_choose_truncation,
+    frozen_truncation_diagnostics,
+    random_bandit,
+    random_chain,
+)
 
 
 def fig1_bandit(rho=1.0):
@@ -163,6 +170,73 @@ class TestChooseTruncation:
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
             choose_truncation(fig1_bandit(), 0.0)
+
+
+def diagnostics_bits(diag) -> tuple:
+    return (diag.truncation_L, diag.eta_L.hex(), diag.sigma_L.hex(), diag.b_h.hex(), diag.probe_depth)
+
+
+def truncation_outcome(choose, bandit, eta, l_max) -> tuple:
+    try:
+        L, diag = choose(bandit, eta, l_max=l_max)
+    except TruncationTooDeep as exc:
+        return ("too deep", str(exc))
+    return (L, diagnostics_bits(diag))
+
+
+def slow_or_fast_chain(rng, n):
+    """A random chain, slowly mixing (0.97 I plus a little mixing) three
+    times in ten."""
+    if rng.random() < 0.3:
+        return validate_chain(0.97 * np.eye(n) + 0.03 * rng.dirichlet(np.ones(n), size=n).T)
+    return random_chain(rng, n)
+
+
+class TestFrozenTruncation:
+    """`choose_truncation`, `truncation_diagnostics` and `aged_beliefs` make
+    each matrix power with one BLAS call into a stack, and still do the
+    floating-point operations of their frozen copies in conftest: every
+    depth, certificate and belief matches byte for byte."""
+
+    def test_random_chains_across_stack_boundaries(self):
+        rng = np.random.default_rng(30)
+        too_deep = 0
+        for _ in range(150):
+            bandit = BanditSpec(slow_or_fast_chain(rng, int(rng.integers(2, 7))), 1.0, "x")
+            eta = float(rng.choice([1e-3, 1e-6, 1e-9]))
+            l_max = int(rng.choice([1, 5, 15, 16, 17, 31, 32, 33, 64, 10000]))
+            got = truncation_outcome(choose_truncation, bandit, eta, l_max)
+            assert got == truncation_outcome(frozen_choose_truncation, bandit, eta, l_max)
+            too_deep += got[0] == "too deep"
+        assert 0 < too_deep < 150
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 12])
+    def test_diagnostics_of_chains_up_to_twelve_states(self, n):
+        # from N = 8 up, a sum along a strided axis may add in another order
+        rng = np.random.default_rng(31 + n)
+        for L in (1, 2, 7, 16, 40):
+            chain = slow_or_fast_chain(rng, n)
+            got = truncation_diagnostics(chain, L)
+            assert diagnostics_bits(got) == diagnostics_bits(frozen_truncation_diagnostics(chain, L))
+
+    def test_aged_beliefs_fresh_and_extended(self):
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            chain = slow_or_fast_chain(rng, int(rng.integers(2, 9)))
+            first, deeper = sorted(int(v) for v in rng.integers(1, 50, size=2))
+            expected = frozen_aged_beliefs(chain.transition, np.empty((chain.n_states, 0, chain.n_states)), first)
+            assert chain.aged_beliefs(first).tobytes() == expected.tobytes()
+            expected = frozen_aged_beliefs(chain.transition, expected, deeper)
+            assert chain.aged_beliefs(deeper).tobytes() == expected.tobytes()
+
+    def test_too_deep_names_the_gap_at_l_max(self):
+        bandit = BanditSpec(validate_chain([[0.99, 0.02], [0.01, 0.98]]), 1.0, "x")
+        with pytest.raises(TruncationTooDeep, match=r"^no L <= 5 reaches eta_target=1e-12 \(gap at L=5: 0\.572\)$"):
+            choose_truncation(bandit, 1e-12, l_max=5)
+
+    def test_rejects_l_max_below_one(self):
+        with pytest.raises(ValueError, match="l_max"):
+            choose_truncation(fig1_bandit(), 1e-6, l_max=0)
 
 
 class TestErrorBounds:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib
 import json
@@ -44,6 +45,28 @@ SAMPLE_SWEEP_SHA256 = {
         "beb97edfb18c4a3a1828fdd2b36531d458181aa25ea421339ad6080388fe5b3e",
         "24aca9c862628af67a8c089710aa6036a4fc32ce1a11482ebcce958418b29bcb",
     ),
+}
+
+# sha256 of every file `indices` writes on each sample config, recorded
+# before truncation made its matrix powers into a stack and before index
+# tables were written without json's encoder
+SAMPLE_INDICES_SHA256 = {
+    "two_sources_discounted": {
+        "config_echo.json": "40914a2d22049d77849e86ee21f7f45440d90caaca2402ee3152519ceb5fb325",
+        "gradient_trace.csv": "4f0731d1893af11d3943fb60227cc4e5ad15b256d5641cf33155c72234e6a9ac",
+        "indices_src-a.json": "193cba8c881db8f6c78b85504df288de46e02e3351a8bde3e0f9fa8602b455bf",
+        "indices_src-b.json": "34820aa2d693d4210dcdbd180e97bfc3eb2106a21ef2fb751a1f525c516ac508",
+        "lambda_report.json": "ee3ee4f2ac55b6bd027c7c1a5a9a962a51d03ead336cdf900acd486e3300c5b5",
+        "truncation_report.json": "fad8711daa0fdc8ef8dab58270f798acff5de946dd3239a0385f35a33b84eecc",
+    },
+    "two_sources_average": {
+        "config_echo.json": "a7d54e9ddb7d171097c2be15a262811cb3841f049b7d07cdec19f1c4e3306bfe",
+        "gradient_trace.csv": "cb18d741ed1bbdab03f22bfe0d0f156169c7c939364e29aa63908b29e9786f0d",
+        "indices_src-a.json": "1bcf2458df384fe14f3a6942fcdd003e604d8d4e5a4bd09250b8bf43bbf2adab",
+        "indices_src-b.json": "156e80bf3bec8ea6b2d696a85595e2d0619920306526c569fb00fe0de5903f95",
+        "lambda_report.json": "b0e1c8c8081be50e50ce86b57926ddf607cc713f99a542b3a7cc3b6f29f887cf",
+        "truncation_report.json": "c82dab2b74d35936e93a92e7d0dc86871330d4d0bcc9d6067be9137097290dd1",
+    },
 }
 
 
@@ -140,6 +163,14 @@ class TestIndicesCommand:
             r"(\d+) solves skipped",
             lines[1],
         ).groups() == tuple(str(report[key]) for key in ("policy_evaluations", "pi_rounds", "solves_skipped"))
+        assert re.fullmatch(r"prepare \(truncation and MDP build\): \S+ s, writing the outputs: \S+ s", lines[2])
+
+    @pytest.mark.parametrize("name", sorted(SAMPLE_INDICES_SHA256))
+    def test_sample_config_outputs_are_pinned(self, tmp_path, name):
+        out = tmp_path / "o"
+        assert main(["indices", "--config", str(REPO / "configs" / f"{name}.json"), "--out", str(out)]) == 0
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        assert digests == SAMPLE_INDICES_SHA256[name]
 
     def test_unknown_field_exits_2_and_names_it(self, tmp_path, capsys):
         doc = dict(FAST_CONFIG)
@@ -620,6 +651,21 @@ class TestOracleCommand:
         ]
         cfg = write_config(tmp_path, doc)
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+    def test_three_sources_over_the_cap_exit_4_without_a_trace(self, tmp_path, capsys):
+        doc = dict(FAST_CONFIG, truncation={"mode": "fixed", "L": 200})
+        doc["bandits"] = [*FAST_CONFIG["bandits"], dict(FAST_CONFIG["bandits"][0], label="src-c")]
+        cfg = write_config(tmp_path, doc)
+        assert_rejected_without_a_trace(tmp_path, ["oracle", "--config", cfg], code=4)
+        assert "joint problem has 64481201 states" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("criterion", [{"type": "discounted", "beta": 0.9}, {"type": "average"}])
+    def test_joint_solve_failure_exits_3_without_a_trace(self, tmp_path, monkeypatch, capsys, criterion):
+        for name in ("joint_solve_discounted", "joint_solve_average"):  # one sweep cannot meet tol
+            monkeypatch.setattr(uoisched.cli, name, functools.partial(getattr(uoisched.cli, name), max_iters=1))
+        cfg = write_config(tmp_path, dict(FAST_CONFIG, criterion=criterion))
+        assert_rejected_without_a_trace(tmp_path, ["oracle", "--config", cfg], code=3)
+        assert "did not converge in 1 sweeps" in capsys.readouterr().err
 
 
 class TestAsymptoticCommand:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uoisched import (
     BanditSpec,
@@ -26,7 +28,7 @@ from uoisched import (
     validate_chain,
 )
 from uoisched.config import load_config
-from uoisched.index_policy import table_from_doc, table_to_doc
+from uoisched.index_policy import GainIndexTable, table_from_doc, table_to_doc
 from uoisched.solvers import BanditBatch, solve_batch
 from uoisched.workflows import compute_index_tables, prepare
 
@@ -398,6 +400,30 @@ class TestSerialization:
         doc = table_to_doc(gain_indices_discounted(build_truncated(bandit, 4, 0.9), 0.05))
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             table_from_doc(make_doc(doc))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        n_chain=st.integers(2, 6),
+        L=st.integers(1, 60),
+        config_hash=st.sampled_from([None, "abc123", "0f" * 32]),
+        label=st.sampled_from(["fig1", "src-b", 'q"\\ü']),
+        lam=st.floats(0.0, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+        non_finite=st.lists(st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 5e-324]), max_size=4),
+    )
+    def test_save_table_writes_the_json_encoders_text(self, tmp_path, n_chain, L, config_hash, label, lam, seed, non_finite):
+        rng = np.random.default_rng(seed)
+        n = n_chain * L + 1
+        beliefs = rng.dirichlet(np.ones(n_chain), size=n)
+        indices = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, size=n)
+        for value in non_finite:  # indices and beliefs json spells NaN, Infinity, -Infinity
+            indices[rng.integers(n)] = value
+            beliefs[rng.integers(n), rng.integers(n_chain)] = value
+        table = GainIndexTable(label, "average", lam, indices, None, beliefs, L)
+        path = tmp_path / "table.json"
+        save_table(table, path, config_hash)
+        expected = json.dumps(table_to_doc(table, config_hash), indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == expected
 
     def test_json_is_deterministic(self, tmp_path):
         bandit = BanditSpec(validate_chain(FIG1), 1.0, "fig1")
