@@ -205,9 +205,7 @@ def truncation_diagnostics(chain: ChainSpec, L: int) -> TruncationDiagnostics:
     )
 
 
-def choose_truncation(
-    bandit: BanditSpec, eta_target: float, l_max: int = 10000
-) -> tuple[int, TruncationDiagnostics]:
+def truncation_depth(bandit: BanditSpec, eta_target: float, l_max: int = 10000) -> int:
     """Smallest L <= l_max with max_k ||T_k^L - omega||_inf <= eta_target.
 
     The powers T^L = T @ T^{L-1} are made _POWER_BLOCK at a time into one
@@ -226,11 +224,18 @@ def choose_truncation(
         gaps = _gaps_to_omega(_powers(t, stack), omega)[: l_max - first + 1]
         hits = np.flatnonzero(gaps <= eta_target)
         if hits.size:
-            L = first + int(hits[0])
-            return L, truncation_diagnostics(chain, L)
+            return first + int(hits[0])
     raise TruncationTooDeep(
         f"no L <= {l_max} reaches eta_target={eta_target:g} (gap at L={l_max}: {gaps[-1]:.3g})"
     )
+
+
+def choose_truncation(
+    bandit: BanditSpec, eta_target: float, l_max: int = 10000
+) -> tuple[int, TruncationDiagnostics]:
+    """`truncation_depth` and the certificates at that depth."""
+    L = truncation_depth(bandit, eta_target, l_max)
+    return L, truncation_diagnostics(bandit.chain, L)
 
 
 def discounted_error_bound(

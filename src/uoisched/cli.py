@@ -60,21 +60,22 @@ def _echo_config(config, out: Path) -> str:
     return h
 
 
-def _prepared(args, check=None):
+def _prepared(args, compute):
     """Load the config and apply --seed, prepare the instance (which writes
-    nothing) and run `check(args, prep)` on the command's own inputs; only
-    then create the out dir and echo the config there: (prepared instance,
-    out dir, config hash, checked, wall time of prepare)."""
+    nothing) and run `compute(args, prep)`, the command's checks and its
+    work; only then create the out dir and echo the config there, so a
+    command that fails leaves the out dir as it was: (prepared instance,
+    out dir, config hash, computed, wall time of prepare)."""
     config = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         config.override_seed(args.seed)
     t0 = time.perf_counter()
     prep = prepare(config)
     prepare_s = time.perf_counter() - t0
-    checked = check(args, prep) if check else None
+    computed = compute(args, prep)
     out = _out_dir(args, config)
     h = _echo_config(config, out)
-    return prep, out, h, checked, prepare_s
+    return prep, out, h, computed, prepare_s
 
 
 def _timed_index_tables(args, prep):
@@ -164,15 +165,22 @@ def _simulation_tables(args, prep):
     return tables
 
 
-def cmd_simulate(args) -> int:
-    prep, out, h, tables, _ = _prepared(args, _simulation_tables)
+def _simulation(args, prep):
+    """`simulate` on the --tables files (`_simulation_tables`), run before
+    anything is written: (result, wall time of the simulation)."""
+    tables = _simulation_tables(args, prep)
     config = prep.config
     t0 = time.perf_counter()
     res = simulate(
         config.build_instance(), args.policy, config.horizon, config.runs,
         tables=tables, truncation_L=prep.l_per_bandit, burn_in=config.burn_in,
     )
-    seconds = time.perf_counter() - t0
+    return res, time.perf_counter() - t0
+
+
+def cmd_simulate(args) -> int:
+    prep, out, h, (res, seconds), _ = _prepared(args, _simulation)
+    config = prep.config
     _write_json(out / f"sim_{args.policy}.json", {"result": res.to_json_dict(), **_simulated_sources(config)}, h)
     _write_csv(
         out / "sim_summary.csv",
@@ -299,10 +307,13 @@ def _sweep_plan(args, prep) -> list[int]:
     return m_list
 
 
-def cmd_asymptotic(args) -> int:
-    prep, out, h, m_list, _ = _prepared(args, _sweep_plan)
+def _sweep(args, prep):
+    """The population sweep over --m-list (`_sweep_plan`), run before
+    anything is written (a class search that fails exits 3 with the out
+    dir untouched)."""
+    m_list = _sweep_plan(args, prep)
     config = prep.config
-    sweep = asymptotic_sweep(
+    return asymptotic_sweep(
         [(mdp, 1.0 / len(prep.mdps)) for mdp in prep.mdps],
         alpha=args.alpha,
         m_list=m_list,
@@ -316,6 +327,10 @@ def cmd_asymptotic(args) -> int:
             "max_iters": config.gradient_max_iters,
         },
     )
+
+
+def cmd_asymptotic(args) -> int:
+    _, out, h, sweep, _ = _prepared(args, _sweep)
     _write_json(out / "asymptotic.json", {"sweep": sweep.to_json_dict()}, h)
     _write_csv(
         out / "asymptotic.csv",

@@ -11,10 +11,20 @@ concave and piecewise linear in lam, with derivative equal to the summed
 expected activation usage minus the channel budget m/s.  The gradient
 iteration lam_{k+1} = lam_k + a_k * f'(lam_k) with a_k = c/(k+1) stops once
 consecutive derivatives bracket a sign change within epsilon.
+
+Each solve is a batched policy iteration, and the number of its rounds sets
+the search's cost.  Under a fixed policy every value is affine in lam, so a
+solve's values carry exactly to any other charge along its own policy
+(`BatchSolution.activations`).  A new solve starts from the kept solve whose
+greedy interval lies nearest lam, carried to lam: one exact improvement step
+of the nearest known optimal policy.  The start sets only the rounds paid:
+the solve still returns the exact evaluation of a policy-iteration fixed
+point.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -30,6 +40,8 @@ from .solvers import (
     greedy_interval,
     solve_batch,
 )
+
+_WARM_SOLVES = 8  # solves kept as warm starts; each holds two n-state arrays
 
 
 @dataclass
@@ -142,8 +154,14 @@ def gradient_search(problem: LagrangeProblem) -> GradientTrace:
     Stops when f'(lam_k) * f'(lam_{k+1}) <= 0 and |lam_{k+1} - lam_k| <
     epsilon, returning lambda_star = min of the bracketing pair and, as
     `solution`, the batch solve made at that iterate; derivatives within
-    `derivative_zero_tol` of zero count as zero in the sign test.  Each
-    solve is warm-started from the values of the last solve made.
+    `derivative_zero_tol` of zero count as zero in the sign test.
+
+    Each solve, the final one at lam_star and the bisection's included,
+    starts from one of the last _WARM_SOLVES solves: the one whose greedy
+    interval lies nearest lam (distance max(lo - lam, lam - hi, 0); a solve
+    without an interval counts as [lam_j, lam_j]).  Its values are carried
+    to lam as values + (lam - lam_j) * activations, or taken as they are
+    when it has no activation values (a multichain final policy).
 
     f' changes only where some bandit's optimal policy does, so each solve
     also yields the interval of charges on which its policies stay greedy
@@ -158,29 +176,41 @@ def gradient_search(problem: LagrangeProblem) -> GradientTrace:
     def snap(d):
         return 0.0 if abs(d) <= deriv_tol else d
 
-    warm = None  # the values of the last solve
     counts = SolveCounts()
     known = []  # (lo, hi, derivative) of each solved policy's greedy interval
+    recent = deque(maxlen=_WARM_SOLVES)  # (lo, hi, solution) of the last solves
     skipped = 0
+
+    def solve(lam):
+        """The batch solve at lam, started from the kept solve whose greedy
+        interval lies nearest lam, its values carried along its policy."""
+        warm = None
+        if recent:
+            _, _, near = min(recent, key=lambda kept: max(kept[0] - lam, lam - kept[1], 0.0))
+            warm = near.values
+            if near.activations is not None:
+                warm = warm + (lam - near.lam) * near.activations
+        sol = solve_batch(problem.batch, lam, warm, counts)
+        interval = greedy_interval(sol)
+        recent.append((*(interval or (lam, lam)), sol))
+        return sol, interval
 
     def derivative_at(lam):
         """f'(lam) and the solve at lam, or None in place of a skipped solve."""
-        nonlocal skipped, warm
+        nonlocal skipped
         for lo, hi, deriv in known:
             if lo <= lam <= hi:
                 skipped += 1
                 return deriv, None
-        sol = solve_batch(problem.batch, lam, warm, counts)
-        warm = sol.values
+        sol, interval = solve(lam)
         deriv = _derivative(problem, sol)
-        interval = greedy_interval(sol)
         if interval is not None:
             known.append((*interval, deriv))
         return deriv, sol
 
     def finish(lam_star, solution, stop_reason, bracket):
         if solution is None:
-            solution = solve_batch(problem.batch, lam_star, warm, counts)
+            solution, _ = solve(lam_star)
         return GradientTrace(
             iterates=iterates,
             lambda_star=lam_star,

@@ -2,7 +2,7 @@
 
 `solve_batch` solves either criterion by Howard policy iteration with exact
 evaluations, started from the policy that is greedy in warm-start values
-(the previous solve's V or Z, or zeros: all active at a zero charge).
+(a nearby solve's V or Z, or zeros: all active at a zero charge).
 Under the average criterion a unichain iterate is evaluated as (g, Z), with
 Z anchored at T_1^1, and improved greedily in Z; at a unichain fixed point
 (g, Z) solves the average-cost optimality equation
@@ -568,7 +568,7 @@ def solve_batch(batch: BanditBatch, lam: float, warm=None, counts=None) -> Batch
     batch's criterion (discount 1 is average cost).
 
     Policy iteration starts from the policy greedy in the flat values `warm`
-    (the last solve's values, or zeros: all active at lam = 0) and runs to
+    (a nearby solve's values, or zeros: all active at lam = 0) and runs to
     its fixed point.  Gains and usage are those of each initial state, and
     all values come with their activation values.
     """

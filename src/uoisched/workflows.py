@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .belief_mdp import (
     TruncatedBeliefMDP,
     TruncationDiagnostics,
     average_error_bound,
     build_truncated,
-    choose_truncation,
     discounted_error_bound,
     nearest_state,
+    truncation_depth,
     truncation_diagnostics,
 )
 from .config import ExperimentConfig
@@ -24,28 +25,31 @@ from .solvers import DISCOUNTED
 class PreparedInstance:
     config: ExperimentConfig
     mdps: list[TruncatedBeliefMDP]
-    diagnostics: list[TruncationDiagnostics]
     initial_states: list[int]
 
     @property
     def l_per_bandit(self) -> list[int]:
         return [mdp.truncation_L for mdp in self.mdps]
 
+    @cached_property
+    def diagnostics(self) -> list[TruncationDiagnostics]:
+        """Truncation certificates per bandit, computed on first read (only
+        `bound_report` needs them)."""
+        return [truncation_diagnostics(mdp.bandit.chain, mdp.truncation_L) for mdp in self.mdps]
+
 
 def prepare(config: ExperimentConfig) -> PreparedInstance:
     """Choose truncations, build the per-bandit MDPs, map initial beliefs."""
-    mdps, diags, init_ids = [], [], []
+    mdps, init_ids = [], []
     for bandit, chi in zip(config.bandits, config.initial_beliefs):
         if config.truncation_mode == "fixed":
             L = config.truncation_L
-            diag = truncation_diagnostics(bandit.chain, L)
         else:
-            L, diag = choose_truncation(bandit, config.eta_target)
+            L = truncation_depth(bandit, config.eta_target)
         mdp = build_truncated(bandit, L, config.discount)
         mdps.append(mdp)
-        diags.append(diag)
         init_ids.append(0 if chi is None else nearest_state(mdp.states, chi))
-    return PreparedInstance(config=config, mdps=mdps, diagnostics=diags, initial_states=init_ids)
+    return PreparedInstance(config=config, mdps=mdps, initial_states=init_ids)
 
 
 @dataclass

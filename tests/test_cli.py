@@ -49,14 +49,16 @@ SAMPLE_SWEEP_SHA256 = {
 
 # sha256 of every file `indices` writes on each sample config, recorded
 # before truncation made its matrix powers into a stack and before index
-# tables were written without json's encoder
+# tables were written without json's encoder; the lambda_report.json
+# entries were recorded again when each solve of the search began from the
+# nearest kept solve, which moved only its work counters
 SAMPLE_INDICES_SHA256 = {
     "two_sources_discounted": {
         "config_echo.json": "40914a2d22049d77849e86ee21f7f45440d90caaca2402ee3152519ceb5fb325",
         "gradient_trace.csv": "4f0731d1893af11d3943fb60227cc4e5ad15b256d5641cf33155c72234e6a9ac",
         "indices_src-a.json": "193cba8c881db8f6c78b85504df288de46e02e3351a8bde3e0f9fa8602b455bf",
         "indices_src-b.json": "34820aa2d693d4210dcdbd180e97bfc3eb2106a21ef2fb751a1f525c516ac508",
-        "lambda_report.json": "ee3ee4f2ac55b6bd027c7c1a5a9a962a51d03ead336cdf900acd486e3300c5b5",
+        "lambda_report.json": "8b304774ae06fcc0829673ee7798148a4b2c76470c4e1483e9d505a96b356add",
         "truncation_report.json": "fad8711daa0fdc8ef8dab58270f798acff5de946dd3239a0385f35a33b84eecc",
     },
     "two_sources_average": {
@@ -64,7 +66,7 @@ SAMPLE_INDICES_SHA256 = {
         "gradient_trace.csv": "cb18d741ed1bbdab03f22bfe0d0f156169c7c939364e29aa63908b29e9786f0d",
         "indices_src-a.json": "1bcf2458df384fe14f3a6942fcdd003e604d8d4e5a4bd09250b8bf43bbf2adab",
         "indices_src-b.json": "156e80bf3bec8ea6b2d696a85595e2d0619920306526c569fb00fe0de5903f95",
-        "lambda_report.json": "b0e1c8c8081be50e50ce86b57926ddf607cc713f99a542b3a7cc3b6f29f887cf",
+        "lambda_report.json": "438be0fa247c0e64de2bf5de6834e27b5d98b97e2532e57b1ed60eaba59c4890",
         "truncation_report.json": "c82dab2b74d35936e93a92e7d0dc86871330d4d0bcc9d6067be9137097290dd1",
     },
 }
@@ -116,9 +118,10 @@ class TestIndicesCommand:
         _, out = run_indices(tmp_path)
         report = json.loads((out / "lambda_report.json").read_text())
         counts = ("iterations", "solves_skipped", "pi_rounds", "policy_evaluations")
-        # pi_rounds and policy_evaluations were 19 and 38 while each discounted
-        # solve started from the last solve's policy and not from its values
-        assert tuple(report[key] for key in counts) == (39, 32, 12, 24)
+        # each solve starts from the values of the kept solve whose greedy
+        # interval lies nearest, carried along its policy; from the last
+        # solve's raw values, pi_rounds and policy_evaluations were 12 and 24
+        assert tuple(report[key] for key in counts) == (39, 32, 15, 30)
         assert "fallbacks" not in report and "rvi_sweeps" not in report
         # 7 iterates are solved, each by at least one round of batched policy
         # iteration, which evaluates both bandits once
@@ -131,7 +134,7 @@ class TestIndicesCommand:
         assert main(["indices", "--config", "configs/two_sources_average.json", "--out", str(out)]) == 0
         report = json.loads((out / "lambda_report.json").read_text())
         counts = ("iterations", "solves_skipped", "pi_rounds")
-        assert tuple(report[key] for key in counts) == (27, 20, 19)
+        assert tuple(report[key] for key in counts) == (27, 20, 18)
         assert report["pi_rounds"] >= report["iterations"] - report["solves_skipped"]
         assert report["policy_evaluations"] == 2 * report["pi_rounds"]
 
@@ -462,6 +465,25 @@ def test_seed_outside_64_bits_exits_2_before_anything_is_written(tmp_path, capsy
     assert err.startswith("config error: simulation.seed: must be") and seed in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--policy", "round_robin"], ["asymptotic", "--alpha", "0.5", "--m-list", "2,4"]],
+    ids=["simulate", "asymptotic"],
+)
+def test_simulation_error_exits_2_before_anything_is_written(tmp_path, capsys, monkeypatch, command):
+    """A ValueError raised inside the simulation, after the command's own
+    checks have passed, leaves the out dir as it was."""
+
+    def rejected(*args, **kwargs):
+        raise ValueError("simulation inputs rejected")
+
+    monkeypatch.setattr(uoisched.cli, "simulate", rejected)
+    monkeypatch.setattr(importlib.import_module("uoisched.simulate"), "simulate", rejected)
+    cfg = write_config(tmp_path, dict(FAST_CONFIG, criterion={"type": "average"}))
+    assert_rejected_without_a_trace(tmp_path, [*command, "--config", cfg])
+    assert capsys.readouterr().err == "config error: simulation inputs rejected\n" * 2
+
+
 class TestAverageCriterionPipeline:
     def test_indices_simulate_oracle(self, tmp_path):
         doc = dict(FAST_CONFIG)
@@ -746,6 +768,15 @@ class TestAsymptoticCommand:
         assert "remove initial_belief from src-a, src-b" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_class_search_failure_exits_3_before_anything_is_written(self, tmp_path, capsys):
+        # a step of 1e-9 cannot close the class search's bracket in one iteration
+        doc = dict(FAST_CONFIG, criterion={"type": "average"}, gradient={"c": 1e-9, "max_iters": 1})
+        cfg = write_config(tmp_path, doc)
+        command = ["asymptotic", "--config", cfg, "--alpha", "0.5", "--m-list", "2,4"]
+        assert_rejected_without_a_trace(tmp_path, command, code=3)
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: gradient search did not meet the stopping criterion in 1 iterations")
+
     @pytest.mark.parametrize("name", sorted(SAMPLE_SWEEP_SHA256))
     def test_sample_config_sweep_is_pinned(self, tmp_path, name):
         """`--alpha 0.5 --m-list 2,4` on a sample config cut to 4 runs writes
@@ -765,6 +796,21 @@ class TestBoundCommand:
         assert main(["bound", "--config", cfg]) == 0
         text = capsys.readouterr().out
         assert "eta_L" in text and "sigma_L" in text and "src-a" in text
+
+    @pytest.mark.parametrize("name", ["two_sources_discounted", "fixed"])
+    def test_prepare_computes_certificates_on_first_read(self, tmp_path, monkeypatch, name):
+        # only bound_report reads the certificates, so simulate and oracle
+        # do not pay for them
+        cfg = write_config(tmp_path, FAST_CONFIG) if name == "fixed" else REPO / "configs" / f"{name}.json"
+        workflows = importlib.import_module("uoisched.workflows")
+        made = []
+        real = workflows.truncation_diagnostics
+        monkeypatch.setattr(workflows, "truncation_diagnostics", lambda chain, L: made.append(L) or real(chain, L))
+        prep = prepare(load_config(cfg))
+        assert made == []
+        assert prep.diagnostics == [real(mdp.bandit.chain, mdp.truncation_L) for mdp in prep.mdps]
+        assert prep.diagnostics is prep.diagnostics
+        assert made == prep.l_per_bandit
 
 
 def bandit_0(**fields):

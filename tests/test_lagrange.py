@@ -22,7 +22,16 @@ import uoisched.solvers as solvers_module
 from uoisched.index_policy import gain_index_tables
 from uoisched.lagrange import _derivative, derivative_zero_tol
 from uoisched.solvers import greedy_interval, solve_batch
-from conftest import FIG1, derivative, force_multichain, induced_transition, mixed_mdps, random_bandit, rho_one_pair
+from conftest import (
+    FIG1,
+    derivative,
+    force_multichain,
+    induced_transition,
+    mixed_mdps,
+    random_bandit,
+    random_chain,
+    rho_one_pair,
+)
 
 
 def fig1_mdps(beta, count=2, rho=1.0, eta=1e-6):
@@ -107,7 +116,7 @@ class TestFallbackReporting:
         # policy iteration: one exact evaluation per round
         assert problem.batch.size == 1
         assert len(trace.iterates) == 33
-        assert (trace.pi_rounds, trace.solves_skipped) == (22, 26)
+        assert (trace.pi_rounds, trace.solves_skipped) == (16, 26)
         # 7 iterates solved, 26 skipped, and lambda* (skipped) solved once more
         assert len(solves) == 8 and solves[-1] == trace.lambda_star
         assert len(solves) + trace.solves_skipped == len(trace.iterates) + 1
@@ -334,6 +343,27 @@ def random_m4_problem(seed, criterion, max_iters=5000, beta=0.9):
     return make_problem(mdps, 2, criterion, max_iters=max_iters)
 
 
+def random_m10_problem(seed, criterion, rho, beta=0.9):
+    """Ten random bandits at success probability `rho`, truncated at eta
+    1e-6, m = 3; `beta` is the discount of the discounted criterion."""
+    rng = np.random.default_rng(seed)
+    bandits = [random_bandit(rng, int(rng.integers(2, 5)), f"b{i}", rho=rho) for i in range(10)]
+    beta = beta if criterion == "discounted" else 1.0
+    mdps = [build_truncated(b, choose_truncation(b, 1e-6)[0], beta) for b in bandits]
+    return make_problem(mdps, 3, criterion)
+
+
+def shared_m10_problem(criterion):
+    """The benchmark's M = 10 instance (`shared_instance` in
+    bench/workloads.py): Dirichlet(1) columns drawn from seed 5 with N in
+    {2, 3, 4} and a second eigenvalue of at most 0.9, rho = 0.8, truncated
+    at eta 1e-6, m = 3, beta = 0.9 when discounted."""
+    rng = np.random.default_rng(5)
+    bandits = [BanditSpec(random_chain(rng, int(rng.integers(2, 5)), 0.9), 0.8, f"b{i}") for i in range(10)]
+    beta = 0.9 if criterion == "discounted" else 1.0
+    return make_problem([build_truncated(b, choose_truncation(b, 1e-6)[0], beta) for b in bandits], 3, criterion)
+
+
 def reference_search(problem):
     """The gradient search with one solve per iterate, each warm-started
     from the last one's values: (iterates, lambda*, bracket, solution), the
@@ -393,6 +423,14 @@ class TestKnownPolicyIntervals:
             skipped += self.assert_identical(random_m4_problem(seed, criterion, max_iters=500)).solves_skipped
         assert skipped > 0
 
+    @pytest.mark.parametrize("rho", [0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    def test_random_m10_searches_bit_identical(self, criterion, rho):
+        # each solve starts from the nearest kept solve, not the last one;
+        # the search still reaches the reference's iterates and solution
+        for seed in range(2000, 2005):
+            self.assert_identical(random_m10_problem(seed, criterion, rho))
+
     @pytest.mark.parametrize("criterion", ["discounted", "average"])
     def test_solves_and_skips_account_for_every_iterate(self, criterion, monkeypatch):
         solves = count_solves(monkeypatch)
@@ -437,6 +475,79 @@ class TestKnownPolicyIntervals:
         sol = solve_batch(problem.batch, 0.3)
         assert np.array_equal(sol.actions, unichain.actions)
         assert sol.activations is None and greedy_interval(sol) is None
+
+
+def record_solves(monkeypatch):
+    """Record (lam, warm, solution) of every batch solve the search makes."""
+    solves = []
+    real = lagrange_module.solve_batch
+
+    def recorded(batch, lam, warm=None, counts=None):
+        sol = real(batch, lam, warm, counts)
+        solves.append((lam, warm, sol))
+        return sol
+
+    monkeypatch.setattr(lagrange_module, "solve_batch", recorded)
+    return solves
+
+
+def distance(sol, lam):
+    """How far lam lies from the greedy interval of `sol`, or from sol.lam
+    when it has none."""
+    lo, hi = greedy_interval(sol) or (sol.lam, sol.lam)
+    return max(lo - lam, lam - hi, 0.0)
+
+
+class TestWarmStarts:
+    """Each solve of the search starts from the values of the solve, among
+    the last eight, whose greedy interval lies nearest its charge, carried
+    there along that solve's policies."""
+
+    @staticmethod
+    def assert_nearest_of_the_last_eight(solves):
+        """Check every start; returns how many starts a longer memory would
+        have taken from an older, nearer solve, and how many were taken
+        uncarried from a solve without activation values."""
+        older = uncarried = 0
+        assert solves[0][1] is None
+        for i, (lam, warm, _) in enumerate(solves[1:], start=1):
+            kept = [sol for _, _, sol in solves[max(0, i - 8) : i]]
+            near = min(kept, key=lambda sol: distance(sol, lam))
+            if near.activations is None:
+                assert warm is near.values
+                uncarried += 1
+            else:
+                assert warm.tobytes() == (near.values + (lam - near.lam) * near.activations).tobytes()
+            older += min(distance(sol, lam) for _, _, sol in solves[:i]) < distance(near, lam)
+        return older, uncarried
+
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    def test_m10_instance_starts(self, criterion, monkeypatch):
+        solves = record_solves(monkeypatch)
+        gradient_search(shared_m10_problem(criterion))
+        assert len(solves) > 8
+        older, uncarried = self.assert_nearest_of_the_last_eight(solves)
+        assert older >= 1 and uncarried == 0
+
+    def test_multichain_solves_are_reused_uncarried(self, monkeypatch):
+        # declared multichain, no solve has activation values or a greedy
+        # interval, so each start is the raw values of the kept solve
+        # nearest in lam
+        force_multichain(monkeypatch)
+        solves = record_solves(monkeypatch)
+        trace = gradient_search(make_problem(fig1_mdps(1.0), 1, "average"))
+        assert trace.stop_reason == "converged" and trace.solves_skipped == 0
+        older, uncarried = self.assert_nearest_of_the_last_eight(solves)
+        assert uncarried == len(solves) - 1 and older > 0
+
+    @pytest.mark.parametrize(
+        "criterion, work", [("discounted", (47, 23, 33)), ("average", (39, 19, 30))]
+    )
+    def test_m10_instance_work_is_pinned(self, criterion, work):
+        # (iterates, solves skipped, policy-iteration rounds); from the last
+        # solve's raw values the rounds were 60 and 51
+        trace = gradient_search(shared_m10_problem(criterion))
+        assert (len(trace.iterates), trace.solves_skipped, trace.pi_rounds) == work
 
 
 class TestBisectionFinish:
