@@ -14,7 +14,7 @@ import pytest
 
 import uoisched
 from uoisched import joint_solve_discounted
-from uoisched.cli import main
+from uoisched.cli import build_parser, main
 from uoisched.config import load_config, parse_config
 from uoisched.errors import ConfigError
 from uoisched.workflows import prepare
@@ -482,6 +482,50 @@ def test_simulation_error_exits_2_before_anything_is_written(tmp_path, capsys, m
     cfg = write_config(tmp_path, dict(FAST_CONFIG, criterion={"type": "average"}))
     assert_rejected_without_a_trace(tmp_path, [*command, "--config", cfg])
     assert capsys.readouterr().err == "config error: simulation inputs rejected\n" * 2
+
+
+class TestParserReuse:
+    """`main` parses every call with the one parser `build_parser` returns,
+    so no call may leave state behind for the next."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_tables_default_is_immutable(self):
+        args = build_parser().parse_args(["simulate", "--config", "c.json", "--policy", "round_robin"])
+        assert args.tables == ()  # a list would compare unequal
+
+    def test_seed_override_does_not_reach_the_next_call(self, tmp_path):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        base = ["simulate", "--config", cfg, "--policy", "round_robin", "--out"]
+        assert main([*base, str(tmp_path / "a"), "--seed", "123"]) == 0
+        assert main([*base, str(tmp_path / "b")]) == 0
+        seeds = [json.loads((tmp_path / d / "sim_round_robin.json").read_text())["result"]["seed"] for d in "ab"]
+        assert seeds == [123, FAST_CONFIG["simulation"]["seed"]]
+
+    def test_tables_do_not_reach_the_next_call(self, tmp_path, capsys):
+        cfg, out = run_indices(tmp_path)
+        tables = [str(out / "indices_src-a.json"), str(out / "indices_src-b.json")]
+        base = ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--policy"]
+        assert main([*base, "gain_index", "--tables", *tables]) == 0
+        assert main([*base, "round_robin"]) == 0
+        capsys.readouterr()
+        assert main([*base, "gain_index"]) == 2
+        assert "policy 'gain_index' requires --tables" in capsys.readouterr().err
+
+    def test_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg, "--policy", "no_such_policy"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'no_such_policy'" in capsys.readouterr().err
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--policy", "round_robin"]) == 0
+
+    def test_command_replaced_after_the_parser_is_built_is_the_one_run(self, monkeypatch):
+        # the benchmark's tracer wraps cmd_* in place once the parser exists
+        build_parser()
+        monkeypatch.setattr(uoisched.cli, "cmd_bound", lambda args: 3)
+        assert main(["bound", "--config", "unread.json"]) == 3
 
 
 class TestAverageCriterionPipeline:
