@@ -25,7 +25,7 @@ from .errors import (
 )
 from .index_policy import load_table, save_table
 from .oracle import joint_solve_average, joint_solve_discounted
-from .simulate import POLICIES, asymptotic_sweep, simulate, sweep_plans
+from .simulate import POLICIES, asymptotic_sweep, simulate
 from .solvers import AVERAGE, DISCOUNTED
 from .workflows import bound_report, compute_index_tables, prepare
 
@@ -285,10 +285,11 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _sweep_plan(args, prep) -> list[int]:
-    """The population sizes of --m-list, once the sweep's plan checks pass
-    on them (`sweep_plans`) and no bandit has an initial belief: the sweep
-    starts every class at the equilibrium belief."""
+def _sweep(args, prep):
+    """The population sweep over --m-list, run before anything is written
+    (a bad plan exits 2 and a class search that fails exits 3, with the out
+    dir untouched).  No bandit may have an initial belief: the sweep starts
+    every class at the equilibrium belief."""
     try:
         m_list = [int(v) for v in args.m_list.split(",") if v.strip()]
     except ValueError as exc:
@@ -301,17 +302,6 @@ def _sweep_plan(args, prep) -> list[int]:
         raise ConfigError(
             f"asymptotic starts every class at the equilibrium belief; remove initial_belief from {', '.join(given)}"
         )
-    labels = [b.label for b in config.bandits]
-    sweep_plans(labels, [1.0 / len(labels)] * len(labels), args.alpha, m_list)  # each bandit a class, as below
-    return m_list
-
-
-def _sweep(args, prep):
-    """The population sweep over --m-list (`_sweep_plan`), run before
-    anything is written (a class search that fails exits 3 with the out
-    dir untouched)."""
-    m_list = _sweep_plan(args, prep)
-    config = prep.config
     return asymptotic_sweep(
         [(mdp, 1.0 / len(prep.mdps)) for mdp in prep.mdps],
         alpha=args.alpha,

@@ -36,6 +36,7 @@ from .solvers import (
     BatchSolution,
     SolveCounts,
     charge_scale,
+    check_initial_states,
     criterion_of,
     greedy_interval,
     solve_batch,
@@ -59,8 +60,7 @@ class LagrangeProblem:
             raise ValueError(f"need 1 <= m < M, got m={self.m}, M={len(self.mdps)}")
         if self.epsilon <= 0 or self.stepsize_c <= 0 or self.max_iters < 1:
             raise ValueError("stepsize_c and epsilon must be > 0, max_iters >= 1")
-        if len(self.initial_states) != len(self.mdps):
-            raise ValueError("one initial state per bandit required")
+        check_initial_states(self.mdps, self.initial_states)
         # identical (mdp, initial state) pairs are solved once and shared
         # (duplicated bandits are common in sweeps)
         index, unique = {}, []

@@ -66,7 +66,7 @@ import numpy as np
 from .belief_mdp import TruncatedBeliefMDP, transition_matrices
 from .errors import NoConvergence, StateSpaceTooLarge
 from .parallel import usable_cpus as _usable_cpus
-from .solvers import charge_scale
+from .solvers import charge_scale, check_initial_states
 
 DEFAULT_CAP = 2_000_000
 
@@ -373,11 +373,14 @@ def joint_solve_discounted(
     max_iters: int = 2_000_000,
 ) -> OracleResult:
     """Optimal discounted values of the joint truncated problem, each within
-    tol/2: the midpoint of the first MacQueen bracket at most tol wide."""
+    tol/2: the midpoint of the first MacQueen bracket at most tol wide.
+    `value` is read at `initial_states` (default every bandit at omega),
+    one state id per MDP, checked before the solve."""
     if not all(mdp.discount < 1.0 for mdp in mdps):
         raise ValueError("discounted oracle requires discount < 1")
+    initial_states = check_initial_states(mdps, initial_states)
     joint, blocks, v, tv, low, high, sweeps = _value_iteration(mdps, m, tol, cap, max_iters)
-    start = joint.joint_index(initial_states or [0] * len(mdps))
+    start = joint.joint_index(initial_states)
     bounds = (float(tv[start] + low), float(tv[start] + high))
     tv += 0.5 * (low + high)
     return OracleResult(

@@ -5,11 +5,11 @@
 bit for bit.  A child depends only on (seed, r), so run r draws the same
 values however many runs are simulated with it and wherever a range of runs
 starts, and different seeds give unrelated streams.  The keys of all runs
-are derived in one vectorized pass (`spawn_keys`): numpy's SeedSequence
-hash of the seed is computed once, and only the spawn word r, mixed into
-that pool, differs between runs.  Each double comes from one 64-bit output
-by the 53-bit construction (raw >> 11) * 2**-53 of numpy's
-`Generator.random`.
+are derived in one vectorized pass (`spawn_keys`): the seed's entropy pool
+is read once from numpy (`SeedSequence(seed).pool`), and only the spawn
+word r, mixed into that pool, differs between runs.  Each double comes
+from one 64-bit output by the 53-bit construction (raw >> 11) * 2**-53 of
+numpy's `Generator.random`.
 Runs fill whole blocks of their upcoming draws with one call each; every
 stream is consumed in order, so results do not depend on the block size.
 
@@ -52,8 +52,11 @@ def _hash_consts(init: int, mult: int, skip: int) -> tuple[np.ndarray, np.ndarra
     return np.array(consts[:-1], dtype=np.uint64)[:, None], np.array(consts[1:], dtype=np.uint64)[:, None]
 
 
-# a spawn word's four hashes follow the 16 that build the seed's pool (4
-# words hashed in, then each mixed into the 3 others); the read-out starts afresh
+# a spawn word's four hashes follow the 16 that build the seed's pool: its
+# 4 words hashed in, then each mixed into the 3 others.  A seed below 2**128
+# has at most 4 words, and numpy hashes in a zero for each missing one, as a
+# spawn key's zero padding does, so `SeedSequence(seed).pool` is that pool
+# after exactly those 16 hashes.  The read-out starts afresh.
 _SPAWN_XOR, _SPAWN_MUL = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
 _READ_XOR, _READ_MUL = _hash_consts(_INIT_B, _MULT_B, 0)
 
@@ -72,46 +75,20 @@ def check_seed(seed) -> int:
     return seed
 
 
-def _seed_pool(seed: int) -> list[int]:
-    """numpy's SeedSequence pool for entropy `seed` before its spawn word.
-    The seed's 32-bit words, zero-padded to the pool size (as a non-empty
-    spawn key pads them), are hashed into the pool, and then every word is
-    mixed into every other."""
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(seed >> 32 * i & _MASK32) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    return pool
-
-
 def spawn_keys(seed: int, runs: int, first: int = 0) -> np.ndarray:
     """The (runs, 2) uint64 Philox keys of runs first .. first + runs - 1:
     row j is `SeedSequence(seed, spawn_key=(first + j,)).generate_state(2,
-    np.uint64)`, bit for bit.  The seed's pool is hashed once; the spawn
-    word r is hashed and mixed into each pool word, and the four state
-    words are read out and paired little-endian, for all runs at once in
-    uint64 arithmetic reduced mod 2**32 (every product of two 32-bit words
-    fits).  A run index of 2**32 or more would take a second spawn word,
+    np.uint64)`, bit for bit.  The seed's pool is numpy's
+    `SeedSequence(seed).pool`; the spawn word r is hashed and mixed into
+    each pool word, and the four state words are read out and paired
+    little-endian, for all runs at once in uint64 arithmetic reduced mod
+    2**32 (every product of two 32-bit words fits).  A run index of 2**32 or more would take a second spawn word,
     which this does not derive, so first + runs must not pass 2**32."""
     seed = check_seed(seed)
     if first < 0 or runs < 0 or first + runs > 2 ** 32:
         raise ValueError(f"runs {first} .. {first + runs - 1} do not fit one 32-bit spawn word")
     u64, mask = np.uint64, np.uint64(_MASK32)
-    pool = np.array([_MIX_MULT_L * word for word in _seed_pool(seed)], dtype=np.uint64)[:, None]
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None] * u64(_MIX_MULT_L)
     value = (np.arange(first, first + runs, dtype=np.uint64) ^ _SPAWN_XOR) * _SPAWN_MUL & mask
     value ^= value >> u64(16)
     value = pool - u64(_MIX_MULT_R) * value & mask  # the subtraction wraps mod 2**64

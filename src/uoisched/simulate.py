@@ -371,6 +371,8 @@ def simulate(
     list) too when both are given; without tables `truncation_L` sets the
     belief truncation.  Cost H(X_i(t)) accrues at the start of slot t with
     weight beta^(t-1) (discounted) or enters the post-burn-in time average.
+    `burn_in` (average cost only; default a tenth of the horizon) must
+    leave at least one slot; under discounting it must be None or 0.
     `record_y` (which needs tables) logs the first run's OR decisions
     (`index_policy.or_active`) per slot and the selected bandits.  `seed`
     (default `instance.seed`) must be an integer in [0, 2**64 - 1]; run r
@@ -414,6 +416,8 @@ def simulate(
         burn = int(0.1 * horizon) if burn_in is None else int(burn_in)
         if burn >= horizon:
             raise ValueError("burn_in must leave at least one slot")
+    elif burn_in:
+        raise ValueError(f"burn_in must be 0 or None under discounting (beta = {beta}), got {burn_in}")
     else:
         burn = 0
 

@@ -90,6 +90,21 @@ def charge_scale(beta: float) -> float:
     return 1.0 - beta if beta < 1.0 else 1.0
 
 
+def check_initial_states(mdps, initial_states=None) -> np.ndarray:
+    """`initial_states` as an int64 array of one state id per MDP (None:
+    every bandit at omega, id 0).  A count other than one per bandit, or an
+    id outside a bandit's 0 .. n_states - 1, raises ValueError."""
+    if initial_states is None:
+        return np.zeros(len(mdps), dtype=np.int64)
+    states = np.asarray(initial_states, dtype=np.int64)
+    if states.shape != (len(mdps),):
+        raise ValueError(f"expected one initial state per bandit ({len(mdps)}), got {states.size}")
+    for mdp, s in zip(mdps, states.tolist()):
+        if not 0 <= s < mdp.n_states:
+            raise ValueError(f"initial state {s} of bandit {mdp.bandit.label!r} is outside 0 .. {mdp.n_states - 1}")
+    return states
+
+
 @dataclass
 class PolicyAndValues:
     """A stationary binary policy with its value function.
@@ -139,9 +154,7 @@ class BanditBatch:
         self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         n = int(self.offsets[-1])
         starts = self.offsets[:-1]
-        if initial_states is None:
-            initial_states = np.zeros(B, dtype=np.int64)
-        self.initial_ids = starts + np.asarray(initial_states, dtype=np.int64)
+        self.initial_ids = starts + check_initial_states(self.mdps, initial_states)
 
         self.bandit_of = np.repeat(np.arange(B), sizes)
         self.costs = np.concatenate([mdp.costs_passive for mdp in self.mdps])

@@ -14,7 +14,11 @@ numpy calls were trimmed; the solvers must keep matching them byte for byte.
 `frozen_choose_truncation`, `frozen_truncation_diagnostics` and
 `frozen_aged_beliefs` are the truncation and the belief ageing as they were
 before each matrix power became one BLAS call into a stack.
+`discounted_sample` prepares `configs/two_sources_discounted.json`, and
+`BAD_INITIAL_STATES` lists initial states that its bandits must reject.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,10 +42,12 @@ from uoisched import (
     transition_matrices,
     validate_chain,
 )
+from uoisched.config import load_config
 from uoisched.errors import SolverError
 from uoisched.belief_mdp import _fannes_gap
 from uoisched.index_policy import _indices_from_values
 from uoisched.solvers import BanditBatch, _evaluate, _greedy, _one_bandit, _q_values
+from uoisched.workflows import prepare
 
 # a failing property test prints the `@reproduce_failure` line that replays
 # it; deadlines, example counts, the example database and seeds are unchanged
@@ -49,6 +55,28 @@ settings.register_profile("print-blob", print_blob=True)
 settings.load_profile("print-blob")
 
 FIG1 = [[0.99, 0.3], [0.01, 0.7]]
+
+REPO = Path(__file__).resolve().parents[1]
+
+# (initial states, error) on the discounted sample, whose bandits 'src-a'
+# and 'src-b' have 77 and 97 truncated states: out of range either way, or
+# not one per bandit
+BAD_INITIAL_STATES = pytest.mark.parametrize(
+    "states, message",
+    [
+        ([77, 0], r"initial state 77 of bandit 'src-a' is outside 0 \.\. 76"),
+        ([-1, 0], r"initial state -1 of bandit 'src-a' is outside 0 \.\. 76"),
+        ([0, 97], r"initial state 97 of bandit 'src-b' is outside 0 \.\. 96"),
+        ([0], "one initial state per bandit"),
+        ([0, 0, 0], "one initial state per bandit"),
+    ],
+    ids=["past_the_end", "negative", "past_the_end_of_the_last", "too_few", "too_many"],
+)
+
+
+def discounted_sample():
+    """The prepared discounted sample config."""
+    return prepare(load_config(REPO / "configs" / "two_sources_discounted.json"))
 
 
 def random_chain(rng: np.random.Generator, n: int, max_eig2: float = 0.8) -> ChainSpec:

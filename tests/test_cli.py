@@ -760,6 +760,23 @@ class TestAsymptoticCommand:
         assert csv_lines[1] == "M,m,per_bandit_cost,per_bandit_stderr,per_bandit_bound,gap"
 
 
+    def test_plan_is_checked_once(self, tmp_path, monkeypatch):
+        calls = []
+        module = importlib.import_module("uoisched.simulate")
+        check = module.sweep_plans
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(module, "sweep_plans", counted)
+        # a copy of the check imported into the CLI would be counted too
+        monkeypatch.setattr(uoisched.cli, "sweep_plans", counted, raising=False)
+        doc = dict(FAST_CONFIG, simulation={"runs": 2, "horizon": 20, "seed": 1})
+        cfg = write_config(tmp_path, doc)
+        assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path / "o"), "--alpha", "0.5", "--m-list", "2"]) == 0
+        assert len(calls) == 1
+
     def test_repeated_population_size_exits_2(self, tmp_path, capsys):
         doc = dict(FAST_CONFIG, criterion={"type": "average"})
         cfg = write_config(tmp_path, doc)

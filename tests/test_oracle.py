@@ -35,7 +35,7 @@ from uoisched import (
 from uoisched.config import load_config
 from uoisched.workflows import prepare
 
-from conftest import FIG1, random_bandit
+from conftest import BAD_INITIAL_STATES, FIG1, discounted_sample, random_bandit
 
 
 def cut_into(monkeypatch, blocks: int) -> None:
@@ -595,6 +595,15 @@ class TestDiscountedOracle:
         for policy in ("myopic", "round_robin"):
             res = simulate(inst, policy, horizon=horizon, runs=600, truncation_L=10)
             assert oracle.value <= res.mean + 3 * res.stderr
+
+    @BAD_INITIAL_STATES
+    def test_bad_initial_states_rejected_before_the_solve(self, monkeypatch, states, message):
+        def no_solve(*args):
+            raise AssertionError("the joint was solved")
+
+        monkeypatch.setattr(oracle, "_value_iteration", no_solve)
+        with pytest.raises(ValueError, match=message):
+            joint_solve_discounted(discounted_sample().mdps, 1, initial_states=states)
 
     def test_zero_entropy_partner_reduces_to_single_bandit_value(self):
         # m = 1, one bandit carries no information: the oracle always serves

@@ -41,7 +41,7 @@ from uoisched.simulate import _BLOCK_DOUBLES, POLICIES, _walk
 from uoisched.solvers import ACTIVE_TIE_TOL
 from uoisched.workflows import compute_index_tables, prepare
 
-from conftest import FIG1, random_bandit
+from conftest import FIG1, discounted_sample, random_bandit
 
 
 def constant_entropy_chain():
@@ -157,6 +157,19 @@ class TestSimulateBasics:
         inst = fig1_instance("average", 1.0)
         with pytest.raises(ValueError, match=message):
             simulate(inst, "round_robin", horizon, runs, truncation_L=4, burn_in=burn_in)
+
+    def test_discounted_burn_in_rejected(self):
+        """Discounting weighs every slot from the first, so a burn-in there
+        raises instead of being dropped; None and 0 mean no burn-in."""
+        prep = discounted_sample()
+        inst = prep.config.build_instance()
+        kw = dict(truncation_L=prep.l_per_bandit)
+        with pytest.raises(ValueError, match="burn_in must be 0 or None under discounting"):
+            simulate(inst, "round_robin", 50, 4, burn_in=30, **kw)
+        plain = simulate(inst, "round_robin", 50, 4, **kw)
+        zero = simulate(inst, "round_robin", 50, 4, burn_in=0, **kw)
+        assert plain.burn_in == zero.burn_in == 0
+        assert plain.per_run.tolist() == zero.per_run.tolist()
 
     @pytest.mark.parametrize(
         "edit, message",

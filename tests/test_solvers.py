@@ -13,6 +13,7 @@ from uoisched import (
     build_truncated,
     choose_truncation,
     entropy,
+    make_problem,
     policy_evaluation_discounted,
     policy_iteration_discounted,
     solve_average,
@@ -30,9 +31,11 @@ from uoisched.solvers import (
 )
 
 from conftest import (
+    BAD_INITIAL_STATES,
     FIG1,
     active_passive,
     derivative,
+    discounted_sample,
     force_multichain,
     frozen_evaluate,
     frozen_q_values,
@@ -43,6 +46,21 @@ from conftest import (
     rho_one_pair,
     value_iteration_discounted,
 )
+
+
+class TestInitialStates:
+    @BAD_INITIAL_STATES
+    def test_rejected_where_they_enter(self, states, message):
+        mdps = discounted_sample().mdps
+        with pytest.raises(ValueError, match=message):
+            BanditBatch(mdps, states)
+        with pytest.raises(ValueError, match=message):
+            make_problem(mdps, 1, "discounted", initial_states=states)
+
+    def test_each_bandit_starts_in_its_own_states(self):
+        batch = BanditBatch(discounted_sample().mdps, [76, 96])
+        assert batch.initial_ids.tolist() == [76, 77 + 96]
+        assert BanditBatch(batch.mdps).initial_ids.tolist() == [0, 77]
 
 
 class TestMalformedPolicies:
