@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule of its
+entry points."""
+
+import operator
+
+
+def check_integer(value, name: str) -> int:
+    """`value` as a Python int, if it is a Python or numpy integer and not a
+    bool; anything else raises TypeError naming `name`."""
+    if not isinstance(value, bool):  # operator.index reads a Python bool as 0 or 1
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 class UoiSchedError(Exception):

@@ -59,8 +59,8 @@ def _gain_indices(mdp: TruncatedBeliefMDP, lam: float, policy) -> GainIndexTable
 def _checked_gain_indices(mdp: TruncatedBeliefMDP, lam: float, policy, average: bool, name: str) -> GainIndexTable:
     """Table of `policy`, or of the batch-of-one solve at lam, of an MDP of
     the criterion `name` serves."""
-    if lam < 0:
-        raise ValueError("lambda_star must be >= 0")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lambda_star must be >= 0 and finite, got {lam}")
     batch = _one_bandit(mdp, average, name)
     return _gain_indices(mdp, lam, solve_batch(batch, lam).policy(0) if policy is None else policy)
 

@@ -12,9 +12,10 @@ expected activation usage minus the channel budget m/s.  The gradient
 iteration lam_{k+1} = lam_k + a_k * f'(lam_k) with a_k = c/(k+1) stops once
 consecutive derivatives bracket a sign change within epsilon.
 
-Each solve is a batched policy iteration, and the number of its rounds sets
-the search's cost.  Under a fixed policy every value is affine in lam, so a
-solve's values carry exactly to any other charge along its own policy
+Each solve is a batched policy iteration, and the number of its rounds
+(`BatchSolution.pi_rounds`, summed into the trace) sets the search's cost.
+Under a fixed policy every value is affine in lam, so a solve's values
+carry exactly to any other charge along its own policy
 (`BatchSolution.activations`).  A new solve starts from the kept solve whose
 greedy interval lies nearest lam, carried to lam: one exact improvement step
 of the nearest known optimal policy.  The start sets only the rounds paid:
@@ -25,16 +26,15 @@ point.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .belief_mdp import TruncatedBeliefMDP
-from .errors import MaxItersExceeded
+from .errors import MaxItersExceeded, check_integer
 from .solvers import (
     BanditBatch,
     BatchSolution,
-    SolveCounts,
     charge_scale,
     check_initial_states,
     criterion_of,
@@ -56,6 +56,7 @@ class LagrangeProblem:
     max_iters: int = 5000
 
     def __post_init__(self):
+        self.m = check_integer(self.m, "m")
         if not 1 <= self.m < len(self.mdps):
             raise ValueError(f"need 1 <= m < M, got m={self.m}, M={len(self.mdps)}")
         if self.epsilon <= 0 or self.stepsize_c <= 0 or self.max_iters < 1:
@@ -125,15 +126,14 @@ def _derivative(problem: LagrangeProblem, sol: BatchSolution) -> float:
     return float(total - problem.budget)
 
 
-def objective_derivative(problem: LagrangeProblem, lam: float, warm=None, counts=None) -> float:
-    """f'(lam) = sum_i dV_i/dlam - m/charge_scale(beta);
-    `warm` is optional warm-start values (see solvers.solve_batch)."""
-    return _derivative(problem, solve_batch(problem.batch, lam, warm, counts))
+def objective_derivative(problem: LagrangeProblem, lam: float) -> float:
+    """f'(lam) = sum_i dV_i/dlam - m/charge_scale(beta)."""
+    return _derivative(problem, solve_batch(problem.batch, lam))
 
 
-def objective_value(problem: LagrangeProblem, lam: float, warm=None) -> float:
+def objective_value(problem: LagrangeProblem, lam: float) -> float:
     """f(lam) or l(lam); a lower bound on the original problem's optimum."""
-    start = solve_batch(problem.batch, lam, warm).objective
+    start = solve_batch(problem.batch, lam).objective
     total = sum(float(start[j]) for j in problem.members)
     return float(total - problem.m * lam / charge_scale(problem.beta))
 
@@ -176,21 +176,24 @@ def gradient_search(problem: LagrangeProblem) -> GradientTrace:
     def snap(d):
         return 0.0 if abs(d) <= deriv_tol else d
 
-    counts = SolveCounts()
     known = []  # (lo, hi, derivative) of each solved policy's greedy interval
     recent = deque(maxlen=_WARM_SOLVES)  # (lo, hi, solution) of the last solves
-    skipped = 0
+    skipped = rounds = evaluations = 0
 
     def solve(lam):
         """The batch solve at lam, started from the kept solve whose greedy
-        interval lies nearest lam, its values carried along its policy."""
+        interval lies nearest lam, its values carried along its policy;
+        adds its work to the search's."""
+        nonlocal rounds, evaluations
         warm = None
         if recent:
             _, _, near = min(recent, key=lambda kept: max(kept[0] - lam, lam - kept[1], 0.0))
             warm = near.values
             if near.activations is not None:
                 warm = warm + (lam - near.lam) * near.activations
-        sol = solve_batch(problem.batch, lam, warm, counts)
+        sol = solve_batch(problem.batch, lam, warm)
+        rounds += sol.pi_rounds
+        evaluations += sol.pi_rounds * sol.batch.size
         interval = greedy_interval(sol)
         recent.append((*(interval or (lam, lam)), sol))
         return sol, interval
@@ -208,17 +211,19 @@ def gradient_search(problem: LagrangeProblem) -> GradientTrace:
             known.append((*interval, deriv))
         return deriv, sol
 
-    def finish(lam_star, solution, stop_reason, bracket):
-        if solution is None:
+    def finish(lam_star, solution, stop_reason, bracket=None):
+        """The trace, with the solve at lam_star (made now if it was skipped)."""
+        if solution is None and lam_star is not None:
             solution, _ = solve(lam_star)
         return GradientTrace(
             iterates=iterates,
             lambda_star=lam_star,
             stop_reason=stop_reason,
             bracket=bracket,
+            policy_evaluations=evaluations,
+            pi_rounds=rounds,
             solves_skipped=skipped,
             solution=solution,
-            **asdict(counts),
         )
 
     lam = 0.0
@@ -247,15 +252,8 @@ def gradient_search(problem: LagrangeProblem) -> GradientTrace:
             else:
                 hi = mid
         return finish(lo, sol, "bisection", (lo, hi))
-    trace = GradientTrace(
-        iterates=iterates,
-        lambda_star=None,
-        stop_reason="max_iters",
-        solves_skipped=skipped,
-        **asdict(counts),
-    )
     raise MaxItersExceeded(
         f"gradient search did not meet the stopping criterion in {problem.max_iters} iterations; "
         f"last lambda = {lam:.9g}, f'(lambda) = {deriv:.3g}, last step = {step:.3g}",
-        trace=trace,
+        trace=finish(None, None, "max_iters"),
     )

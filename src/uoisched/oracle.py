@@ -64,7 +64,7 @@ from functools import cached_property
 import numpy as np
 
 from .belief_mdp import TruncatedBeliefMDP, transition_matrices
-from .errors import NoConvergence, StateSpaceTooLarge
+from .errors import NoConvergence, StateSpaceTooLarge, check_integer
 from .parallel import usable_cpus as _usable_cpus
 from .solvers import charge_scale, check_initial_states
 
@@ -133,6 +133,7 @@ def _gather_ids(mdps, strides, t) -> np.ndarray:
 
 def build_joint(mdps: list[TruncatedBeliefMDP], m: int, cap: int = DEFAULT_CAP) -> JointMDP:
     M = len(mdps)
+    m = check_integer(m, "m")
     if not 1 <= m < M:
         raise ValueError(f"need 1 <= m < M, got m={m}, M={M}")
     counts = [mdp.n_states for mdp in mdps]

@@ -21,10 +21,10 @@ simulator does not use it.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+
+from .errors import check_integer
 
 _U64 = np.uint64
 _SPLITMIX_GAMMA = _U64(0x9E3779B97F4A7C15)
@@ -64,12 +64,7 @@ _READ_XOR, _READ_MUL = _hash_consts(_INIT_B, _MULT_B, 0)
 def check_seed(seed) -> int:
     """`seed` as a Python int, if it is a Python or numpy integer (not a
     bool) in [0, 2**64 - 1]; a float or a bool raises TypeError."""
-    if isinstance(seed, bool):  # operator.index reads a Python bool as 0 or 1
-        raise TypeError(f"seed must be an integer, got {seed!r}")
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise TypeError(f"seed must be an integer, got {seed!r}") from None
+    seed = check_integer(seed, "seed")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed

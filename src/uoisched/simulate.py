@@ -72,6 +72,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .belief_mdp import BanditSpec, TruncatedBeliefMDP, build_truncated, nearest_state
+from .errors import check_integer
 from .index_policy import gain_index_tables, or_active
 from .lagrange import gradient_search, make_problem
 from .parallel import in_parts, max_parts
@@ -113,6 +114,7 @@ class RMABInstance:
 
     def __post_init__(self):
         M = len(self.bandits)
+        self.m = check_integer(self.m, "m")
         if not 1 <= self.m < M:
             raise ValueError(f"need 1 <= m < M, got m={self.m}, M={M}")
         labels = [b.label for b in self.bandits]
@@ -379,6 +381,8 @@ def simulate(
     draws from child r of `SeedSequence(seed)`, so identical seeds yield
     identical traces.
     """
+    horizon, runs = check_integer(horizon, "horizon"), check_integer(runs, "runs")
+    burn_in = None if burn_in is None else check_integer(burn_in, "burn_in")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if runs < 1:

@@ -15,7 +15,8 @@ set of reset states).  Such an iterate gets the multichain evaluation, a gain
 and a bias per state, and Puterman's multichain improvement step (section
 9.2): first on the expected next gain, then greedily in the bias among the
 actions that tie on it.  Either way the solve ends when no bandit's policy
-changes, and raises NoConvergence after _PI_ROUNDS rounds.
+changes, and raises NoConvergence after _PI_ROUNDS rounds; the solve
+reports the rounds it took (`BatchSolution.pi_rounds`).
 
 Policy evaluation uses the structure of the belief MDP instead of a generic
 linear solve.  Under a fixed policy a, walking each of the N age chains
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief_mdp import TruncatedBeliefMDP
-from .errors import NoConvergence
+from .errors import NoConvergence, check_integer
 from .markov import _closure
 
 ACTIVE_TIE_TOL = 1e-9
@@ -92,17 +93,20 @@ def charge_scale(beta: float) -> float:
 
 def check_initial_states(mdps, initial_states=None) -> np.ndarray:
     """`initial_states` as an int64 array of one state id per MDP (None:
-    every bandit at omega, id 0).  A count other than one per bandit, or an
-    id outside a bandit's 0 .. n_states - 1, raises ValueError."""
+    every bandit at omega, id 0).  An id that is not an integer
+    (`errors.check_integer`) raises TypeError; a count other than one per
+    bandit, or an id outside a bandit's 0 .. n_states - 1, ValueError."""
     if initial_states is None:
         return np.zeros(len(mdps), dtype=np.int64)
-    states = np.asarray(initial_states, dtype=np.int64)
-    if states.shape != (len(mdps),):
-        raise ValueError(f"expected one initial state per bandit ({len(mdps)}), got {states.size}")
-    for mdp, s in zip(mdps, states.tolist()):
+    if np.ndim(initial_states) != 1 or len(initial_states) != len(mdps):
+        raise ValueError(f"expected one initial state per bandit ({len(mdps)}), got {np.size(initial_states)}")
+    states = [
+        check_integer(s, f"initial state of bandit {mdp.bandit.label!r}") for mdp, s in zip(mdps, initial_states)
+    ]
+    for mdp, s in zip(mdps, states):
         if not 0 <= s < mdp.n_states:
             raise ValueError(f"initial state {s} of bandit {mdp.bandit.label!r} is outside 0 .. {mdp.n_states - 1}")
-    return states
+    return np.array(states, dtype=np.int64)
 
 
 @dataclass
@@ -118,14 +122,6 @@ class PolicyAndValues:
     values: np.ndarray
     gain: float
     lam: float
-
-
-@dataclass
-class SolveCounts:
-    """Work and health counters, added to by the batched solvers."""
-
-    policy_evaluations: int = 0   # exact single-bandit evaluations (a batch of B counts B)
-    pi_rounds: int = 0            # batched policy-iteration rounds, either criterion
 
 
 class BanditBatch:
@@ -270,7 +266,8 @@ class BatchSolution:
     `activations` holds the values of the same policies under the activation
     cost alone, so that under these policies the values at lam' are
     values + (lam' - lam) * activations; it is None when some bandit's
-    final policy is multichain.
+    final policy is multichain.  `pi_rounds` counts the policy-iteration
+    rounds the solve took, each an exact evaluation of every bandit.
     """
 
     batch: BanditBatch
@@ -280,6 +277,7 @@ class BatchSolution:
     gains: np.ndarray
     usage: np.ndarray
     activations: np.ndarray | None
+    pi_rounds: int
 
     @property
     def criterion(self) -> str:
@@ -378,7 +376,7 @@ def _backward(coef, carry):
         later = row
 
 
-def _evaluate(batch: BanditBatch, actions, costs, counts=None):
+def _evaluate(batch: BanditBatch, actions, costs):
     """Values of one fixed policy per bandit under R cost vectors, under the
     batch's criterion.
 
@@ -393,8 +391,6 @@ def _evaluate(batch: BanditBatch, actions, costs, counts=None):
     average = beta == 1.0
     actions = np.asarray(actions)
     unichain, reach = batch.unichain(actions) if average else (np.ones(B, dtype=bool), None)
-    if counts is not None:
-        counts.policy_evaluations += B
 
     # V(cell) = coef[..., :K] . (u, z_omega, g) + coef[..., K:], built
     # backward; each state's row is gathered onto the grid (padding reads
@@ -544,7 +540,7 @@ def _multichain_step(batch: BanditBatch, actions, improved, gains, multi):
     return np.where(multi[batch.bandit_of], step, improved).astype(np.int8)
 
 
-def _policy_iteration(batch: BanditBatch, lam, actions, counts=None):
+def _policy_iteration(batch: BanditBatch, lam, actions):
     """Howard policy iteration on every bandit of a batch at once, from the
     flat policy `actions`, until no bandit's policy changes.
 
@@ -553,30 +549,28 @@ def _policy_iteration(batch: BanditBatch, lam, actions, counts=None):
     (always, when discounted) takes the policy greedy in its values, each
     state keeping its action where qa and qp tie within ACTIVE_TIE_TOL; a
     multichain one takes `_multichain_step`.  Returns the last evaluated
-    actions with their exact (values, gains), both (n, 2), and the (B,)
-    unichain mask.  Raises NoConvergence when some bandit still changes its
-    policy after _PI_ROUNDS rounds.
+    actions with their exact (values, gains), both (n, 2), the (B,)
+    unichain mask and the number of rounds taken.  Raises NoConvergence when
+    some bandit still changes its policy after _PI_ROUNDS rounds.
     """
     beta = batch.discount
-    for _ in range(_PI_ROUNDS):
-        if counts is not None:
-            counts.pi_rounds += 1
+    for rounds in range(1, _PI_ROUNDS + 1):
         costs = np.stack([batch.costs + lam * actions, actions], axis=1)
-        values, gains, unichain = _evaluate(batch, actions, costs, counts)
+        values, gains, unichain = _evaluate(batch, actions, costs)
         qa, qp = _q_values(batch, lam, values[:, 0], beta)
         improved = np.where(np.abs(qa - qp) <= ACTIVE_TIE_TOL, actions, qa < qp).astype(np.int8)
         if not unichain.all():
             improved = _multichain_step(batch, actions, improved, gains[:, 0], ~unichain)
         changed = np.logical_or.reduceat(improved != actions, batch.offsets[:-1])
         if not changed.any():
-            return actions, values, gains, unichain
+            return actions, values, gains, unichain, rounds
         actions = improved
     raise NoConvergence(
         f"policy iteration still changing after {_PI_ROUNDS} rounds in bandits {np.flatnonzero(changed).tolist()}"
     )
 
 
-def solve_batch(batch: BanditBatch, lam: float, warm=None, counts=None) -> BatchSolution:
+def solve_batch(batch: BanditBatch, lam: float, warm=None) -> BatchSolution:
     """Optimal policies of every bandit of a batch at charge lam, under the
     batch's criterion (discount 1 is average cost).
 
@@ -585,17 +579,17 @@ def solve_batch(batch: BanditBatch, lam: float, warm=None, counts=None) -> Batch
     its fixed point.  Gains and usage are those of each initial state, and
     all values come with their activation values.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be >= 0 and finite, got {lam}")
     w = np.zeros(batch.n_states) if warm is None else np.asarray(warm, dtype=float)
     if w.shape != (batch.n_states,):
         raise ValueError("warm values length does not match state count")
     actions = _greedy(*_q_values(batch, lam, w, batch.discount))
-    actions, values, gains, unichain = _policy_iteration(batch, lam, actions, counts)
+    actions, values, gains, unichain, rounds = _policy_iteration(batch, lam, actions)
     start = (gains if batch.discount == 1.0 else values)[batch.initial_ids]
     return BatchSolution(
         batch, lam, actions, values[:, 0],
-        gains[batch.initial_ids, 0], start[:, 1], values[:, 1] if unichain.all() else None,
+        gains[batch.initial_ids, 0], start[:, 1], values[:, 1] if unichain.all() else None, rounds,
     )
 
 

@@ -58,19 +58,22 @@ FIG1 = [[0.99, 0.3], [0.01, 0.7]]
 
 REPO = Path(__file__).resolve().parents[1]
 
-# (initial states, error) on the discounted sample, whose bandits 'src-a'
-# and 'src-b' have 77 and 97 truncated states: out of range either way, or
-# not one per bandit
+# (initial states, error type, message) on the discounted sample, whose
+# bandits 'src-a' and 'src-b' have 77 and 97 truncated states: out of range
+# either way, not one per bandit, or not an integer
 BAD_INITIAL_STATES = pytest.mark.parametrize(
-    "states, message",
+    "states, error, message",
     [
-        ([77, 0], r"initial state 77 of bandit 'src-a' is outside 0 \.\. 76"),
-        ([-1, 0], r"initial state -1 of bandit 'src-a' is outside 0 \.\. 76"),
-        ([0, 97], r"initial state 97 of bandit 'src-b' is outside 0 \.\. 96"),
-        ([0], "one initial state per bandit"),
-        ([0, 0, 0], "one initial state per bandit"),
+        ([77, 0], ValueError, r"initial state 77 of bandit 'src-a' is outside 0 \.\. 76"),
+        ([-1, 0], ValueError, r"initial state -1 of bandit 'src-a' is outside 0 \.\. 76"),
+        ([0, 97], ValueError, r"initial state 97 of bandit 'src-b' is outside 0 \.\. 96"),
+        ([0], ValueError, "one initial state per bandit"),
+        ([0, 0, 0], ValueError, "one initial state per bandit"),
+        # unchecked, a fractional id truncates to 0 and a bool reads as 0 or 1
+        ([0.5, 0], TypeError, "initial state of bandit 'src-a' must be an integer, got 0.5"),
+        ([0, True], TypeError, "initial state of bandit 'src-b' must be an integer, got True"),
     ],
-    ids=["past_the_end", "negative", "past_the_end_of_the_last", "too_few", "too_many"],
+    ids=["past_the_end", "negative", "past_the_end_of_the_last", "too_few", "too_many", "fractional", "bool"],
 )
 
 

@@ -251,11 +251,13 @@ class TestGradientSearch:
 
     # a step size so small that three iterates never leave f' > 0: no
     # bracket to bisect
-    def test_max_iters_carries_trace(self):
+    def test_max_iters_carries_trace(self, monkeypatch):
+        solves = record_solves(monkeypatch)
         problem = make_problem(fig1_mdps(0.9), 1, "discounted", stepsize_c=1e-6, max_iters=3)
         with pytest.raises(MaxItersExceeded) as err:
             gradient_search(problem)
         assert err.value.trace.stop_reason == "max_iters"
+        assert_work_is_the_sum(err.value.trace, solves)
         assert len(err.value.trace.iterates) == 4
         assert all(d > 0 for _, d in err.value.trace.iterates)
 
@@ -323,7 +325,7 @@ class TestSearchSolution:
         sol = trace.solution
         before = {k: getattr(sol, k).copy() for k in ("actions", "values", "gains", "usage")}
         for lam in (0.0, 2.0 * trace.lambda_star + 0.1, trace.lambda_star):
-            objective_derivative(problem, lam, sol.values)
+            solve_batch(problem.batch, lam, sol.values)
         for key, array in before.items():
             assert np.array_equal(getattr(sol, key), array), key
 
@@ -482,13 +484,20 @@ def record_solves(monkeypatch):
     solves = []
     real = lagrange_module.solve_batch
 
-    def recorded(batch, lam, warm=None, counts=None):
-        sol = real(batch, lam, warm, counts)
+    def recorded(batch, lam, warm=None):
+        sol = real(batch, lam, warm)
         solves.append((lam, warm, sol))
         return sol
 
     monkeypatch.setattr(lagrange_module, "solve_batch", recorded)
     return solves
+
+
+def assert_work_is_the_sum(trace, solves):
+    """The trace's counters add up the rounds of the solves recorded, each
+    round an evaluation of every bandit of its batch."""
+    assert trace.pi_rounds == sum(sol.pi_rounds for _, _, sol in solves)
+    assert trace.policy_evaluations == sum(sol.pi_rounds * sol.batch.size for _, _, sol in solves)
 
 
 def distance(sol, lam):
@@ -524,8 +533,9 @@ class TestWarmStarts:
     @pytest.mark.parametrize("criterion", ["discounted", "average"])
     def test_m10_instance_starts(self, criterion, monkeypatch):
         solves = record_solves(monkeypatch)
-        gradient_search(shared_m10_problem(criterion))
+        trace = gradient_search(shared_m10_problem(criterion))
         assert len(solves) > 8
+        assert_work_is_the_sum(trace, solves)
         older, uncarried = self.assert_nearest_of_the_last_eight(solves)
         assert older >= 1 and uncarried == 0
 
@@ -537,6 +547,7 @@ class TestWarmStarts:
         solves = record_solves(monkeypatch)
         trace = gradient_search(make_problem(fig1_mdps(1.0), 1, "average"))
         assert trace.stop_reason == "converged" and trace.solves_skipped == 0
+        assert_work_is_the_sum(trace, solves)
         older, uncarried = self.assert_nearest_of_the_last_eight(solves)
         assert uncarried == len(solves) - 1 and older > 0
 
@@ -570,11 +581,13 @@ class TestBisectionFinish:
         assert np.all(np.diff(derivs) <= 1e-9)
         assert np.any(snapped[:-1] * snapped[1:] <= 0.0)
 
-    def test_short_search_with_a_sign_change_bisects(self):
+    def test_short_search_with_a_sign_change_bisects(self, monkeypatch):
         # three steps on fig1 reach f' < 0 (lambda = 1) from f' > 0 (lambda = 0)
+        solves = record_solves(monkeypatch)
         problem = make_problem(fig1_mdps(0.9), 1, "discounted", max_iters=3)
         trace = gradient_search(problem)
         assert trace.stop_reason == "bisection"
+        assert_work_is_the_sum(trace, solves)
         lo, hi = trace.bracket
         assert hi - lo < problem.epsilon
         assert trace.lambda_star == lo and trace.solution.lam == lo

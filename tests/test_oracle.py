@@ -597,12 +597,12 @@ class TestDiscountedOracle:
             assert oracle.value <= res.mean + 3 * res.stderr
 
     @BAD_INITIAL_STATES
-    def test_bad_initial_states_rejected_before_the_solve(self, monkeypatch, states, message):
+    def test_bad_initial_states_rejected_before_the_solve(self, monkeypatch, states, error, message):
         def no_solve(*args):
             raise AssertionError("the joint was solved")
 
         monkeypatch.setattr(oracle, "_value_iteration", no_solve)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             joint_solve_discounted(discounted_sample().mdps, 1, initial_states=states)
 
     def test_zero_entropy_partner_reduces_to_single_bandit_value(self):

@@ -21,6 +21,7 @@ from uoisched import (
     ChainSpec,
     RMABInstance,
     asymptotic_sweep,
+    build_joint,
     build_truncated,
     choose_truncation,
     discounted_horizon,
@@ -157,6 +158,38 @@ class TestSimulateBasics:
         inst = fig1_instance("average", 1.0)
         with pytest.raises(ValueError, match=message):
             simulate(inst, "round_robin", horizon, runs, truncation_L=4, burn_in=burn_in)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda inst, mdps: make_problem(mdps, 1.5, "average"), "m must be an integer, got 1.5"),
+            (lambda inst, mdps: make_problem(mdps, True, "average"), "m must be an integer, got True"),
+            (lambda inst, mdps: RMABInstance(inst.bandits, 1.5, "average", 1.0), "m must be an integer, got 1.5"),
+            (lambda inst, mdps: RMABInstance(inst.bandits, True, "average", 1.0), "m must be an integer, got True"),
+            (lambda inst, mdps: build_joint(mdps, 1.5), "m must be an integer, got 1.5"),
+            (lambda inst, mdps: build_joint(mdps, True), "m must be an integer, got True"),
+            (lambda inst, mdps: simulate(inst, "round_robin", 10.5, 4, truncation_L=4), "horizon must be an integer"),
+            (lambda inst, mdps: simulate(inst, "round_robin", 10, 2.5, truncation_L=4), "runs must be an integer"),
+            (lambda inst, mdps: simulate(inst, "round_robin", 10, True, truncation_L=4), "runs must be an integer"),
+            (
+                lambda inst, mdps: simulate(inst, "round_robin", 10, 4, truncation_L=4, burn_in=2.5),
+                "burn_in must be an integer",
+            ),
+        ],
+        ids=[
+            "problem_m_fractional", "problem_m_bool", "instance_m_fractional", "instance_m_bool",
+            "joint_m_fractional", "joint_m_bool", "horizon_fractional", "runs_fractional", "runs_bool",
+            "burn_in_fractional",
+        ],
+    )
+    def test_counts_must_be_integers(self, call, message):
+        # unchecked, a fractional count is taken as it comes (m = 1.5 makes
+        # a budget of 1.5 channels), truncated (burn_in) or fails inside
+        # numpy, and a bool reads as 0 or 1
+        inst = fig1_instance("average", 1.0)
+        mdps = [build_truncated(b, 4, 1.0) for b in inst.bandits]
+        with pytest.raises(TypeError, match=message):
+            call(inst, mdps)
 
     def test_discounted_burn_in_rejected(self):
         """Discounting weighs every slot from the first, so a burn-in there

@@ -13,6 +13,8 @@ from uoisched import (
     build_truncated,
     choose_truncation,
     entropy,
+    gain_indices_average,
+    gain_indices_discounted,
     make_problem,
     policy_evaluation_discounted,
     policy_iteration_discounted,
@@ -23,7 +25,6 @@ from uoisched import (
 import uoisched.solvers as solvers_module
 from uoisched.solvers import (
     BanditBatch,
-    SolveCounts,
     _evaluate,
     _greedy,
     _q_values,
@@ -50,11 +51,11 @@ from conftest import (
 
 class TestInitialStates:
     @BAD_INITIAL_STATES
-    def test_rejected_where_they_enter(self, states, message):
+    def test_rejected_where_they_enter(self, states, error, message):
         mdps = discounted_sample().mdps
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             BanditBatch(mdps, states)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             make_problem(mdps, 1, "discounted", initial_states=states)
 
     def test_each_bandit_starts_in_its_own_states(self):
@@ -228,10 +229,9 @@ class TestPolicyIteration:
     def test_warm_start_at_optimum_converges_immediately(self):
         mdp = fig1_mdp()
         opt = policy_iteration_discounted(mdp, 0.07)
-        counts = SolveCounts()
-        again = solve_batch(BanditBatch([mdp]), 0.07, opt.values, counts)
+        again = solve_batch(BanditBatch([mdp]), 0.07, opt.values)
         assert np.array_equal(again.actions, opt.actions)
-        assert counts.pi_rounds == 1
+        assert again.pi_rounds == 1
 
     def test_all_passive_init_reaches_all_active_at_zero_charge(self):
         mdp = fig1_mdp()
@@ -607,6 +607,17 @@ class TestBatchedAverageSolve:
             solve_batch(BanditBatch([mdp]), -1e-3)
 
     @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_charge_is_rejected(self, lam, criterion):
+        # unchecked, a NaN charge solves to zero usage and inf only warns
+        mdp = fig1_mdp(beta=0.9 if criterion == "discounted" else 1.0, L=10)
+        gain_indices = gain_indices_discounted if criterion == "discounted" else gain_indices_average
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            solve_batch(BanditBatch([mdp]), lam)
+        with pytest.raises(ValueError, match="lambda_star must be >= 0"):
+            gain_indices(mdp, lam)
+
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
     def test_still_changing_at_the_round_cap_raises(self, criterion, monkeypatch):
         # from all passive (discounted) or the multichain warm start
         # (average), fig1 needs more than one round at these charges
@@ -660,14 +671,27 @@ def rvi_reference(batch, lam, warm=None):
 LAMBDA_GRID = np.linspace(0.0, 1.2, 13)
 
 
-def warm_sweep(batch, counts=None):
+def warm_sweep(batch):
     """Solve along LAMBDA_GRID, each solve warm-started from the last Z as
     the gradient search does; yields (lam, warm start, solution)."""
     z = None
     for lam in LAMBDA_GRID:
-        sol = solve_batch(batch, lam, z, counts)
+        sol = solve_batch(batch, lam, z)
         yield lam, z, sol
         z = sol.values
+
+
+def spy_on_evaluations(monkeypatch):
+    """Record the number of bandits of every batched policy evaluation."""
+    sizes = []
+    real = solvers_module._evaluate
+
+    def spy(batch, actions, costs):
+        sizes.append(batch.size)
+        return real(batch, actions, costs)
+
+    monkeypatch.setattr(solvers_module, "_evaluate", spy)
+    return sizes
 
 
 def spy_on_multichain_steps(monkeypatch):
@@ -697,15 +721,16 @@ class TestAveragePolicyIteration:
             assert np.array_equal(sol.usage, usage)
             assert np.array_equal(_greedy(*_q_values(batch, lam, sol.values, 1.0)), sol.actions)
 
-    def test_cold_solves_match_rvi_reference(self):
+    def test_cold_solves_match_rvi_reference(self, monkeypatch):
         batch = BanditBatch(mixed_mdps(1.0))
+        evaluated = spy_on_evaluations(monkeypatch)
         for lam in LAMBDA_GRID:
-            counts = SolveCounts()
-            sol = solve_batch(batch, lam, counts=counts)
+            evaluated.clear()
+            sol = solve_batch(batch, lam)
             actions, values, _, _ = rvi_reference(batch, lam)
             assert np.array_equal(sol.actions, actions)
             assert np.array_equal(sol.values, values)
-            assert counts.policy_evaluations == counts.pi_rounds * batch.size
+            assert sum(evaluated) == sol.pi_rounds * batch.size
 
     def test_multichain_iterates_go_to_rvi(self, monkeypatch):
         """A multichain iterate takes the multichain step, and the solve
